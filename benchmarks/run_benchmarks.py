@@ -18,13 +18,6 @@ measurement: with no observer attached the hot loop carries zero
 observation code, so any disabled-path overhead would show up as a
 plain chunked regression against the committed baseline.
 
-A fourth ``fleet`` trace times a Table 4.1-shaped campaign (5 dirty
-x 3 reference policies x 2 seeds) three ways — serial, workers=N
-process pool, and the lockstep fleet (``repro.fleet``) — and records
-the fleet's wall-clock edge over the pool (``speedup``) plus its
-overhead against plain serial stepping (``serial_ratio``).  Both are
-gated: see ``DEFAULT_GATES``.
-
 Payloads are materialised before the timer starts, so the numbers
 measure simulation only.  Results land in ``BENCH_throughput.json``
 at the repo root by default::
@@ -48,7 +41,6 @@ fall back to ``baseline speedup * (1 - --max-regression)``.
 
 import argparse
 import json
-import os
 import pathlib
 import statistics
 import sys
@@ -72,16 +64,6 @@ DEFAULT_GATES = {
     "hits": {"min_speedup": 1.6},
     "misses": {"min_speedup": 2.5},
     "writes": {"min_speedup": 2.5},
-    # The lockstep fleet's two-sided gate.  ``min_speedup`` holds the
-    # headline — a Table 4.1-shaped campaign in one fleet process
-    # beats the workers=N pool — but only where the vectorized
-    # classifier exists, so it is enforced when numpy is importable
-    # (the pool's real multi-core parallelism can legitimately win
-    # against the pure-Python fallback).  ``min_serial_ratio``
-    # (fleet wall vs serial wall) is enforced everywhere, numpy or
-    # not: the lockstep machinery may never cost more than 25% over
-    # plain serial stepping of the same cells.
-    "fleet": {"min_speedup": 1.0, "min_serial_ratio": 0.75},
 }
 
 
@@ -116,80 +98,6 @@ def observed_run_chunks(machine, chunks, epoch_refs):
         machine.run_chunks(chunks)
     finally:
         observer.detach()
-
-
-def fleet_cells(refs_per_cell):
-    """A Table 4.1-shaped campaign: 5 dirty x 3 ref x 2 seeds."""
-    from repro.machine.config import scaled_config
-    from repro.parallel.executor import RunCell
-    from repro.policies.costs import DIRTY_POLICY_NAMES
-    from repro.policies.reference import REFERENCE_POLICY_NAMES
-    from repro.workloads.workload1 import Workload1
-
-    cells = []
-    for dirty in DIRTY_POLICY_NAMES:
-        for ref in REFERENCE_POLICY_NAMES:
-            for seed in (0, 1):
-                config = scaled_config(
-                    memory_ratio=40, dirty_policy=dirty,
-                    reference_policy=ref, name=f"{dirty}-{ref}",
-                )
-                cells.append(RunCell(
-                    config=config, workload=Workload1(),
-                    seed=seed, max_references=refs_per_cell,
-                    label=f"{dirty}-{ref}/s{seed}",
-                ))
-    return cells
-
-
-def run_fleet_bench(refs_per_cell, repeat):
-    """Fleet vs serial vs workers=N pool on the same campaign.
-
-    Returns the ``fleet`` trace record: per-variant refs/s plus the
-    two gated ratios — ``speedup`` (fleet wall over the workers=N
-    process pool's, the headline) and ``serial_ratio`` (fleet wall
-    over plain serial stepping, the machinery-overhead guard).  The
-    record notes whether numpy (and with it the 2-D classifier) was
-    available, so the pool gate can be scoped to hosts where the
-    comparison is meaningful.
-    """
-    from repro.cache.columns import HAVE_NUMPY
-    from repro.parallel.executor import execute_cells
-
-    cells = fleet_cells(refs_per_cell)
-    # ``workers=1`` would fall back to the serial path inside
-    # execute_cells — always field a real multi-process pool.
-    workers = max(2, os.cpu_count() or 2)
-    total_refs = None
-
-    def wall(**kwargs):
-        best = None
-        for _ in range(repeat):
-            started = time.perf_counter()
-            results = execute_cells(cells, **kwargs)
-            elapsed = time.perf_counter() - started
-            best = elapsed if best is None else min(best, elapsed)
-        nonlocal total_refs
-        total_refs = sum(result.references for result in results)
-        return best
-
-    # One untimed pass so the first timed variant is not charged for
-    # cold imports and first-touch allocation.
-    execute_cells(cells)
-    serial_wall = wall()
-    pool_wall = wall(workers=workers)
-    fleet_wall = wall(fleet=True)
-    return {
-        "cells": len(cells),
-        "refs_per_cell": refs_per_cell,
-        "pool_workers": workers,
-        "numpy": HAVE_NUMPY,
-        "serial_refs_per_s": round(total_refs / serial_wall),
-        "pool_refs_per_s": round(total_refs / pool_wall),
-        "fleet_refs_per_s": round(total_refs / fleet_wall),
-        "speedup": round(pool_wall / fleet_wall, 3),
-        "serial_ratio": round(serial_wall / fleet_wall, 3),
-    }
 
 
 def load_gates(path):
@@ -240,9 +148,6 @@ def run_benchmarks(count, repeat, chunk_refs, epoch_refs):
                 chunked_samples, observed_samples
             ),
         }
-    traces["fleet"] = run_fleet_bench(
-        max(2000, count // 4), max(2, repeat - 2)
-    )
     return {
         "bench": "hot-loop throughput",
         "count": count,
@@ -282,19 +187,6 @@ def check_regression(results, baseline_path, max_regression):
     failures = []
     for shape, fresh in results["traces"].items():
         gate = gates.get(shape, {})
-        if "min_serial_ratio" in gate:
-            floor = gate["min_serial_ratio"]
-            if fresh.get("serial_ratio", floor) < floor:
-                failures.append(
-                    f"{shape}: serial ratio "
-                    f"{fresh['serial_ratio']:.3f} below {floor:.3f} "
-                    f"(gates.{shape}.min_serial_ratio)"
-                )
-        if shape == "fleet" and not fresh.get("numpy", True):
-            # Pure-Python fallback: the pool's multi-core parallelism
-            # may legitimately beat per-member stepping, so only the
-            # serial-ratio guard above applies.
-            continue
         if "min_speedup" in gate:
             floor = gate["min_speedup"]
             origin = f"gates.{shape}.min_speedup"

@@ -11,11 +11,7 @@ from repro.analysis.stats import Summary, summarize
 from repro.analysis.tables import Table, format_ratio
 from repro.analysis.charts import bar_chart, line_plot, sparkline
 from repro.analysis.latex import table_to_latex
-from repro.analysis.sweeps import (
-    SweepDriver,
-    associativity_axis,
-    cache_size_axis,
-)
+from repro.analysis.sweeps import SweepDriver
 from repro.analysis.tracestats import TraceStatistics, analyze_trace
 from repro.analysis.report import generate_report
 from repro.analysis import paper_data
@@ -38,9 +34,7 @@ __all__ = [
     "Table41Row",
     "TraceStatistics",
     "analyze_trace",
-    "associativity_axis",
     "bar_chart",
-    "cache_size_axis",
     "generate_report",
     "line_plot",
     "sparkline",

@@ -15,37 +15,6 @@ from repro.analysis.tables import Table
 from repro.machine.runner import ExperimentRunner
 from repro.workloads.base import DEFAULT_CHUNK_REFS
 
-def cache_size_axis(config, size_bytes):
-    """Sweep axis: the same machine with a *size_bytes* cache.
-
-    A derived-change callable for :class:`SweepDriver`'s ``field``
-    parameter — cache size lives inside the nested
-    :class:`~repro.common.params.CacheGeometry`, out of reach of the
-    flat field-name form.  Geometry validation (power of two, at
-    least one block) fires at replace time, so a bad grid fails when
-    it is declared rather than mid-campaign.
-    """
-    return dataclasses.replace(
-        config,
-        cache=dataclasses.replace(config.cache, size_bytes=size_bytes),
-    )
-
-
-def associativity_axis(config, ways):
-    """Sweep axis: the same machine with *ways*-way sets.
-
-    Declares and validates an associativity grid (power of two, no
-    more ways than blocks) ahead of a set-associative simulator.
-    Sweeps over any value other than 1 build configurations the
-    current direct-mapped :class:`~repro.cache.cache.VirtualCache`
-    refuses loudly at machine-build time — the axis is plumbing for
-    the grid shape, not a silent behaviour change.
-    """
-    return dataclasses.replace(
-        config,
-        cache=dataclasses.replace(config.cache, associativity=ways),
-    )
-
 
 #: Standard metric extractors by name.
 METRICS: Dict[str, Callable] = {

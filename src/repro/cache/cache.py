@@ -23,7 +23,6 @@ cache never needs physical tags.
 from repro.cache.block import CacheLineView
 from repro.cache.coherence import BerkeleyOwnership, BusOp, CoherencyState
 from repro.cache.columns import ColumnStore
-from repro.common.errors import ConfigurationError
 from repro.common.types import Protection
 from repro.counters.events import Event
 
@@ -55,21 +54,9 @@ class VirtualCache:
         transfers.
     name:
         Identifier used by the bus and in diagnostics.
-    columns:
-        Optional pre-built :class:`~repro.cache.columns.ColumnStore`
-        to adopt instead of allocating one — the fleet layer hands
-        each member cache a store slicing its stacked 2-D buffers.
-        Must match the geometry's line count and arrive in power-on
-        state (all lines invalid).
     """
 
-    def __init__(self, geometry, timing, name="cache0", columns=None):
-        if geometry.associativity != 1:
-            raise ConfigurationError(
-                f"associativity {geometry.associativity} is plumbed "
-                f"through the sweep grid but only direct-mapped "
-                f"(associativity=1) caches are simulated"
-            )
+    def __init__(self, geometry, timing, name="cache0"):
         self.geometry = geometry
         self.timing = timing
         self.name = name
@@ -93,14 +80,7 @@ class VirtualCache:
         # The aliases below share the store's buffers; every element
         # write through either name lands in the same memory the
         # batched resolver's numpy views observe.
-        if columns is None:
-            columns = ColumnStore(num_lines)
-        elif columns.num_lines != num_lines:
-            raise ConfigurationError(
-                f"column store has {columns.num_lines} lines, "
-                f"geometry needs {num_lines}"
-            )
-        self.columns = columns
+        self.columns = ColumnStore(num_lines)
         self.valid = self.columns.valid
         self.tags = self.columns.tags
         self.line_vaddr = self.columns.line_vaddr  # block-aligned fill address

@@ -74,41 +74,6 @@ class ColumnStore:
         self.holds_pte = bytearray(num_lines)
         self.views = self._build_views()
 
-    @classmethod
-    def over_buffers(cls, num_lines, buffers):
-        """Build a store whose columns alias externally owned buffers.
-
-        ``buffers`` maps every column name to a writable buffer of
-        ``num_lines`` elements (``'q'``-format for word columns,
-        byte-format for flags) — in practice a ``memoryview`` slice of
-        a :class:`repro.fleet.columns.FleetColumnStore`'s 2-D
-        allocation, so one machine's scalar writes land directly in
-        the fleet's stacked arrays.  The caller owns initial values
-        (word columns zeroed except ``line_block`` at -1, flags
-        zeroed, matching ``__init__``).  All store invariants apply
-        unchanged: the buffers are mutated in place, never rebound.
-        """
-        store = cls.__new__(cls)
-        store.num_lines = num_lines
-        for name, _ in WORD_COLUMNS:
-            column = buffers[name]
-            if len(column) != num_lines:
-                raise ValueError(
-                    f"column {name!r} has {len(column)} elements, "
-                    f"expected {num_lines}"
-                )
-            setattr(store, name, column)
-        for name in FLAG_COLUMNS:
-            column = buffers[name]
-            if len(column) != num_lines:
-                raise ValueError(
-                    f"column {name!r} has {len(column)} elements, "
-                    f"expected {num_lines}"
-                )
-            setattr(store, name, column)
-        store.views = store._build_views()
-        return store
-
     def _build_views(self):
         if _np is None:
             return None

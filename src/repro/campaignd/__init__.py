@@ -14,7 +14,7 @@ built from four separable pieces:
   the same content-addressed hashes the cache uses — restarting a
   half-done campaign recomputes nothing;
 * interchangeable **drivers** (:mod:`~repro.campaignd.drivers`) — the
-  in-process pool/fleet paths, or ``repro worker`` subprocesses
+  in-process serial/pool paths, or ``repro worker`` subprocesses
   sharing only a cache directory — under one
   :class:`~repro.campaignd.service.CampaignService` that owns retry,
   backoff, timeout, journaling, and telemetry.

@@ -16,7 +16,7 @@ and telemetry semantics identical.
 Two backends ship:
 
 :class:`LocalDriver`
-    Today's in-process / process-pool / lockstep-fleet paths, via
+    The in-process serial and process-pool paths, via
     :func:`repro.parallel.run_pending`.  Cannot enforce per-cell
     timeouts (a stuck pool worker cannot be killed without killing
     the pool), and says so through ``supports_timeout``.
@@ -72,7 +72,7 @@ class RetryPolicy:
 
 
 class LocalDriver:
-    """Run pending cells in this process (serial, pool, or fleet).
+    """Run pending cells in this process (serial or pool).
 
     The campaign service's default backend: a thin adapter over
     :func:`repro.parallel.run_pending`, so service campaigns inherit
@@ -87,21 +87,18 @@ class LocalDriver:
     #: them into the cache itself.
     stores_results = False
 
-    def __init__(self, workers=1, fleet=False, sink=None):
+    def __init__(self, workers=1, sink=None):
         self.workers = workers
-        self.fleet = fleet
         self.sink = sink
 
     def describe(self):
         """One-line rendering for status output and logs."""
-        if self.fleet:
-            return "local(fleet)"
         return f"local(workers={self.workers})"
 
     def run(self, cells, pending, record):
         """Simulate *pending* and feed every outcome to ``record``."""
         run_pending(cells, pending, record, workers=self.workers,
-                    fleet=self.fleet, sink=self.sink)
+                    sink=self.sink)
 
 
 class _Shard:

@@ -23,7 +23,7 @@
 The service is the only writer of the journal and the only caller of
 ``record``-side effects; drivers just produce outcomes.  That single
 ownership is what keeps resume semantics identical across local
-pools, lockstep fleets, and worker subprocesses.
+pools and worker subprocesses.
 """
 
 import time

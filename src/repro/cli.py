@@ -39,33 +39,37 @@ TABLE_CHOICES = ("2.1", "3.1", "3.2", "3.3", "3.4", "3.5", "4.1")
 def _options_from_args(args):
     """Build the :class:`RunOptions` the CLI flags describe.
 
-    Opens a :class:`~repro.observe.sinks.JsonlSink` when ``--trace``
-    was given; callers close it via :func:`_close_sink` when the
-    command finishes.
+    An invalid flag value exits with a one-line message.  Opens a
+    :class:`~repro.observe.sinks.JsonlSink` when ``--trace`` was given
+    (after validation, so a rejected command leaves no trace file);
+    callers close it via :func:`_close_sink` when the command
+    finishes.
     """
-    sink = None
+    try:
+        options = RunOptions(
+            workers=getattr(args, "workers", 1),
+            chunk_refs=getattr(args, "chunk_refs",
+                               DEFAULT_CHUNK_REFS) or 0,
+            cache_dir=getattr(args, "cache_dir", None),
+            use_cache=not getattr(args, "no_cache", False),
+            sanitize=getattr(args, "sanitize", None),
+            observe=getattr(args, "observe", False),
+            epoch_refs=getattr(args, "epoch_refs", DEFAULT_EPOCH_REFS),
+            progress=getattr(args, "progress", False) or None,
+            journal=getattr(args, "journal", None),
+            driver=getattr(args, "driver", None),
+            retries=getattr(args, "retries", 0),
+            retry_backoff_seconds=getattr(args, "retry_backoff", 0.5),
+            cell_timeout_seconds=getattr(args, "cell_timeout", None),
+        )
+    except ValueError as error:
+        raise SystemExit(str(error)) from None
     trace_out = getattr(args, "trace_out", None)
     if trace_out:
         from repro.observe import JsonlSink
 
-        sink = JsonlSink(trace_out)
-    return RunOptions(
-        workers=getattr(args, "workers", 1),
-        fleet=getattr(args, "fleet", False),
-        chunk_refs=getattr(args, "chunk_refs", DEFAULT_CHUNK_REFS) or 0,
-        cache_dir=getattr(args, "cache_dir", None),
-        use_cache=not getattr(args, "no_cache", False),
-        sanitize=getattr(args, "sanitize", None),
-        observe=getattr(args, "observe", False),
-        epoch_refs=getattr(args, "epoch_refs", DEFAULT_EPOCH_REFS),
-        trace_sink=sink,
-        progress=getattr(args, "progress", False) or None,
-        journal=getattr(args, "journal", None),
-        driver=getattr(args, "driver", None),
-        retries=getattr(args, "retries", 0),
-        retry_backoff_seconds=getattr(args, "retry_backoff", 0.5),
-        cell_timeout_seconds=getattr(args, "cell_timeout", None),
-    )
+        options = options.replace(trace_sink=JsonlSink(trace_out))
+    return options
 
 
 def _runner_from_args(args):
@@ -572,12 +576,6 @@ def build_parser():
                             "(config, workload, seed) cells simulate")
         p.add_argument("--no-cache", action="store_true",
                        help="ignore --cache-dir for this invocation")
-        p.add_argument("--fleet", action="store_true",
-                       help="step the campaign's machines in lockstep "
-                            "inside this process (one vectorized pass "
-                            "over all cells) instead of fanning out "
-                            "worker processes; results are "
-                            "bit-identical either way")
 
     def campaignd_opts(p):
         p.add_argument("--journal", metavar="PATH",

@@ -27,17 +27,10 @@ class CacheGeometry:
         Total cache capacity.  The prototype's was 128 KB.
     block_bytes:
         Cache block (line) size.  The prototype's was 32 bytes.
-    associativity:
-        Ways per set.  The prototype (and everything the simulator
-        currently models) is direct-mapped; the axis exists so sweep
-        grids can be declared and validated ahead of a set-associative
-        simulator — building a :class:`VirtualCache` with any other
-        value fails loudly.
     """
 
     size_bytes: int = 128 * KB
     block_bytes: int = 32
-    associativity: int = 1
 
     def __post_init__(self):
         if not is_power_of_two(self.size_bytes):
@@ -56,22 +49,6 @@ class CacheGeometry:
             raise ConfigurationError(
                 "cache smaller than one block"
             )
-        if not is_power_of_two(self.associativity):
-            raise ConfigurationError(
-                f"associativity {self.associativity} must be a power "
-                f"of two"
-            )
-        if self.associativity > self.size_bytes // self.block_bytes:
-            raise ConfigurationError(
-                f"associativity {self.associativity} exceeds the "
-                f"{self.size_bytes // self.block_bytes} blocks in the "
-                f"cache"
-            )
-
-    @property
-    def num_sets(self):
-        """Number of sets (``num_lines`` when direct-mapped)."""
-        return self.num_lines // self.associativity
 
     @property
     def num_lines(self):

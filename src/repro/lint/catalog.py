@@ -48,9 +48,9 @@ RULES = {
         "Determinism audit of the simulation path",
         "Code reachable from the hot-loop roots may not iterate sets\n"
         "(arbitrary order), call unseeded `random`, or read the\n"
-        "wall clock / environment: the parallel campaign cache and\n"
-        "lockstep fleet assume two runs of the same cell are\n"
-        "bit-identical.  The campaign resume machinery\n"
+        "wall clock / environment: the parallel campaign cache\n"
+        "assumes two runs of the same cell are bit-identical.\n"
+        "The campaign resume machinery\n"
         "(`resume_identity_roots`: cell keying, spec codec, journal\n"
         "replay) is audited the same way — a resumed campaign must\n"
         "derive identical keys on every run or it recomputes work\n"

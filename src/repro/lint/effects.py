@@ -9,7 +9,7 @@ recursion converge).  The flags:
     The nondeterminism family (``NONDET``): wall-clock reads,
     environment reads, unseeded randomness, iteration over a set.
     Any of these reachable from the simulator loop breaks the
-    bit-equivalence the parallel and lockstep layers rest on (R005).
+    bit-equivalence the parallel layer rests on (R005).
 
 ``io``
     Writes to the outside world: ``print``, ``open``, stdout/stderr.

@@ -95,15 +95,9 @@ class LintConfig:
         "SpurMachine.run_chunks",
         "SpurMachine._run_segment",
         "SpurMachine._run_segment_columns",
-        "SpurMachine._walk_events",
         "SpurMachine._run_refs",
         "SpurMachine._resolve_miss",
         "SpurMachine._resolve_write_hit",
-        "MachineFleet.run_round",
-        "MachineFleet._classify_group",
-        "FleetMember.run_chunk",
-        "FleetMember.walk_chunk",
-        "FleetMember.skip_settled",
     )
 
     #: Root qualnames whose reachable code the cache-key soundness
@@ -166,7 +160,7 @@ class LintConfig:
     #: change its counters, so they are legitimately absent from the
     #: cache key.
     cache_inert_fields: frozenset = frozenset({
-        "workers", "fleet", "chunk_refs", "cache_dir", "use_cache",
+        "workers", "chunk_refs", "cache_dir", "use_cache",
         "sanitize", "observe", "epoch_refs", "trace_sink", "progress",
         "label", "journal", "driver", "retries",
         "retry_backoff_seconds", "cell_timeout_seconds",

@@ -9,9 +9,9 @@ R005
     Determinism audit.  Any nondeterministic effect (set iteration,
     unseeded ``random``, wall-clock or environment reads) in code
     reachable from the hot-loop roots breaks the bit-equivalence that
-    the parallel campaign cache and the planned lockstep fleet rest
-    on.  Unresolvable calls are *not* findings here: an audit that
-    cried wolf on every untypable receiver would be ignored.
+    the parallel campaign cache rests on.  Unresolvable calls are
+    *not* findings here: an audit that cried wolf on every untypable
+    receiver would be ignored.
 
 R006
     Cache-key soundness.  A field of ``MachineConfig``/``RunOptions``/
@@ -79,7 +79,7 @@ def check_determinism(project, config):
         config.effect_hot_loops,
         lambda qualname, detail, chain: (
             f"nondeterminism on the simulation path: {qualname} "
-            f"{detail} (reached via {chain}); parallel and lockstep "
+            f"{detail} (reached via {chain}); serial and parallel "
             f"runs must stay bit-identical"
         ),
     )

@@ -288,7 +288,7 @@ class ExperimentRunner:
         plain_serial = (
             options.workers <= 1 and cache is None
             and options.trace_sink is None and not options.progress
-            and not options.fleet and not options.campaignd
+            and not options.campaignd
         )
         if plain_serial:
             return [
@@ -316,7 +316,6 @@ class ExperimentRunner:
         return execute_cells(
             cells, workers=options.workers, cache=cache,
             sink=options.trace_sink, progress=options.progress,
-            fleet=options.fleet,
         )
 
     def _run_service(self, cells, options, cache):
@@ -341,8 +340,7 @@ class ExperimentRunner:
             )
         else:
             driver = LocalDriver(
-                workers=options.workers, fleet=options.fleet,
-                sink=options.trace_sink,
+                workers=options.workers, sink=options.trace_sink
             )
         service = CampaignService(
             cells,

@@ -144,15 +144,10 @@ class SpurMachine:
     bus:
         Optional shared :class:`SnoopyBus` for multiprocessor setups;
         a private bus is created when omitted.
-    column_store:
-        Optional pre-built :class:`~repro.cache.columns.ColumnStore`
-        the cache adopts — how a fleet member's tag state lands inside
-        the fleet's stacked 2-D buffers.
     """
 
     def __init__(self, config, space_map, counters=None, bus=None,
-                 name=None, page_table=None, vm=None, swap=None,
-                 column_store=None):
+                 name=None, page_table=None, vm=None, swap=None):
         self.config = config
         self.name = name or config.name
         self.counters = counters or PerformanceCounters()
@@ -162,8 +157,7 @@ class SpurMachine:
         self.zero_fill_cycles = config.zero_fill_cycles
 
         self.cache = VirtualCache(
-            config.cache, config.memory_timing,
-            name=f"{self.name}.cache", columns=column_store,
+            config.cache, config.memory_timing, name=f"{self.name}.cache"
         )
         self.cache.counters = self.counters
         self.bus = bus or SnoopyBus(name=f"{self.name}.bus",
@@ -553,32 +547,10 @@ class SpurMachine:
             events = _np.flatnonzero(miss)
         if not events.size:
             return 0
-        return self._walk_events(
-            chunk, start, end, tally, blocks, idx, is_write,
-            events.tolist(),
-        )
-
-    def _walk_events(self, chunk, start, end, tally, blocks, idx,
-                     is_write, positions):
-        """Resolve the flagged positions of a classified segment.
-
-        The resolution half of :meth:`_run_segment_columns`, split out
-        so the lockstep fleet (:mod:`repro.fleet`) can hand a member
-        the event positions its 2-D classify already found instead of
-        re-classifying the chunk.  ``blocks``/``idx``/``is_write`` are
-        the classify pass's per-position arrays (1-D, covering
-        ``[start, end)``); staleness handling is unchanged —
-        :meth:`_first_stale` re-verifies skipped gaps against the live
-        views once anything mutates.  Returns extra cycles beyond the
-        base charge.
-        """
-        cache = self.cache
         line_block = cache.line_block
         block_dirty = cache.block_dirty
         page_dirty = cache.page_dirty
         prot = cache.prot
-        block_bits = cache.block_bits
-        index_mask = cache.index_mask
         write_hit = self._resolve_write_hit
         resolve = self._resolve_miss
         run_refs = self._run_refs
@@ -587,7 +559,7 @@ class SpurMachine:
         extra = 0
         mutated = False
         prev = 0
-        for p in positions:
+        for p in events.tolist():
             if mutated and p > prev:
                 stale = first_stale(blocks, idx, is_write, prev, p)
                 if stale >= 0:

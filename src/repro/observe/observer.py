@@ -115,42 +115,6 @@ class RunObserver:
         self._sample()               # baseline (sample 0)
         return self
 
-    def attach_passive(self, machine):
-        """Observe a machine whose driver samples explicitly.
-
-        The lockstep fleet (:mod:`repro.fleet`) never calls
-        ``run``/``run_chunks``, so there is nothing to wrap: the fleet
-        runner commits each member's bookkeeping at chunk boundaries
-        and calls :meth:`sample_boundary` — the SMP post-slice cadence
-        (quantum-granular, trivially inert).  Takes the baseline
-        sample; :meth:`finish` works unchanged.  Returns self.
-        """
-        if self._target is not None:
-            raise RuntimeError(
-                "a RunObserver observes exactly one machine; build a "
-                "fresh one per run"
-            )
-        self._target = machine
-        self._effective = effective_epoch_refs(
-            self.epoch_refs, machine.observation_alignment()
-        )
-        self._next_epoch = self._effective
-        self._sample()               # baseline (sample 0)
-        return self
-
-    def sample_boundary(self):
-        """Sample if the target has crossed an epoch boundary.
-
-        The explicit-drive twin of the SMP wrappers' post-slice check:
-        call at any safe boundary (the fleet does so after each
-        committed chunk); sampling happens only when cumulative
-        references reach the next epoch.
-        """
-        if self._target.references >= self._next_epoch:
-            self._sample()
-            while self._next_epoch <= self._target.references:
-                self._next_epoch += self._effective
-
     def detach(self):
         """Restore every method this observer wrapped."""
         for obj, name, original in reversed(self._wrapped):

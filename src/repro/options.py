@@ -38,14 +38,6 @@ class RunOptions:
     workers:
         Worker-process count for multi-cell entry points; 1 runs
         in-process.
-    fleet:
-        Step all pending cells of a multi-cell entry point in lockstep
-        inside this process (:mod:`repro.fleet`): the vectorized
-        classifier runs across every machine at once instead of one
-        process per cell.  Bit-identical to the serial and pooled
-        paths; keep the process pool (``workers``) for cross-host
-        scale.  When both are set the fleet wins and no pool is
-        spawned.
     chunk_refs:
         References per flat workload chunk (0 selects the legacy
         per-tuple stream).  Bit-identical either way.
@@ -84,7 +76,7 @@ class RunOptions:
         journaling never changes results — only crash behaviour.
     driver:
         Campaign execution backend: ``None``/``"local"`` for the
-        in-process pool/fleet paths, ``"subprocess"`` for ``repro
+        in-process serial/pool paths, ``"subprocess"`` for ``repro
         worker`` subprocesses sharding over the shared cache
         directory.  Any non-``None`` value routes through the
         campaign service.  Results are bit-identical across drivers.
@@ -100,7 +92,6 @@ class RunOptions:
     """
 
     workers: int = 1
-    fleet: bool = False
     chunk_refs: int = DEFAULT_CHUNK_REFS
     cache_dir: Optional[str] = None
     use_cache: bool = True

@@ -142,13 +142,12 @@ def _failure(index, cell, error):
     )
 
 
-def run_pending(cells, pending, record, workers=1, fleet=False,
-                sink=None):
+def run_pending(cells, pending, record, workers=1, sink=None):
     """Simulate the *pending* subset of *cells* through a work path.
 
     The execution core shared by :func:`execute_cells` and the
     campaign service's :class:`~repro.campaignd.drivers.LocalDriver`:
-    picks the in-process, process-pool, or lockstep-fleet path and
+    picks the in-process or process-pool path and
     feeds every outcome to ``record(index, outcome)`` — a
     :class:`~repro.machine.runner.RunResult` on success, the raised
     exception on failure.  ``record`` is always called from the
@@ -157,11 +156,7 @@ def run_pending(cells, pending, record, workers=1, fleet=False,
     """
     from repro.observe.sinks import stamp
 
-    if fleet and pending:
-        from repro.fleet.runner import simulate_cells_fleet
-
-        simulate_cells_fleet(cells, pending, record)
-    elif workers <= 1 or len(pending) <= 1:
+    if workers <= 1 or len(pending) <= 1:
         for index in pending:
             try:
                 outcome = simulate_cell(cells[index])
@@ -201,7 +196,7 @@ def run_pending(cells, pending, record, workers=1, fleet=False,
 
 
 def execute_cells(cells, workers=1, cache=None, sink=None,
-                  progress=None, fleet=False):
+                  progress=None):
     """Execute *cells*, returning results in the given cell order.
 
     Parameters
@@ -210,12 +205,6 @@ def execute_cells(cells, workers=1, cache=None, sink=None,
         Iterable of :class:`RunCell`.
     workers:
         Process count; 1 simulates in-process (no pool is created).
-    fleet:
-        Step every pending cell in lockstep inside this process
-        (:func:`repro.fleet.runner.simulate_cells_fleet`) instead of
-        fanning out — bit-identical results, one vectorized pass
-        across all machines.  When set, ``workers`` is ignored and no
-        pool is spawned.
     cache:
         Optional :class:`ResultCache`.  Hits skip simulation entirely;
         misses are simulated then stored.  Cells whose inputs cannot
@@ -265,7 +254,6 @@ def execute_cells(cells, workers=1, cache=None, sink=None,
             "cells": len(cells),
             "cached": len(hits),
             "workers": workers,
-            "fleet": bool(fleet),
         }))
     for index in hits:
         emit_cell(sink, "cell_cached", index, cells[index])
@@ -290,8 +278,7 @@ def execute_cells(cells, workers=1, cache=None, sink=None,
             if progress is not None:
                 progress.cell_finished()
 
-    run_pending(cells, pending, record, workers=workers, fleet=fleet,
-                sink=sink)
+    run_pending(cells, pending, record, workers=workers, sink=sink)
 
     if cache is not None:
         # Stores happen in the parent, after the pool has drained, so

@@ -181,14 +181,6 @@ def check_column_store(cache, ref_index=None):
       batched classifier's boolean masks;
     * when numpy views exist, each view still reflects the backing
       buffer value-for-value (zero-copy aliasing intact).
-
-    A fleet member's store (built over ``memoryview`` slices of a
-    :class:`~repro.fleet.columns.FleetColumnStore`) extends the
-    invariant to 2-D: the member's row slice of each flat fleet
-    buffer — and of each 2-D numpy view, when present — must agree
-    with the member's own columns element-for-element, proving the
-    stacked allocation, the member aliases, and the fleet classifier's
-    views are all one memory.
     """
     columns = getattr(cache, "columns", None)
     if columns is None:
@@ -225,32 +217,6 @@ def check_column_store(cache, ref_index=None):
                     machine=cache.name,
                     ref_index=ref_index,
                 )
-    fleet = getattr(columns, "fleet", None)
-    if fleet is not None:
-        row = columns.member_row
-        lo = row * columns.num_lines
-        hi = lo + columns.num_lines
-        for name, column in columns.columns():
-            shared = getattr(fleet, name)
-            if list(shared[lo:hi]) != list(column):
-                raise InvariantViolation(
-                    "cache.column-store-agreement",
-                    f"fleet column {name!r} row {row} no longer "
-                    f"aliases the member store",
-                    machine=cache.name,
-                    ref_index=ref_index,
-                )
-        if fleet.views is not None:
-            for name, column in columns.columns():
-                view = getattr(fleet.views, name)
-                if view[row].tolist() != list(column):
-                    raise InvariantViolation(
-                        "cache.column-store-agreement",
-                        f"2-D fleet view of column {name!r} row {row} "
-                        f"no longer aliases the member store",
-                        machine=cache.name,
-                        ref_index=ref_index,
-                    )
 
 
 def check_block_ownership(bus, block_vaddr, ref_index=None):

@@ -210,6 +210,25 @@ def write_pair_trace(regions, count):
     return refs
 
 
+def stale_pair_trace(regions, count):
+    """Stable hits interleaved with a conflicting block pair.
+
+    Once the cache is warm, the upfront sweep classifies each pair
+    member a hit, the other member's resolution evicts it, and the
+    vectorized classifier's gap re-check must catch the stale
+    classification mid-segment (a scalar bailout)."""
+    heap = regions["heap"].start
+    a, b = heap, heap + 32 * 32          # same line, different blocks
+    stable = [heap + line * 32 for line in range(1, 9)]
+    refs = []
+    for i in range(count // 4):
+        refs.append((READ, a))
+        refs.append((READ, stable[i % 8]))
+        refs.append((READ, b))
+        refs.append((READ, stable[(i + 3) % 8]))
+    return refs
+
+
 class TestNonPowerOfTwoPoll:
     """daemon_poll_refs was once restricted to powers of two; the
     arithmetic segmentation must handle any positive interval."""
@@ -229,23 +248,32 @@ class TestNonPowerOfTwoPoll:
         chunked.run_chunks(chunk_accesses(iter(trace), 256))
         assert machine_state(chunked) == machine_state(legacy)
 
-    @pytest.mark.parametrize("chunk_refs", [1, 63, 64, 65])
+    @pytest.mark.parametrize("chunk_refs", [1, 63, 64, 65,
+                                            255, 256, 257])
     def test_chunk_size_poll_interval_edges(self, chunk_refs):
         # Chunk sizes of exactly the poll interval and one either
         # side hit every boundary case of the segment arithmetic.
+        # Segments under a 64-reference interval stay below the
+        # vectorized classifier's minimum length; under a 256-reference
+        # interval they reach it and its stale-gap re-check.
+        from repro.machine import simulator
         from repro.machine.simulator import SpurMachine
 
+        poll_refs = 64 if chunk_refs < 128 else 256
         space_map, regions = simple_space()
         trace = mixed_trace(regions, 700)
-        legacy = SpurMachine(tiny_config(daemon_poll_refs=64),
+        legacy = SpurMachine(tiny_config(daemon_poll_refs=poll_refs),
                              space_map)
         legacy.run(trace)
 
         space_map2, _ = simple_space()
-        chunked = SpurMachine(tiny_config(daemon_poll_refs=64),
+        chunked = SpurMachine(tiny_config(daemon_poll_refs=poll_refs),
                               space_map2)
         chunked.run_chunks(chunk_accesses(iter(trace), chunk_refs))
         assert machine_state(chunked) == machine_state(legacy)
+        if (chunked._use_numpy
+                and poll_refs > simulator._COLUMN_MIN_REFS):
+            assert chunked.scalar_bailouts > 0
 
     def test_trace_ends_on_poll_boundary(self):
         # The final reference is itself a poll boundary: the schedule
@@ -271,7 +299,8 @@ class TestResolverDominatedTraces:
     stay bit-identical to the legacy loop."""
 
     @pytest.mark.parametrize("builder", [conflict_trace,
-                                         write_pair_trace])
+                                         write_pair_trace,
+                                         stale_pair_trace])
     def test_dominated_trace_sanitized(self, builder):
         from repro.machine.simulator import SpurMachine
         from repro.sanitize import sanitizer as sanitize_mod
@@ -290,13 +319,16 @@ class TestResolverDominatedTraces:
         finally:
             guard.detach()
         assert machine_state(chunked) == machine_state(legacy)
+        if builder is stale_pair_trace and chunked._use_numpy:
+            assert chunked.scalar_bailouts > 0
 
 
 class TestClassifierPaths:
     """Both classifier implementations produce identical machines."""
 
     @pytest.mark.parametrize("builder", [mixed_trace, conflict_trace,
-                                         write_pair_trace])
+                                         write_pair_trace,
+                                         stale_pair_trace])
     def test_python_fallback_matches_legacy(self, builder):
         # Clearing _use_numpy forces the per-reference fallback even
         # where the vectorized classifier would normally dispatch.
@@ -314,10 +346,6 @@ class TestClassifierPaths:
         assert machine_state(chunked) == machine_state(legacy)
 
     def test_gap_recheck_on_stale_classification(self):
-        # Interleave stable hits with a conflicting block pair: the
-        # upfront sweep classifies the second pair member a hit, the
-        # first member's resolution evicts it, and the gap re-check
-        # must catch the stale classification mid-segment.
         from repro.machine import simulator
         from repro.machine.simulator import SpurMachine
 
@@ -325,15 +353,7 @@ class TestClassifierPaths:
             pytest.skip("numpy unavailable")
 
         space_map, regions = simple_space()
-        heap = regions["heap"].start
-        a, b = heap, heap + 32 * 32          # same line, different blocks
-        stable = [heap + line * 32 for line in range(1, 9)]
-        trace = []
-        for i in range(300):
-            trace.append((READ, a))
-            trace.append((READ, stable[i % 8]))
-            trace.append((READ, b))
-            trace.append((READ, stable[(i + 3) % 8]))
+        trace = stale_pair_trace(regions, 1200)
         legacy = SpurMachine(tiny_config(), space_map)
         legacy.run(trace)
 
@@ -342,6 +362,7 @@ class TestClassifierPaths:
         assert chunked._use_numpy, "columns path should be active"
         chunked.run_chunks(chunk_accesses(iter(trace), 512))
         assert machine_state(chunked) == machine_state(legacy)
+        assert chunked.scalar_bailouts > 0
 
 
 class TestSmpInterleaving:

@@ -1,11 +1,14 @@
 """Trace reading, summarising, exporting, and the CLI report."""
 
 import csv
+import dataclasses
 import json
 
 import pytest
 
 from repro.common.errors import TraceFormatError
+from repro.machine.config import scaled_config
+from repro.machine.runner import ExperimentRunner
 from repro.observe.report import (
     TraceSummary,
     read_trace,
@@ -16,6 +19,8 @@ from repro.observe.report import (
     write_trajectories_csv,
 )
 from repro.observe.series import CSV_HEADER
+from repro.observe.sinks import MemorySink, emit_run
+from repro.workloads.workload1 import Workload1
 
 EVENTS = [
     {"type": "campaign_started", "cells": 3, "cached": 1,
@@ -152,6 +157,21 @@ class TestRenderReport:
                        "refs/second", "epoch samples",
                        "phase: simulate", "labels: b, d"):
             assert needle in text
+
+    def test_scalar_bailouts_surface_in_trace_and_report(self):
+        result = ExperimentRunner().run(
+            scaled_config(memory_ratio=40),
+            Workload1(length_scale=0.01), max_references=1000,
+        )
+        stamped = dataclasses.replace(result, scalar_bailouts=3)
+        sink = MemorySink()
+        emit_run(sink, stamped)
+        finished = sink.of_type("run_finished")
+        assert finished[0]["scalar_bailouts"] == 3
+        summary = summarize_trace(sink.events)
+        assert summary.scalar_bailouts == 3
+        assert summary.to_json_dict()["scalar_bailouts"] == 3
+        assert "chunk.scalar-bailout" in render_report(summary)
 
 
 class TestCliReport:

@@ -179,6 +179,24 @@ class TestParallelCommands:
             for p in sorted(cache_dir.glob("??/*.json"))
         } == first
 
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--workers", "0", "workers must be >= 1, got 0"),
+        ("--epoch-refs", "0", "epoch_refs must be >= 1, got 0"),
+        ("--retries", "-1", "retries must be >= 0, got -1"),
+        ("--chunk-refs", "-1", "chunk_refs must be >= 0, got -1"),
+    ])
+    def test_invalid_option_exits_with_one_line(self, tmp_path, capsys,
+                                                flag, value, message):
+        trace = tmp_path / "trace.jsonl"
+        with pytest.raises(SystemExit) as excinfo:
+            main(["table", "4.1", flag, value, "--trace", str(trace)])
+        # A string SystemExit code is printed as one line, never as a
+        # traceback; the ValueError it replaces is not chained.
+        assert excinfo.value.code == message
+        assert excinfo.value.__suppress_context__
+        assert "Traceback" not in capsys.readouterr().err
+        assert not trace.exists()
+
 
 class TestLintSubcommand:
     def test_forwards_paths(self, tmp_path, capsys):
