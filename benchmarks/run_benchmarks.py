@@ -56,10 +56,10 @@ from repro.observe.observer import RunObserver  # noqa: E402
 from repro.workloads.base import chunk_accesses  # noqa: E402
 
 #: Per-shape speedup floors written into fresh baselines.  The hits
-#: gate protects the batching win (measured 2.24x); the misses and
-#: writes gates protect the batched miss/write resolver (measured
-#: >=3x with the columnar classifier; the floors hold on the pure
-#: Python fallback too).
+#: gate protects the chunk protocol's win over the tuple stream
+#: (measured 2.1-2.4x); the misses and writes gates protect the
+#: inline miss path and the write-hit resolver (measured 5.0-5.3x
+#: and 5.1-7.1x).
 DEFAULT_GATES = {
     "hits": {"min_speedup": 1.6},
     "misses": {"min_speedup": 2.5},

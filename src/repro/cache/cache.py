@@ -5,15 +5,14 @@ Per-line tag state lives in flat parallel columns
 block numbers, ``bytearray`` for flags) rather than line objects,
 because the simulator touches these fields on every simulated
 reference; the columns are aliased as public attributes so the
-machine's hot loop can read them — and the batched resolver can
-classify whole chunks against them — without a method call.  All
+machine's reference loop can read them without a method call.  All
 *mutations* other than the ones the machine's hot paths perform (the
-batched resolver's inlined block installs, which replay ``fill_fast``'s
+reference loop's inlined block installs, which replay ``fill_fast``'s
 exact column sequence, and the single-field block-dirty, page-dirty,
 and protection refreshes) go through methods on this class, which keep
-the columns mutually consistent.  The columns
-are allocated once and only mutated in place, never rebound: the
-sanitizer and the optional numpy views both alias the buffers.
+the columns mutually consistent.  The columns are allocated once and
+only mutated in place, never rebound: the reference loop and the
+sanitizer both alias the buffers.
 
 Addresses are *global virtual* addresses throughout: SPUR's OS-level
 synonym prevention guarantees one global address per datum, so the
@@ -78,8 +77,7 @@ class VirtualCache:
 
         # Flat per-line tag columns (hot path reads these directly).
         # The aliases below share the store's buffers; every element
-        # write through either name lands in the same memory the
-        # batched resolver's numpy views observe.
+        # write through either name lands in the same memory.
         self.columns = ColumnStore(num_lines)
         self.valid = self.columns.valid
         self.tags = self.columns.tags

@@ -64,8 +64,7 @@ _EXTERNAL_EFFECTS = (
     ("random.seed", frozenset()),
     ("random.", frozenset({RANDOM})),
     ("numpy.random.", frozenset({RANDOM})),
-    # Array arithmetic/indexing is pure; the hot loop's vectorized
-    # classifier depends on this signature for its R008 proof.
+    # Array arithmetic/indexing is pure.
     ("numpy.", frozenset()),
     ("secrets.", frozenset({RANDOM})),
     ("uuid.", frozenset({RANDOM})),

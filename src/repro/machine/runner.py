@@ -57,10 +57,9 @@ class RunResult:
     potentially_modified: int
     not_modified: int
     host_seconds: float = field(default=0.0, compare=False)
-    #: Times the vectorized classifier fell back to the per-reference
-    #: loop mid-segment (see ``SpurMachine.scalar_bailouts``).  A host
-    #: diagnostic like ``host_seconds``: excluded from equality and
-    #: cache serialisation, so cached results read back 0.
+    #: Always 0.  Kept only because the end-to-end benchmark harness
+    #: (``benchmarks/e2e/cells.py``) reads it.  Excluded from equality
+    #: and cache serialisation.
     scalar_bailouts: int = field(default=0, compare=False)
     observation: Optional[RunObservation] = field(
         default=None, compare=False, repr=False
@@ -249,7 +248,6 @@ class ExperimentRunner:
             potentially_modified=swap_stats.potentially_modified,
             not_modified=swap_stats.not_modified,
             host_seconds=host_seconds,
-            scalar_bailouts=machine.scalar_bailouts,
             observation=observation,
         )
         if options.trace_sink is not None:

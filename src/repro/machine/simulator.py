@@ -1,12 +1,15 @@
 """The SPUR machine: cache + translation + VM + policies + counters.
 
-The reference-processing loop in :meth:`SpurMachine.run` is the
-performance-critical core of the whole reproduction — every simulated
-memory reference passes through it.  It therefore reads the cache's
-parallel tag arrays directly (they are public for exactly this
-purpose) and keeps its bookkeeping in local variables, falling into
-method calls only on the rare paths: misses, write hits needing
-dirty-bit work, faults.
+Every simulated memory reference passes through one scalar loop,
+:meth:`SpurMachine._run_refs`, which :meth:`SpurMachine.run_chunks`
+drives over poll-free segments of flat reference chunks.  The loop
+reads the cache's flat tag columns directly (they are public for
+exactly this purpose), resolves hits and event-free misses inline with
+its bookkeeping in local variables, and falls into method calls only
+on the rare paths: write hits needing dirty-bit work, page faults,
+first-touch PTE or page creation, protection faults.
+:meth:`SpurMachine.run` is the tuple-stream loop (``chunk_refs=0``);
+the chunked engine matches it bit for bit.
 
 Cycle model (Table 2.1, Section 3.2):
 
@@ -20,11 +23,6 @@ Cycle model (Table 2.1, Section 3.2):
 
 import sys
 from array import array
-
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - CI runs without numpy
-    _np = None
 
 from repro.common.errors import ProtectionFault
 from repro.common.types import AccessKind, Protection
@@ -80,12 +78,7 @@ _T_READ_MISS = TALLY_CACHE_SLOTS + 5
 _T_WRITE_MISS = TALLY_CACHE_SLOTS + 6
 _T_WRITE_HIT_CLEAN = TALLY_CACHE_SLOTS + 7
 _T_WRITE_READ_FILLED = TALLY_CACHE_SLOTS + 8
-# Diagnostic (not a counter event): times the vectorized classifier
-# abandoned a stale classification snapshot and finished the segment
-# in the per-reference loop.  Folded into ``scalar_bailouts`` at flush
-# so conflict-heavy traces are diagnosable instead of silently slow.
-_T_SCALAR_BAILOUT = TALLY_CACHE_SLOTS + 9
-_TALLY_SLOTS = TALLY_CACHE_SLOTS + 10
+_TALLY_SLOTS = TALLY_CACHE_SLOTS + 9
 _TALLY_ZEROS = (0,) * _TALLY_SLOTS
 
 _TALLY_EVENTS = (
@@ -99,11 +92,6 @@ _TALLY_EVENTS = (
     (_T_WRITE_HIT_CLEAN, Event.WRITE_HIT_CLEAN_BLOCK),
     (_T_WRITE_READ_FILLED, Event.WRITE_TO_READ_FILLED_BLOCK),
 )
-
-#: Minimum segment length (in references) worth the vectorized
-#: classifier's setup cost; shorter segments run the per-reference
-#: loop against the same columns.
-_COLUMN_MIN_REFS = 128
 
 # Byte patterns for C-speed kind tallies over a flat chunk's kind
 # slice (``array('q')``, so 8 bytes per element, native byte order).
@@ -207,18 +195,12 @@ class SpurMachine:
 
         self.cycles = 0
         self.references = 0
-        #: Times the vectorized classifier abandoned a stale
-        #: classification snapshot (diagnostic; see
-        #: ``_run_segment_columns``).  Not a counter event — both hot
-        #: paths stay bit-identical — but surfaced on RunResult and in
-        #: trace records so conflict-heavy traces are diagnosable.
-        self.scalar_bailouts = 0
         self.reference_mix = ReferenceMix()
         #: Set by SmpSystem when this processor joins a shared-memory
         #: system; page flushes then cover every cache in the domain.
         self.system = None
 
-        # Batched-resolver prebinds: structural constants of the page
+        # Reference-loop prebinds: structural constants of the page
         # table layout and translator timing (both frozen), plus bound
         # dict lookups for side-effect-free PTE / page-record probes.
         # The dicts themselves are created once and never rebound.
@@ -235,11 +217,6 @@ class SpurMachine:
         #: never swapped after construction).
         self._maintains_bits = self.reference_policy.maintains_bits
         self._dirty_tracks_pte = self.dirty_policy.cached_dirty_tracks_pte
-        #: Whether the vectorized segment classifier is usable; tests
-        #: force the per-reference fallback by clearing this.
-        self._use_numpy = (
-            _np is not None and self.cache.columns.views is not None
-        )
 
     # -- coherence-domain operations ---------------------------------------
 
@@ -272,7 +249,7 @@ class SpurMachine:
         self.counters.increment(Event.FLUSH_WRITE_BACK, write_backs)
         return cycles
 
-    # -- the hot loop ---------------------------------------------------
+    # -- the reference loops --------------------------------------------
 
     def run(self, accesses):
         """Simulate a stream of ``(kind, vaddr)`` references.
@@ -349,17 +326,14 @@ class SpurMachine:
         :meth:`run`, but several times faster: each chunk is cut into
         poll-free segments (computed arithmetically, so any positive
         ``daemon_poll_refs`` works) and every segment goes through
-        :meth:`_run_segment` — a vectorized classify-then-resolve pass
-        against the cache's flat columns when numpy is available, a
-        single-compare per-reference loop otherwise.  Kind tallies
-        come from byte-pattern counts over the chunk's kind slice
-        (memchr speed, no per-element boxing), the per-reference cycle
-        charge is folded into one addition per call, and miss-path
-        bookkeeping is deferred into a per-call tally flushed by
-        :meth:`_flush_tally`.  Returns the number of references
-        processed.
+        :meth:`_run_refs`.  Kind tallies come from byte-pattern counts
+        over the chunk's kind slice (memchr speed, no per-element
+        boxing), the per-reference cycle charge is folded into one
+        addition per call, and miss-path bookkeeping is deferred into
+        a per-call tally flushed by :meth:`_flush_tally`.  Returns the
+        number of references processed.
         """
-        run_segment = self._run_segment
+        run_refs = self._run_refs
         interval = self.config.daemon_poll_refs
         poll = self.vm.daemon.poll if interval else None
         tally = array("q", _TALLY_ZEROS)
@@ -381,18 +355,6 @@ class SpurMachine:
                 ifetches += chunk_ifetches
                 writes += chunk_writes
                 reads += pairs - chunk_ifetches - chunk_writes
-                # Kind-uniform read or ifetch chunks let the fallback
-                # segment loop carry vaddrs only (kind held constant);
-                # chunks containing writes stay mixed because write
-                # hits need the settled-dirty test.
-                if chunk_writes:
-                    uniform = -1
-                elif chunk_ifetches == 0:
-                    uniform = 1
-                elif chunk_ifetches == pairs:
-                    uniform = 0
-                else:
-                    uniform = -1
                 start = 0
                 while start < pairs:
                     if poll is None:
@@ -410,9 +372,7 @@ class SpurMachine:
                         if stop > pairs:
                             stop = pairs
                     if stop > start:
-                        extra += run_segment(
-                            chunk, start, stop, tally, uniform
-                        )
+                        extra += run_refs(chunk, start, stop, tally)
                         processed += stop - start
                         start = stop
                     if start < pairs:
@@ -420,9 +380,7 @@ class SpurMachine:
                         # boundary: poll first, then process it as a
                         # one-reference segment.
                         cycles += poll()
-                        extra += run_segment(
-                            chunk, start, start + 1, tally, uniform
-                        )
+                        extra += run_refs(chunk, start, start + 1, tally)
                         processed += 1
                         start += 1
         finally:
@@ -432,8 +390,8 @@ class SpurMachine:
             self._flush_tally(tally)
 
         # Deferred accounting: every reference costs its base cycle
-        # (hence ``+ processed``); slow paths and the resolver added
-        # theirs to ``extra``, polls to ``cycles``.
+        # (hence ``+ processed``); the reference loop added the rest
+        # to ``extra``, polls to ``cycles``.
         self.cycles += cycles + extra + processed
         self.references += processed
         mix = ReferenceMix(
@@ -443,304 +401,204 @@ class SpurMachine:
         self.reference_mix.add(mix.ifetches, mix.reads, mix.writes)
         return processed
 
-    def _run_segment(self, chunk, start, end, tally, uniform):
-        """Process the poll-free segment ``chunk[start:end)`` (pair
-        indices), returning cycles beyond the base charge.
+    def _run_refs(self, chunk, start, end, tally):
+        """The per-reference engine over the poll-free segment
+        ``chunk[start:end)`` (pair indices).
 
-        Dispatches to the vectorized classifier when the cache's numpy
-        column views exist and the segment is long enough to amortize
-        the setup; otherwise runs the per-reference fallback.
-        """
-        if self._use_numpy and end - start >= _COLUMN_MIN_REFS:
-            return self._run_segment_columns(chunk, start, end, tally)
-        return self._run_refs(chunk, start, end, tally, uniform)
-
-    def _run_refs(self, chunk, start, end, tally, uniform):
-        """Per-reference segment loop over ``chunk[start:end)``.
-
-        The structural workhorse behind :meth:`_run_segment`: used
-        when numpy is unavailable, for short segments, and to finish a
-        vectorized segment whose upfront classification went stale.
-        ``uniform`` >= 0 pins every reference's kind (a kind-uniform
-        read/ifetch chunk), enabling a vaddr-only loop.  Returns extra
-        cycles beyond the base charge.
-        """
-        cache = self.cache
-        line_block = cache.line_block
-        block_dirty = cache.block_dirty
-        page_dirty = cache.page_dirty
-        prot = cache.prot
-        block_bits = cache.block_bits
-        index_mask = cache.index_mask
-        write_hit = self._resolve_write_hit
-        resolve = self._resolve_miss
-        extra = 0
-        lo = start << 1
-        hi = end << 1
-        if uniform >= 0:
-            for vaddr in chunk[lo + 1:hi:2]:
-                block = vaddr >> block_bits
-                if line_block[block & index_mask] != block:
-                    extra += resolve(uniform, vaddr, tally)
-            return extra
-        it = iter(chunk[lo:hi])
-        for kind, vaddr in zip(it, it):
-            block = vaddr >> block_bits
-            if line_block[block & index_mask] == block:
-                if kind != 2:
-                    continue
-                index = block & index_mask
-                if (
-                    block_dirty[index]
-                    and page_dirty[index]
-                    and prot[index] == _RW
-                ):
-                    continue
-                extra += write_hit(index, vaddr, tally)
-                continue
-            extra += resolve(kind, vaddr, tally)
-        return extra
-
-    def _run_segment_columns(self, chunk, start, end, tally):
-        """Vectorized segment pass against the cache's flat columns.
-
-        One numpy index/compare sweep classifies every reference in
-        the segment: hits on settled lines are *events-free* and cost
-        nothing beyond the base cycle, so only the flagged positions
-        (misses, and write hits whose dirty state is unsettled) are
-        walked in order and resolved individually.
-
-        Resolutions mutate the columns, so a position classified
-        clean in the upfront sweep may have gone stale (its line
-        evicted, its settled write unsettled) by the time it is
-        reached.  After the first mutation, every skipped gap is
-        re-verified against the live views (:meth:`_first_stale`,
-        zero-copy over the same buffers); if anything changed, the
-        rest of the segment finishes in the per-reference loop —
-        exact, and bounded linear even on pathological conflict
-        streams.  Returns extra cycles beyond the base charge.
-        """
-        views = self.cache.columns.views
-        flat = _np.frombuffer(chunk, dtype=_np.int64)
-        seg = flat[start << 1:end << 1]
-        kinds = seg[0::2]
-        vaddrs = seg[1::2]
-        cache = self.cache
-        block_bits = cache.block_bits
-        index_mask = cache.index_mask
-        blocks = vaddrs >> block_bits
-        idx = blocks & index_mask
-        miss = _np.not_equal(views.line_block[idx], blocks)
-        is_write = _np.equal(kinds, _WRITE)
-        if bool(is_write.any()):
-            unsettled = (
-                is_write
-                & ~miss
-                & ~(
-                    (views.block_dirty[idx] != 0)
-                    & (views.page_dirty[idx] != 0)
-                    & (views.prot[idx] == _RW)
-                )
-            )
-            events = _np.flatnonzero(miss | unsettled)
-        else:
-            events = _np.flatnonzero(miss)
-        if not events.size:
-            return 0
-        line_block = cache.line_block
-        block_dirty = cache.block_dirty
-        page_dirty = cache.page_dirty
-        prot = cache.prot
-        write_hit = self._resolve_write_hit
-        resolve = self._resolve_miss
-        run_refs = self._run_refs
-        first_stale = self._first_stale
-        base = start << 1
-        extra = 0
-        mutated = False
-        prev = 0
-        for p in events.tolist():
-            if mutated and p > prev:
-                stale = first_stale(blocks, idx, is_write, prev, p)
-                if stale >= 0:
-                    tally[_T_SCALAR_BAILOUT] += 1
-                    return extra + run_refs(
-                        chunk, start + stale, end, tally, -1
-                    )
-            offset = base + (p << 1)
-            kind = chunk[offset]
-            vaddr = chunk[offset + 1]
-            block = vaddr >> block_bits
-            index = block & index_mask
-            if line_block[index] == block:
-                # Classified as an unsettled write hit; an earlier
-                # resolution may have settled it, so re-test live.
-                if kind == 2 and not (
-                    block_dirty[index]
-                    and page_dirty[index]
-                    and prot[index] == _RW
-                ):
-                    extra += write_hit(index, vaddr, tally)
-                    mutated = True
-            else:
-                extra += resolve(kind, vaddr, tally)
-                mutated = True
-            prev = p + 1
-        if mutated and prev < end - start:
-            stale = first_stale(blocks, idx, is_write, prev, end - start)
-            if stale >= 0:
-                tally[_T_SCALAR_BAILOUT] += 1
-                return extra + run_refs(
-                    chunk, start + stale, end, tally, -1
-                )
-        return extra
-
-    def _first_stale(self, blocks, idx, is_write, lo, hi):
-        """First position in ``[lo, hi)`` whose clean classification
-        no longer holds against the live columns, or -1.
-
-        Called between events while walking a vectorized segment: the
-        slow paths mutate the columns, so references classified clean
-        in the upfront sweep are re-verified (one vectorized pass over
-        the gap, against the same shared buffers) before being
-        skipped.
-        """
-        views = self.cache.columns.views
-        gap_idx = idx[lo:hi]
-        gap_miss = _np.not_equal(
-            views.line_block[gap_idx], blocks[lo:hi]
-        )
-        bad = gap_miss | (
-            is_write[lo:hi]
-            & ~gap_miss
-            & ~(
-                (views.block_dirty[gap_idx] != 0)
-                & (views.page_dirty[gap_idx] != 0)
-                & (views.prot[gap_idx] == _RW)
-            )
-        )
-        flagged = _np.flatnonzero(bad)
-        if flagged.size:
-            return lo + int(flagged[0])
-        return -1
-
-    def _resolve_miss(self, kind, vaddr, tally):
-        """Batched-path twin of :meth:`_miss` with deferred counters.
-
-        Commits only when the miss is provably free of structural
-        events: PTE present and valid, reference bit settled, and (for
-        writes) page record present, region writable, and the dirty
-        policy's write-miss hook a no-op
-        (:meth:`~repro.policies.dirty.DirtyBitPolicy.
+        Hits cost nothing beyond the base cycle.  A write hit whose
+        dirty state is unsettled goes to :meth:`_resolve_write_hit`.
+        A miss commits inline when it is provably free of structural
+        events: PTE present and valid, and (for writes) page record
+        present, region writable, and the dirty policy's write-miss
+        hook a no-op (:meth:`~repro.policies.dirty.DirtyBitPolicy.
         write_miss_settled`).  Everything else — page faults,
-        reference faults, dirty-bit work, protection faults,
-        first-touch PTE/page creation — delegates to the legacy
-        :meth:`_miss` *before* any state or tally is touched, so those
-        paths stay bit-identical, exceptions included.
+        dirty-bit work, protection faults, first-touch PTE/page
+        creation — goes to the legacy :meth:`_miss` *before* any state
+        or count is touched, so those paths stay bit-identical,
+        exceptions included.
 
-        The commit path replays the in-cache PTE walk of
+        The inline miss replays the in-cache PTE walk of
         :class:`~repro.translation.incache.InCacheTranslator` as plain
-        arithmetic against the ``line_block`` column; PTE blocks are
-        installed through :meth:`~repro.cache.cache.VirtualCache.
-        fill_fast` and the data block's install is the same column
-        sequence inlined (this method is a sanctioned tag-array
-        writer), recording every counter/stats/bus increment in
-        ``tally`` slots.  Returns cycles.
+        arithmetic against the ``line_block`` column, installing PTE
+        blocks through :meth:`~repro.cache.cache.VirtualCache.
+        fill_fast`.  A clear reference bit does not leave the inline
+        path: as in SPUR's MISS scheme the PTE is in hand, so the
+        reference policy's miss hook runs right after the walk (the
+        same point :meth:`_miss` calls it).  The data block's install
+        is ``fill_fast``'s column sequence inlined (this method is a
+        sanctioned tag-array writer).  Miss-kind, PTE-walk, eviction,
+        write-back, bus and fill counts accumulate in local ints and
+        are folded into ``tally`` on exit, including when a slow path
+        raises.  Returns extra cycles beyond the base charge.
         """
-        vpn = vaddr >> self.page_bits
-        pte = self._pte_peek(vpn)
-        if pte is None or not pte.valid:
-            return self._miss(kind, vaddr)
-        if not pte.referenced and self._maintains_bits:
-            return self._miss(kind, vaddr)
-        is_write = kind == 2
-        if is_write:
-            page = self._page_peek(vpn)
-            if page is None or not page.region.writable:
-                return self._miss(kind, vaddr)
-            if not self.dirty_policy.write_miss_settled(pte):
-                return self._miss(kind, vaddr)
-
         cache = self.cache
         line_block = cache.line_block
+        valid = cache.valid
+        tags = cache.tags
+        line_vaddr = cache.line_vaddr
+        prot = cache.prot
+        page_dirty = cache.page_dirty
+        block_dirty = cache.block_dirty
+        filled_by_read = cache.filled_by_read
+        holds_pte = cache.holds_pte
+        state = cache.state
         block_bits = cache.block_bits
         index_mask = cache.index_mask
-        fill_fast = cache.fill_fast
-        if kind == 0:
-            tally[_T_IFETCH_MISS] += 1
-        elif kind == 1:
-            tally[_T_READ_MISS] += 1
-        else:
-            tally[_T_WRITE_MISS] += 1
-        cycles = self._pte_check_cycles
-        pte_vaddr = self._pte_base + vpn * PTE_BYTES
-        block = pte_vaddr >> block_bits
-        if line_block[block & index_mask] == block:
-            tally[_T_PTE_HIT] += 1
-        else:
-            tally[_T_PTE_MISS] += 1
-            cycles += self._second_check_cycles
-            second_vaddr = self._second_level_base + (
-                pte_vaddr >> self.page_bits
-            ) * PTE_BYTES
-            sblock = second_vaddr >> block_bits
-            if line_block[sblock & index_mask] == sblock:
-                tally[_T_SECOND_HIT] += 1
-            else:
-                tally[_T_SECOND_MEMORY] += 1
-                cycles += fill_fast(
-                    second_vaddr, _PROT_KERNEL, True, False, True,
-                    tally,
-                )
-            cycles += fill_fast(
-                pte_vaddr, _PROT_KERNEL, True, False, True, tally
-            )
-        # Data-block install: fill_fast's exact column sequence,
-        # inlined to reuse this frame's locals on the per-miss hot
-        # path.  fill_page_dirty is pte.is_modified() exactly when the
-        # policy declares cached_dirty_tracks_pte (the WRITE policy is
-        # the one unconditional-True exception).
-        block = vaddr >> block_bits
-        index = block & index_mask
+        tag_shift = cache.tag_shift
+        offset_mask = cache.block_offset_mask
         transfer = cache.block_transfer_cycles
+        fill_fast = cache.fill_fast
         bus = cache.bus
-        if cache.valid[index]:
-            if cache.block_dirty[index]:
-                cycles += transfer
-                tally[TALLY_WRITE_BACKS] += 1
-                if cache.has_peers:
-                    bus.broadcast(cache, _BUS_WRITE_BACK,
-                                  cache.line_vaddr[index])
-                elif bus is not None:
-                    tally[TALLY_BUS] += 1
-            tally[TALLY_EVICTIONS] += 1
-        cache.valid[index] = 1
-        cache.tags[index] = vaddr >> cache.tag_shift
-        cache.line_vaddr[index] = vaddr & cache.block_offset_mask
-        line_block[index] = block
-        cache.prot[index] = pte.protection
-        cache.page_dirty[index] = (
-            pte.is_modified() if self._dirty_tracks_pte else True
-        )
-        cache.block_dirty[index] = is_write
-        cache.filled_by_read[index] = not is_write
-        cache.holds_pte[index] = 0
-        if is_write:
-            cache.state[index] = _OWNED_EXCLUSIVE
-            bus_op = _BUS_READ_OWNED
-        else:
-            cache.state[index] = _UNOWNED
-            bus_op = _BUS_READ
-        if cache.has_peers:
-            bus.broadcast(cache, bus_op, vaddr)
-        elif bus is not None:
-            tally[TALLY_BUS] += 1
-        cycles += transfer
-        tally[TALLY_FILLS] += 1
-        return cycles
+        live_bus = cache.has_peers
+        solo_bus = bus is not None and not live_bus
+        page_bits = self.page_bits
+        pte_base = self._pte_base
+        second_base = self._second_level_base
+        pte_check = self._pte_check_cycles
+        second_check = self._second_check_cycles
+        pte_peek = self._pte_peek
+        page_peek = self._page_peek
+        maintains_bits = self._maintains_bits
+        tracks_pte = self._dirty_tracks_pte
+        dirty_policy = self.dirty_policy
+        reference_policy = self.reference_policy
+        write_hit = self._resolve_write_hit
+        miss = self._miss
+
+        ifetch_misses = 0
+        read_misses = 0
+        write_misses = 0
+        pte_hits = 0
+        pte_misses = 0
+        second_hits = 0
+        second_memory = 0
+        fills = 0
+        evictions = 0
+        write_backs = 0
+        bus_ops = 0
+        extra = 0
+        it = iter(chunk[start << 1:end << 1])
+        try:
+            for kind, vaddr in zip(it, it):
+                block = vaddr >> block_bits
+                if line_block[block & index_mask] == block:
+                    if kind != 2:
+                        continue
+                    index = block & index_mask
+                    if (
+                        block_dirty[index]
+                        and page_dirty[index]
+                        and prot[index] == _RW
+                    ):
+                        continue
+                    extra += write_hit(index, vaddr, tally)
+                    continue
+
+                # A miss: every reason to leave the inline path is
+                # checked before any state changes.
+                index = block & index_mask
+                vpn = vaddr >> page_bits
+                pte = pte_peek(vpn)
+                if pte is None or not pte.valid:
+                    extra += miss(kind, vaddr)
+                    continue
+                if kind == 2:
+                    page = page_peek(vpn)
+                    if (
+                        page is None
+                        or not page.region.writable
+                        or not dirty_policy.write_miss_settled(pte)
+                    ):
+                        extra += miss(kind, vaddr)
+                        continue
+                    write_misses += 1
+                elif kind:
+                    read_misses += 1
+                else:
+                    ifetch_misses += 1
+
+                cycles = pte_check
+                pte_vaddr = pte_base + vpn * PTE_BYTES
+                pblock = pte_vaddr >> block_bits
+                if line_block[pblock & index_mask] == pblock:
+                    pte_hits += 1
+                else:
+                    pte_misses += 1
+                    cycles += second_check
+                    second_vaddr = second_base + (
+                        pte_vaddr >> page_bits
+                    ) * PTE_BYTES
+                    sblock = second_vaddr >> block_bits
+                    if line_block[sblock & index_mask] == sblock:
+                        second_hits += 1
+                    else:
+                        second_memory += 1
+                        cycles += fill_fast(
+                            second_vaddr, _PROT_KERNEL, True, False,
+                            True, tally,
+                        )
+                    cycles += fill_fast(
+                        pte_vaddr, _PROT_KERNEL, True, False, True,
+                        tally,
+                    )
+                if not pte.referenced and maintains_bits:
+                    cycles += reference_policy.on_cache_miss(self, pte)
+
+                # Data-block install.  fill_page_dirty is
+                # pte.is_modified() exactly when the policy declares
+                # cached_dirty_tracks_pte (the WRITE policy is the one
+                # unconditional-True exception).
+                if valid[index]:
+                    if block_dirty[index]:
+                        cycles += transfer
+                        write_backs += 1
+                        if live_bus:
+                            bus.broadcast(cache, _BUS_WRITE_BACK,
+                                          line_vaddr[index])
+                        elif solo_bus:
+                            bus_ops += 1
+                    evictions += 1
+                valid[index] = 1
+                tags[index] = vaddr >> tag_shift
+                line_vaddr[index] = vaddr & offset_mask
+                line_block[index] = block
+                prot[index] = pte.protection
+                page_dirty[index] = (
+                    pte.is_modified() if tracks_pte else True
+                )
+                holds_pte[index] = 0
+                if kind == 2:
+                    block_dirty[index] = 1
+                    filled_by_read[index] = 0
+                    state[index] = _OWNED_EXCLUSIVE
+                    bus_op = _BUS_READ_OWNED
+                else:
+                    block_dirty[index] = 0
+                    filled_by_read[index] = 1
+                    state[index] = _UNOWNED
+                    bus_op = _BUS_READ
+                if live_bus:
+                    bus.broadcast(cache, bus_op, vaddr)
+                elif solo_bus:
+                    bus_ops += 1
+                fills += 1
+                extra += cycles + transfer
+        finally:
+            tally[_T_IFETCH_MISS] += ifetch_misses
+            tally[_T_READ_MISS] += read_misses
+            tally[_T_WRITE_MISS] += write_misses
+            tally[_T_PTE_HIT] += pte_hits
+            tally[_T_PTE_MISS] += pte_misses
+            tally[_T_SECOND_HIT] += second_hits
+            tally[_T_SECOND_MEMORY] += second_memory
+            tally[TALLY_FILLS] += fills
+            tally[TALLY_EVICTIONS] += evictions
+            tally[TALLY_WRITE_BACKS] += write_backs
+            tally[TALLY_BUS] += bus_ops
+        return extra
 
     def _resolve_write_hit(self, index, vaddr, tally):
-        """Batched-path twin of :meth:`_slow_write_hit`.
+        """Chunked-path twin of :meth:`_slow_write_hit`.
 
         Commits only when the hit is provably free of policy work: the
         PTE and page record already exist (so no first-touch creation),
@@ -827,9 +685,6 @@ class SpurMachine:
         write_misses = tally[_T_WRITE_MISS]
         if write_misses:
             increment(Event.WRITE_MISS_FILL, write_misses)
-        bailouts = tally[_T_SCALAR_BAILOUT]
-        if bailouts:
-            self.scalar_bailouts += bailouts
         for slot, event in _TALLY_EVENTS:
             count = tally[slot]
             if count:

@@ -72,7 +72,6 @@ class TraceSummary:
     references: int = 0
     cycles: int = 0
     host_seconds: float = 0.0
-    scalar_bailouts: int = 0
     epoch_samples: int = 0
     phase_seconds: Dict[str, float] = field(default_factory=dict)
     labels: List[str] = field(default_factory=list)
@@ -96,7 +95,6 @@ class TraceSummary:
             "cycles": self.cycles,
             "host_seconds": round(self.host_seconds, 6),
             "refs_per_second": round(self.refs_per_second, 1),
-            "scalar_bailouts": self.scalar_bailouts,
             "epoch_samples": self.epoch_samples,
             "phase_seconds": {
                 name: round(seconds, 6)
@@ -124,7 +122,6 @@ def summarize_trace(events):
             summary.references += event.get("references", 0)
             summary.cycles += event.get("cycles", 0)
             summary.host_seconds += event.get("host_seconds", 0.0)
-            summary.scalar_bailouts += event.get("scalar_bailouts", 0)
             for name, seconds in event.get("phases", {}).items():
                 summary.phase_seconds[name] = (
                     summary.phase_seconds.get(name, 0.0) + seconds
@@ -212,7 +209,6 @@ def render_report(summary):
     table.add_row("cycles simulated", f"{summary.cycles:,}")
     table.add_row("host seconds", f"{summary.host_seconds:.2f}")
     table.add_row("refs/second", f"{summary.refs_per_second:,.0f}")
-    table.add_row("chunk.scalar-bailout", summary.scalar_bailouts)
     table.add_row("epoch samples", summary.epoch_samples)
     for name, seconds in sorted(summary.phase_seconds.items()):
         share = (

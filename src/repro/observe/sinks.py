@@ -148,7 +148,6 @@ def emit_run(sink, result, label=None):
         "page_ins": result.page_ins,
         "page_outs": result.page_outs,
         "host_seconds": round(result.host_seconds, 6),
-        "scalar_bailouts": result.scalar_bailouts,
     }
     if observation is not None:
         finished["epoch_refs"] = observation.epoch_refs

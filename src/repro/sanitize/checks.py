@@ -169,18 +169,15 @@ def check_cache_arrays(cache, ref_index=None):
 def check_column_store(cache, ref_index=None):
     """Validate the cache's flat column store and its aliases.
 
-    Invariant ``cache.column-store-agreement``, in three parts:
+    Invariant ``cache.column-store-agreement``, in two parts:
 
     * every flat tag-array attribute on the cache is the *same
       object* as the corresponding :class:`~repro.cache.columns.
-      ColumnStore` column — the hot loop, the slow paths, and the
-      vectorized classifier must all mutate one buffer, and an
-      accidental rebinding (``cache.valid = [...]``) would silently
-      desynchronize them;
-    * flag columns hold only 0/1 — a stray byte would corrupt the
-      batched classifier's boolean masks;
-    * when numpy views exist, each view still reflects the backing
-      buffer value-for-value (zero-copy aliasing intact).
+      ColumnStore` column — the reference loop and the slow paths
+      must mutate one buffer, and an accidental rebinding
+      (``cache.valid = [...]``) would silently desynchronize them;
+    * flag columns hold only 0/1 — any other byte means a writer
+      stored something other than a boolean into a flag.
     """
     columns = getattr(cache, "columns", None)
     if columns is None:
@@ -202,18 +199,6 @@ def check_column_store(cache, ref_index=None):
                     "cache.column-store-agreement",
                     f"flag column {name!r} holds non-boolean value "
                     f"{value} at line {index}",
-                    machine=cache.name,
-                    ref_index=ref_index,
-                )
-    views = columns.views
-    if views is not None:
-        for name, column in columns.columns():
-            view = getattr(views, name)
-            if len(view) != len(column) or view.tolist() != list(column):
-                raise InvariantViolation(
-                    "cache.column-store-agreement",
-                    f"numpy view of column {name!r} no longer aliases "
-                    f"the backing buffer",
                     machine=cache.name,
                     ref_index=ref_index,
                 )

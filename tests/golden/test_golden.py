@@ -10,7 +10,6 @@ keep the cost down.  Regenerate the file only with
 
 import pytest
 
-import repro.cache.columns
 from repro.options import RunOptions
 from tests.golden.regen import TABLES, load_golden, run_table
 
@@ -40,9 +39,3 @@ def test_serial_matches_golden(golden, table):
 def test_mode_matches_golden(golden, options):
     assert_matches(run_table("4.1", options), golden["4.1"])
 
-
-def test_pure_python_matches_golden(golden, monkeypatch):
-    # Machines built with no numpy module get no column views and run
-    # the per-reference classifier.
-    monkeypatch.setattr(repro.cache.columns, "_np", None)
-    assert_matches(run_table("4.1"), golden["4.1"])

@@ -193,14 +193,14 @@ class TestMachineStatePollSchedule:
 
 def conflict_trace(regions, count):
     """Read stream striding over 3x the cache's line count: nearly
-    every reference misses, exercising the batched miss resolver."""
+    every reference misses, exercising the inline miss path."""
     heap = regions["heap"].start
     return [(READ, heap + (i * 37 % 96) * 32) for i in range(count)]
 
 
 def write_pair_trace(regions, count):
     """Read-then-write pairs: every write is a clean-block write hit,
-    exercising the batched write-hit resolver."""
+    exercising the write-hit resolver."""
     heap = regions["heap"].start
     refs = []
     for i in range(count // 2):
@@ -213,10 +213,9 @@ def write_pair_trace(regions, count):
 def stale_pair_trace(regions, count):
     """Stable hits interleaved with a conflicting block pair.
 
-    Once the cache is warm, the upfront sweep classifies each pair
-    member a hit, the other member's resolution evicts it, and the
-    vectorized classifier's gap re-check must catch the stale
-    classification mid-segment (a scalar bailout)."""
+    Once the cache is warm, each pair member's miss evicts the other,
+    so every inline install replaces a line a later reference in the
+    same segment reads."""
     heap = regions["heap"].start
     a, b = heap, heap + 32 * 32          # same line, different blocks
     stable = [heap + line * 32 for line in range(1, 9)]
@@ -252,11 +251,8 @@ class TestNonPowerOfTwoPoll:
                                             255, 256, 257])
     def test_chunk_size_poll_interval_edges(self, chunk_refs):
         # Chunk sizes of exactly the poll interval and one either
-        # side hit every boundary case of the segment arithmetic.
-        # Segments under a 64-reference interval stay below the
-        # vectorized classifier's minimum length; under a 256-reference
-        # interval they reach it and its stale-gap re-check.
-        from repro.machine import simulator
+        # side hit every boundary case of the segment arithmetic, at
+        # a 64- and a 256-reference interval.
         from repro.machine.simulator import SpurMachine
 
         poll_refs = 64 if chunk_refs < 128 else 256
@@ -271,9 +267,6 @@ class TestNonPowerOfTwoPoll:
                               space_map2)
         chunked.run_chunks(chunk_accesses(iter(trace), chunk_refs))
         assert machine_state(chunked) == machine_state(legacy)
-        if (chunked._use_numpy
-                and poll_refs > simulator._COLUMN_MIN_REFS):
-            assert chunked.scalar_bailouts > 0
 
     def test_trace_ends_on_poll_boundary(self):
         # The final reference is itself a poll boundary: the schedule
@@ -319,50 +312,6 @@ class TestResolverDominatedTraces:
         finally:
             guard.detach()
         assert machine_state(chunked) == machine_state(legacy)
-        if builder is stale_pair_trace and chunked._use_numpy:
-            assert chunked.scalar_bailouts > 0
-
-
-class TestClassifierPaths:
-    """Both classifier implementations produce identical machines."""
-
-    @pytest.mark.parametrize("builder", [mixed_trace, conflict_trace,
-                                         write_pair_trace,
-                                         stale_pair_trace])
-    def test_python_fallback_matches_legacy(self, builder):
-        # Clearing _use_numpy forces the per-reference fallback even
-        # where the vectorized classifier would normally dispatch.
-        from repro.machine.simulator import SpurMachine
-
-        space_map, regions = simple_space()
-        trace = builder(regions, 2000)
-        legacy = SpurMachine(tiny_config(), space_map)
-        legacy.run(trace)
-
-        space_map2, _ = simple_space()
-        chunked = SpurMachine(tiny_config(), space_map2)
-        chunked._use_numpy = False
-        chunked.run_chunks(chunk_accesses(iter(trace), 512))
-        assert machine_state(chunked) == machine_state(legacy)
-
-    def test_gap_recheck_on_stale_classification(self):
-        from repro.machine import simulator
-        from repro.machine.simulator import SpurMachine
-
-        if simulator._np is None:
-            pytest.skip("numpy unavailable")
-
-        space_map, regions = simple_space()
-        trace = stale_pair_trace(regions, 1200)
-        legacy = SpurMachine(tiny_config(), space_map)
-        legacy.run(trace)
-
-        space_map2, _ = simple_space()
-        chunked = SpurMachine(tiny_config(), space_map2)
-        assert chunked._use_numpy, "columns path should be active"
-        chunked.run_chunks(chunk_accesses(iter(trace), 512))
-        assert machine_state(chunked) == machine_state(legacy)
-        assert chunked.scalar_bailouts > 0
 
 
 class TestSmpInterleaving:

@@ -1,7 +1,6 @@
 """Trace reading, summarising, exporting, and the CLI report."""
 
 import csv
-import dataclasses
 import json
 
 import pytest
@@ -158,20 +157,24 @@ class TestRenderReport:
                        "phase: simulate", "labels: b, d"):
             assert needle in text
 
-    def test_scalar_bailouts_surface_in_trace_and_report(self):
+    def test_run_records_carry_no_classifier_diagnostics(self):
+        # The simulator has one scalar engine, so nothing bails out of
+        # a classifier: RunResult keeps a constant 0 for old readers,
+        # and neither trace records nor the report mention it.
         result = ExperimentRunner().run(
             scaled_config(memory_ratio=40),
             Workload1(length_scale=0.01), max_references=1000,
         )
-        stamped = dataclasses.replace(result, scalar_bailouts=3)
+        assert result.scalar_bailouts == 0
         sink = MemorySink()
-        emit_run(sink, stamped)
+        emit_run(sink, result)
         finished = sink.of_type("run_finished")
-        assert finished[0]["scalar_bailouts"] == 3
+        assert finished[0]["references"] == result.references
+        assert "scalar_bailouts" not in finished[0]
         summary = summarize_trace(sink.events)
-        assert summary.scalar_bailouts == 3
-        assert summary.to_json_dict()["scalar_bailouts"] == 3
-        assert "chunk.scalar-bailout" in render_report(summary)
+        assert summary.runs == 1
+        assert "scalar_bailouts" not in summary.to_json_dict()
+        assert "scalar-bailout" not in render_report(summary)
 
 
 class TestCliReport:

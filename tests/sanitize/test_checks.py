@@ -98,9 +98,8 @@ class TestLineChecks:
         )
 
     def test_truncated_parallel_array(self):
-        # The flat columns cannot be resized in place (live numpy
-        # views pin the buffers), so the length hazard is an attribute
-        # rebound to a shorter buffer.
+        # The flat columns are never resized in place, so the length
+        # hazard is an attribute rebound to a shorter buffer.
         cache = small_cache()
         filled_line(cache)
         cache.holds_pte = cache.holds_pte[:-1]
@@ -124,8 +123,9 @@ class TestLineChecks:
 
 class TestColumnStoreAgreement:
     def test_rebound_alias_same_length(self):
-        # An equal-length copy passes the length check but breaks the
-        # zero-copy aliasing the batched classifier reads through.
+        # An equal-length copy passes the length check but detaches
+        # the attribute from the buffer the store and the reference
+        # loop share.
         cache = small_cache()
         filled_line(cache)
         cache.page_dirty = bytearray(cache.page_dirty)
