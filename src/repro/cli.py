@@ -259,11 +259,11 @@ def cmd_all(args):
     workers = args.workers
     jobs = (
         ("table_3_3", lambda: run_table_3_3(
-            length_scale=args.length, runner=runner,
+            length_scale=args.length, seed=args.seed, runner=runner,
             workers=workers)[1]),
         ("table_3_4_paper", lambda: build_table_3_4()[1]),
         ("table_3_5", lambda: run_table_3_5(
-            length_scale=args.length, runner=runner,
+            length_scale=args.length, seed=args.seed, runner=runner,
             workers=workers)[1]),
         ("table_4_1", lambda: run_table_4_1(
             length_scale=args.length, repetitions=args.reps,
@@ -554,7 +554,10 @@ def build_parser():
     def common(p, reps=False):
         p.add_argument("--length", type=float, default=1.0,
                        help="workload length multiplier (default 1.0)")
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=int, default=0,
+                       help="run seed (default 0)" + (
+                           "; Table 4.1 ignores it and runs "
+                           "repetition seeds 0..reps-1" if reps else ""))
         p.add_argument("--out", help="also write the artefact here")
         p.add_argument("--chunk-refs", type=int,
                        default=DEFAULT_CHUNK_REFS,

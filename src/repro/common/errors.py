@@ -37,6 +37,13 @@ class ProtectionFault(ReproError):
     def __init__(self, vaddr, message="protection violation"):
         super().__init__(f"{message} at virtual address {vaddr:#x}")
         self.vaddr = vaddr
+        self.message = message
+
+    def __reduce__(self):
+        # Rebuild from the constructor's arguments, not from the
+        # formatted text, so the fault survives a trip back from a
+        # pool worker.
+        return type(self), (self.vaddr, self.message)
 
 
 class TraceFormatError(ReproError):

@@ -263,7 +263,11 @@ class ExperimentRunner:
         :class:`~repro.analysis.sweeps.SweepDriver`) share: resolves
         each spec against the runner's cache, simulates misses over
         worker processes, and returns results in spec order.  Serial,
-        uncached, untraced calls are exactly a loop over :meth:`run`.
+        uncached, untraced calls are exactly a loop over :meth:`run`,
+        taken one stream at a time: specs that read the same
+        reference stream run back to back, and the stream is
+        generated once for all of them
+        (:func:`~repro.parallel.executor.run_batch`).
 
         ``workers`` is the legacy per-call keyword; ``options`` (a
         :class:`~repro.options.RunOptions`) is the documented way to
@@ -288,15 +292,8 @@ class ExperimentRunner:
             and options.trace_sink is None and not options.progress
             and not options.campaignd
         )
-        if plain_serial:
-            return [
-                self.run(config, workload, seed=seed,
-                         max_references=max_references,
-                         label=label, options=options)
-                for (config, workload, seed, max_references), label
-                in zip(specs, labels)
-            ]
         from repro.parallel import RunCell, execute_cells
+        from repro.parallel.executor import run_batch, stream_batches
 
         cells = [
             RunCell(config, workload, seed=seed,
@@ -309,6 +306,20 @@ class ExperimentRunner:
             for (config, workload, seed, max_references), label
             in zip(specs, labels)
         ]
+        if plain_serial:
+            results = [None] * len(cells)
+
+            def run_one(index):
+                cell = cells[index]
+                results[index] = self.run(
+                    cell.config, cell.workload, seed=cell.seed,
+                    max_references=cell.max_references,
+                    label=cell.label, options=options,
+                )
+
+            for batch in stream_batches(cells, range(len(cells))):
+                run_batch(batch, run_one)
+            return results
         if options.campaignd:
             return self._run_service(cells, options, cache)
         return execute_cells(

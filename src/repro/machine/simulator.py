@@ -506,7 +506,7 @@ class SpurMachine:
                     page = page_peek(vpn)
                     if (
                         page is None
-                        or not page.region.writable
+                        or not page.writable
                         or not dirty_policy.write_miss_settled(pte)
                     ):
                         extra += miss(kind, vaddr)
@@ -698,7 +698,7 @@ class SpurMachine:
         vpn = vaddr >> self.page_bits
         pte = self.page_table.entry(vpn)
         page = self.vm.page(vpn)
-        if not page.region.writable:
+        if not page.writable:
             raise ProtectionFault(vaddr, "write to read-only region")
 
         if not cache.block_dirty[index]:
@@ -749,7 +749,7 @@ class SpurMachine:
         is_write = kind == _WRITE
         if is_write:
             page = self.vm.page(vpn)
-            if not page.region.writable:
+            if not page.writable:
                 raise ProtectionFault(vaddr, "write to read-only region")
             counters.increment(Event.WRITE_MISS_FILL)
             cycles += self.dirty_policy.on_write_miss(self, pte, page)

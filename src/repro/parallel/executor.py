@@ -22,16 +22,25 @@ mid-pool traceback.
 Observability is parent-side only: workers return their counter series
 inside ``RunResult.observation``; the parent emits trace events to the
 optional ``sink`` and drives the optional ``progress`` reporter.
+
+Cells that read the same reference stream run as one batch
+(:func:`stream_batches`, :func:`run_batch`): the batch's first run
+records the stream and the others replay it, so each stream is
+generated once per batch.  Execution order therefore follows the
+batches, while results stay in cell order.
 """
 
+import gc
+import json
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass
 from typing import Any, Optional
 
 from repro.common.errors import ReproError
 from repro.observe.series import DEFAULT_EPOCH_REFS
-from repro.parallel.cache import CacheKeyError, cache_key
+from repro.parallel.cache import CacheKeyError, cache_key, workload_spec
 from repro.workloads.base import DEFAULT_CHUNK_REFS
+from repro.workloads.synthetic import StreamRecording
 
 
 @dataclass(frozen=True)
@@ -130,6 +139,98 @@ def simulate_cell(cell):
     )
 
 
+def stream_key(cell):
+    """The identity of *cell*'s reference stream, or ``None``.
+
+    A stream depends on the workload recipe, the seed and the page
+    size.  Capped cells (``max_references``) and recipes without a
+    canonical spec (:class:`CacheKeyError`) share with nothing.
+    """
+    if cell.max_references is not None:
+        return None
+    try:
+        spec = workload_spec(cell.workload)
+    except CacheKeyError:
+        return None
+    return json.dumps(
+        [spec, cell.seed, cell.config.page_bytes], sort_keys=True
+    )
+
+
+def stream_batches(cells, pending, splits=1):
+    """Group the *pending* indices of *cells* into same-stream batches.
+
+    Each stream's cells are split into ``min(splits, cells)``
+    near-equal batches, in index order; cells that share no stream
+    are batches of one.  Streams come in the order of their first
+    index.
+    """
+    groups = {}
+    streams = []
+    for index in pending:
+        key = stream_key(cells[index])
+        group = groups.get(key) if key is not None else None
+        if group is None:
+            group = []
+            streams.append(group)
+            if key is not None:
+                groups[key] = group
+        group.append(index)
+    batches = []
+    for group in streams:
+        parts = min(splits, len(group))
+        size, extra = divmod(len(group), parts)
+        start = 0
+        for part in range(parts):
+            end = start + size + (part < extra)
+            batches.append(group[start:end])
+            start = end
+    return batches
+
+
+def run_batch(batch, run_one):
+    """Call ``run_one(item)`` for every item of a same-stream *batch*.
+
+    A batch of two or more shares one
+    :class:`~repro.workloads.synthetic.StreamRecording`: the first run
+    records the stream and later runs replay it.  A finished machine
+    sits in reference cycles that refcounting never frees, so such a
+    batch collects garbage after every run; otherwise dead machines
+    would pile up beside the recording until the collector's next
+    full pass.
+    """
+    if len(batch) == 1:
+        run_one(batch[0])
+        return
+    recording = StreamRecording()
+    last = len(batch) - 1
+    for position, item in enumerate(batch):
+        try:
+            with recording.active(last=position == last):
+                run_one(item)
+        finally:
+            gc.collect()
+
+
+def simulate_batch(cells):
+    """Run a same-stream batch of cells; the process-pool work function.
+
+    Returns one outcome per cell, in order: its
+    :class:`~repro.machine.runner.RunResult`, or the exception it
+    raised.
+    """
+    outcomes = []
+
+    def run_one(cell):
+        try:
+            outcomes.append(simulate_cell(cell))
+        except Exception as error:
+            outcomes.append(error)
+
+    run_batch(cells, run_one)
+    return outcomes
+
+
 def _failure(index, cell, error):
     """Build the :class:`CellFailure` record for one raised cell."""
     return CellFailure(
@@ -153,16 +254,24 @@ def run_pending(cells, pending, record, workers=1, sink=None):
     exception on failure.  ``record`` is always called from the
     calling process (workers return values; they never call back), so
     callers may journal, cache, and emit from it without locking.
+
+    Work goes out in :func:`stream_batches`: one batch per stream in
+    process, ``min(workers, cells)`` batches per stream on the pool,
+    so every batch generates its stream once.
     """
     from repro.observe.sinks import stamp
 
     if workers <= 1 or len(pending) <= 1:
-        for index in pending:
+
+        def run_one(index):
             try:
                 outcome = simulate_cell(cells[index])
             except Exception as error:
                 outcome = error
             record(index, outcome)
+
+        for batch in stream_batches(cells, pending):
+            run_batch(batch, run_one)
     else:
         pool_size = min(workers, len(pending))
         if sink is not None:
@@ -173,8 +282,10 @@ def run_pending(cells, pending, record, workers=1, sink=None):
             }))
         with ProcessPoolExecutor(max_workers=pool_size) as pool:
             futures = {
-                pool.submit(simulate_cell, cells[index]): index
-                for index in pending
+                pool.submit(
+                    simulate_batch, [cells[index] for index in batch]
+                ): batch
+                for batch in stream_batches(cells, pending, pool_size)
             }
             remaining = set(futures)
             while remaining:
@@ -182,12 +293,14 @@ def run_pending(cells, pending, record, workers=1, sink=None):
                     remaining, return_when=FIRST_COMPLETED
                 )
                 for future in done:
+                    batch = futures[future]
                     error = future.exception()
-                    record(
-                        futures[future],
-                        error if error is not None
-                        else future.result(),
+                    outcomes = (
+                        [error] * len(batch) if error is not None
+                        else future.result()
                     )
+                    for index, outcome in zip(batch, outcomes):
+                        record(index, outcome)
         if sink is not None:
             sink.emit(stamp({
                 "type": "worker_pool_finished",

@@ -22,12 +22,15 @@ from repro.vm.pagedaemon import ClockPageDaemon
 class VmPage:
     """Software bookkeeping for one virtual page."""
 
-    __slots__ = ("vpn", "region", "in_swap", "frame", "page_ins",
-                 "inactive")
+    __slots__ = ("vpn", "region", "writable", "in_swap", "frame",
+                 "page_ins", "inactive")
 
     def __init__(self, vpn, region):
         self.vpn = vpn
         self.region = region
+        #: ``region.writable``, cached: the reference loop reads it on
+        #: every write miss.
+        self.writable = region.writable
         self.in_swap = False
         self.frame = None
         self.page_ins = 0
@@ -188,7 +191,7 @@ class VirtualMemorySystem:
             kind = PageKind.ZERO_FILL
 
         protection = machine.dirty_policy.map_protection(
-            page.region.writable
+            page.writable
         )
         pte = self.page_table.map(vpn, frame, protection, kind)
         machine.reference_policy.on_map(pte)
@@ -217,7 +220,7 @@ class VirtualMemorySystem:
         cycles = machine.flush_page(page_vaddr)
 
         modified = pte.is_modified()
-        if page.region.writable:
+        if page.writable:
             self.swap.note_writable_replacement(modified)
 
         # Sprite writes a zero-fill page to swap on its first
@@ -277,7 +280,7 @@ class VirtualMemorySystem:
             pte.protection = Protection.READ_WRITE
         else:
             pte.protection = machine.dirty_policy.map_protection(
-                page.region.writable
+                page.writable
             )
         machine.reference_policy.on_map(pte)
         machine.counters.increment(Event.PAGE_REACTIVATE)
@@ -300,7 +303,7 @@ class VirtualMemorySystem:
             )
         cycles = 0
         modified = pte.is_modified()
-        if page.region.writable:
+        if page.writable:
             self.swap.note_writable_replacement(modified)
         first_zero_fill_out = (
             pte.kind is PageKind.ZERO_FILL and not page.in_swap

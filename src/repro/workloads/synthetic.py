@@ -18,9 +18,17 @@ Internally every burst, allocation touch, and file scan is one flat
 segment stream drives both the legacy tuple iterator (``accesses``)
 and the native chunk stream (``access_chunks``), so the two protocols
 consume the RNG identically and emit the identical sequence.
+
+A stream depends only on the workload recipe, seed and page size,
+never on the machine that consumes it.  Runs of one stream can
+therefore share a :class:`StreamRecording`: the first run keeps every
+segment each process yields, and later runs replay those segments
+instead of generating them again.
 """
 
 from array import array
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 
 from repro.common.errors import ConfigurationError
@@ -148,6 +156,136 @@ class Phase:
             raise ConfigurationError("fractions must lie in [0, 1]")
 
 
+#: Most bytes of unique segments one :class:`StreamRecording` holds.
+#: A length-1 stream records 5.5 MB (SLC) to 7.3 MB (WORKLOAD1), so
+#: this admits streams up to length ~8; longer ones regenerate rather
+#: than hold hundreds of MB.
+RECORDING_BUDGET_BYTES = 64 << 20
+
+#: The recording that processes built in this context join, if any.
+#: A context variable, set and reset by :meth:`StreamRecording.active`,
+#: because neither ``ExperimentRunner.run`` nor
+#: ``Workload.instantiate`` carries a recording down to the processes.
+_ACTIVE_RECORDING = ContextVar("active_stream_recording", default=None)
+
+
+class _Tape:
+    """The segments one process yielded, in order."""
+
+    __slots__ = ("recording", "segments", "finished")
+
+    def __init__(self, recording):
+        self.recording = recording
+        self.segments = []
+        #: Set once the generator ran to its end; only a finished tape
+        #: is replayed.
+        self.finished = False
+
+    def record(self, segments):
+        """Yield *segments*, keeping each one while the recording is
+        within budget."""
+        keep = self.recording.keep
+        keeping = True
+        for segment in segments:
+            if keeping:
+                keeping = keep(self, segment)
+            yield segment
+        self.finished = keeping
+
+
+class StreamRecording:
+    """One reference stream, recorded by one run and replayed by later
+    runs of the same stream.
+
+    A stream is identified by its workload recipe, seed and page
+    size; the caller guarantees that every run made under
+    :meth:`active` instantiates the same stream.  Each
+    :class:`PhasedProcess` built while the recording is active claims
+    the tape at its construction index, so process *i* of a later run
+    replays what process *i* of the recording run yielded.  A burst
+    yielded several times is stored once, as the same ``array``.
+
+    A run replays only when every tape of the previous recording run
+    finished; a run that raised mid-stream left a partial recording,
+    which the next run discards and records afresh.  Once the unique
+    segments pass :data:`RECORDING_BUDGET_BYTES` the recording is
+    abandoned and every later run generates its own stream.
+    """
+
+    def __init__(self):
+        self._tapes = []
+        self._next = 0
+        self._replaying = False
+        self._recording = False
+        self._seen = set()
+        self.nbytes = 0
+        self.abandoned = False
+
+    @property
+    def complete(self):
+        """Whether a replayable recording is held."""
+        return bool(self._tapes) and all(
+            tape.finished for tape in self._tapes
+        )
+
+    @contextmanager
+    def active(self, last=False):
+        """Make this the recording that processes built in the block
+        join.
+
+        The block replays a complete recording, or else records one
+        unless it is the *last* run of the stream, which nothing would
+        replay.  After the last run the recording is dropped.
+        """
+        self._next = 0
+        self._replaying = self.complete
+        self._recording = not (self._replaying or last or self.abandoned)
+        if self._recording:
+            self._drop()
+        token = _ACTIVE_RECORDING.set(self)
+        try:
+            yield self
+        finally:
+            _ACTIVE_RECORDING.reset(token)
+            self._seen = set()
+            if last:
+                self._drop()
+
+    def _drop(self):
+        for tape in self._tapes:
+            tape.segments = []
+        self._tapes = []
+        self._seen = set()
+        self.nbytes = 0
+
+    def claim(self):
+        """The tape for the next process built, or ``None``."""
+        index = self._next
+        self._next += 1
+        if self._replaying:
+            return self._tapes[index] if index < len(self._tapes) else None
+        if not self._recording:
+            return None
+        tape = _Tape(self)
+        self._tapes.append(tape)
+        return tape
+
+    def keep(self, tape, segment):
+        """Append *segment* to *tape*; ``False`` once abandoned."""
+        if self.abandoned:
+            return False
+        key = id(segment)
+        if key not in self._seen:
+            self._seen.add(key)
+            self.nbytes += len(segment) * segment.itemsize
+            if self.nbytes > RECORDING_BUDGET_BYTES:
+                self.abandoned = True
+                self._drop()
+                return False
+        tape.segments.append(segment)
+        return True
+
+
 class PhasedProcess:
     """Generator of one process's reference stream from a phase script."""
 
@@ -161,6 +299,8 @@ class PhasedProcess:
         self.burst_ops = burst_ops
         self.burst_repeats = burst_repeats
         self.length_hint = sum(p.duration for p in self.phases)
+        recording = _ACTIVE_RECORDING.get()
+        self._tape = recording.claim() if recording is not None else None
 
     def accesses(self):
         """Yield ``(kind, vaddr)`` across all phases in order."""
@@ -190,7 +330,21 @@ class PhasedProcess:
     # -- phase machinery ---------------------------------------------------
 
     def _segments(self):
-        """Yield flat reference segments across all phases in order."""
+        """Yield flat reference segments across all phases in order.
+
+        Replays this process's tape when the active
+        :class:`StreamRecording` holds a finished one, and records
+        onto it otherwise.
+        """
+        tape = self._tape
+        if tape is None:
+            yield from self._generate()
+        elif tape.finished:
+            yield from tape.segments
+        else:
+            yield from tape.record(self._generate())
+
+    def _generate(self):
         for phase in self.phases:
             yield from self._phase_segments(phase)
 

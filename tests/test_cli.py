@@ -130,6 +130,22 @@ class TestSimulationCommands:
         assert {"table_3_3.txt", "table_3_4_paper.txt",
                 "table_3_5.txt", "table_4_1.txt"} <= names
 
+    def test_all_runs_tables_at_the_given_seed(self, tmp_path, capsys):
+        assert main([
+            "all", "--out-dir", str(tmp_path), "--length", "0.02",
+            "--reps", "1", "--seed", "1",
+        ]) == 0
+        seeded = (tmp_path / "table_3_3.txt").read_text()
+        capsys.readouterr()
+        tables = {}
+        for seed in ("0", "1"):
+            assert main([
+                "table", "3.3", "--length", "0.02", "--seed", seed,
+            ]) == 0
+            tables[seed] = capsys.readouterr().out
+        assert seeded == tables["1"]
+        assert seeded != tables["0"]
+
 
 class TestParallelCommands:
     def test_table_with_workers_and_cache(self, tmp_path, capsys):
