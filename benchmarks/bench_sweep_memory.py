@@ -17,7 +17,6 @@ from repro.workloads.slc import SlcWorkload
 from conftest import (
     bench_runner,
     bench_scale,
-    bench_workers,
     once,
     shape_asserts_enabled,
 )
@@ -41,7 +40,6 @@ def run_sweep():
              SlcWorkload(length_scale=scale), 0, None)
             for policy, ratio in grid
         ],
-        workers=bench_workers(),
     )
     series = {}
     for (policy, ratio), result in zip(grid, outcomes):

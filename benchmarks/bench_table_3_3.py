@@ -15,7 +15,6 @@ from repro.analysis.experiments import run_table_3_3
 from conftest import (
     bench_runner,
     bench_scale,
-    bench_workers,
     once,
     shape_asserts_enabled,
 )
@@ -28,7 +27,6 @@ def rows():
     def compute():
         result["rows"], result["table"] = run_table_3_3(
             length_scale=bench_scale(), runner=bench_runner(),
-            workers=bench_workers(),
         )
         return result["rows"]
 

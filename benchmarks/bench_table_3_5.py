@@ -18,7 +18,6 @@ from repro.analysis.experiments import run_table_3_5
 from conftest import (
     bench_runner,
     bench_scale,
-    bench_workers,
     once,
     shape_asserts_enabled,
 )
@@ -30,7 +29,6 @@ def test_table_3_5(benchmark, record_result):
     def compute():
         result["rows"], result["table"] = run_table_3_5(
             length_scale=bench_scale(), runner=bench_runner(),
-            workers=bench_workers(),
         )
         return result["rows"]
 

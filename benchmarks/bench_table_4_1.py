@@ -25,7 +25,6 @@ from conftest import (
     bench_reps,
     bench_runner,
     bench_scale,
-    bench_workers,
     once,
     shape_asserts_enabled,
 )
@@ -37,7 +36,7 @@ def test_table_4_1(benchmark, record_result):
     def compute():
         result["rows"], result["table"] = run_table_4_1(
             length_scale=bench_scale(), repetitions=bench_reps(),
-            runner=bench_runner(), workers=bench_workers(),
+            runner=bench_runner(),
         )
         return result["rows"]
 

@@ -41,16 +41,15 @@ def bench_workers():
 
 
 def bench_runner():
-    """An ExperimentRunner honouring ``REPRO_BENCH_CACHE``."""
+    """An ExperimentRunner honouring ``REPRO_BENCH_WORKERS`` and
+    ``REPRO_BENCH_CACHE``."""
     from repro.machine.runner import ExperimentRunner
+    from repro.options import RunOptions
 
-    cache_dir = os.environ.get("REPRO_BENCH_CACHE")
-    cache = None
-    if cache_dir:
-        from repro.parallel import ResultCache
-
-        cache = ResultCache(cache_dir)
-    return ExperimentRunner(cache=cache)
+    return ExperimentRunner(options=RunOptions(
+        workers=bench_workers(),
+        cache_dir=os.environ.get("REPRO_BENCH_CACHE"),
+    ))
 
 
 def shape_asserts_enabled():

@@ -22,7 +22,6 @@ from repro.policies.costs import (
     overhead_table,
 )
 from repro.policies.reference import REFERENCE_POLICY_NAMES
-from repro.workloads.base import DEFAULT_CHUNK_REFS
 from repro.workloads.devsystems import (
     DEV_SYSTEM_PROFILES,
     DevSystemWorkload,
@@ -39,17 +38,6 @@ def _standard_workloads(length_scale):
         ("SLC", SlcWorkload(length_scale=length_scale)),
         ("WORKLOAD1", Workload1(length_scale=length_scale)),
     )
-
-
-def _driver_runner(chunk_refs, options):
-    """Build a table driver's default runner.
-
-    ``options`` (the documented API) wins over the legacy
-    ``chunk_refs`` keyword when both are supplied.
-    """
-    if options is not None:
-        return ExperimentRunner(options=options)
-    return ExperimentRunner(chunk_refs=chunk_refs)
 
 
 # ---------------------------------------------------------------------------
@@ -85,19 +73,17 @@ class Table33Row:
 
 
 def run_table_3_3(length_scale=1.0, scale=8, runner=None, seed=0,
-                  max_references=None, workers=None,
-                  chunk_refs=DEFAULT_CHUNK_REFS, options=None):
+                  max_references=None, options=None):
     """Measure the Table 3.3 event frequencies.
 
     One run per (workload, memory) point with the SPUR dirty-bit
     mechanism and MISS reference bits — the prototype's configuration,
     which is what the paper measured.  Returns ``(rows, table)``.
 
-    ``workers``/``chunk_refs`` are the legacy keywords; pass
-    ``options`` (a :class:`~repro.options.RunOptions`) for the full
-    execution knob set, including observation.
+    ``options`` (a :class:`~repro.options.RunOptions`) carries the
+    execution knobs: workers, caching, journaling, observation.
     """
-    runner = runner or _driver_runner(chunk_refs, options)
+    runner = runner or ExperimentRunner(options=options)
     points = []
     for name, workload in _standard_workloads(length_scale):
         for memory_mb, ratio in MEMORY_POINTS:
@@ -113,7 +99,6 @@ def run_table_3_3(length_scale=1.0, scale=8, runner=None, seed=0,
             (config, workload, seed, max_references)
             for _, _, config, workload in points
         ],
-        workers=workers,
         options=options,
         labels=[
             f"{name}/{memory_mb}MB" for name, memory_mb, _, _ in points
@@ -242,15 +227,13 @@ class Table35Row:
 
 def run_table_3_5(length_scale=1.0, scale=8, runner=None, seed=0,
                   profiles=DEV_SYSTEM_PROFILES, max_references=None,
-                  workers=None, chunk_refs=DEFAULT_CHUNK_REFS,
                   options=None):
     """Simulate the six development-system profiles.
 
-    ``workers``/``chunk_refs`` are the legacy keywords; pass
-    ``options`` (a :class:`~repro.options.RunOptions`) for the full
-    execution knob set, including observation.
+    ``options`` (a :class:`~repro.options.RunOptions`) carries the
+    execution knobs: workers, caching, journaling, observation.
     """
-    runner = runner or _driver_runner(chunk_refs, options)
+    runner = runner or ExperimentRunner(options=options)
     specs = []
     for profile in profiles:
         config = scaled_config(
@@ -260,7 +243,7 @@ def run_table_3_5(length_scale=1.0, scale=8, runner=None, seed=0,
         workload = DevSystemWorkload(profile, length_scale=length_scale)
         specs.append((config, workload, seed, max_references))
     results = runner.run_many(
-        specs, workers=workers, options=options,
+        specs, options=options,
         labels=[profile.hostname for profile in profiles],
     )
     rows = []
@@ -327,7 +310,6 @@ class Table41Row:
 
 def run_table_4_1(length_scale=1.0, scale=8, repetitions=3,
                   runner=None, randomize=True, max_references=None,
-                  workers=None, chunk_refs=DEFAULT_CHUNK_REFS,
                   options=None):
     """Run the full reference-bit policy matrix.
 
@@ -336,11 +318,10 @@ def run_table_4_1(length_scale=1.0, scale=8, repetitions=3,
     ``(rows, table)`` with page-ins and elapsed time normalised to the
     MISS policy within each (workload, memory) group.
 
-    ``workers``/``chunk_refs`` are the legacy keywords; pass
-    ``options`` (a :class:`~repro.options.RunOptions`) for the full
-    execution knob set, including observation.
+    ``options`` (a :class:`~repro.options.RunOptions`) carries the
+    execution knobs: workers, caching, journaling, observation.
     """
-    runner = runner or _driver_runner(chunk_refs, options)
+    runner = runner or ExperimentRunner(options=options)
     points = []
     for name, _ in _standard_workloads(length_scale):
         workload_cls = SlcWorkload if name == "SLC" else Workload1
@@ -357,8 +338,7 @@ def run_table_4_1(length_scale=1.0, scale=8, repetitions=3,
                 ))
     matrix = runner.run_matrix(
         points, repetitions=repetitions, randomize=randomize,
-        max_references=max_references, workers=workers,
-        options=options,
+        max_references=max_references, options=options,
     )
 
     rows = []

@@ -13,7 +13,6 @@ from typing import Callable, Dict
 from repro.analysis.charts import line_plot
 from repro.analysis.tables import Table
 from repro.machine.runner import ExperimentRunner
-from repro.workloads.base import DEFAULT_CHUNK_REFS
 
 
 #: Standard metric extractors by name.
@@ -47,13 +46,10 @@ class SweepDriver:
     options:
         Optional :class:`~repro.options.RunOptions` the driver's
         default runner is built from (and :meth:`run` uses per call).
-        The ``chunk_refs`` keyword is the legacy shim; ``options``
-        wins when both are given.
     """
 
     def __init__(self, base_config, field, values, workload_factory,
-                 runner=None, seed=0, chunk_refs=DEFAULT_CHUNK_REFS,
-                 options=None):
+                 runner=None, seed=0, options=None):
         self.base_config = base_config
         self.values = tuple(values)
         if not self.values:
@@ -61,11 +57,7 @@ class SweepDriver:
         self.workload_factory = workload_factory
         self.options = options
         if runner is None:
-            runner = (
-                ExperimentRunner(options=options)
-                if options is not None
-                else ExperimentRunner(chunk_refs=chunk_refs)
-            )
+            runner = ExperimentRunner(options=options)
         self.runner = runner
         self.seed = seed
         if callable(field):
@@ -83,7 +75,7 @@ class SweepDriver:
                 config, **{field: value}
             )
 
-    def run(self, variants=None, workers=None, options=None):
+    def run(self, variants=None, options=None):
         """Execute the sweep.
 
         Parameters
@@ -93,8 +85,6 @@ class SweepDriver:
             separate series per label (e.g. one per policy); the
             transform is applied after the swept field.  Defaults to
             a single unlabelled series.
-        workers:
-            Legacy worker-count keyword; 1 keeps the serial path.
         options:
             Per-call :class:`~repro.options.RunOptions` (workers,
             caching, observation); defaults to the driver's own.
@@ -114,7 +104,6 @@ class SweepDriver:
                 (config, self.workload_factory(), self.seed, None)
                 for _, _, config in grid
             ],
-            workers=workers,
             options=options if options is not None else self.options,
             labels=[
                 f"{self.field_name}={value}" + (f"/{label}" if label

@@ -27,9 +27,8 @@ Groups, in import order below:
 * observability — time series, sinks, progress, reports
   (:mod:`repro.observe`),
 * the unified execution-options object (:mod:`repro.options`),
-* campaign execution and result caching (:mod:`repro.parallel`),
-* the resumable campaign service — journal, drivers, streaming
-  status (:mod:`repro.campaignd`),
+* campaign execution, result caching and the resume journal
+  (:mod:`repro.parallel`),
 * policy models and overhead analysis (:mod:`repro.policies`),
 * workloads (:mod:`repro.workloads`),
 * experiment drivers and sweeps (:mod:`repro.analysis`).
@@ -69,24 +68,13 @@ from repro.observe import (
 from repro.options import RunOptions
 from repro.parallel import (
     CampaignError,
+    CampaignJournal,
     CellFailure,
     ResultCache,
     RunCell,
-    execute_cells,
-)
-from repro.campaignd import (
-    CampaignJournal,
-    CampaignService,
-    LocalDriver,
-    RetryPolicy,
-    StatusServer,
-    SubprocessDriver,
-    WorkQueue,
     cell_key,
-    cell_to_spec,
+    execute_cells,
     read_journal,
-    spec_to_cell,
-    stream_events,
 )
 from repro.policies import (
     EventCounts,
@@ -122,7 +110,6 @@ __all__ = [
     "CampaignError",
     "CampaignJournal",
     "CampaignProgress",
-    "CampaignService",
     "CellFailure",
     "DEFAULT_EPOCH_REFS",
     "DEV_SYSTEM_PROFILES",
@@ -134,7 +121,6 @@ __all__ = [
     "ExcessFaultModel",
     "ExperimentRunner",
     "JsonlSink",
-    "LocalDriver",
     "MachineConfig",
     "MemorySink",
     "NullSink",
@@ -143,7 +129,6 @@ __all__ = [
     "RecordedWorkload",
     "ReproError",
     "ResultCache",
-    "RetryPolicy",
     "RunCell",
     "RunObservation",
     "RunObserver",
@@ -153,16 +138,12 @@ __all__ = [
     "SlcWorkload",
     "SmpSystem",
     "SpurMachine",
-    "StatusServer",
-    "SubprocessDriver",
     "SweepDriver",
     "Table",
     "TimeParameters",
-    "WorkQueue",
     "Workload1",
     "build_table_3_4",
     "cell_key",
-    "cell_to_spec",
     "execute_cells",
     "make_dirty_policy",
     "make_reference_policy",
@@ -178,8 +159,6 @@ __all__ = [
     "run_table_3_5",
     "run_table_4_1",
     "scaled_config",
-    "spec_to_cell",
-    "stream_events",
     "summarize_trace",
     "workload_by_name",
 ]

@@ -57,10 +57,6 @@ def _options_from_args(args):
             epoch_refs=getattr(args, "epoch_refs", DEFAULT_EPOCH_REFS),
             progress=getattr(args, "progress", False) or None,
             journal=getattr(args, "journal", None),
-            driver=getattr(args, "driver", None),
-            retries=getattr(args, "retries", 0),
-            retry_backoff_seconds=getattr(args, "retry_backoff", 0.5),
-            cell_timeout_seconds=getattr(args, "cell_timeout", None),
         )
     except ValueError as error:
         raise SystemExit(str(error)) from None
@@ -151,8 +147,7 @@ def cmd_table(args):
     elif number == "3.3":
         runner = _runner_from_args(args)
         _, table = run_table_3_3(length_scale=args.length,
-                                 seed=args.seed, runner=runner,
-                                 workers=args.workers)
+                                 seed=args.seed, runner=runner)
         _emit(table.render(), args.out)
         _finish(runner)
     elif number == "3.4":
@@ -163,8 +158,7 @@ def cmd_table(args):
         else:
             runner = _runner_from_args(args)
             rows, _ = run_table_3_3(length_scale=args.length,
-                                    seed=args.seed, runner=runner,
-                                    workers=args.workers)
+                                    seed=args.seed, runner=runner)
             _, table = build_table_3_4(
                 rows, exclude_zero_fill=not args.include_zero_fill
             )
@@ -173,15 +167,13 @@ def cmd_table(args):
     elif number == "3.5":
         runner = _runner_from_args(args)
         _, table = run_table_3_5(length_scale=args.length,
-                                 seed=args.seed, runner=runner,
-                                 workers=args.workers)
+                                 seed=args.seed, runner=runner)
         _emit(table.render(), args.out)
         _finish(runner)
     elif number == "4.1":
         runner = _runner_from_args(args)
         _, table = run_table_4_1(length_scale=args.length,
-                                 repetitions=args.reps, runner=runner,
-                                 workers=args.workers)
+                                 repetitions=args.reps, runner=runner)
         _emit(table.render(), args.out)
         _finish(runner)
     return 0
@@ -256,18 +248,17 @@ def cmd_all(args):
     out_dir = pathlib.Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     runner = _runner_from_args(args)
-    workers = args.workers
     jobs = (
         ("table_3_3", lambda: run_table_3_3(
-            length_scale=args.length, seed=args.seed, runner=runner,
-            workers=workers)[1]),
+            length_scale=args.length, seed=args.seed,
+            runner=runner)[1]),
         ("table_3_4_paper", lambda: build_table_3_4()[1]),
         ("table_3_5", lambda: run_table_3_5(
-            length_scale=args.length, seed=args.seed, runner=runner,
-            workers=workers)[1]),
+            length_scale=args.length, seed=args.seed,
+            runner=runner)[1]),
         ("table_4_1", lambda: run_table_4_1(
             length_scale=args.length, repetitions=args.reps,
-            runner=runner, workers=workers)[1]),
+            runner=runner)[1]),
     )
     for name, job in jobs:
         print(f"regenerating {name} ...", file=sys.stderr)
@@ -278,10 +269,18 @@ def cmd_all(args):
     return 0
 
 
-def _campaign_body(args, runner):
-    """The shared campaign loop behind ``campaign`` and ``serve``."""
+def cmd_campaign(args):
+    """The full measured-table campaign, parallel, cached, resumable.
+
+    Runs Tables 3.3, 3.4 (from the measured 3.3 counts), 3.5, and 4.1
+    through one shared runner and cache, fanning the independent cells
+    over ``--workers`` processes.  A warm cache re-runs the whole
+    campaign without simulating a single cell, and ``--journal``
+    makes it resumable across crashes.
+    """
     from repro.parallel import CampaignError
 
+    runner = _runner_from_args(args)
     out_dir = pathlib.Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -290,18 +289,16 @@ def _campaign_body(args, runner):
               file=sys.stderr)
         rows_33, table_33 = run_table_3_3(
             length_scale=args.length, seed=args.seed, runner=runner,
-            workers=args.workers,
         )
         _, table_34 = build_table_3_4(rows_33)
         print("table 3.5 ...", file=sys.stderr)
         _, table_35 = run_table_3_5(
             length_scale=args.length, seed=args.seed, runner=runner,
-            workers=args.workers,
         )
         print("table 4.1 ...", file=sys.stderr)
         _, table_41 = run_table_4_1(
             length_scale=args.length, repetitions=args.reps,
-            runner=runner, workers=args.workers,
+            runner=runner,
         )
     except CampaignError as error:
         # Every cell had its chance (successes are cached), so a
@@ -322,74 +319,6 @@ def _campaign_body(args, runner):
     _finish(runner)
     print(f"artefacts in {out_dir}", file=sys.stderr)
     return 0
-
-
-def cmd_campaign(args):
-    """The full measured-table campaign, parallel and cached.
-
-    Runs Tables 3.3, 3.4 (from the measured 3.3 counts), 3.5, and 4.1
-    through one shared runner and cache, fanning the independent cells
-    over ``--workers`` processes.  A warm cache re-runs the whole
-    campaign without simulating a single cell; ``--journal`` makes it
-    resumable across crashes, ``--driver subprocess`` shards cells
-    over ``repro worker`` subprocesses, and the ``serve``/``status``
-    subcommands stream live progress over a socket.
-    """
-    return _campaign_body(args, _runner_from_args(args))
-
-
-def cmd_campaign_serve(args):
-    """Run the campaign while serving live status over a socket."""
-    from repro.campaignd.stream import StatusServer
-
-    options = _options_from_args(args)
-    server = StatusServer(
-        host=args.host, port=args.port, sink=options.trace_sink,
-        closing_event={"type": "campaign_serve_finished"},
-    )
-    host, port = server.address
-    print(f"serving campaign status on {host}:{port}",
-          file=sys.stderr, flush=True)
-    runner = ExperimentRunner(options=options.replace(trace_sink=server))
-    try:
-        return _campaign_body(args, runner)
-    finally:
-        server.close()
-
-
-def cmd_campaign_status(args):
-    """Follow a serving campaign's live progress."""
-    from repro.campaignd.stream import follow_status, stream_events
-
-    try:
-        last = follow_status(
-            stream_events(host=args.host, port=args.port,
-                          timeout=args.timeout),
-            stream=sys.stderr,
-        )
-    except OSError as error:
-        raise SystemExit(
-            f"cannot reach campaign at {args.host}:{args.port}: "
-            f"{error}"
-        ) from None
-    if last is None:
-        print("no events received", file=sys.stderr)
-        return 1
-    if last.get("type") == "campaign_serve_finished":
-        failed = last.get("failed", 0)
-        print(f"campaign finished ({failed} cells failed)")
-        return 1 if failed else 0
-    if last.get("type") == "campaign_finished":
-        print(
-            f"campaign finished: {last.get('cells', 0)} cells "
-            f"({last.get('computed', 0)} computed, "
-            f"{last.get('cached', 0)} cached, "
-            f"{last.get('resumed', 0)} resumed, "
-            f"{last.get('failed', 0)} failed)"
-        )
-        return 1 if last.get("failed", 0) else 0
-    print("stream ended before the campaign finished", file=sys.stderr)
-    return 1
 
 
 def cmd_characterize(args):
@@ -444,9 +373,10 @@ def cmd_replay(args):
             f"trace uses {workload.page_bytes}-byte pages; the "
             f"default machine uses {config.page_bytes}"
         )
-    result = ExperimentRunner(chunk_refs=args.chunk_refs).run(
-        config, workload
+    runner = ExperimentRunner(
+        options=RunOptions(chunk_refs=args.chunk_refs)
     )
+    result = runner.run(config, workload)
     lines = [
         f"replayed            {result.references:,} references of "
         f"{result.workload}",
@@ -518,17 +448,6 @@ def cmd_report(args):
     return 0 if all_passed else 1
 
 
-def cmd_worker(args):
-    """Delegate to the campaign worker entry point.
-
-    Like ``lint``, the worker owns its own argument surface
-    (``--cells``, ``--cache-dir``...), so its tail is forwarded
-    verbatim."""
-    from repro.campaignd.worker import worker_main
-
-    return worker_main(args.worker_argv)
-
-
 def cmd_lint(args):
     """Delegate to the analysis CLI (:mod:`repro.lint.cli`).
 
@@ -579,29 +498,10 @@ def build_parser():
                             "(config, workload, seed) cells simulate")
         p.add_argument("--no-cache", action="store_true",
                        help="ignore --cache-dir for this invocation")
-
-    def campaignd_opts(p):
         p.add_argument("--journal", metavar="PATH",
                        help="append-only campaign journal; completed "
                             "cells are durably recorded and a rerun "
                             "resumes instead of recomputing")
-        p.add_argument("--driver", choices=("local", "subprocess"),
-                       help="campaign execution backend: in-process "
-                            "(default) or `repro worker` subprocesses "
-                            "sharing the cache directory; results are "
-                            "bit-identical either way")
-        p.add_argument("--retries", type=int, default=0,
-                       help="extra attempts for failed cells "
-                            "(default 0 = fail fast)")
-        p.add_argument("--retry-backoff", type=float, default=0.5,
-                       metavar="SECONDS",
-                       help="base of the exponential sleep between "
-                            "retry attempts (default 0.5)")
-        p.add_argument("--cell-timeout", type=float, default=None,
-                       metavar="SECONDS",
-                       help="kill a worker shard that exceeds this "
-                            "wall-clock bound (requires "
-                            "--driver subprocess)")
 
     def observe_opts(p):
         p.add_argument("--observe", action="store_true",
@@ -632,7 +532,6 @@ def build_parser():
     common(p_table, reps=True)
     parallel_opts(p_table)
     observe_opts(p_table)
-    campaignd_opts(p_table)
     p_table.set_defaults(func=cmd_table)
 
     p_run = sub.add_parser("run", help="one simulation run")
@@ -660,58 +559,22 @@ def build_parser():
     common(p_all, reps=True)
     parallel_opts(p_all)
     observe_opts(p_all)
-    campaignd_opts(p_all)
     p_all.set_defaults(func=cmd_all)
-
-    def campaign_flags(p):
-        p.add_argument("--out-dir", default="results")
-        p.add_argument(
-            "--sanitize", choices=("full", "sampled", "epoch"),
-            help="run every cell under the invariant sanitizer",
-        )
-        common(p, reps=True)
-        parallel_opts(p)
-        observe_opts(p)
-        campaignd_opts(p)
 
     p_campaign = sub.add_parser(
         "campaign",
         help="the full measured-table campaign: parallel, cached, "
-             "resumable, and serveable",
+             "and resumable",
     )
-    campaign_flags(p_campaign)
+    p_campaign.add_argument("--out-dir", default="results")
+    p_campaign.add_argument(
+        "--sanitize", choices=("full", "sampled", "epoch"),
+        help="run every cell under the invariant sanitizer",
+    )
+    common(p_campaign, reps=True)
+    parallel_opts(p_campaign)
+    observe_opts(p_campaign)
     p_campaign.set_defaults(func=cmd_campaign)
-    campaign_sub = p_campaign.add_subparsers(dest="campaign_command")
-    p_serve = campaign_sub.add_parser(
-        "serve",
-        help="run the campaign while streaming live status over a "
-             "socket (follow with `repro campaign status`)",
-    )
-    campaign_flags(p_serve)
-    p_serve.add_argument("--host", default="127.0.0.1",
-                         help="status listen address")
-    p_serve.add_argument("--port", type=int, default=0,
-                         help="status listen port (0 = ephemeral; "
-                              "the bound port is printed)")
-    p_serve.set_defaults(func=cmd_campaign_serve)
-    p_status = campaign_sub.add_parser(
-        "status",
-        help="follow a serving campaign's live progress",
-    )
-    p_status.add_argument("--host", default="127.0.0.1")
-    p_status.add_argument("--port", type=int, required=True,
-                          help="port printed by `repro campaign serve`")
-    p_status.add_argument("--timeout", type=float, default=None,
-                          help="give up after this many idle seconds")
-    p_status.set_defaults(func=cmd_campaign_status)
-
-    p_worker = sub.add_parser(
-        "worker", add_help=False,
-        help="internal: simulate a shard of campaign cells for the "
-             "subprocess driver",
-    )
-    p_worker.add_argument("worker_argv", nargs=argparse.REMAINDER)
-    p_worker.set_defaults(func=cmd_worker)
 
     p_observe = sub.add_parser(
         "observe", help="observability: trace reports and exports"
@@ -793,12 +656,6 @@ def main(argv=None):
         from repro.lint.cli import main as lint_main
 
         return lint_main(argv[1:])
-    # `worker` forwards its tail to the campaign worker for the same
-    # REMAINDER reason.
-    if argv and argv[0] == "worker":
-        from repro.campaignd.worker import worker_main
-
-        return worker_main(argv[1:])
     parser = build_parser()
     args = parser.parse_args(argv)
     return args.func(args)

@@ -51,10 +51,10 @@ RULES = {
         "wall clock / environment: the parallel campaign cache\n"
         "assumes two runs of the same cell are bit-identical.\n"
         "The campaign resume machinery\n"
-        "(`resume_identity_roots`: cell keying, spec codec, journal\n"
-        "replay) is audited the same way — a resumed campaign must\n"
-        "derive identical keys on every run or it recomputes work\n"
-        "its journal already holds.  Fixes: iterate `sorted(...)`,\n"
+        "(`resume_identity_roots`: cell keying and journal replay)\n"
+        "is audited the same way — a resumed campaign must derive\n"
+        "identical keys on every run or it recomputes work its\n"
+        "journal already holds.  Fixes: iterate `sorted(...)`,\n"
         "thread an explicit seeded generator, hoist clock reads to\n"
         "the runner (host timing is declared cache-inert there).\n"
         "Membership tests on sets are fine — only iteration order\n"
@@ -76,11 +76,9 @@ RULES = {
         "boundary: lambdas and nested functions cannot be pickled,\n"
         "and module-global mutation happens in the child and is\n"
         "silently lost.  Submit a module-level function and return\n"
-        "the data.  The named campaign worker entry points\n"
-        "(`worker_entry_points`: the pool work function and the\n"
-        "`repro worker` CLI) are held to the same no-global-mutation\n"
-        "proof even when no submit call is in view — their results\n"
-        "must travel back as return values or protocol events.",
+        "the data.  The proof follows the submitted function's\n"
+        "callees transitively, so the whole per-cell simulation a\n"
+        "pool batch runs is held to it.",
     ),
     "R008": (
         "Transitive hot-path purity",

@@ -167,20 +167,11 @@ class LintConfig:
     cache_inert_fields: frozenset = frozenset({
         "workers", "chunk_refs", "cache_dir", "use_cache",
         "sanitize", "observe", "epoch_refs", "trace_sink", "progress",
-        "label", "journal", "driver", "retries",
-        "retry_backoff_seconds", "cell_timeout_seconds",
+        "label", "journal",
     })
 
     #: Method names that hand a callable to a worker pool (R007).
     submit_methods: frozenset = frozenset({"submit"})
-
-    #: Module-level functions that run inside campaign worker
-    #: processes (R007): the pool work function and the ``repro
-    #: worker`` entry point.  Their transitive code must not mutate
-    #: module globals — the mutation happens in the child and is
-    #: silently lost.  Names absent from the scanned file set are
-    #: skipped, so partial-tree lints stay clean.
-    worker_entry_points: tuple = ("simulate_cell", "worker_main")
 
     #: Root qualnames of the campaign resume machinery (R005): cell
     #: identity and journal replay must be deterministic, or a
@@ -188,9 +179,7 @@ class LintConfig:
     #: worse, mismatches) completed work.  Audited with the same
     #: nondeterminism evidence as the simulation path; names absent
     #: from the scanned file set are skipped.
-    resume_identity_roots: tuple = (
-        "cell_key", "cell_to_spec", "spec_to_cell", "read_journal",
-    )
+    resume_identity_roots: tuple = ("cell_key", "read_journal")
 
     #: Effect flags a hot-loop callee may not have, even transitively
     #: (R008).  ``counters`` and ``tag-write`` are the sanctioned

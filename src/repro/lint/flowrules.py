@@ -224,24 +224,6 @@ def check_worker_safety(project, config):
     findings = []
     symbols = project.symbols
     seen = set()
-    # Named worker entry points: functions that run inside campaign
-    # worker processes whether or not a `submit` call is in view.
-    # Unknown names are skipped so partial-tree lints stay clean.
-    for name in config.worker_entry_points:
-        for info in symbols.by_name.get(name, []):
-            flags = project.effects.effects_of(info.qualname)
-            if fx.GLOBAL_MUTATION not in flags:
-                continue
-            finding = Finding(
-                "R007", info.module_path, info.node.lineno,
-                f"worker entry point {info.qualname} (or a callee) "
-                f"mutates module globals; the mutation happens in "
-                f"the worker process and is silently lost — return "
-                f"the data instead",
-            )
-            if finding not in seen:
-                seen.add(finding)
-                findings.append(finding)
     for infos in symbols.functions.values():
         for info in infos:
             nested = {

@@ -7,11 +7,12 @@ distinct seeds; multi-point experiments can be order-randomised the
 way Section 4.2's five-repetition design was.
 
 Because every run is a pure function of (config, workload recipe,
-seed, reference cap), the multi-run entry points accept ``workers=N``
-to fan independent cells out over worker processes via
-:mod:`repro.parallel` — results are bit-identical to the serial path,
-only faster — and a :class:`~repro.parallel.cache.ResultCache` to
-skip cells whose inputs were already simulated.
+seed, reference cap), the multi-run entry points hand their cells to
+:func:`repro.parallel.execute_cells`, which can fan them out over
+worker processes (``RunOptions(workers=N)``; results are bit-identical
+to the serial path, only faster), skip cells a
+:class:`~repro.parallel.cache.ResultCache` already holds, and resume a
+journaled campaign.
 """
 
 import hashlib
@@ -26,7 +27,6 @@ from repro.counters.events import Event
 from repro.machine.simulator import SpurMachine
 from repro.observe.series import RunObservation
 from repro.options import RunOptions
-from repro.workloads.base import DEFAULT_CHUNK_REFS
 
 
 @dataclass
@@ -110,41 +110,21 @@ class ExperimentRunner:
         wanted.
     cache:
         Optional :class:`~repro.parallel.cache.ResultCache` consulted
-        by the multi-run entry points.
-    sanitize:
-        Optional :mod:`repro.sanitize` mode name; every run then
-        executes under an attached invariant sanitizer.
-    chunk_refs:
-        References per flat workload chunk (the batched hot-loop
-        path, on by default).  ``0`` or ``None`` selects the legacy
-        per-tuple stream.  Either path produces bit-identical results
-        — same counters, cycles, and cache keys — so this knob trades
-        nothing but host speed.
+        by the multi-run entry points.  An explicit ``cache`` object
+        wins over ``options.cache_dir``.
     options:
         A :class:`~repro.options.RunOptions` bundling every execution
-        knob (workers, chunking, caching, sanitizing, observation).
-        This is the documented API; the ``cache``/``sanitize``/
-        ``chunk_refs`` keywords above are a deprecated compatibility
-        shim consulted only when ``options`` is not given.  An
-        explicit ``cache`` object always wins over
-        ``options.cache_dir``.
+        knob (workers, chunking, caching, journaling, sanitizing,
+        observation); defaults to ``RunOptions()``.
     """
 
     def __init__(self, master_seed=1234, mix_master_seed=False,
-                 cache=None, sanitize=None,
-                 chunk_refs=DEFAULT_CHUNK_REFS, options=None):
-        if options is None:
-            options = RunOptions(
-                chunk_refs=chunk_refs or 0, sanitize=sanitize
-            )
-        else:
-            options = RunOptions.coerce(options)
+                 cache=None, options=None):
+        options = RunOptions.coerce(options)
         self.options = options
         self.master_seed = master_seed
         self.mix_master_seed = mix_master_seed
         self.cache = cache if cache is not None else options.build_cache()
-        self.sanitize = options.sanitize
-        self.chunk_refs = options.chunk_refs
 
     def rep_seed(self, rep):
         """The run seed used for repetition *rep*."""
@@ -152,19 +132,11 @@ class ExperimentRunner:
             return mix_seed(self.master_seed, rep)
         return rep
 
-    def _call_options(self, options, workers=None):
-        """Resolve per-call options: explicit ones win over the runner's.
-
-        ``workers`` is the legacy per-call keyword; when given it
-        overrides the resolved options' worker count.
-        """
+    def _call_options(self, options):
+        """Resolve per-call options: explicit ones win over the runner's."""
         if options is None:
-            options = self.options
-        else:
-            options = RunOptions.coerce(options)
-        if workers is not None and workers != options.workers:
-            options = options.replace(workers=workers)
-        return options
+            return self.options
+        return RunOptions.coerce(options)
 
     def run(self, config, workload, seed=0, max_references=None,
             label=None, options=None):
@@ -256,26 +228,25 @@ class ExperimentRunner:
             emit_run(options.trace_sink, result, label=label)
         return result
 
-    def run_many(self, specs, workers=None, options=None, labels=None):
+    def run_many(self, specs, options=None, labels=None):
         """Run ``(config, workload, seed, max_references)`` specs.
 
         The building block the multi-run entry points (and
-        :class:`~repro.analysis.sweeps.SweepDriver`) share: resolves
-        each spec against the runner's cache, simulates misses over
-        worker processes, and returns results in spec order.  Serial,
-        uncached, untraced calls are exactly a loop over :meth:`run`,
-        taken one stream at a time: specs that read the same
-        reference stream run back to back, and the stream is
-        generated once for all of them
-        (:func:`~repro.parallel.executor.run_batch`).
+        :class:`~repro.analysis.sweeps.SweepDriver`) share: turns each
+        spec into a :class:`~repro.parallel.executor.RunCell` and runs
+        them all through :func:`~repro.parallel.execute_cells`, which
+        resolves them against the runner's cache and the options'
+        journal, simulates the rest, and returns results in spec
+        order.  A failing cell raises
+        :class:`~repro.parallel.executor.CampaignError` after every
+        other cell has run.
 
-        ``workers`` is the legacy per-call keyword; ``options`` (a
-        :class:`~repro.options.RunOptions`) is the documented way to
-        set workers, caching, and observation per call.  ``labels``
-        optionally names each spec for trace events and observations.
+        ``options`` (a :class:`~repro.options.RunOptions`) overrides
+        the runner's own for this call.  ``labels`` optionally names
+        each spec for trace events and observations.
         """
         specs = list(specs)
-        options = self._call_options(options, workers)
+        options = self._call_options(options)
         cache = self.cache
         if options is not self.options:
             # Per-call options own the cache decision outright: a
@@ -287,13 +258,7 @@ class ExperimentRunner:
                 cache = options.build_cache()
         if labels is None:
             labels = [None] * len(specs)
-        plain_serial = (
-            options.workers <= 1 and cache is None
-            and options.trace_sink is None and not options.progress
-            and not options.campaignd
-        )
         from repro.parallel import RunCell, execute_cells
-        from repro.parallel.executor import run_batch, stream_batches
 
         cells = [
             RunCell(config, workload, seed=seed,
@@ -306,86 +271,30 @@ class ExperimentRunner:
             for (config, workload, seed, max_references), label
             in zip(specs, labels)
         ]
-        if plain_serial:
-            results = [None] * len(cells)
-
-            def run_one(index):
-                cell = cells[index]
-                results[index] = self.run(
-                    cell.config, cell.workload, seed=cell.seed,
-                    max_references=cell.max_references,
-                    label=cell.label, options=options,
-                )
-
-            for batch in stream_batches(cells, range(len(cells))):
-                run_batch(batch, run_one)
-            return results
-        if options.campaignd:
-            return self._run_service(cells, options, cache)
         return execute_cells(
             cells, workers=options.workers, cache=cache,
-            sink=options.trace_sink, progress=options.progress,
-        )
-
-    def _run_service(self, cells, options, cache):
-        """Drive *cells* through the campaign service.
-
-        The resumable/distributed/retrying path selected whenever the
-        options carry a journal, a driver choice, retries, or a cell
-        timeout (``options.campaignd``).  Results are bit-identical
-        to :func:`~repro.parallel.execute_cells` on the same cells.
-        """
-        from repro.campaignd import (
-            CampaignService,
-            LocalDriver,
-            RetryPolicy,
-            SubprocessDriver,
-        )
-
-        if options.driver == "subprocess":
-            driver = SubprocessDriver(
-                workers=options.workers,
-                cache_dir=cache.root if cache is not None else None,
-            )
-        else:
-            driver = LocalDriver(
-                workers=options.workers, sink=options.trace_sink
-            )
-        service = CampaignService(
-            cells,
-            journal=options.journal,
-            cache=cache,
-            driver=driver,
-            retry=RetryPolicy(
-                retries=options.retries,
-                backoff_seconds=options.retry_backoff_seconds,
-                timeout_seconds=options.cell_timeout_seconds,
-            ),
-            sink=options.trace_sink,
+            journal=options.journal, sink=options.trace_sink,
             progress=options.progress,
         )
-        return service.run()
 
     def run_repetitions(self, config, workload, repetitions=5,
-                        max_references=None, workers=None,
-                        options=None):
+                        max_references=None, options=None):
         """Independent repetitions with distinct seeds.
 
-        ``workers`` is the legacy keyword; pass ``options`` (a
-        :class:`~repro.options.RunOptions`) for the full knob set.
+        ``options`` (a :class:`~repro.options.RunOptions`) overrides
+        the runner's own for this call.
         """
         return self.run_many(
             [
                 (config, workload, self.rep_seed(rep), max_references)
                 for rep in range(repetitions)
             ],
-            workers=workers,
             options=options,
             labels=[f"rep{rep}" for rep in range(repetitions)],
         )
 
     def run_matrix(self, points, repetitions=1, randomize=True,
-                   max_references=None, workers=None, options=None):
+                   max_references=None, options=None):
         """Run a list of ``(label, config, workload)`` points.
 
         Labels must be unique: duplicates would silently interleave
@@ -398,10 +307,9 @@ class ExperimentRunner:
         here only for honest wall-clock interleaving, but is kept for
         methodological fidelity.  Returns ``{label: [RunResult, ...]}``
         with repetitions in seed order regardless of execution order
-        or worker count.
-
-        ``workers`` is the legacy keyword; pass ``options`` (a
-        :class:`~repro.options.RunOptions`) for the full knob set.
+        or worker count.  ``options`` (a
+        :class:`~repro.options.RunOptions`) overrides the runner's own
+        for this call.
         """
         label_counts = Counter(label for label, _, _ in points)
         duplicates = [
@@ -426,7 +334,6 @@ class ExperimentRunner:
                 (config, workload, self.rep_seed(rep), max_references)
                 for _, config, workload, rep in cells
             ],
-            workers=workers,
             options=options,
             labels=[
                 f"{_label_text(label)}/rep{rep}" if repetitions > 1

@@ -11,10 +11,6 @@ every driver accepts::
     runner = ExperimentRunner(options=options)
     run_table_3_3(options=options)
 
-The legacy keyword arguments remain on every entry point as a
-compatibility shim, but ``options`` is the documented API: when an
-``options`` object is passed it wins over the legacy keywords.
-
 None of these knobs may change what a run *measures*: workers, chunk
 size, caching, sanitizing, and observing all produce bit-identical
 :class:`~repro.machine.runner.RunResult` values.  Options therefore
@@ -69,26 +65,11 @@ class RunOptions:
         Likewise excluded from equality.
     journal:
         Path to an append-only campaign journal
-        (:class:`~repro.campaignd.journal.CampaignJournal`).  Setting
-        it routes multi-cell entry points through the campaign
-        service: every completed cell is durably recorded, and a
-        rerun resumes instead of recomputing.  Like every other knob,
-        journaling never changes results — only crash behaviour.
-    driver:
-        Campaign execution backend: ``None``/``"local"`` for the
-        in-process serial/pool paths, ``"subprocess"`` for ``repro
-        worker`` subprocesses sharding over the shared cache
-        directory.  Any non-``None`` value routes through the
-        campaign service.  Results are bit-identical across drivers.
-    retries:
-        Extra service-level attempts for failed cells (0 = fail
-        fast).  A non-zero value routes through the campaign service.
-    retry_backoff_seconds:
-        Base of the exponential sleep between retry attempts.
-    cell_timeout_seconds:
-        Wall-clock bound on one worker shard; requires the
-        ``subprocess`` driver (the in-process pool cannot kill a
-        stuck worker).  Setting it routes through the service.
+        (:class:`~repro.parallel.journal.CampaignJournal`): every
+        finished cell of a multi-cell entry point is durably
+        recorded, and a rerun resumes instead of recomputing.  Like
+        every other knob, journaling never changes results — only
+        crash behaviour.
     """
 
     workers: int = 1
@@ -103,10 +84,6 @@ class RunOptions:
     )
     progress: Any = field(default=None, compare=False, hash=False)
     journal: Optional[str] = None
-    driver: Optional[str] = None
-    retries: int = 0
-    retry_backoff_seconds: float = 0.5
-    cell_timeout_seconds: Optional[float] = None
 
     def __post_init__(self):
         if self.workers < 1:
@@ -129,42 +106,6 @@ class RunOptions:
                     f"unknown sanitize mode {self.sanitize!r}; "
                     f"expected one of {sorted(MODES)}"
                 )
-        if self.driver not in (None, "local", "subprocess"):
-            raise ValueError(
-                f"unknown driver {self.driver!r}; expected 'local' "
-                f"or 'subprocess'"
-            )
-        if self.retries < 0:
-            raise ValueError(
-                f"retries must be >= 0, got {self.retries}"
-            )
-        if self.retry_backoff_seconds < 0:
-            raise ValueError(
-                f"retry_backoff_seconds must be >= 0, got "
-                f"{self.retry_backoff_seconds}"
-            )
-        if (self.cell_timeout_seconds is not None
-                and self.cell_timeout_seconds <= 0):
-            raise ValueError(
-                f"cell_timeout_seconds must be > 0, got "
-                f"{self.cell_timeout_seconds}"
-            )
-        if (self.cell_timeout_seconds is not None
-                and self.driver != "subprocess"):
-            raise ValueError(
-                "cell_timeout_seconds requires driver='subprocess' "
-                "(the in-process pool cannot kill a stuck worker)"
-            )
-
-    @property
-    def campaignd(self):
-        """Whether these options route through the campaign service."""
-        return (
-            self.journal is not None
-            or self.driver is not None
-            or self.retries > 0
-            or self.cell_timeout_seconds is not None
-        )
 
     def build_cache(self):
         """The :class:`ResultCache` these options describe, or ``None``."""

@@ -1,16 +1,19 @@
-"""Parallel experiment execution and deterministic result caching.
+"""Campaign execution, deterministic result caching, and resume.
 
 The experiment matrices behind the paper's tables are embarrassingly
 parallel: every (config, workload, seed) cell is an independent
-cold-start simulation.  :func:`execute_cells` fans cells out over a
+cold-start simulation.  :func:`execute_cells` is the one orchestrator
+for such a grid: it runs cells in-process or over a
 :class:`~concurrent.futures.ProcessPoolExecutor` and merges the
 results back in submission order, so parallel runs are bit-identical
-to serial ones; :class:`ResultCache` persists each cell's
+to serial ones.  :class:`ResultCache` persists each cell's
 :class:`~repro.machine.runner.RunResult` under a stable hash of its
-inputs, so re-running a bench or sweep only simulates changed cells.
+inputs, so re-running a bench or sweep only simulates changed cells;
+:class:`CampaignJournal` records each finished cell durably, so a
+killed campaign resumes where it stopped.
 
-See ``docs/parallel.md`` for the cache-key derivation and the
-determinism guarantees.
+See ``docs/parallel.md`` for the cache-key derivation, the
+determinism guarantees, and resume.
 """
 
 from repro.parallel.cache import (
@@ -18,6 +21,7 @@ from repro.parallel.cache import (
     CacheKeyError,
     ResultCache,
     cache_key,
+    cell_key,
     result_from_payload,
     result_to_payload,
     workload_spec,
@@ -30,16 +34,27 @@ from repro.parallel.executor import (
     run_pending,
     simulate_cell,
 )
+from repro.parallel.journal import (
+    JOURNAL_FORMAT,
+    CampaignJournal,
+    JournalReplay,
+    read_journal,
+)
 
 __all__ = [
     "CACHE_FORMAT",
     "CacheKeyError",
     "CampaignError",
+    "CampaignJournal",
     "CellFailure",
+    "JOURNAL_FORMAT",
+    "JournalReplay",
     "ResultCache",
     "RunCell",
     "cache_key",
+    "cell_key",
     "execute_cells",
+    "read_journal",
     "result_from_payload",
     "result_to_payload",
     "run_pending",

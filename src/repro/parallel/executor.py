@@ -1,15 +1,23 @@
-"""Multiprocess fan-out of independent simulation cells.
+"""The campaign orchestrator: every grid of independent cells runs here.
 
 One :class:`RunCell` is one cold-start simulation — the unit the
 experiment matrices are built from.  :func:`execute_cells` resolves
-each cell against an optional :class:`~repro.parallel.cache.ResultCache`,
-simulates the misses (serially, or over a pool of worker processes),
-and returns results in the order the cells were given.  Because every
-cell is fully determined by its inputs and cells share no state, the
-worker count changes wall-clock time only: the returned
+each cell against an optional
+:class:`~repro.parallel.cache.ResultCache` and an optional
+:class:`~repro.parallel.journal.CampaignJournal`, simulates the rest
+(serially, or over a pool of worker processes), and returns results
+in the order the cells were given.  Because every cell is fully
+determined by its inputs and cells share no state, the worker count
+changes wall-clock time only: the returned
 :class:`~repro.machine.runner.RunResult` list is bit-identical for any
 ``workers`` value (``host_seconds`` and ``observation``, both excluded
 from result equality, are the lone per-host fields).
+
+Each finished cell is made durable before it is made visible: it is
+stored in the cache, then journaled, then announced to the trace sink
+and progress reporter.  A run that is killed at any instant therefore
+keeps every cell it reported, and a re-run with the same cache or
+journal simulates only the cells that failed or never ran.
 
 Failures degrade gracefully: a cell that raises never aborts the
 campaign.  Remaining cells run to completion, each failure is recorded
@@ -38,7 +46,13 @@ from typing import Any, Optional
 
 from repro.common.errors import ReproError
 from repro.observe.series import DEFAULT_EPOCH_REFS
-from repro.parallel.cache import CacheKeyError, cache_key, workload_spec
+from repro.parallel.cache import (
+    CacheKeyError,
+    cell_key,
+    result_from_payload,
+    result_to_payload,
+    workload_spec,
+)
 from repro.workloads.base import DEFAULT_CHUNK_REFS
 from repro.workloads.synthetic import StreamRecording
 
@@ -246,10 +260,9 @@ def _failure(index, cell, error):
 def run_pending(cells, pending, record, workers=1, sink=None):
     """Simulate the *pending* subset of *cells* through a work path.
 
-    The execution core shared by :func:`execute_cells` and the
-    campaign service's :class:`~repro.campaignd.drivers.LocalDriver`:
-    picks the in-process or process-pool path and
-    feeds every outcome to ``record(index, outcome)`` — a
+    The execution core of :func:`execute_cells`: picks the in-process
+    or process-pool path and feeds every outcome to
+    ``record(index, outcome)`` — a
     :class:`~repro.machine.runner.RunResult` on success, the raised
     exception on failure.  ``record`` is always called from the
     calling process (workers return values; they never call back), so
@@ -308,8 +321,8 @@ def run_pending(cells, pending, record, workers=1, sink=None):
             }))
 
 
-def execute_cells(cells, workers=1, cache=None, sink=None,
-                  progress=None):
+def execute_cells(cells, workers=1, cache=None, journal=None,
+                  sink=None, progress=None):
     """Execute *cells*, returning results in the given cell order.
 
     Parameters
@@ -320,9 +333,16 @@ def execute_cells(cells, workers=1, cache=None, sink=None,
         Process count; 1 simulates in-process (no pool is created).
     cache:
         Optional :class:`ResultCache`.  Hits skip simulation entirely;
-        misses are simulated then stored.  Cells whose inputs cannot
-        be canonically hashed (:class:`CacheKeyError`) are simulated
-        unconditionally and never stored — correctness first.
+        every other cell is stored as soon as it finishes.  Cells
+        whose inputs cannot be canonically hashed
+        (:class:`CacheKeyError`) are simulated unconditionally and
+        never stored — correctness first.
+    journal:
+        Optional path or
+        :class:`~repro.parallel.journal.CampaignJournal`.  Cells the
+        cache misses resume from the journal's embedded results
+        (healing the cache on the way); every computed or failed cell
+        is appended to it.
     sink:
         Optional trace sink (``emit(dict)``); receives campaign,
         cell, and worker-pool lifecycle events plus each completed
@@ -332,32 +352,43 @@ def execute_cells(cells, workers=1, cache=None, sink=None,
         :class:`~repro.observe.progress.CampaignProgress` instance.
 
     Raises :class:`CampaignError` after all cells have been given
-    their chance if any cell failed; successful results (and cache
-    stores) survive the error.
+    their chance if any cell failed; successful results (and their
+    cache and journal records) survive the error.
     """
     from repro.observe.progress import CampaignProgress
     from repro.observe.sinks import emit_cell, emit_run, stamp
+    from repro.parallel.journal import CampaignJournal
 
     cells = list(cells)
+    journal = CampaignJournal.coerce(journal)
     results = [None] * len(cells)
     keys = [None] * len(cells)
-    hits = []
+    if cache is not None or journal is not None:
+        keys = [cell_key(cell) for cell in cells]
+    journaled = journal.replay().results if journal is not None else {}
+    cached = []
+    resumed = []
     pending = []
-    for index, cell in enumerate(cells):
-        if cache is not None:
+    for index, key in enumerate(keys):
+        if key is not None and cache is not None:
+            hit = cache.get(key)
+            if hit is not None:
+                results[index] = hit
+                cached.append(index)
+                continue
+        if key in journaled:
             try:
-                keys[index] = cache_key(
-                    cell.config, cell.workload, cell.seed,
-                    cell.max_references,
-                )
-            except CacheKeyError:
-                keys[index] = None
-            if keys[index] is not None:
-                hit = cache.get(keys[index])
-                if hit is not None:
-                    results[index] = hit
-                    hits.append(index)
-                    continue
+                result = result_from_payload(journaled[key])
+            except (KeyError, TypeError):
+                result = None
+            if result is not None:
+                results[index] = result
+                resumed.append(index)
+                # The journal proves the work was done: heal the cache
+                # so later campaigns hit instead of resuming.
+                if cache is not None:
+                    cache.put(key, result)
+                continue
         pending.append(index)
 
     progress = CampaignProgress.coerce(progress, len(cells))
@@ -365,40 +396,57 @@ def execute_cells(cells, workers=1, cache=None, sink=None,
         sink.emit(stamp({
             "type": "campaign_started",
             "cells": len(cells),
-            "cached": len(hits),
+            "cached": len(cached),
+            "resumed": len(resumed),
+            "pending": len(pending),
             "workers": workers,
         }))
-    for index in hits:
+    if journal is not None:
+        journal.plan(keys, [cell.label for cell in cells])
+    for index in cached:
         emit_cell(sink, "cell_cached", index, cells[index])
         if progress is not None:
             progress.cell_cached()
+    for index in resumed:
+        emit_cell(sink, "cell_resumed", index, cells[index])
+        if progress is not None:
+            progress.cell_resumed()
 
     failures = []
 
     def record(index, outcome):
-        """Fold one finished/raised cell into results and telemetry."""
+        """Fold one finished/raised cell in: durable, then visible."""
         cell = cells[index]
+        key = keys[index]
         if isinstance(outcome, BaseException):
-            failures.append(_failure(index, cell, outcome))
+            failure = _failure(index, cell, outcome)
+            failures.append(failure)
+            if journal is not None:
+                journal.cell_failed(index, key, cell.label, failure.error)
             emit_cell(sink, "cell_failed", index, cell,
-                      error=f"{type(outcome).__name__}: {outcome}")
+                      error=failure.error)
             if progress is not None:
                 progress.cell_failed()
-        else:
-            results[index] = outcome
-            emit_run(sink, outcome, label=cell.label)
-            emit_cell(sink, "cell_finished", index, cell)
-            if progress is not None:
-                progress.cell_finished()
+            return
+        results[index] = outcome
+        # Runs in the parent process only, so pool workers never race
+        # on the cache directory or the journal file.
+        if cache is not None and key is not None:
+            cache.put(key, outcome)
+        if journal is not None:
+            journal.cell_done(
+                index, key, cell.label, result_to_payload(outcome)
+            )
+        emit_run(sink, outcome, label=cell.label)
+        emit_cell(sink, "cell_finished", index, cell)
+        if progress is not None:
+            progress.cell_finished()
 
-    run_pending(cells, pending, record, workers=workers, sink=sink)
-
-    if cache is not None:
-        # Stores happen in the parent, after the pool has drained, so
-        # concurrent workers never race on the cache directory.
-        for index in pending:
-            if keys[index] is not None and results[index] is not None:
-                cache.put(keys[index], results[index])
+    try:
+        run_pending(cells, pending, record, workers=workers, sink=sink)
+    finally:
+        if journal is not None:
+            journal.close()
 
     if progress is not None:
         progress.finish()
@@ -406,7 +454,9 @@ def execute_cells(cells, workers=1, cache=None, sink=None,
         sink.emit(stamp({
             "type": "campaign_finished",
             "cells": len(cells),
-            "cached": len(hits),
+            "cached": len(cached),
+            "resumed": len(resumed),
+            "computed": len(pending) - len(failures),
             "failed": len(failures),
         }))
     if failures:

@@ -49,10 +49,8 @@ class RecordingRunner(ExperimentRunner):
         super().__init__(**kwargs)
         self.records = {}
 
-    def run_many(self, specs, workers=None, options=None, labels=None):
-        results = super().run_many(
-            specs, workers=workers, options=options, labels=labels
-        )
+    def run_many(self, specs, options=None, labels=None):
+        results = super().run_many(specs, options=options, labels=labels)
         for label, result in zip(labels, results):
             self.records[label] = cell_record(result)
         return results

@@ -300,6 +300,38 @@ class TestR007WorkerSafety:
         assert len(found) == 1
         assert "worker" in found[0].message
 
+    def test_mutation_behind_a_batch_closure_is_caught(
+            self, tmp_path, flow_config):
+        # The shape of repro.parallel.executor: the pool runs
+        # simulate_batch, which reaches the per-cell work function
+        # only through a nested closure handed to run_batch.
+        path = write(tmp_path, "mod.py", """\
+            SEEN = []
+
+            def simulate_cell(cell):
+                SEEN.append(cell)
+                return cell
+
+            def run_batch(batch, run_one):
+                for item in batch:
+                    run_one(item)
+
+            def simulate_batch(cells):
+                outcomes = []
+
+                def run_one(cell):
+                    outcomes.append(simulate_cell(cell))
+
+                run_batch(cells, run_one)
+                return outcomes
+
+            def launch(pool, batches):
+                return [pool.submit(simulate_batch, b) for b in batches]
+            """)
+        found = findings_for("R007", [path], flow_config)
+        assert len(found) == 1
+        assert "simulate_batch" in found[0].message
+
     def test_quiet_on_clean_worker(self, tmp_path, flow_config):
         path = write(tmp_path, "mod.py", """\
             def worker(cell):

@@ -13,6 +13,7 @@ import pytest
 from repro.machine.config import scaled_config
 from repro.machine.runner import ExperimentRunner
 from repro.machine.smp import SmpSystem
+from repro.options import RunOptions
 from repro.workloads.base import IFETCH, READ, WRITE, chunk_accesses
 from repro.workloads.devsystems import (
     DEV_SYSTEM_PROFILES,
@@ -87,7 +88,8 @@ class TestRunResultCrossProduct:
             memory_ratio=24, scale=8,
             dirty_policy=dirty, reference_policy=ref,
         )
-        legacy = ExperimentRunner(chunk_refs=0).run(
+        tuples = RunOptions(chunk_refs=0)
+        legacy = ExperimentRunner(options=tuples).run(
             config, make_workload(workload_name, recorded_trace),
             seed=1, max_references=2000,
         )

@@ -1,9 +1,11 @@
 """RunOptions: validation, coercion, and the options-first API."""
 
 import dataclasses
+import inspect
 
 import pytest
 
+import repro.api
 from repro.machine.config import scaled_config
 from repro.machine.runner import ExperimentRunner
 from repro.observe.sinks import MemorySink
@@ -69,20 +71,14 @@ class TestValidation:
 
 
 class TestRunnerAcceptsOptions:
-    def test_options_equal_legacy_kwargs(self):
-        legacy = run_with(ExperimentRunner(chunk_refs=0))
-        modern = run_with(
+    def test_tuple_stream_option_matches_chunks(self):
+        tuples = run_with(
             ExperimentRunner(options=RunOptions(chunk_refs=0))
         )
-        assert modern == legacy
+        assert tuples == run_with(ExperimentRunner())
 
-    def test_options_win_over_legacy_kwargs(self):
-        runner = ExperimentRunner(
-            chunk_refs=0, sanitize="full",
-            options=RunOptions(chunk_refs=4096),
-        )
-        assert runner.chunk_refs == 4096
-        assert runner.sanitize is None
+    def test_runner_defaults_to_default_options(self):
+        assert ExperimentRunner().options == RunOptions()
 
     def test_explicit_cache_object_wins(self, tmp_path):
         mine = ResultCache(str(tmp_path / "mine"))
@@ -120,12 +116,10 @@ class TestRunnerAcceptsOptions:
         assert cache.misses == 1
         assert cached == fresh
 
-    def test_legacy_workers_keyword_still_wins(self):
+    def test_per_call_workers_come_from_options(self):
         runner = ExperimentRunner()
-        resolved = runner._call_options(RunOptions(workers=4),
-                                        workers=2)
-        assert resolved.workers == 2
-        assert runner._call_options(None).workers == 1
+        assert runner._call_options(RunOptions(workers=4)).workers == 4
+        assert runner._call_options(None) is runner.options
 
 
 class TestDriversAcceptOptions:
@@ -187,3 +181,38 @@ class TestDriversAcceptOptions:
         labels = {event["label"]
                   for event in sink.of_type("run_finished")}
         assert labels == {"a/rep0", "a/rep1", "b/rep0", "b/rep1"}
+
+
+class TestOptionsAreTheOnlyWay:
+    """Execution settings travel in ``RunOptions`` and nowhere else."""
+
+    def test_fields_are_the_execution_knobs(self):
+        assert [f.name for f in dataclasses.fields(RunOptions)] == [
+            "workers", "chunk_refs", "cache_dir", "use_cache",
+            "sanitize", "observe", "epoch_refs", "trace_sink",
+            "progress", "journal",
+        ]
+
+    @pytest.mark.parametrize("entry,keyword", [
+        ("ExperimentRunner", "chunk_refs"),
+        ("ExperimentRunner", "sanitize"),
+        ("ExperimentRunner.run_many", "workers"),
+        ("ExperimentRunner.run_repetitions", "workers"),
+        ("ExperimentRunner.run_matrix", "workers"),
+        ("SweepDriver", "chunk_refs"),
+        ("SweepDriver.run", "workers"),
+        ("run_table_3_3", "workers"),
+        ("run_table_3_3", "chunk_refs"),
+        ("run_table_3_5", "workers"),
+        ("run_table_3_5", "chunk_refs"),
+        ("run_table_4_1", "workers"),
+        ("run_table_4_1", "chunk_refs"),
+    ])
+    def test_entry_point_takes_options_not_keyword(self, entry,
+                                                   keyword):
+        owner, _, method = entry.partition(".")
+        target = getattr(repro.api, owner)
+        target = getattr(target, method) if method else target
+        parameters = inspect.signature(target).parameters
+        assert "options" in parameters
+        assert keyword not in parameters

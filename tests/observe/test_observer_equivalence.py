@@ -80,7 +80,8 @@ class TestObservedEqualsUnobserved:
 
     def test_legacy_tuple_path(self, recorded_trace):
         config = grid_config("SPUR", "MISS")
-        plain = ExperimentRunner(chunk_refs=0).run(
+        tuples = RunOptions(chunk_refs=0)
+        plain = ExperimentRunner(options=tuples).run(
             config, make_workload("slc", recorded_trace),
             seed=1, max_references=2000,
         )

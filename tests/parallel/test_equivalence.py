@@ -12,6 +12,7 @@ import pytest
 
 from repro.machine.config import scaled_config
 from repro.machine.runner import ExperimentRunner
+from repro.options import RunOptions
 from repro.parallel import ResultCache, RunCell, execute_cells
 from repro.policies.reference import REFERENCE_POLICY_NAMES
 from repro.workloads.slc import SlcWorkload
@@ -61,7 +62,8 @@ class TestParallelEquivalence:
             points, repetitions=2, max_references=MAX_REFS,
         )
         parallel = ExperimentRunner().run_matrix(
-            points, repetitions=2, max_references=MAX_REFS, workers=4,
+            points, repetitions=2, max_references=MAX_REFS,
+            options=RunOptions(workers=4),
         )
         assert_matrices_identical(serial, parallel)
 
@@ -75,7 +77,8 @@ class TestParallelEquivalence:
         parallel = runner.run_repetitions(
             scaled_config(memory_ratio=40),
             SlcWorkload(length_scale=TINY_SCALE),
-            repetitions=3, max_references=MAX_REFS, workers=3,
+            repetitions=3, max_references=MAX_REFS,
+            options=RunOptions(workers=3),
         )
         assert serial == parallel
         assert [r.seed for r in parallel] == [0, 1, 2]
@@ -95,15 +98,16 @@ class TestCachedMatrix:
     def test_warm_cache_simulates_zero_cells(self, tmp_path):
         points = table_4_1_points()
         cache = ResultCache(tmp_path)
-        runner = ExperimentRunner(cache=cache)
+        runner = ExperimentRunner(cache=cache,
+                                  options=RunOptions(workers=2))
         first = runner.run_matrix(
-            points, repetitions=2, max_references=MAX_REFS, workers=2,
+            points, repetitions=2, max_references=MAX_REFS,
         )
         cells = 2 * len(points)
         assert cache.stores == cells
         assert cache.hits == 0
         second = runner.run_matrix(
-            points, repetitions=2, max_references=MAX_REFS, workers=2,
+            points, repetitions=2, max_references=MAX_REFS,
         )
         # Every cell hit: nothing was re-simulated, nothing re-stored.
         assert cache.hits == cells
@@ -172,11 +176,12 @@ class TestSweepDriverParallel:
             )
 
         serial = build(ExperimentRunner()).run()
-        parallel = build(ExperimentRunner()).run(workers=2)
+        pool = RunOptions(workers=2)
+        parallel = build(ExperimentRunner()).run(options=pool)
         assert serial == parallel
         cache = ResultCache(tmp_path)
         cached_driver = build(ExperimentRunner(cache=cache))
-        cached_driver.run(workers=2)
-        again = cached_driver.run(workers=2)
+        cached_driver.run(options=pool)
+        again = cached_driver.run(options=pool)
         assert cache.hits == 2
         assert again == serial

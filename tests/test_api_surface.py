@@ -26,7 +26,6 @@ PACKAGES = (
     "repro.workloads",
     "repro.analysis",
     "repro.parallel",
-    "repro.campaignd",
     "repro.lint",
 )
 
@@ -58,13 +57,7 @@ MODULES = (
     "repro.observe.sinks",
     "repro.parallel.cache",
     "repro.parallel.executor",
-    "repro.campaignd.cells",
-    "repro.campaignd.journal",
-    "repro.campaignd.queue",
-    "repro.campaignd.drivers",
-    "repro.campaignd.service",
-    "repro.campaignd.stream",
-    "repro.campaignd.worker",
+    "repro.parallel.journal",
     "repro.workloads.catalog",
     "repro.workloads.synthetic",
     "repro.workloads.recorded",

@@ -198,7 +198,6 @@ class TestParallelCommands:
     @pytest.mark.parametrize("flag,value,message", [
         ("--workers", "0", "workers must be >= 1, got 0"),
         ("--epoch-refs", "0", "epoch_refs must be >= 1, got 0"),
-        ("--retries", "-1", "retries must be >= 0, got -1"),
         ("--chunk-refs", "-1", "chunk_refs must be >= 0, got -1"),
     ])
     def test_invalid_option_exits_with_one_line(self, tmp_path, capsys,
@@ -212,6 +211,50 @@ class TestParallelCommands:
         assert excinfo.value.__suppress_context__
         assert "Traceback" not in capsys.readouterr().err
         assert not trace.exists()
+
+
+class TestCampaignSurface:
+    @pytest.mark.parametrize("argv", [
+        ["worker", "--cells", "shard.json"],
+        ["campaign", "serve"],
+        ["campaign", "status", "--port", "1"],
+    ], ids=["worker", "serve", "status"])
+    def test_retired_subcommand_is_rejected(self, capsys, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("command", [
+        ["table", "4.1"], ["all"], ["campaign"],
+    ], ids=["table", "all", "campaign"])
+    @pytest.mark.parametrize("flag,value", [
+        ("--driver", "subprocess"),
+        ("--retries", "1"),
+        ("--retry-backoff", "0.5"),
+        ("--cell-timeout", "5"),
+    ])
+    def test_retired_flag_is_rejected(self, capsys, command, flag,
+                                      value):
+        with pytest.raises(SystemExit) as excinfo:
+            main(command + [flag, value])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_journal_resumes_a_campaign(self, tmp_path, capsys):
+        journal = tmp_path / "j.jsonl"
+        argv = [
+            "table", "3.3", "--length", "0.005",
+            "--journal", str(journal),
+        ]
+        assert main(argv) == 0
+        first = capsys.readouterr().out
+        done = journal.read_text().count('"type":"cell_done"')
+        assert done == 6
+        # The rerun resolves every cell from the journal.
+        assert main(argv) == 0
+        assert capsys.readouterr().out == first
+        assert journal.read_text().count('"type":"cell_done"') == done
 
 
 class TestLintSubcommand:
