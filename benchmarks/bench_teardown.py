@@ -53,7 +53,7 @@ def run_chain(teardown):
     space_map, jobs = build_jobs(config)
     machine = SpurMachine(config, space_map)
     for pid, job in jobs:
-        machine.run(job.accesses())
+        machine.run_chunks(job.access_chunks())
         if teardown:
             machine.vm.teardown_process(pid)
     return machine

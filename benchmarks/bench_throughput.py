@@ -6,7 +6,8 @@ real pytest-benchmark statistics, so hot-loop regressions show up as
 numbers rather than as mysteriously slow experiment suites.
 
 Each trace shape runs in two modes: ``legacy`` feeds the per-tuple
-stream to :meth:`SpurMachine.run`; ``chunked`` feeds pre-built flat
+stream to the frozen scalar oracle (:func:`tests.oracle.scalar_run`,
+the simulator's pre-batching loop); ``chunked`` feeds pre-built flat
 ``array('q')`` buffers to :meth:`SpurMachine.run_chunks`.  Both
 payloads are materialised *outside* the timed region, so the numbers
 measure the simulator, not trace generation.
@@ -23,6 +24,7 @@ from repro.vm.segments import (
     RegionKind,
 )
 from repro.workloads.base import READ, WRITE, chunk_accesses
+from tests.oracle import scalar_run
 
 TINY_PAGE = 128
 CHUNK_REFS = 4096
@@ -81,7 +83,7 @@ TRACES = [
 def test_throughput(benchmark, shape, builder, mode):
     machine, heap = tiny_machine()
     trace = builder(heap.start)
-    machine.run(trace)  # warm the machine once
+    scalar_run(machine, trace)  # warm the machine once
 
     if mode == "chunked":
         # Materialise the flat buffers up front: the timed region is
@@ -89,7 +91,7 @@ def test_throughput(benchmark, shape, builder, mode):
         chunks = list(chunk_accesses(iter(trace), CHUNK_REFS))
         benchmark(machine.run_chunks, chunks)
     else:
-        benchmark(machine.run, trace)
+        benchmark(scalar_run, machine, trace)
     # Sanity floor: even the slowest path should exceed 50k refs/s
     # of host time on any modern machine.
     refs_per_second = len(trace) / benchmark.stats.stats.mean

@@ -22,10 +22,16 @@ Environment knobs:
 
 import os
 import pathlib
+import sys
 
 import pytest
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
+
+# bench_throughput times the frozen scalar oracle in tests/oracle.py.
+_ROOT = str(pathlib.Path(__file__).resolve().parents[1])
+if _ROOT not in sys.path:
+    sys.path.insert(0, _ROOT)
 
 
 def bench_scale():

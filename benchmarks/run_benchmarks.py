@@ -5,8 +5,9 @@ Replays the three trace shapes from :mod:`bench_throughput` —
 hit-dominated, miss-heavy, and write-slow-path — through both hot
 loops and reports simulated references per second of host time:
 
-* ``legacy``  — the per-tuple stream via :meth:`SpurMachine.run`
-  (the pre-batching baseline),
+* ``legacy``  — the per-tuple stream via the frozen scalar oracle
+  :func:`tests.oracle.scalar_run` (the pre-batching loop, kept as
+  the fixed denominator of every speedup),
 * ``chunked`` — pre-built flat buffers via
   :meth:`SpurMachine.run_chunks`,
 * ``observed`` — the chunked path with a live
@@ -47,13 +48,14 @@ import sys
 import time
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
-for entry in (str(ROOT / "src"), str(ROOT / "benchmarks")):
+for entry in (str(ROOT), str(ROOT / "src"), str(ROOT / "benchmarks")):
     if entry not in sys.path:
         sys.path.insert(0, entry)
 
 from bench_throughput import TRACES, tiny_machine  # noqa: E402
 from repro.observe.observer import RunObserver  # noqa: E402
 from repro.workloads.base import chunk_accesses  # noqa: E402
+from tests.oracle import scalar_run  # noqa: E402
 
 #: Per-shape speedup floors written into fresh baselines.  The hits
 #: gate protects the chunk protocol's win over the tuple stream
@@ -124,9 +126,10 @@ def run_benchmarks(count, repeat, chunk_refs, epoch_refs):
         machine, heap = tiny_machine()
         trace = builder(heap.start, count)
         chunks = list(chunk_accesses(iter(trace), chunk_refs))
-        machine.run(trace)  # warm the machine once
+        scalar_run(machine, trace)  # warm the machine once
         legacy_samples = throughput_samples(
-            machine.run, trace, len(trace), repeat
+            lambda payload: scalar_run(machine, payload),
+            trace, len(trace), repeat,
         )
         chunked_samples = throughput_samples(
             machine.run_chunks, chunks, len(trace), repeat

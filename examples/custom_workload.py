@@ -99,7 +99,7 @@ class DatabaseWorkload(Workload):
                            rng.substream("report")), 0.5),
         ], quantum=8192)
         return WorkloadInstance(
-            self.name, space_map, scheduler.accesses,
+            self.name, space_map, scheduler.access_chunks,
             int(500_000 * self.length_scale),
         )
 

@@ -30,7 +30,6 @@ from repro.machine.config import scaled_config
 from repro.machine.runner import ExperimentRunner
 from repro.observe.series import DEFAULT_EPOCH_REFS
 from repro.options import RunOptions
-from repro.workloads.base import DEFAULT_CHUNK_REFS
 from repro.workloads.catalog import workload_by_name
 
 TABLE_CHOICES = ("2.1", "3.1", "3.2", "3.3", "3.4", "3.5", "4.1")
@@ -48,8 +47,6 @@ def _options_from_args(args):
     try:
         options = RunOptions(
             workers=getattr(args, "workers", 1),
-            chunk_refs=getattr(args, "chunk_refs",
-                               DEFAULT_CHUNK_REFS) or 0,
             cache_dir=getattr(args, "cache_dir", None),
             use_cache=not getattr(args, "no_cache", False),
             sanitize=getattr(args, "sanitize", None),
@@ -99,6 +96,14 @@ def _emit(text, out=None):
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(text + "\n")
         print(f"\nwritten to {path}", file=sys.stderr)
+
+
+def _reference_cap(args):
+    """``--max-references``, or exit with a one-line message."""
+    cap = args.max_references
+    if cap is not None and cap < 0:
+        raise SystemExit(f"max_references must be >= 0, got {cap}")
+    return cap
 
 
 def _workload_by_name(name, length_scale):
@@ -326,12 +331,13 @@ def cmd_characterize(args):
     from repro.analysis.tracestats import analyze_trace
     from repro.machine.config import scaled_config
 
+    cap = _reference_cap(args)
     page_bytes = scaled_config().page_bytes
     workload = _workload_by_name(args.workload, args.length)
     instance = workload.instantiate(page_bytes, seed=args.seed)
     stats = analyze_trace(
         instance.accesses(), page_bytes=page_bytes,
-        max_references=args.max_references,
+        max_references=cap,
     )
     _emit(
         f"workload {instance.name} "
@@ -347,11 +353,12 @@ def cmd_record(args):
     from repro.machine.config import scaled_config
     from repro.workloads.recorded import record_workload
 
+    cap = _reference_cap(args)
     page_bytes = scaled_config().page_bytes
     workload = _workload_by_name(args.workload, args.length)
     count = record_workload(
         workload, page_bytes, args.trace, seed=args.seed,
-        max_references=args.max_references,
+        max_references=cap,
     )
     print(f"recorded {count:,} references of {workload.name} to "
           f"{args.trace} (+ .regions sidecar)", file=sys.stderr)
@@ -373,10 +380,7 @@ def cmd_replay(args):
             f"trace uses {workload.page_bytes}-byte pages; the "
             f"default machine uses {config.page_bytes}"
         )
-    runner = ExperimentRunner(
-        options=RunOptions(chunk_refs=args.chunk_refs)
-    )
-    result = runner.run(config, workload)
+    result = ExperimentRunner().run(config, workload)
     lines = [
         f"replayed            {result.references:,} references of "
         f"{result.workload}",
@@ -478,12 +482,6 @@ def build_parser():
                            "; Table 4.1 ignores it and runs "
                            "repetition seeds 0..reps-1" if reps else ""))
         p.add_argument("--out", help="also write the artefact here")
-        p.add_argument("--chunk-refs", type=int,
-                       default=DEFAULT_CHUNK_REFS,
-                       help="references per flat workload chunk in "
-                            "the batched hot loop (0 = legacy "
-                            "per-tuple stream; results are "
-                            "bit-identical either way)")
         if reps:
             p.add_argument("--reps", type=int, default=2,
                            help="repetitions (paper used 5)")
@@ -632,7 +630,7 @@ def build_parser():
     p_replay.add_argument("--memory-ratio", type=int, default=48)
     p_replay.add_argument("--dirty", default="SPUR")
     p_replay.add_argument("--ref", default="MISS")
-    common(p_replay)
+    p_replay.add_argument("--out", help="also write the artefact here")
     p_replay.set_defaults(func=cmd_replay)
 
     p_lint = sub.add_parser(

@@ -63,6 +63,7 @@ class MeasurementCampaign:
     def execute(self, max_references=None):
         """Run once per mode; returns the assembled event dict."""
         from repro.machine.simulator import SpurMachine
+        from repro.workloads.base import take_chunks
 
         for mode in self.modes:
             instance = self.workload.instantiate(
@@ -72,12 +73,10 @@ class MeasurementCampaign:
             machine = SpurMachine(
                 self.config, instance.space_map, counters=counters
             )
-            accesses = instance.accesses()
+            chunks = instance.access_chunks()
             if max_references is not None:
-                import itertools
-
-                accesses = itertools.islice(accesses, max_references)
-            machine.run(accesses)
+                chunks = take_chunks(chunks, max_references)
+            machine.run_chunks(chunks)
             self.runs[mode] = counters
             self.machines[mode] = machine
         return self.assemble()

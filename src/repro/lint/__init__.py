@@ -7,7 +7,8 @@ linters cannot check::
 
 Syntactic (per-file):
 
-* **R001** hot-path purity in ``SpurMachine.run``'s inner loop
+* **R001** hot-path purity in ``SpurMachine._run_refs``'s reference
+  loop and ``SpurMachine.run_chunks``'s chunk loop
 * **R002** parallel tag-array write discipline
 * **R003** ``Event`` exhaustiveness (mode maps + increment sites)
 * **R004** ``Event`` documentation coverage in ``docs/events.md``

@@ -15,10 +15,12 @@ RULES = {
     ),
     "R001": (
         "Hot-loop allocation and call discipline",
-        "The per-reference loops named in `hot_loops` and\n"
-        "`chunked_hot_loops` are the simulator's throughput budget:\n"
-        "no attribute calls (pre-bind methods to locals before the\n"
-        "loop), no comprehensions, no list/dict/set literals, and in\n"
+        "The reference loop named in `hot_loops`\n"
+        "(`SpurMachine._run_refs`) and the chunk loop named in\n"
+        "`chunked_hot_loops` (`SpurMachine.run_chunks`) are the\n"
+        "simulator's throughput budget: no attribute calls (pre-bind\n"
+        "methods to locals before the loop), no comprehensions, no\n"
+        "list/dict/set literals, and in\n"
         "chunked loops no per-reference tuple boxing.  Chunked loops\n"
         "must keep the two-level chunk/reference shape.  For\n"
         "functions also in `effect_hot_loops`, the attribute-call ban\n"

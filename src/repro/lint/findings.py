@@ -25,7 +25,7 @@ class LintConfig:
     """
 
     #: ``ClassName.method`` functions whose loops are hot paths (R001).
-    hot_loops: tuple = ("SpurMachine.run",)
+    hot_loops: tuple = ("SpurMachine._run_refs",)
 
     #: Call names permitted inside a hot loop without a purity proof
     #: (R001, R008).  Everything else must be pre-bound to a local and
@@ -99,7 +99,6 @@ class LintConfig:
     #: purity proof (R008) cover.  R001 cedes its attribute-call check
     #: to R008 for these functions (allocation discipline stays).
     effect_hot_loops: tuple = (
-        "SpurMachine.run",
         "SpurMachine.run_chunks",
         "SpurMachine._run_refs",
         "SpurMachine._resolve_write_hit",
@@ -111,7 +110,6 @@ class LintConfig:
     cache_roots: tuple = (
         "simulate_cell",
         "ExperimentRunner.run",
-        "SpurMachine.run",
         "SpurMachine.run_chunks",
     )
 
@@ -161,11 +159,11 @@ class LintConfig:
     )
 
     #: Fields declared inert for caching: they steer *how* a run
-    #: executes (parallelism, chunking, observation) but can never
+    #: executes (parallelism, caching, observation) but can never
     #: change its counters, so they are legitimately absent from the
     #: cache key.
     cache_inert_fields: frozenset = frozenset({
-        "workers", "chunk_refs", "cache_dir", "use_cache",
+        "workers", "cache_dir", "use_cache",
         "sanitize", "observe", "epoch_refs", "trace_sink", "progress",
         "label", "journal",
     })

@@ -8,14 +8,17 @@ encode repo-specific discipline that generic linters cannot see:
 
 R001
     Hot-path purity.  The inner loops of the functions named in
-    ``config.hot_loops`` may not make attribute calls (``obj.m()``),
-    build comprehensions, or allocate list/dict/set literals — every
-    callable and container must be pre-bound to a local before the
-    loop.  The simulator's throughput lives and dies on this.
+    ``config.hot_loops`` (by default the simulator's one reference
+    loop, ``SpurMachine._run_refs``) may not make attribute calls
+    (``obj.m()``), build comprehensions, or allocate list/dict/set
+    literals — every callable and container must be pre-bound to a
+    local before the loop.  The simulator's throughput lives and dies
+    on this.
 
-    Functions named in ``config.chunked_hot_loops`` are held to the
-    two-level batched shape instead: they must contain a reference
-    loop nested inside the chunk loop; the per-chunk (outer) level
+    Functions named in ``config.chunked_hot_loops`` (by default
+    ``SpurMachine.run_chunks``) are held to the two-level batched
+    shape instead: they must contain a reference loop nested inside
+    the chunk loop; the per-chunk (outer) level
     may additionally call the ``config.chunk_loop_attr_allowlist``
     methods (C-speed whole-chunk operations like ``.count``); and the
     per-reference (inner) levels obey the strict rules above plus a

@@ -27,6 +27,7 @@ from repro.counters.events import Event
 from repro.machine.simulator import SpurMachine
 from repro.observe.series import RunObservation
 from repro.options import RunOptions
+from repro.workloads.base import take_chunks
 
 
 @dataclass
@@ -114,7 +115,7 @@ class ExperimentRunner:
         wins over ``options.cache_dir``.
     options:
         A :class:`~repro.options.RunOptions` bundling every execution
-        knob (workers, chunking, caching, journaling, sanitizing,
+        knob (workers, caching, journaling, sanitizing,
         observation); defaults to ``RunOptions()``.
     """
 
@@ -152,7 +153,8 @@ class ExperimentRunner:
         seed:
             Repetition seed mixed into the workload's RNG.
         max_references:
-            Optional cap on references simulated (smoke tests).
+            Optional cap on references simulated (smoke tests);
+            negative caps raise ``ValueError``.
         label:
             Optional name carried into trace events and the run's
             observation (never into the result itself).
@@ -161,6 +163,10 @@ class ExperimentRunner:
             runner's own for this run only.
         """
         options = self._call_options(options)
+        if max_references is not None and max_references < 0:
+            raise ValueError(
+                f"max_references must be >= 0, got {max_references}"
+            )
         instance = workload.instantiate(config.page_bytes, seed=seed)
         machine = SpurMachine(config, instance.space_map)
         sanitizer = None
@@ -179,18 +185,11 @@ class ExperimentRunner:
                 epoch_refs=options.epoch_refs, label=label
             )
             observer.attach(machine)
-        if options.chunk_refs:
-            chunks = instance.access_chunks(options.chunk_refs)
-            if max_references is not None:
-                chunks = _take_chunks(chunks, max_references)
-            started = time.perf_counter()
-            machine.run_chunks(chunks)
-        else:
-            accesses = instance.accesses()
-            if max_references is not None:
-                accesses = _take(accesses, max_references)
-            started = time.perf_counter()
-            machine.run(accesses)
+        chunks = instance.access_chunks()
+        if max_references is not None:
+            chunks = take_chunks(chunks, max_references)
+        started = time.perf_counter()
+        machine.run_chunks(chunks)
         host_seconds = time.perf_counter() - started
         if sanitizer is not None:
             sanitizer.check_now()
@@ -264,7 +263,6 @@ class ExperimentRunner:
             RunCell(config, workload, seed=seed,
                     max_references=max_references,
                     sanitize=options.sanitize,
-                    chunk_refs=options.chunk_refs,
                     label=label,
                     observe=options.observe,
                     epoch_refs=options.epoch_refs)
@@ -352,26 +350,3 @@ def _label_text(label):
         return "/".join(str(part) for part in label)
     return str(label)
 
-
-def _take(iterator, count):
-    """Yield at most ``count`` items."""
-    for index, item in enumerate(iterator):
-        if index >= count:
-            break
-        yield item
-
-
-def _take_chunks(chunks, count):
-    """Yield at most ``count`` references' worth of flat chunks.
-
-    The final chunk is trimmed to land on exactly ``count`` total
-    references, matching what :func:`_take` does to the tuple stream.
-    """
-    remaining = count
-    for chunk in chunks:
-        pairs = len(chunk) >> 1
-        if pairs >= remaining:
-            yield chunk[:remaining * 2]
-            return
-        remaining -= pairs
-        yield chunk

@@ -8,8 +8,9 @@ exactly this purpose), resolves hits and event-free misses inline with
 its bookkeeping in local variables, and falls into method calls only
 on the rare paths: write hits needing dirty-bit work, page faults,
 first-touch PTE or page creation, protection faults.
-:meth:`SpurMachine.run` is the tuple-stream loop (``chunk_refs=0``);
-the chunked engine matches it bit for bit.
+:meth:`SpurMachine.run` only chunks hand-written ``(kind, vaddr)``
+tuples for it.  The frozen scalar oracle in ``tests/oracle.py`` and
+the absolute goldens pin the engine's results.
 
 Cycle model (Table 2.1, Section 3.2):
 
@@ -47,6 +48,7 @@ from repro.translation.incache import InCacheTranslator
 from repro.translation.pagetable import PTE_BYTES, PageTable, PageTableLayout
 from repro.vm.swap import SwapDevice
 from repro.vm.system import VirtualMemorySystem
+from repro.workloads.base import chunk_accesses
 
 _WRITE = int(AccessKind.WRITE)
 _RW = int(Protection.READ_WRITE)
@@ -252,69 +254,11 @@ class SpurMachine:
     # -- the reference loops --------------------------------------------
 
     def run(self, accesses):
-        """Simulate a stream of ``(kind, vaddr)`` references.
-
-        ``kind`` is an ``int(AccessKind)``; workload generators yield
-        plain ints to keep this loop allocation-free.  Returns the
-        number of references processed.
+        """Simulate ``(kind, vaddr)`` references: the input convenience
+        for hand-written traces, chunked and fed to :meth:`run_chunks`.
+        Returns the number of references processed.
         """
-        cache = self.cache
-        valid = cache.valid
-        tags = cache.tags
-        block_dirty = cache.block_dirty
-        page_dirty = cache.page_dirty
-        prot = cache.prot
-        block_bits = cache.block_bits
-        index_mask = cache.index_mask
-        tag_shift = cache.tag_shift
-        slow_write_hit = self._slow_write_hit
-        miss = self._miss
-
-        interval = self.config.daemon_poll_refs
-        poll = self.vm.daemon.poll if interval else None
-        # Countdown to the next daemon poll: the schedule polls before
-        # every ``interval``-th reference of the call, for any positive
-        # interval.  With polling disabled the countdown starts at
-        # (float) infinity so the zero test below never fires and the
-        # loop stays branch-light.
-        until_poll = interval if poll is not None else float("inf")
-
-        cycles = 0
-        kind_counts = [0, 0, 0]
-        processed = 0
-        for kind, vaddr in accesses:
-            processed += 1
-            until_poll -= 1
-            if not until_poll:
-                cycles += poll()
-                until_poll = interval
-            kind_counts[kind] += 1
-            index = (vaddr >> block_bits) & index_mask
-            if valid[index] and tags[index] == (vaddr >> tag_shift):
-                if kind != _WRITE:
-                    cycles += 1
-                    continue
-                if (
-                    block_dirty[index]
-                    and page_dirty[index]
-                    and prot[index] == _RW
-                ):
-                    cycles += 1
-                    continue
-                cycles += 1 + slow_write_hit(index, vaddr)
-                continue
-            cycles += 1 + miss(kind, vaddr)
-
-        self.cycles += cycles
-        self.references += processed
-        mix = ReferenceMix(
-            ifetches=kind_counts[0],
-            reads=kind_counts[1],
-            writes=kind_counts[2],
-        )
-        mix.flush_to_counters(self.counters)
-        self.reference_mix.add(mix.ifetches, mix.reads, mix.writes)
-        return processed
+        return self.run_chunks(chunk_accesses(accesses))
 
     def run_chunks(self, chunks):
         """Simulate a stream of flat reference chunks.
@@ -322,9 +266,8 @@ class SpurMachine:
         ``chunks`` yields ``array('q')`` buffers of interleaved
         ``kind, vaddr`` pairs (see
         :meth:`repro.workloads.base.WorkloadInstance.access_chunks`).
-        Bit-identical to feeding the same references through
-        :meth:`run`, but several times faster: each chunk is cut into
-        poll-free segments (computed arithmetically, so any positive
+        Bit-identical for any chunking of the same references: each
+        chunk is cut into poll-free segments (computed arithmetically, so any positive
         ``daemon_poll_refs`` works) and every segment goes through
         :meth:`_run_refs`.  Kind tallies come from byte-pattern counts
         over the chunk's kind slice (memchr speed, no per-element
@@ -361,7 +304,7 @@ class SpurMachine:
                         stop = pairs
                     else:
                         # References left before the next poll
-                        # boundary: the legacy loop polls before
+                        # boundary: the schedule polls before
                         # handling every ``interval``-th reference of
                         # the call, so ``processed % interval ==
                         # interval - 1`` means the next reference
@@ -386,7 +329,7 @@ class SpurMachine:
         finally:
             # Deferred bookkeeping must land even when a slow path
             # raises (protection faults propagate to the caller with
-            # the same counter state the legacy loop would leave).
+            # the same counter state the scalar oracle leaves).
             self._flush_tally(tally)
 
         # Deferred accounting: every reference costs its base cycle
@@ -413,7 +356,7 @@ class SpurMachine:
         hook a no-op (:meth:`~repro.policies.dirty.DirtyBitPolicy.
         write_miss_settled`).  Everything else — page faults,
         dirty-bit work, protection faults, first-touch PTE/page
-        creation — goes to the legacy :meth:`_miss` *before* any state
+        creation — goes to the scalar :meth:`_miss` *before* any state
         or count is touched, so those paths stay bit-identical,
         exceptions included.
 
@@ -598,7 +541,7 @@ class SpurMachine:
         return extra
 
     def _resolve_write_hit(self, index, vaddr, tally):
-        """Chunked-path twin of :meth:`_slow_write_hit`.
+        """Inline write-hit resolver in front of :meth:`_slow_write_hit`.
 
         Commits only when the hit is provably free of policy work: the
         PTE and page record already exist (so no first-touch creation),
@@ -607,10 +550,10 @@ class SpurMachine:
         (:meth:`~repro.policies.dirty.DirtyBitPolicy.
         write_hit_settled`).  Everything else — protection faults,
         dirty-bit faults, cached-copy refreshes, page flushes —
-        delegates to the legacy :meth:`_slow_write_hit` *before* any
+        delegates to the scalar :meth:`_slow_write_hit` *before* any
         state or tally is touched.
 
-        The commit path mirrors the legacy bookkeeping exactly: the
+        The commit path mirrors the scalar bookkeeping exactly: the
         clean-block and read-filled-block counters are deferred into
         tally slots, the block-dirty bit is set, and the Berkeley
         write-hit transition is applied (the two common cases inline,
@@ -785,7 +728,7 @@ class SpurMachine:
     def observation_alignment(self):
         """Reference alignment an observer's epochs must respect.
 
-        ``run``/``run_chunks`` restart the page-daemon poll schedule
+        :meth:`run_chunks` restarts the page-daemon poll schedule
         per call, so an observer that re-segments the stream must cut
         only at multiples of the poll interval to replay the exact
         unobserved schedule.  With polling disabled any boundary works.

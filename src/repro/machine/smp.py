@@ -23,6 +23,7 @@ from repro.machine.simulator import SpurMachine
 from repro.translation.pagetable import PageTable, PageTableLayout
 from repro.vm.swap import SwapDevice
 from repro.vm.system import VirtualMemorySystem
+from repro.workloads.base import chunk_accesses
 
 
 class SmpSystem:
@@ -141,49 +142,28 @@ class SmpSystem:
     # -- execution ---------------------------------------------------------
 
     def run_interleaved(self, streams, quantum=4096):
-        """Drive one reference stream per CPU, gang-interleaved.
-
-        Each round gives every CPU a ``quantum``-reference slice of
-        its stream (a crude but adequate stand-in for loosely
-        synchronised parallel execution — the snooping happens at
-        slice granularity).  Returns total references executed.
+        """Drive one ``(kind, vaddr)`` stream per CPU: the input
+        convenience for hand-written traces, chunked at ``quantum``
+        and fed to :meth:`run_interleaved_chunks`.  Returns total
+        references executed.
         """
-        import itertools
-
-        if len(streams) != len(self.cpus):
-            raise ValueError(
-                f"need one stream per CPU "
-                f"({len(self.cpus)}), got {len(streams)}"
-            )
-        iterators = [iter(stream) for stream in streams]
-        live = list(range(len(iterators)))
-        total = 0
-        while live:
-            finished = []
-            for cpu_index in live:
-                batch = list(
-                    itertools.islice(iterators[cpu_index], quantum)
-                )
-                if batch:
-                    total += self.cpus[cpu_index].run(batch)
-                if len(batch) < quantum:
-                    finished.append(cpu_index)
-            for cpu_index in finished:
-                live.remove(cpu_index)
-        return total
+        return self.run_interleaved_chunks(
+            [chunk_accesses(stream, quantum) for stream in streams],
+            quantum,
+        )
 
     def run_interleaved_chunks(self, chunk_streams, quantum=4096):
-        """Chunked counterpart of :meth:`run_interleaved`.
+        """Drive one flat-chunk stream per CPU, gang-interleaved.
 
         ``chunk_streams`` holds one flat-chunk iterator per CPU,
         chunked at ``quantum`` references (e.g.
         ``instance.access_chunks(quantum)`` or
         :func:`repro.workloads.base.chunk_accesses`).  Each round
         feeds every live CPU its next whole chunk through
-        :meth:`SpurMachine.run_chunks` — the same quantum boundaries
-        the tuple path's ``islice`` batches produce, so results are
-        bit-identical.  A short (or missing) chunk retires its CPU
-        exactly as a short batch does.  Returns total references.
+        :meth:`SpurMachine.run_chunks` (a crude but adequate stand-in
+        for loosely synchronised parallel execution — the snooping
+        happens at slice granularity).  A short (or missing) chunk
+        retires its CPU.  Returns total references.
         """
         if len(chunk_streams) != len(self.cpus):
             raise ValueError(

@@ -10,15 +10,16 @@ counter modes.  The design constraints, in order:
 measures: every counter, cycle, and VM outcome of an observed run is
 bit-identical to the unobserved run.  The observer therefore never
 touches the hot loop.  Like the sanitizer, it *wraps* the machine's
-``run``/``run_chunks`` entry points, re-segmenting the reference
-stream at epoch boundaries and feeding each epoch through the original
-method — and because the chunked hot loop is bit-identical for any
-chunking (the ``run_chunks`` contract), re-segmentation changes
-nothing but where the observer gets to look.
+``run_chunks`` entry point (which the tuple convenience ``run`` also
+goes through), re-segmenting the reference stream at epoch boundaries
+and feeding each epoch through the original method — and because the
+hot loop is bit-identical for any chunking (the ``run_chunks``
+contract), re-segmentation changes nothing but where the observer
+gets to look.
 
 **Exact poll schedules.**  The one piece of per-call state is the page
-daemon's poll schedule: ``run``/``run_chunks`` restart their reference
-count per call, so an epoch boundary that is not a multiple of
+daemon's poll schedule: ``run_chunks`` restarts its reference count
+per call, so an epoch boundary that is not a multiple of
 ``daemon_poll_refs`` would shift later poll points.  The observer
 rounds its cadence up to the next multiple of the poll interval
 (:func:`effective_epoch_refs`), which keeps the global poll schedule
@@ -35,7 +36,6 @@ count crosses an epoch boundary, so cadence is quantum-granular there
 (and trivially inert).
 """
 
-import itertools
 import time
 
 from repro.observe.series import (
@@ -161,29 +161,6 @@ class RunObserver:
         epoch = self._effective
         perf_counter = time.perf_counter
 
-        original_run = machine.run
-
-        def run(accesses):
-            """Epoch-segmented drive of the original tuple-path run."""
-            iterator = iter(accesses)
-            count = 0
-            while True:
-                started = perf_counter()
-                batch = list(itertools.islice(iterator, epoch))
-                self.charge("generate", perf_counter() - started)
-                if not batch:
-                    break
-                started = perf_counter()
-                count += original_run(batch)
-                self.charge("simulate", perf_counter() - started)
-                if len(batch) == epoch:
-                    self._sample()
-            self._sample()
-            return count
-
-        machine.run = run
-        self._wrapped.append((machine, "run", original_run))
-
         original_chunks = machine.run_chunks
 
         def run_chunks(chunks):
@@ -192,8 +169,8 @@ class RunObserver:
             Incoming chunks are split at epoch boundaries; each
             epoch's pieces go through the original ``run_chunks`` in
             one call, so the hit on the hot loop is only a slightly
-            different chunking — which the chunked-equivalence
-            contract guarantees is bit-identical.
+            different chunking — which the ``run_chunks`` contract
+            guarantees is bit-identical.
             """
             iterator = iter(chunks)
             pending = []
@@ -250,17 +227,6 @@ class RunObserver:
                 self._sample()
                 while self._next_epoch <= system.references:
                     self._next_epoch += self._effective
-
-        original_run = cpu.run
-
-        def run(accesses):
-            """Original CPU slice plus an epoch-boundary check."""
-            count = original_run(accesses)
-            after()
-            return count
-
-        cpu.run = run
-        self._wrapped.append((cpu, "run", original_run))
 
         original_chunks = cpu.run_chunks
 

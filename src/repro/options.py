@@ -1,7 +1,7 @@
 """RunOptions: one object carrying every execution knob.
 
 The multi-run entry points grew their knobs one keyword at a time —
-``workers``, ``chunk_refs``, ``cache``, ``sanitize`` — and the
+``workers``, ``cache``, ``sanitize`` — and the
 observability layer would have added four more to every signature.
 :class:`RunOptions` collects them all in a single frozen value that
 every driver accepts::
@@ -11,8 +11,8 @@ every driver accepts::
     runner = ExperimentRunner(options=options)
     run_table_3_3(options=options)
 
-None of these knobs may change what a run *measures*: workers, chunk
-size, caching, sanitizing, and observing all produce bit-identical
+None of these knobs may change what a run *measures*: workers,
+caching, sanitizing, and observing all produce bit-identical
 :class:`~repro.machine.runner.RunResult` values.  Options therefore
 never participate in result equality or cache keys.
 """
@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 from typing import Any, Optional
 
 from repro.observe.series import DEFAULT_EPOCH_REFS
-from repro.workloads.base import DEFAULT_CHUNK_REFS
 
 
 @dataclass(frozen=True)
@@ -34,9 +33,6 @@ class RunOptions:
     workers:
         Worker-process count for multi-cell entry points; 1 runs
         in-process.
-    chunk_refs:
-        References per flat workload chunk (0 selects the legacy
-        per-tuple stream).  Bit-identical either way.
     cache_dir:
         Directory for the on-disk result cache; ``None`` disables
         caching.
@@ -73,7 +69,6 @@ class RunOptions:
     """
 
     workers: int = 1
-    chunk_refs: int = DEFAULT_CHUNK_REFS
     cache_dir: Optional[str] = None
     use_cache: bool = True
     sanitize: Optional[str] = None
@@ -89,10 +84,6 @@ class RunOptions:
         if self.workers < 1:
             raise ValueError(
                 f"workers must be >= 1, got {self.workers}"
-            )
-        if self.chunk_refs < 0:
-            raise ValueError(
-                f"chunk_refs must be >= 0, got {self.chunk_refs}"
             )
         if self.epoch_refs < 1:
             raise ValueError(

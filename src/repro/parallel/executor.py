@@ -53,7 +53,6 @@ from repro.parallel.cache import (
     result_to_payload,
     workload_spec,
 )
-from repro.workloads.base import DEFAULT_CHUNK_REFS
 from repro.workloads.synthetic import StreamRecording
 
 
@@ -66,9 +65,7 @@ class RunCell:
     are built).  ``sanitize`` optionally names a
     :mod:`repro.sanitize` mode to run the cell under; it is not part
     of the cache key because the sanitizer observes without altering
-    results.  ``chunk_refs`` selects the batched hot-loop path (0 =
-    legacy tuple stream); it is likewise excluded from the cache key
-    because both paths produce bit-identical results.  ``label``
+    results.  ``label``
     names the cell in trace events, progress lines, and failure
     reports; ``observe``/``epoch_refs`` attach a
     :class:`~repro.observe.observer.RunObserver` in the worker, whose
@@ -82,7 +79,6 @@ class RunCell:
     seed: int = 0
     max_references: Optional[int] = None
     sanitize: Optional[str] = None
-    chunk_refs: int = DEFAULT_CHUNK_REFS
     label: Optional[str] = None
     observe: bool = False
     epoch_refs: int = DEFAULT_EPOCH_REFS
@@ -142,7 +138,6 @@ def simulate_cell(cell):
     from repro.options import RunOptions
 
     runner = ExperimentRunner(options=RunOptions(
-        chunk_refs=cell.chunk_refs,
         sanitize=cell.sanitize,
         observe=cell.observe,
         epoch_refs=cell.epoch_refs,

@@ -5,7 +5,7 @@ Quick start::
     from repro.sanitize import Sanitizer
 
     sanitizer = Sanitizer(mode="full").attach(machine)
-    machine.run(workload)      # raises InvariantViolation on breach
+    machine.run_chunks(instance.access_chunks())  # raises on breach
     sanitizer.check_now()      # or sweep explicitly at any time
 
 See ``docs/invariants.md`` for the checked catalogue and

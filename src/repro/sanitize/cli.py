@@ -14,7 +14,6 @@ exits 1.
 """
 
 import argparse
-import itertools
 import sys
 import time
 
@@ -40,7 +39,6 @@ def build_parser():
     parser.add_argument("--memory-ratio", type=int, default=48)
     parser.add_argument("--dirty", default="SPUR")
     parser.add_argument("--ref-policy", default="MISS")
-    parser.add_argument("--sample-interval", type=int, default=4096)
     parser.add_argument("--sweep-interval", type=int, default=None)
     parser.add_argument("--seed", type=int, default=0)
     return parser
@@ -52,6 +50,7 @@ def run_sanitized(args):
     from repro.machine.config import scaled_config
     from repro.machine.smp import SmpSystem
     from repro.machine.simulator import SpurMachine
+    from repro.workloads.base import take_chunks
 
     config = scaled_config(
         memory_ratio=args.memory_ratio,
@@ -61,9 +60,7 @@ def run_sanitized(args):
     workload = _workload_by_name(args.workload, 1.0)
     instance = workload.instantiate(config.page_bytes, seed=args.seed)
     sanitizer = Sanitizer(
-        mode=args.mode,
-        sample_interval=args.sample_interval,
-        sweep_interval=args.sweep_interval,
+        mode=args.mode, sweep_interval=args.sweep_interval,
     )
 
     started = time.perf_counter()
@@ -73,20 +70,20 @@ def run_sanitized(args):
         sanitizer.attach(system)
         per_cpu = args.refs // args.cpus
         streams = [
-            list(itertools.islice(
+            take_chunks(
                 workload.instantiate(
                     config.page_bytes, seed=args.seed + cpu
-                ).accesses(),
+                ).access_chunks(),
                 per_cpu,
-            ))
+            )
             for cpu in range(args.cpus)
         ]
-        processed = system.run_interleaved(streams)
+        processed = system.run_interleaved_chunks(streams)
     else:
         machine = SpurMachine(config, instance.space_map)
         sanitizer.attach(machine)
-        processed = machine.run(
-            itertools.islice(instance.accesses(), args.refs)
+        processed = machine.run_chunks(
+            take_chunks(instance.access_chunks(), args.refs)
         )
     sanitizer.check_now()
     elapsed = time.perf_counter() - started

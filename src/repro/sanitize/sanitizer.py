@@ -5,27 +5,22 @@ invariant catalogue in :mod:`repro.sanitize.checks` as the simulation
 runs.  Three modes trade coverage for overhead:
 
 ``full``
-    Every reference is checked: the instrumented stream validates the
-    cache line each reference touched (and, on a multiprocessor bus,
-    the global ownership of the touched block) immediately after the
-    hot loop processed it, plus a full sweep of every registered
-    structure at stream end (and every ``sweep_interval`` references
-    when set).  On the chunked path (:meth:`SpurMachine.run_chunks`)
-    the instrumentation attaches per flat chunk: every reference in a
-    chunk is validated the moment the hot loop finishes that chunk,
-    so the chunk interior stays allocation-free.  Under 3x slowdown
-    on paper-scale runs.
+    Every reference is checked: the cache line each reference touched
+    (and, on a multiprocessor bus, the global ownership of the touched
+    block) is validated per flat chunk, the moment the hot loop
+    (:meth:`SpurMachine.run_chunks`) finishes that chunk, so the chunk
+    interior stays allocation-free.  A full sweep of every registered
+    structure runs at stream end (and every ``sweep_interval``
+    references when set).  Under 3x slowdown on paper-scale runs.
 
 ``sampled``
-    One reference in ``sample_interval`` is spot-checked and a full
-    sweep runs at stream end.  The access stream is consumed in
-    ``sample_interval``-sized slices so the hot loop keeps its batch
-    speed; overhead is a few percent.  On the chunked path the last
-    reference of each chunk is the spot-check.
+    The last reference of each chunk is spot-checked (one in 4096 at
+    the default chunk size) and a full sweep runs at stream end;
+    overhead is a few percent.
 
 ``epoch``
-    A full sweep at the end of each ``run()`` call only.  Suitable for
-    leaving permanently enabled in tests.
+    A full sweep at the end of each ``run_chunks()`` call only.
+    Suitable for leaving permanently enabled in tests.
 
 Attachment is per-object: a whole :class:`SpurMachine` or
 :class:`SmpSystem` (instrumenting its reference loop), or a bare
@@ -35,8 +30,6 @@ Attachment is per-object: a whole :class:`SpurMachine` or
 gets its ``fill``/``invalidate`` mutators wrapped so each mutation is
 validated as it happens.
 """
-
-import itertools
 
 from repro.sanitize.checks import (
     check_block_ownership,
@@ -58,23 +51,17 @@ class Sanitizer:
     ----------
     mode:
         ``"full"``, ``"sampled"``, or ``"epoch"`` (see module docs).
-    sample_interval:
-        References between spot checks in sampled mode.
     sweep_interval:
         References between full sweeps in full mode (None sweeps only
         at stream end).
     """
 
-    def __init__(self, mode="full", sample_interval=4096,
-                 sweep_interval=None):
+    def __init__(self, mode="full", sweep_interval=None):
         if mode not in MODES:
             raise ValueError(
                 f"mode must be one of {MODES}, got {mode!r}"
             )
-        if sample_interval < 1:
-            raise ValueError("sample_interval must be positive")
         self.mode = mode
-        self.sample_interval = sample_interval
         self.sweep_interval = sweep_interval
         self.caches = []
         self.buses = []
@@ -97,7 +84,7 @@ class Sanitizer:
             self._add(self.vms, obj.vm)
             for cpu in obj.cpus:
                 self._wrap_machine(cpu)
-        elif hasattr(obj, "run") and hasattr(obj, "cache"):
+        elif hasattr(obj, "run_chunks") and hasattr(obj, "cache"):
             # SpurMachine; prefer the SMP facade when it has one so
             # page-granularity checks cover the whole coherence domain.
             self._add(self.machines, obj.system or obj)
@@ -159,146 +146,26 @@ class Sanitizer:
     # -- machine instrumentation -----------------------------------------
 
     def _wrap_machine(self, machine):
-        original = machine.run
+        original = machine.run_chunks
         if self.mode == "epoch":
-            def run(accesses):
-                count = original(accesses)
+            def run_chunks(chunks):
+                count = original(chunks)
                 self.check_now(ref_index=self.references_seen + count)
                 self.references_seen += count
                 return count
-        elif self.mode == "sampled":
-            def run(accesses):
-                return self._run_sampled(machine, original, accesses)
         else:
-            def run(accesses):
-                count = original(
-                    self._instrument_full(machine, accesses)
-                )
-                self.check_now(ref_index=self.references_seen)
-                return count
-        machine.run = run
-        self._wrapped.append((machine, "run", original))
+            instrument = (
+                self._instrument_chunks_sampled
+                if self.mode == "sampled"
+                else self._instrument_chunks_full
+            )
 
-        original_chunks = getattr(machine, "run_chunks", None)
-        if original_chunks is None:
-            return
-        if self.mode == "epoch":
             def run_chunks(chunks):
-                count = original_chunks(chunks)
-                self.check_now(ref_index=self.references_seen + count)
-                self.references_seen += count
-                return count
-        elif self.mode == "sampled":
-            def run_chunks(chunks):
-                count = original_chunks(
-                    self._instrument_chunks_sampled(machine, chunks)
-                )
-                self.check_now(ref_index=self.references_seen)
-                return count
-        else:
-            def run_chunks(chunks):
-                count = original_chunks(
-                    self._instrument_chunks_full(machine, chunks)
-                )
+                count = original(instrument(machine, chunks))
                 self.check_now(ref_index=self.references_seen)
                 return count
         machine.run_chunks = run_chunks
-        self._wrapped.append((machine, "run_chunks", original_chunks))
-
-    def _run_sampled(self, machine, original, accesses):
-        """Feed the hot loop whole slices, spot-checking between them."""
-        cache = machine.cache
-        block_bits = cache.block_bits
-        index_mask = cache.index_mask
-        iterator = iter(accesses)
-        interval = self.sample_interval
-        count = 0
-        while True:
-            batch = list(itertools.islice(iterator, interval))
-            if not batch:
-                break
-            count += original(batch)
-            self.references_seen += len(batch)
-            vaddr = batch[-1][1]
-            check_line(
-                cache,
-                (vaddr >> block_bits) & index_mask,
-                ref_index=self.references_seen - 1,
-            )
-            self.line_checks += 1
-        self.check_now(ref_index=self.references_seen)
-        return count
-
-    def _instrument_full(self, machine, accesses):
-        """Yield references, validating each one's footprint.
-
-        The check for reference *n* runs when the hot loop pulls
-        reference *n+1* — i.e. immediately after the loop finished
-        processing *n* — and the stream-end sweep covers the last one.
-        The common case is inlined: a handful of list indexings decide
-        legality, and only an anomaly pays for the full diagnostic in
-        :func:`check_line`.
-        """
-        cache = machine.cache
-        valid = cache.valid
-        tags = cache.tags
-        line_vaddr = cache.line_vaddr
-        line_block = cache.line_block
-        prot = cache.prot
-        block_dirty = cache.block_dirty
-        state = cache.state
-        block_bits = cache.block_bits
-        index_mask = cache.index_mask
-        tag_shift = cache.tag_shift
-        bus = machine.bus
-        multi = len(bus.caches) > 1
-        block_mask = ~((1 << block_bits) - 1)
-        sweep_interval = self.sweep_interval
-        checked = 0
-        try:
-            for ref in accesses:
-                yield ref
-                # The hot loop has fully processed `ref` by now.
-                vaddr = ref[1]
-                index = (vaddr >> block_bits) & index_mask
-                if valid[index]:
-                    ok = (
-                        state[index] != 0
-                        and tags[index] == line_vaddr[index] >> tag_shift
-                        and line_block[index]
-                        == line_vaddr[index] >> block_bits
-                        and (not block_dirty[index]
-                             or state[index] >= 2)
-                        and 0 <= prot[index] <= 3
-                    )
-                else:
-                    ok = (
-                        state[index] == 0
-                        and not block_dirty[index]
-                        and line_block[index] == -1
-                    )
-                checked += 1
-                if not ok:
-                    self.references_seen += checked
-                    checked = 0
-                    check_line(
-                        cache, index,
-                        ref_index=self.references_seen - 1,
-                    )
-                if multi:
-                    check_block_ownership(
-                        bus, vaddr & block_mask,
-                        ref_index=self.references_seen + checked - 1,
-                    )
-                if sweep_interval and not (
-                    (self.references_seen + checked) % sweep_interval
-                ):
-                    self.check_now(
-                        ref_index=self.references_seen + checked
-                    )
-        finally:
-            self.references_seen += checked
-            self.line_checks += checked
+        self._wrapped.append((machine, "run_chunks", original))
 
     def _instrument_chunks_sampled(self, machine, chunks):
         """Yield flat chunks, spot-checking each one's last reference."""
@@ -320,8 +187,8 @@ class Sanitizer:
     def _instrument_chunks_full(self, machine, chunks):
         """Yield flat chunks, validating every reference's footprint.
 
-        The chunked twin of :meth:`_instrument_full`: the checks for a
-        whole chunk run when the hot loop pulls the next one — i.e.
+        The checks for a whole chunk run when the hot loop pulls the
+        next one — i.e.
         immediately after the loop finished the chunk — so the chunk
         interior stays free of per-reference calls.  The final chunk
         is covered because the generator resumes (and checks) before

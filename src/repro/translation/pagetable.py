@@ -112,7 +112,8 @@ class PageTable:
         #: Bound ``dict.get``: the PTE for a vpn or ``None``, with no
         #: entry creation and no call overhead beyond the dict lookup.
         #: The batched miss resolver probes this before committing to
-        #: its fast path (``None`` → the legacy path owns creation).
+        #: its fast path (``None`` → the scalar miss path owns
+        #: creation).
         self.peek = self._entries.get
 
     def __len__(self):

@@ -34,11 +34,7 @@ from repro.workloads.devsystems import (
     DevSystemProfile,
     DevSystemWorkload,
 )
-from repro.workloads.tracefile import (
-    read_trace,
-    read_trace_chunks,
-    write_trace,
-)
+from repro.workloads.tracefile import read_trace_chunks, write_trace
 from repro.workloads.recorded import RecordedWorkload, record_workload
 from repro.workloads.scripted import ScriptedWorkload
 from repro.workloads.catalog import workload_by_name
@@ -63,7 +59,6 @@ __all__ = [
     "Workload1",
     "WorkloadInstance",
     "chunk_accesses",
-    "read_trace",
     "read_trace_chunks",
     "record_workload",
     "serial",

@@ -6,25 +6,17 @@ reference stream the machine consumes.  Instances are one-shot
 (generators are consumed); re-instantiate for each run, which is also
 how repetitions get fresh-but-reproducible randomness.
 
-Two stream protocols share one instance:
+The reference stream has one format: ``access_chunks(chunk_refs)``
+yields flat ``array('q')`` buffers holding interleaved ``kind0,
+vaddr0, kind1, vaddr1, ...`` pairs.  Every chunk carries exactly
+``chunk_refs`` references except the last, which may be short.  The
+hot loop in :meth:`repro.machine.simulator.SpurMachine.run_chunks`
+consumes these directly.
 
-``accesses()``
-    The original iterator of ``(kind, vaddr)`` int tuples.
-
-``access_chunks(chunk_refs)``
-    The batched protocol: an iterator of flat ``array('q')`` buffers
-    holding interleaved ``kind0, vaddr0, kind1, vaddr1, ...`` pairs.
-    Every chunk carries exactly ``chunk_refs`` references except the
-    last, which may be short.  The chunked hot loop in
-    :meth:`repro.machine.simulator.SpurMachine.run_chunks` consumes
-    these directly, amortising the per-reference interpreter overhead
-    that dominates the tuple path.
-
-Generators that know their own structure implement chunking natively
-(see :mod:`repro.workloads.synthetic` and :mod:`repro.workloads.mix`);
-:func:`chunk_accesses` adapts any legacy tuple iterator.  Both
-protocols emit the identical reference sequence, so simulation results
-are bit-identical regardless of which one a run uses.
+``accesses()`` is a read-only view of the same stream as
+``(kind, vaddr)`` tuples, for tools that inspect references one at a
+time (trace recording and characterisation).  Hand-written tuple
+traces enter the chunk format through :func:`chunk_accesses`.
 """
 
 from array import array
@@ -37,7 +29,7 @@ IFETCH = 0
 READ = 1
 WRITE = 2
 
-#: Default references per flat chunk.  Big enough to amortise chunk
+#: References per flat chunk.  Big enough to amortise chunk
 #: bookkeeping, small enough that a chunk stays cache-resident on the
 #: host and a max_references cap wastes little generation work.
 DEFAULT_CHUNK_REFS = 4096
@@ -46,8 +38,8 @@ DEFAULT_CHUNK_REFS = 4096
 def chunk_accesses(accesses, chunk_refs=DEFAULT_CHUNK_REFS):
     """Batch a ``(kind, vaddr)`` iterator into flat ``array('q')`` chunks.
 
-    The generic fallback adapter behind ``access_chunks``: any legacy
-    iterator becomes a chunk stream with exactly ``chunk_refs``
+    The adapter for hand-written traces and bare generators: any
+    tuple iterator becomes a chunk stream with exactly ``chunk_refs``
     references per chunk (the last may be short).  Consumes the
     iterator as chunks are pulled, so a one-shot generator stays
     one-shot.
@@ -68,6 +60,24 @@ def chunk_accesses(accesses, chunk_refs=DEFAULT_CHUNK_REFS):
         yield buf
 
 
+def take_chunks(chunks, count):
+    """Yield at most ``count`` references' worth of flat chunks.
+
+    The final chunk is trimmed to land on exactly ``count`` total
+    references.
+    """
+    if count < 0:
+        raise ValueError(f"reference cap must be >= 0, got {count}")
+    remaining = count
+    for chunk in chunks:
+        pairs = len(chunk) >> 1
+        if pairs >= remaining:
+            yield chunk[:remaining * 2]
+            return
+        remaining -= pairs
+        yield chunk
+
+
 class WorkloadInstance:
     """A bound, runnable workload.
 
@@ -80,13 +90,13 @@ class WorkloadInstance:
         region the reference stream can touch.
     length_hint:
         Approximate number of references the stream will yield.
+
+    ``chunk_factory(chunk_refs)`` builds the flat-chunk stream.
     """
 
-    def __init__(self, name, space_map, access_factory, length_hint,
-                 chunk_factory=None):
+    def __init__(self, name, space_map, chunk_factory, length_hint):
         self.name = name
         self.space_map = space_map
-        self._access_factory = access_factory
         self._chunk_factory = chunk_factory
         self.length_hint = length_hint
         self._consumed = False
@@ -99,23 +109,25 @@ class WorkloadInstance:
             )
         self._consumed = True
 
-    def accesses(self):
-        """The ``(kind, vaddr)`` tuple stream.  One-shot per instance."""
-        self._claim()
-        return self._access_factory()
-
     def access_chunks(self, chunk_refs=DEFAULT_CHUNK_REFS):
-        """The flat-buffer chunk stream.  One-shot per instance.
-
-        Shares the consumption flag with :meth:`accesses`: a run uses
-        one protocol or the other, never both.  Generators with a
-        native chunk implementation are used directly; anything else
-        goes through the :func:`chunk_accesses` adapter.
-        """
+        """The flat-chunk stream.  One-shot per instance."""
         self._claim()
-        if self._chunk_factory is not None:
-            return self._chunk_factory(chunk_refs)
-        return chunk_accesses(self._access_factory(), chunk_refs)
+        return self._chunk_factory(chunk_refs)
+
+    def accesses(self):
+        """The same stream as ``(kind, vaddr)`` tuples.
+
+        Claims the instance at once (like :meth:`access_chunks`), so
+        a second use fails here rather than on first iteration.
+        """
+        return _pairs(self.access_chunks())
+
+
+def _pairs(chunks):
+    """Flatten flat chunks into ``(kind, vaddr)`` tuples."""
+    for chunk in chunks:
+        it = iter(chunk)
+        yield from zip(it, it)
 
 
 class Workload:

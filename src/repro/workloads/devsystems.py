@@ -151,6 +151,5 @@ class DevSystemWorkload(Workload):
         scheduler = RoundRobinScheduler(processes, quantum=8192)
         hint = int((profile.churn * 280_000 + 540_000) * scale)
         return WorkloadInstance(
-            self.name, space_map, scheduler.accesses, hint,
-            chunk_factory=scheduler.access_chunks,
+            self.name, space_map, scheduler.access_chunks, hint,
         )

@@ -6,15 +6,10 @@ process's blocks, which is part of why the MISS approximation tracks
 recency reasonably well).  The scheduler interleaves the per-process
 generators in fixed-size quanta, dropping processes as they exit.
 
-Both stream protocols are supported: ``accesses()`` yields
-``(kind, vaddr)`` tuples exactly as before, and ``access_chunks()``
-yields flat ``array('q')`` buffers.  The chunked path pulls each
-process's stream in whole-quantum chunks — the same slice boundaries
-``itertools.islice`` produces — so the interleaved sequence is
-bit-identical between the protocols.
+Both compositions emit flat ``array('q')`` chunks: the scheduler
+pulls each process's stream in whole-quantum chunks and re-chunks the
+interleaved sequence.
 """
-
-import itertools
 
 from array import array
 
@@ -24,15 +19,14 @@ from repro.workloads.base import DEFAULT_CHUNK_REFS, chunk_accesses
 def _chunk_stream(proc, chunk_refs):
     """A flat-chunk stream for one scheduled process.
 
-    Processes with a native ``access_chunks`` (e.g.
+    Processes with an ``access_chunks`` method (e.g.
     :class:`~repro.workloads.synthetic.PhasedProcess`,
-    :class:`SerialChain`) chunk themselves; bare generators and
-    plain ``accesses()`` objects go through the adapter.
+    :class:`SerialChain`) chunk themselves; bare ``(kind, vaddr)``
+    iterables go through the adapter.
     """
     if hasattr(proc, "access_chunks"):
         return proc.access_chunks(chunk_refs)
-    stream = proc.accesses() if hasattr(proc, "accesses") else proc
-    return chunk_accesses(stream, chunk_refs)
+    return chunk_accesses(proc, chunk_refs)
 
 
 def serial(processes):
@@ -40,9 +34,7 @@ def serial(processes):
 
     Models a shell script's sequential jobs (compile; compile; link)
     occupying one scheduler slot: each job is a separate process image
-    whose pages go dead when it exits.  Returns a :class:`SerialChain`,
-    which iterates like the old bare generator and also chunks
-    natively.
+    whose pages go dead when it exits.  Returns a :class:`SerialChain`.
     """
     return SerialChain(processes)
 
@@ -53,23 +45,11 @@ class SerialChain:
     def __init__(self, processes):
         self.processes = list(processes)
 
-    def __iter__(self):
-        return self.accesses()
-
-    def accesses(self):
-        """Yield ``(kind, vaddr)`` from each process in turn."""
-        for proc in self.processes:
-            stream = (
-                proc.accesses() if hasattr(proc, "accesses") else proc
-            )
-            yield from stream
-
     def access_chunks(self, chunk_refs=DEFAULT_CHUNK_REFS):
         """Yield exact ``chunk_refs``-sized flat chunks across jobs.
 
-        Chunks span job boundaries (only the final chunk of the whole
-        chain may be short), matching what the adapter would produce
-        over the concatenated tuple stream.
+        Chunks span job boundaries: only the final chunk of the whole
+        chain may be short.
         """
         if chunk_refs <= 0:
             raise ValueError("chunk_refs must be positive")
@@ -91,10 +71,10 @@ class RoundRobinScheduler:
     Parameters
     ----------
     processes:
-        Iterable of objects with an ``accesses()`` generator method
-        (e.g., :class:`repro.workloads.synthetic.PhasedProcess`), bare
-        generators, or ``(process, weight)`` pairs where ``weight``
-        scales the process's quantum (a weight-2 process gets twice
+        Iterable of objects with an ``access_chunks()`` method (e.g.,
+        :class:`repro.workloads.synthetic.PhasedProcess`), bare
+        ``(kind, vaddr)`` generators, or ``(process, weight)`` pairs
+        where ``weight`` scales the process's quantum (a weight-2 process gets twice
         the slice — crude priorities, enough for background jobs).
     quantum:
         References per time slice.
@@ -113,37 +93,13 @@ class RoundRobinScheduler:
             slice_size = max(1, int(quantum * weight))
             self._entries.append((proc, slice_size))
 
-    def accesses(self):
-        """Yield the interleaved reference stream until all exit."""
-        streams = [
-            (
-                proc.accesses() if hasattr(proc, "accesses") else proc,
-                slice_size,
-            )
-            for proc, slice_size in self._entries
-        ]
-        while streams:
-            finished = []
-            for entry in streams:
-                stream, slice_size = entry
-                emitted = 0
-                for ref in itertools.islice(stream, slice_size):
-                    yield ref
-                    emitted += 1
-                if emitted < slice_size:
-                    finished.append(entry)
-            for entry in finished:
-                streams.remove(entry)
-
     def access_chunks(self, chunk_refs=DEFAULT_CHUNK_REFS):
         """Yield the interleaved stream as exact flat chunks.
 
         Each round pulls one whole ``slice_size`` chunk per live
-        process — precisely the references the tuple path's ``islice``
-        slice would carry — and re-chunks the concatenation to
-        ``chunk_refs`` boundaries.  A short (or missing) per-process
-        chunk marks that process finished, mirroring the
-        ``emitted < slice_size`` exit test.
+        process and re-chunks the concatenation to ``chunk_refs``
+        boundaries.  A short (or missing) per-process chunk marks that
+        process finished.
         """
         if chunk_refs <= 0:
             raise ValueError("chunk_refs must be positive")

@@ -14,16 +14,13 @@ A capture is two files: ``<path>`` (the binary reference stream, see
 header with the page size and one region per line).
 """
 
+import itertools
 import pathlib
 
 from repro.common.errors import TraceFormatError
 from repro.vm.segments import AddressSpaceMap, Region, RegionKind
 from repro.workloads.base import Workload, WorkloadInstance
-from repro.workloads.tracefile import (
-    read_trace,
-    read_trace_chunks,
-    write_trace,
-)
+from repro.workloads.tracefile import read_trace_chunks, write_trace
 
 _REGIONS_MAGIC = "SPUR-REGIONS-1"
 
@@ -36,13 +33,16 @@ def record_workload(workload, page_bytes, trace_path, seed=0,
                     max_references=None):
     """Capture a workload instantiation to disk.
 
-    Returns the number of references recorded.
+    Returns the number of references recorded.  A negative
+    ``max_references`` raises ``ValueError``.
     """
+    if max_references is not None and max_references < 0:
+        raise ValueError(
+            f"max_references must be >= 0, got {max_references}"
+        )
     instance = workload.instantiate(page_bytes, seed=seed)
     accesses = instance.accesses()
     if max_references is not None:
-        import itertools
-
         accesses = itertools.islice(accesses, max_references)
     count = write_trace(trace_path, accesses)
 
@@ -128,9 +128,8 @@ class RecordedWorkload(Workload):
         return WorkloadInstance(
             f"{self.name}@recorded",
             space_map,
-            lambda: read_trace(self.trace_path),
-            self.length_hint,
-            chunk_factory=lambda chunk_refs: read_trace_chunks(
+            lambda chunk_refs: read_trace_chunks(
                 self.trace_path, chunk_refs
             ),
+            self.length_hint,
         )

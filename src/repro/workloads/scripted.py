@@ -147,6 +147,5 @@ class ScriptedWorkload(Workload):
             scheduled, quantum=int(self.spec.get("quantum", 8192))
         )
         return WorkloadInstance(
-            self.name, space_map, scheduler.accesses, length_hint,
-            chunk_factory=scheduler.access_chunks,
+            self.name, space_map, scheduler.access_chunks, length_hint,
         )

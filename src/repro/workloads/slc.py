@@ -113,6 +113,5 @@ class SlcWorkload(Workload):
         )
         hint = int(1_900_000 * scale)
         return WorkloadInstance(
-            self.name, space_map, scheduler.accesses, hint,
-            chunk_factory=scheduler.access_chunks,
+            self.name, space_map, scheduler.access_chunks, hint,
         )

@@ -14,10 +14,10 @@ keeps Python-side generation cost far below the simulator's per-
 reference cost.
 
 Internally every burst, allocation touch, and file scan is one flat
-``array('q')`` *segment* of interleaved ``kind, vaddr`` pairs; the
-segment stream drives both the legacy tuple iterator (``accesses``)
-and the native chunk stream (``access_chunks``), so the two protocols
-consume the RNG identically and emit the identical sequence.
+``array('q')`` *segment* of interleaved ``kind, vaddr`` pairs, and
+:meth:`PhasedProcess.access_chunks` re-chunks the segment stream, so
+the reference sequence and the RNG draws are the same for every chunk
+size.
 
 A stream depends only on the workload recipe, seed and page size,
 never on the machine that consumes it.  Runs of one stream can
@@ -302,18 +302,11 @@ class PhasedProcess:
         recording = _ACTIVE_RECORDING.get()
         self._tape = recording.claim() if recording is not None else None
 
-    def accesses(self):
-        """Yield ``(kind, vaddr)`` across all phases in order."""
-        for segment in self._segments():
-            it = iter(segment)
-            yield from zip(it, it)
-
     def access_chunks(self, chunk_refs=DEFAULT_CHUNK_REFS):
         """Yield flat ``array('q')`` chunks of ``chunk_refs`` references.
 
-        Same sequence as :meth:`accesses` (both drain
-        :meth:`_segments`); every chunk is exactly ``chunk_refs``
-        references except the last.
+        Drains :meth:`_segments`; every chunk is exactly
+        ``chunk_refs`` references except the last.
         """
         if chunk_refs <= 0:
             raise ValueError("chunk_refs must be positive")

@@ -43,50 +43,19 @@ def write_trace(path, accesses):
     return count
 
 
-def read_trace(path):
-    """Yield ``(kind, vaddr)`` tuples from a trace file.
-
-    Raises
-    ------
-    TraceFormatError
-        On a bad magic number or a truncated file.
-    """
-    record = _RECORD
-    record_size = record.size
-    with open(path, "rb") as stream:
-        header = stream.read(_HEADER.size)
-        if len(header) != _HEADER.size:
-            raise TraceFormatError(f"{path}: truncated header")
-        magic, count = _HEADER.unpack(header)
-        if magic != _MAGIC:
-            raise TraceFormatError(f"{path}: bad magic {magic!r}")
-        remaining = count
-        while remaining > 0:
-            chunk = stream.read(record_size * min(remaining,
-                                                  _CHUNK_RECORDS))
-            if not chunk or len(chunk) % record_size:
-                raise TraceFormatError(
-                    f"{path}: truncated after "
-                    f"{count - remaining} of {count} records"
-                )
-            for offset in range(0, len(chunk), record_size):
-                yield record.unpack_from(chunk, offset)
-            remaining -= len(chunk) // record_size
-
-
 def read_trace_chunks(path, chunk_refs=DEFAULT_CHUNK_REFS):
     """Yield flat ``array('q')`` chunks of ``chunk_refs`` references.
 
-    The chunked counterpart of :func:`read_trace`: records are
-    bulk-unpacked straight into the interleaved ``kind, vaddr`` layout
-    the chunked hot loop consumes (a repeated ``<BQ`` struct unpacks
+    Records are bulk-unpacked straight into the interleaved
+    ``kind, vaddr`` layout the hot loop consumes (a repeated ``<BQ`` struct unpacks
     to exactly that flat sequence), skipping per-record tuple
     construction entirely.
 
     Raises
     ------
     TraceFormatError
-        On a bad magic number or a truncated file.
+        On a bad magic number, a truncated file, or an address of
+        2**63 or more (the reference format is signed 64-bit).
     """
     if chunk_refs <= 0:
         raise ValueError("chunk_refs must be positive")
@@ -114,5 +83,12 @@ def read_trace_chunks(path, chunk_refs=DEFAULT_CHUNK_REFS):
                 values = struct.Struct("<" + "BQ" * records).unpack(
                     data
                 )
-            yield array("q", values)
+            try:
+                chunk = array("q", values)
+            except OverflowError:
+                raise TraceFormatError(
+                    f"{path}: an address at or after record "
+                    f"{count - remaining} is 2**63 or more"
+                ) from None
+            yield chunk
             remaining -= records

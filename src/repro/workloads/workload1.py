@@ -190,6 +190,5 @@ class Workload1(Workload):
         scheduler = RoundRobinScheduler(processes, quantum=8192)
         hint = int(2_700_000 * scale)
         return WorkloadInstance(
-            self.name, space_map, scheduler.accesses, hint,
-            chunk_factory=scheduler.access_chunks,
+            self.name, space_map, scheduler.access_chunks, hint,
         )

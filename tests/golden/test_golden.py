@@ -2,7 +2,9 @@
 
 The other bit-identity tests compare two live modes with each other;
 these compare each mode with ``golden.json``, so a change that shifts
-every mode the same way fails here.  Serial runs all three tables;
+every mode the same way fails here.  The ``scalar-oracle`` mode sends
+every run through the frozen per-tuple loop of ``tests/oracle.py``
+instead of the chunk engine.  Serial runs all three tables;
 the other modes run the Table 4.1 grid only (18 cells, paging out) to
 keep the cost down.  The journal modes resume an interrupted Table 4.1
 campaign, serially and on a pool.  Regenerate the file only with
@@ -11,10 +13,12 @@ campaign, serially and on a pool.  Regenerate the file only with
 
 import pytest
 
+from repro.machine.simulator import SpurMachine
 from repro.observe.sinks import MemorySink
 from repro.options import RunOptions
 from repro.parallel import ResultCache
 from tests.golden.regen import TABLES, load_golden, run_table
+from tests.oracle import scalar_run_chunks
 
 #: ``cell_done`` records the interrupted journal keeps (of 18).
 KEPT_CELLS = 7
@@ -36,13 +40,15 @@ def test_serial_matches_golden(golden, table):
     assert_matches(run_table(table), golden[table])
 
 
-@pytest.mark.parametrize("options", [
-    RunOptions(workers=2),
-    RunOptions(chunk_refs=0),
-    RunOptions(sanitize="sampled"),
-    RunOptions(observe=True),
-], ids=["workers2", "tuple-stream", "sanitized", "observed"])
-def test_mode_matches_golden(golden, options):
+@pytest.mark.parametrize("options,scalar", [
+    (RunOptions(workers=2), False),
+    (RunOptions(), True),
+    (RunOptions(sanitize="sampled"), False),
+    (RunOptions(observe=True), False),
+], ids=["workers2", "scalar-oracle", "sanitized", "observed"])
+def test_mode_matches_golden(golden, options, scalar, monkeypatch):
+    if scalar:
+        monkeypatch.setattr(SpurMachine, "run_chunks", scalar_run_chunks)
     assert_matches(run_table("4.1", options), golden["4.1"])
 
 

@@ -1,9 +1,9 @@
-"""Chunked and legacy hot loops are bit-identical.
+"""The chunk engine is bit-identical to the frozen scalar oracle.
 
-The contract behind ``run_chunks`` (and behind leaving ``chunk_refs``
-out of the result-cache key): for any workload, policy pair, and chunk
-size, the batched path produces exactly the same RunResult — counters,
-cycles, paging totals — and the same machine state as the tuple path.
+The contract behind ``run_chunks``: for any workload, policy pair, and
+chunk size, the engine produces exactly the same RunResult — counters,
+cycles, paging totals — and the same machine state as the per-tuple
+loops frozen in ``tests/oracle.py``.
 """
 
 import itertools
@@ -12,8 +12,8 @@ import pytest
 
 from repro.machine.config import scaled_config
 from repro.machine.runner import ExperimentRunner
+from repro.machine.simulator import SpurMachine
 from repro.machine.smp import SmpSystem
-from repro.options import RunOptions
 from repro.workloads.base import IFETCH, READ, WRITE, chunk_accesses
 from repro.workloads.devsystems import (
     DEV_SYSTEM_PROFILES,
@@ -25,6 +25,11 @@ from repro.workloads.slc import SlcWorkload
 from repro.workloads.workload1 import Workload1
 
 from tests.conftest import simple_space, tiny_config
+from tests.oracle import (
+    scalar_run,
+    scalar_run_chunks,
+    scalar_run_interleaved,
+)
 
 DIRTY_POLICIES = ("SPUR", "FAULT", "FLUSH", "WRITE")
 REFERENCE_POLICIES = ("MISS", "REF", "NOREF")
@@ -83,17 +88,17 @@ class TestRunResultCrossProduct:
         "workload1", "slc", "devsystem", "scripted", "recorded",
     ])
     def test_chunked_equals_legacy(self, workload_name, dirty, ref,
-                                   recorded_trace):
+                                   recorded_trace, monkeypatch):
         config = scaled_config(
             memory_ratio=24, scale=8,
             dirty_policy=dirty, reference_policy=ref,
         )
-        tuples = RunOptions(chunk_refs=0)
-        legacy = ExperimentRunner(options=tuples).run(
+        chunked = ExperimentRunner().run(
             config, make_workload(workload_name, recorded_trace),
             seed=1, max_references=2000,
         )
-        chunked = ExperimentRunner().run(
+        monkeypatch.setattr(SpurMachine, "run_chunks", scalar_run_chunks)
+        legacy = ExperimentRunner().run(
             config, make_workload(workload_name, recorded_trace),
             seed=1, max_references=2000,
         )
@@ -138,34 +143,35 @@ def mixed_trace(regions, count):
 
 
 class TestMachineStatePollSchedule:
-    @pytest.mark.parametrize("chunk_refs", [1, 7, 96, 256])
+    # ``None`` feeds the tuple convenience ``SpurMachine.run``.
+    @pytest.mark.parametrize("chunk_refs", [1, 7, 96, 256, None])
     def test_poll_schedule_preserved(self, chunk_refs):
-        from repro.machine.simulator import SpurMachine
-
         space_map, regions = simple_space()
         config = tiny_config(daemon_poll_refs=64)
         trace = mixed_trace(regions, 3000)
 
         legacy = SpurMachine(config, space_map)
-        legacy.run(trace)
+        scalar_run(legacy, trace)
 
         space_map2, regions2 = simple_space()
         chunked = SpurMachine(tiny_config(daemon_poll_refs=64),
                               space_map2)
-        chunked.run_chunks(chunk_accesses(iter(trace), chunk_refs))
+        if chunk_refs is None:
+            chunked.run(trace)
+        else:
+            chunked.run_chunks(chunk_accesses(iter(trace), chunk_refs))
 
         assert machine_state(chunked) == machine_state(legacy)
 
     def test_poll_every_reference(self):
         # daemon_poll_refs=1 polls before every reference: the
         # segmented path's inline handler carries the whole chunk.
-        from repro.machine.simulator import SpurMachine
 
         space_map, regions = simple_space()
         trace = mixed_trace(regions, 500)
         legacy = SpurMachine(tiny_config(daemon_poll_refs=1),
                              space_map)
-        legacy.run(trace)
+        scalar_run(legacy, trace)
 
         space_map2, _ = simple_space()
         chunked = SpurMachine(tiny_config(daemon_poll_refs=1),
@@ -176,14 +182,13 @@ class TestMachineStatePollSchedule:
     def test_state_carries_across_calls(self):
         # `processed` restarts per call; the poll schedule must too,
         # exactly like consecutive legacy run() calls.
-        from repro.machine.simulator import SpurMachine
 
         space_map, regions = simple_space()
         trace = mixed_trace(regions, 1000)
         legacy = SpurMachine(tiny_config(daemon_poll_refs=64),
                              space_map)
-        legacy.run(trace[:400])
-        legacy.run(trace[400:])
+        scalar_run(legacy, trace[:400])
+        scalar_run(legacy, trace[400:])
 
         space_map2, _ = simple_space()
         chunked = SpurMachine(tiny_config(daemon_poll_refs=64),
@@ -235,13 +240,11 @@ class TestNonPowerOfTwoPoll:
     arithmetic segmentation must handle any positive interval."""
 
     def test_poll_1000_matches_legacy(self):
-        from repro.machine.simulator import SpurMachine
-
         space_map, regions = simple_space()
         trace = mixed_trace(regions, 3500)
         legacy = SpurMachine(tiny_config(daemon_poll_refs=1000),
                              space_map)
-        legacy.run(trace)
+        scalar_run(legacy, trace)
 
         space_map2, _ = simple_space()
         chunked = SpurMachine(tiny_config(daemon_poll_refs=1000),
@@ -255,14 +258,13 @@ class TestNonPowerOfTwoPoll:
         # Chunk sizes of exactly the poll interval and one either
         # side hit every boundary case of the segment arithmetic, at
         # a 64- and a 256-reference interval.
-        from repro.machine.simulator import SpurMachine
 
         poll_refs = 64 if chunk_refs < 128 else 256
         space_map, regions = simple_space()
         trace = mixed_trace(regions, 700)
         legacy = SpurMachine(tiny_config(daemon_poll_refs=poll_refs),
                              space_map)
-        legacy.run(trace)
+        scalar_run(legacy, trace)
 
         space_map2, _ = simple_space()
         chunked = SpurMachine(tiny_config(daemon_poll_refs=poll_refs),
@@ -273,13 +275,12 @@ class TestNonPowerOfTwoPoll:
     def test_trace_ends_on_poll_boundary(self):
         # The final reference is itself a poll boundary: the schedule
         # must not fire a trailing poll the legacy loop would skip.
-        from repro.machine.simulator import SpurMachine
 
         space_map, regions = simple_space()
         trace = mixed_trace(regions, 200)
         legacy = SpurMachine(tiny_config(daemon_poll_refs=100),
                              space_map)
-        legacy.run(trace)
+        scalar_run(legacy, trace)
 
         space_map2, _ = simple_space()
         chunked = SpurMachine(tiny_config(daemon_poll_refs=100),
@@ -297,13 +298,12 @@ class TestResolverDominatedTraces:
                                          write_pair_trace,
                                          stale_pair_trace])
     def test_dominated_trace_sanitized(self, builder):
-        from repro.machine.simulator import SpurMachine
         from repro.sanitize import sanitizer as sanitize_mod
 
         space_map, regions = simple_space()
         trace = builder(regions, 3000)
         legacy = SpurMachine(tiny_config(), space_map)
-        legacy.run(trace)
+        scalar_run(legacy, trace)
 
         space_map2, _ = simple_space()
         chunked = SpurMachine(tiny_config(), space_map2)
@@ -316,36 +316,48 @@ class TestResolverDominatedTraces:
         assert machine_state(chunked) == machine_state(legacy)
 
 
+def smp_build():
+    space_map, regions = simple_space()
+    system = SmpSystem(tiny_config(), space_map, num_cpus=2)
+    streams = [
+        mixed_trace(regions, 2100),
+        [(READ, regions["heap"].start + (i * 7 % 64) * 32)
+         for i in range(1500)],
+    ]
+    return system, streams
+
+
+def assert_smp_matches_oracle(run):
+    """``run(system, streams)`` equals the oracle's interleave."""
+    legacy_system, streams = smp_build()
+    total_legacy = scalar_run_interleaved(
+        legacy_system, streams, quantum=512
+    )
+    chunked_system, streams = smp_build()
+    total_chunked = run(chunked_system, streams)
+
+    assert total_chunked == total_legacy
+    assert (chunked_system.cycles, chunked_system.references) == (
+        legacy_system.cycles, legacy_system.references
+    )
+    for legacy_cpu, chunked_cpu in zip(
+        legacy_system.cpus, chunked_system.cpus
+    ):
+        assert machine_state(chunked_cpu) == machine_state(legacy_cpu)
+
+
 class TestSmpInterleaving:
     def test_chunked_interleave_matches_legacy(self):
-        def build():
-            space_map, regions = simple_space()
-            system = SmpSystem(tiny_config(), space_map, num_cpus=2)
-            streams = [
-                mixed_trace(regions, 2100),
-                [(READ, regions["heap"].start + (i * 7 % 64) * 32)
-                 for i in range(1500)],
-            ]
-            return system, streams
-
-        legacy_system, streams = build()
-        total_legacy = legacy_system.run_interleaved(
-            streams, quantum=512
-        )
-
-        chunked_system, streams = build()
-        total_chunked = chunked_system.run_interleaved_chunks(
-            [chunk_accesses(iter(stream), 512) for stream in streams],
-            quantum=512,
-        )
-
-        assert total_chunked == total_legacy
-        assert (chunked_system.cycles, chunked_system.references) == (
-            legacy_system.cycles, legacy_system.references
-        )
-        for legacy_cpu, chunked_cpu in zip(
-            legacy_system.cpus, chunked_system.cpus
-        ):
-            assert machine_state(chunked_cpu) == machine_state(
-                legacy_cpu
+        assert_smp_matches_oracle(
+            lambda system, streams: system.run_interleaved_chunks(
+                [chunk_accesses(iter(stream), 512) for stream in streams],
+                quantum=512,
             )
+        )
+
+    def test_tuple_adapter_matches_legacy(self):
+        assert_smp_matches_oracle(
+            lambda system, streams: system.run_interleaved(
+                streams, quantum=512
+            )
+        )

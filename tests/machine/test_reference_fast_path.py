@@ -3,8 +3,9 @@
 Under MISS and REF a miss to a mapped page whose reference bit is
 clear sets the bit through the reference policy right after the
 in-cache PTE walk, without the translator or ``cache.fill``.  These
-tests pin that path against the tuple ``run()`` loop and check that
-protection faults raised mid-chunk leave the same books.
+tests pin that path against the frozen scalar oracle
+(``tests/oracle.py``) and check that protection faults raised
+mid-chunk leave the same books.
 """
 
 import pytest
@@ -18,6 +19,7 @@ from repro.workloads.base import IFETCH, READ, WRITE, chunk_accesses
 
 from tests.conftest import TINY_CACHE, simple_space, tiny_config
 from tests.machine.test_chunked_equivalence import machine_state
+from tests.oracle import scalar_run, scalar_run_interleaved
 
 MAINTAINING_POLICIES = ("MISS", "REF")
 
@@ -65,7 +67,7 @@ class TestDaemonClearedBits:
             tiny_config(reference_policy=ref, daemon_poll_refs=64),
             space_map, name="oracle",
         )
-        oracle.run(trace)
+        scalar_run(oracle, trace)
 
         space_map2, _ = simple_space()
         chunked = SpurMachine(
@@ -101,7 +103,7 @@ class TestDaemonClearedBits:
             return system, streams
 
         oracle, streams = build()
-        oracle.run_interleaved(streams, quantum=128)
+        scalar_run_interleaved(oracle, streams, quantum=128)
         chunked, streams = build()
         chunked.run_interleaved_chunks(
             [chunk_accesses(iter(stream), 128) for stream in streams],
@@ -138,7 +140,7 @@ def cleared_reference(ref, runner):
 
 
 def run_tuples(machine, refs):
-    machine.run(refs)
+    scalar_run(machine, refs)
 
 
 def run_flat(machine, refs):
@@ -202,9 +204,9 @@ class TestProtectionFaultMidChunk:
             return machine, fault_trace(regions)
 
         oracle, (warm, faulting) = build("oracle")
-        oracle.run(warm)
+        scalar_run(oracle, warm)
         with pytest.raises(ProtectionFault):
-            oracle.run(faulting)
+            scalar_run(oracle, faulting)
 
         chunked, (warm, faulting) = build("chunked")
         chunked.run_chunks(chunk_accesses(iter(warm), 512))

@@ -8,10 +8,12 @@ import pytest
 import repro.api
 from repro.machine.config import scaled_config
 from repro.machine.runner import ExperimentRunner
+from repro.machine.simulator import SpurMachine
 from repro.observe.sinks import MemorySink
 from repro.options import RunOptions
 from repro.parallel.cache import ResultCache
 from repro.workloads.slc import SlcWorkload
+from tests.oracle import scalar_run_chunks
 
 CONFIG = scaled_config(memory_ratio=24, scale=8)
 MAX_REFS = 1500
@@ -26,7 +28,7 @@ class TestValidation:
     @pytest.mark.parametrize("kwargs", [
         {"workers": 0},
         {"workers": -2},
-        {"chunk_refs": -1},
+        {"epoch_refs": -5},
         {"epoch_refs": 0},
         {"sanitize": "bogus"},
     ])
@@ -71,11 +73,10 @@ class TestValidation:
 
 
 class TestRunnerAcceptsOptions:
-    def test_tuple_stream_option_matches_chunks(self):
-        tuples = run_with(
-            ExperimentRunner(options=RunOptions(chunk_refs=0))
-        )
-        assert tuples == run_with(ExperimentRunner())
+    def test_tuple_stream_option_matches_chunks(self, monkeypatch):
+        chunked = run_with(ExperimentRunner())
+        monkeypatch.setattr(SpurMachine, "run_chunks", scalar_run_chunks)
+        assert run_with(ExperimentRunner()) == chunked
 
     def test_runner_defaults_to_default_options(self):
         assert ExperimentRunner().options == RunOptions()
@@ -188,7 +189,7 @@ class TestOptionsAreTheOnlyWay:
 
     def test_fields_are_the_execution_knobs(self):
         assert [f.name for f in dataclasses.fields(RunOptions)] == [
-            "workers", "chunk_refs", "cache_dir", "use_cache",
+            "workers", "cache_dir", "use_cache",
             "sanitize", "observe", "epoch_refs", "trace_sink",
             "progress", "journal",
         ]

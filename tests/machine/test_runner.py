@@ -50,6 +50,12 @@ class TestRun:
             max_references=5000,
         )
         assert result.references == 5000
+        # A negative cap is an error, not "almost a whole chunk".
+        with pytest.raises(ValueError, match="max_references"):
+            runner.run(
+                quick_config(), SlcWorkload(length_scale=0.01),
+                max_references=-5,
+            )
 
     def test_same_seed_is_deterministic(self):
         runner = ExperimentRunner()

@@ -46,15 +46,14 @@ class TestAttachment:
         machine = SpurMachine(tiny_config(), space_map)
 
         observer = RunObserver(epoch_refs=100).attach(machine)
-        assert getattr(machine.run, "__func__", None) is not (
-            SpurMachine.run
-        )
         assert getattr(machine.run_chunks, "__func__", None) is not (
             SpurMachine.run_chunks
         )
+        # The tuple convenience stays unwrapped: it reaches the
+        # instance's wrapped run_chunks.
+        assert "run" not in vars(machine)
 
         observer.detach()
-        assert machine.run.__func__ is SpurMachine.run
         assert machine.run_chunks.__func__ is SpurMachine.run_chunks
 
     def test_double_attach_rejected(self):

@@ -5,7 +5,8 @@ workload x dirty-policy x reference-policy grid the chunked-equivalence
 suite uses: attaching a RunObserver (which re-segments the reference
 stream at epoch boundaries) must leave every counter, cycle count, and
 VM total of the RunResult exactly as an unobserved run produces them —
-on the chunked path, the legacy tuple path, and SMP systems alike.
+on uniprocessors and SMP systems alike.  Where noted, the unobserved
+side is the frozen scalar oracle of ``tests/oracle.py``.
 """
 
 import dataclasses
@@ -14,6 +15,7 @@ import pytest
 
 from repro.machine.config import scaled_config
 from repro.machine.runner import ExperimentRunner
+from repro.machine.simulator import SpurMachine
 from repro.machine.smp import SmpSystem
 from repro.options import RunOptions
 from repro.workloads.base import READ, WRITE
@@ -27,6 +29,7 @@ from tests.machine.test_chunked_equivalence import (
     mixed_trace,
     recorded_trace,  # noqa: F401  (fixture re-export)
 )
+from tests.oracle import scalar_run_chunks, scalar_run_interleaved
 
 #: Epoch deliberately *not* a poll multiple: 500 rounds up to 512
 #: against daemon_poll_refs=256, exercising the alignment rule.
@@ -78,16 +81,17 @@ class TestObservedEqualsUnobserved:
         assert plain.observation is None
         check_observation(observed)
 
-    def test_legacy_tuple_path(self, recorded_trace):
+    def test_legacy_tuple_path(self, recorded_trace, monkeypatch):
+        # Observed engine run against the unobserved scalar oracle.
         config = grid_config("SPUR", "MISS")
-        tuples = RunOptions(chunk_refs=0)
-        plain = ExperimentRunner(options=tuples).run(
+        observed = ExperimentRunner(options=RunOptions(
+            observe=True, epoch_refs=EPOCH_REFS,
+        )).run(
             config, make_workload("slc", recorded_trace),
             seed=1, max_references=2000,
         )
-        observed = ExperimentRunner(options=RunOptions(
-            chunk_refs=0, observe=True, epoch_refs=EPOCH_REFS,
-        )).run(
+        monkeypatch.setattr(SpurMachine, "run_chunks", scalar_run_chunks)
+        plain = ExperimentRunner().run(
             config, make_workload("slc", recorded_trace),
             seed=1, max_references=2000,
         )
@@ -129,8 +133,8 @@ class TestSmpObservedEqualsUnobserved:
         from repro.observe.observer import observe
 
         plain_system, streams = self.build()
-        total_plain = plain_system.run_interleaved(streams,
-                                                   quantum=512)
+        total_plain = scalar_run_interleaved(plain_system, streams,
+                                             quantum=512)
 
         observed_system, streams = self.build()
         observer = observe(observed_system, epoch_refs=1000)

@@ -1,0 +1,133 @@
+"""The frozen scalar oracle: the simulator's original per-tuple loops.
+
+:func:`scalar_run` and :func:`scalar_run_interleaved` are the
+reference loops the simulator ran before flat chunks became its only
+stream format.  They take ``(kind, vaddr)`` tuples, resolve every
+miss through :meth:`SpurMachine._miss` and every unsettled write hit
+through :meth:`SpurMachine._slow_write_hit`, and keep no deferred
+books.  The production engine (``run_chunks`` → ``_run_refs``) must
+match them bit for bit; the equivalence tests and the golden
+``scalar-oracle`` mode check that it does.
+
+Keep these loops frozen: a change here moves the yardstick, not the
+simulator.
+"""
+
+import itertools
+
+from repro.common.types import AccessKind, Protection
+from repro.machine.cpu import ReferenceMix
+
+_WRITE = int(AccessKind.WRITE)
+_RW = int(Protection.READ_WRITE)
+
+
+def scalar_run(machine, accesses):
+    """Simulate ``(kind, vaddr)`` references on *machine*, one by one.
+
+    ``kind`` is an ``int(AccessKind)``.  Polls the page daemon before
+    every ``daemon_poll_refs``-th reference of the call, exactly as
+    ``SpurMachine.run_chunks`` does.  Returns the number of references
+    processed.
+    """
+    cache = machine.cache
+    valid = cache.valid
+    tags = cache.tags
+    block_dirty = cache.block_dirty
+    page_dirty = cache.page_dirty
+    prot = cache.prot
+    block_bits = cache.block_bits
+    index_mask = cache.index_mask
+    tag_shift = cache.tag_shift
+    slow_write_hit = machine._slow_write_hit
+    miss = machine._miss
+
+    interval = machine.config.daemon_poll_refs
+    poll = machine.vm.daemon.poll if interval else None
+    # Countdown to the next daemon poll: the schedule polls before
+    # every ``interval``-th reference of the call, for any positive
+    # interval.  With polling disabled the countdown starts at
+    # (float) infinity so the zero test below never fires.
+    until_poll = interval if poll is not None else float("inf")
+
+    cycles = 0
+    kind_counts = [0, 0, 0]
+    processed = 0
+    for kind, vaddr in accesses:
+        processed += 1
+        until_poll -= 1
+        if not until_poll:
+            cycles += poll()
+            until_poll = interval
+        kind_counts[kind] += 1
+        index = (vaddr >> block_bits) & index_mask
+        if valid[index] and tags[index] == (vaddr >> tag_shift):
+            if kind != _WRITE:
+                cycles += 1
+                continue
+            if (
+                block_dirty[index]
+                and page_dirty[index]
+                and prot[index] == _RW
+            ):
+                cycles += 1
+                continue
+            cycles += 1 + slow_write_hit(index, vaddr)
+            continue
+        cycles += 1 + miss(kind, vaddr)
+
+    machine.cycles += cycles
+    machine.references += processed
+    mix = ReferenceMix(
+        ifetches=kind_counts[0],
+        reads=kind_counts[1],
+        writes=kind_counts[2],
+    )
+    mix.flush_to_counters(machine.counters)
+    machine.reference_mix.add(mix.ifetches, mix.reads, mix.writes)
+    return processed
+
+
+def scalar_run_interleaved(system, streams, quantum=4096):
+    """Drive one ``(kind, vaddr)`` stream per CPU of *system*.
+
+    Each round gives every live CPU a ``quantum``-reference slice of
+    its stream through :func:`scalar_run`; a short slice retires the
+    CPU.  Returns total references executed.
+    """
+    if len(streams) != len(system.cpus):
+        raise ValueError(
+            f"need one stream per CPU "
+            f"({len(system.cpus)}), got {len(streams)}"
+        )
+    iterators = [iter(stream) for stream in streams]
+    live = list(range(len(iterators)))
+    total = 0
+    while live:
+        finished = []
+        for cpu_index in live:
+            batch = list(itertools.islice(iterators[cpu_index], quantum))
+            if batch:
+                total += scalar_run(system.cpus[cpu_index], batch)
+            if len(batch) < quantum:
+                finished.append(cpu_index)
+        for cpu_index in finished:
+            live.remove(cpu_index)
+    return total
+
+
+def pairs(chunks):
+    """Flatten flat ``array('q')`` chunks into ``(kind, vaddr)`` tuples."""
+    for chunk in chunks:
+        it = iter(chunk)
+        yield from zip(it, it)
+
+
+def scalar_run_chunks(machine, chunks):
+    """:func:`scalar_run` over a chunk stream.
+
+    Has the signature of ``SpurMachine.run_chunks``, so a test can
+    monkeypatch it in and send every run of a whole campaign through
+    the oracle.
+    """
+    return scalar_run(machine, pairs(chunks))

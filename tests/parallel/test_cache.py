@@ -117,7 +117,6 @@ class TestCellKey:
 
     @pytest.mark.parametrize("field, value", [
         ("sanitize", "full"),
-        ("chunk_refs", 0),
         ("label", "renamed"),
         ("observe", True),
         ("epoch_refs", 123),

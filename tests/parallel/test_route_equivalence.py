@@ -140,7 +140,6 @@ class TestPoolCampaign:
             cells[0],
             workload=_ExplodingWorkload(),
             label="doomed",
-            chunk_refs=256,  # several chunks before the stream tears
         ))
         with pytest.raises(CampaignError) as excinfo:
             execute_cells(cells, workers=2)
@@ -184,16 +183,15 @@ class _ExplodingInstance:
         self.space_map = inner.space_map
         self.name = "exploding"
 
-    def access_chunks(self, chunk_refs):
+    def access_chunks(self, chunk_refs=256):
+        # Small chunks: several fit under the cell's reference cap, so
+        # the stream tears mid-run.
         for i, chunk in enumerate(
             self.inner.access_chunks(chunk_refs)
         ):
             if i == 1:
                 raise RuntimeError("stream torn mid-run")
             yield chunk
-
-    def accesses(self):
-        return self.inner.accesses()
 
 
 class TestPoolTelemetry:

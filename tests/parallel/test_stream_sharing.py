@@ -31,6 +31,7 @@ from repro.workloads import synthetic
 from repro.workloads.slc import SlcWorkload
 from repro.workloads.workload1 import Workload1
 from tests.golden.regen import LENGTH_SCALE, cell_record, load_golden
+from tests.oracle import scalar_run_chunks
 
 TINY = 0.01
 
@@ -209,12 +210,14 @@ def test_pool_batch_keeps_its_other_cells_when_one_faults(monkeypatch):
     assert [results[0], results[2]] == [expected[0], expected[2]]
 
 
-@pytest.mark.parametrize("options", [
-    RunOptions(chunk_refs=0),
-    RunOptions(sanitize="sampled"),
-    RunOptions(observe=True),
-], ids=["tuple-stream", "sanitized", "observed"])
-def test_execution_modes_match_per_cell_runs(options):
+@pytest.mark.parametrize("options,scalar", [
+    (RunOptions(), True),
+    (RunOptions(sanitize="sampled"), False),
+    (RunOptions(observe=True), False),
+], ids=["scalar-oracle", "sanitized", "observed"])
+def test_execution_modes_match_per_cell_runs(options, scalar, monkeypatch):
+    if scalar:
+        monkeypatch.setattr(SpurMachine, "run_chunks", scalar_run_chunks)
     specs = policy_specs()
     results = ExperimentRunner().run_many(specs, options=options)
     assert results == per_cell(specs, options)

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.machine.smp import SmpSystem
 from repro.sanitize import Sanitizer
-from repro.workloads.base import IFETCH, READ, WRITE
+from repro.workloads.base import IFETCH, READ, WRITE, chunk_accesses
 
 from tests.conftest import TINY_PAGE, simple_space, tiny_config
 
@@ -67,7 +67,10 @@ def test_uniprocessor_modes_silent(refs, mode):
 
     space_map, regions = simple_space()
     machine = make_machine(space_map)
-    sanitizer = Sanitizer(mode=mode, sample_interval=16)
+    sanitizer = Sanitizer(mode=mode)
     sanitizer.attach(machine)
-    machine.run(materialise(refs, regions))
+    # 16-reference chunks: sampled mode spot-checks each one's last.
+    machine.run_chunks(
+        chunk_accesses(iter(materialise(refs, regions)), 16)
+    )
     sanitizer.check_now()

@@ -3,10 +3,16 @@
 from hypothesis import given, settings, strategies as st
 
 from repro.analysis.latex import escape
-from repro.workloads.tracefile import read_trace, write_trace
+from repro.workloads.tracefile import read_trace_chunks, write_trace
+from tests.oracle import pairs
+
+
+def read_trace(path):
+    """The ``(kind, vaddr)`` records of a trace file, in order."""
+    return list(pairs(read_trace_chunks(path)))
 
 references = st.lists(
-    st.tuples(st.integers(0, 2), st.integers(0, 2**64 - 1)),
+    st.tuples(st.integers(0, 2), st.integers(0, 2**63 - 1)),
     max_size=300,
 )
 

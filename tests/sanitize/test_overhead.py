@@ -10,7 +10,7 @@ load where a best-of-N time per mode does not; the median then drops
 the rounds a burst of load hit mid-round.  The order of the modes
 rotates from round to round, and garbage from the previous machine is
 collected before the clock starts, so no mode pays for another's
-cycles.  The measured ratios are ~1.1x (full) and ~1.0x (sampled).
+cycles.  The measured ratios are ~1.35x (full) and ~1.0x (sampled).
 """
 
 import gc

@@ -9,7 +9,7 @@ from repro.common.params import CacheGeometry, MemoryTiming
 from repro.common.types import Protection
 from repro.machine.smp import SmpSystem
 from repro.sanitize import InvariantViolation, MODES, Sanitizer, attach
-from repro.workloads.base import READ, WRITE
+from repro.workloads.base import READ, WRITE, chunk_accesses
 
 from tests.conftest import make_machine, simple_space, tiny_config
 
@@ -36,10 +36,6 @@ class TestConstruction:
     def test_bad_mode_rejected(self):
         with pytest.raises(ValueError):
             Sanitizer(mode="paranoid")
-
-    def test_bad_sample_interval_rejected(self):
-        with pytest.raises(ValueError):
-            Sanitizer(mode="sampled", sample_interval=0)
 
     def test_unknown_object_rejected(self):
         with pytest.raises(TypeError):
@@ -102,15 +98,17 @@ class TestEpochMode:
 class TestSampledMode:
     def test_corruption_caught_by_final_sweep(self, rig):
         machine, heap = rig
-        attach(machine, mode="sampled", sample_interval=8)
+        attach(machine, mode="sampled")
         machine.run([(READ, heap)])
         with pytest.raises(InvariantViolation):
             machine.run(corrupting_stream(machine, heap))
 
     def test_spot_checks_happen(self, rig):
         machine, heap = rig
-        sanitizer = attach(machine, mode="sampled", sample_interval=8)
-        machine.run([(READ, heap + i * 4) for i in range(64)])
+        sanitizer = attach(machine, mode="sampled")
+        refs = [(READ, heap + i * 4) for i in range(64)]
+        # One spot check per chunk: its last reference.
+        machine.run_chunks(chunk_accesses(refs, 8))
         assert sanitizer.line_checks == 64 // 8
         assert sanitizer.references_seen == 64
 
@@ -233,7 +231,6 @@ class TestCli:
         from repro.sanitize.cli import main
         code = main([
             "--refs", "1200", "--mode", "sampled", "--cpus", "2",
-            "--sample-interval", "128",
         ])
         assert code == 0
         assert "ok:" in capsys.readouterr().out

@@ -121,6 +121,32 @@ class TestSimulationCommands:
         assert "dirty=FAULT" in out
         assert "replayed" in out
 
+    @pytest.mark.parametrize("command", ["record", "characterize"])
+    def test_negative_reference_cap_exits_with_one_line(
+            self, tmp_path, capsys, command):
+        trace = tmp_path / "w.trace"
+        argv = [command, "--max-references", "-3"]
+        if command == "record":
+            argv.insert(1, str(trace))
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == "max_references must be >= 0, got -3"
+        assert "Traceback" not in capsys.readouterr().err
+        assert not trace.exists()
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--seed", "7"), ("--length", "9"), ("--chunk-refs", "0"),
+    ])
+    def test_replay_rejects_flags_it_cannot_honour(self, tmp_path,
+                                                    capsys, flag, value):
+        # Replay simulates the recorded stream as is: a seed, length
+        # or chunking flag would be silently ignored, so argparse
+        # refuses it.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["replay", str(tmp_path / "w.trace"), flag, value])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_all_writes_artefacts(self, tmp_path):
         assert main([
             "all", "--out-dir", str(tmp_path), "--length", "0.005",
@@ -198,7 +224,6 @@ class TestParallelCommands:
     @pytest.mark.parametrize("flag,value,message", [
         ("--workers", "0", "workers must be >= 1, got 0"),
         ("--epoch-refs", "0", "epoch_refs must be >= 1, got 0"),
-        ("--chunk-refs", "-1", "chunk_refs must be >= 0, got -1"),
     ])
     def test_invalid_option_exits_with_one_line(self, tmp_path, capsys,
                                                 flag, value, message):

@@ -1,9 +1,11 @@
-"""The flat-buffer chunk protocol matches the tuple protocol exactly.
+"""The flat-buffer chunk protocol carries each stream exactly.
 
-Every generator family is checked both ways: the chunk stream must
-flatten to the identical reference sequence ``accesses()`` yields, and
-chunk sizing must follow the protocol — exactly ``chunk_refs``
-references per chunk, except a short final chunk.
+Every generator family is checked against an independent reference
+sequence: the raw generator segments, a per-tuple round-robin loop,
+or the records written to a trace file.  The chunk stream must
+flatten to that sequence, and chunk sizing must follow the protocol —
+exactly ``chunk_refs`` references per chunk, except a short final
+chunk.
 """
 
 import itertools
@@ -31,11 +33,7 @@ from repro.workloads.mix import RoundRobinScheduler, serial
 from repro.workloads.scripted import ScriptedWorkload
 from repro.workloads.slc import SlcWorkload
 from repro.workloads.synthetic import Phase, PhasedProcess, ProcessImage
-from repro.workloads.tracefile import (
-    read_trace,
-    read_trace_chunks,
-    write_trace,
-)
+from repro.workloads.tracefile import read_trace_chunks, write_trace
 from repro.workloads.workload1 import Workload1
 
 PAGE = 512
@@ -52,6 +50,34 @@ def flatten(chunks):
 
 def chunk_ref_counts(chunks):
     return [len(chunk) >> 1 for chunk in chunks]
+
+
+def segment_refs(process):
+    """A phased process's references straight from its generator
+    segments, before any re-chunking."""
+    return flatten(process._segments())
+
+
+def round_robin_refs(entries):
+    """The scheduler's interleave as a per-tuple loop.
+
+    ``entries`` holds ``(refs, slice_size)`` pairs; each round takes
+    up to ``slice_size`` references from every live stream and drops a
+    stream once a slice comes up short.
+    """
+    streams = [(iter(refs), size) for refs, size in entries]
+    out = []
+    while streams:
+        finished = []
+        for entry in streams:
+            stream, size = entry
+            batch = list(itertools.islice(stream, size))
+            out.extend(batch)
+            if len(batch) < size:
+                finished.append(entry)
+        for entry in finished:
+            streams.remove(entry)
+    return out
 
 
 class TestChunkAccessesAdapter:
@@ -85,14 +111,17 @@ class TestChunkAccessesAdapter:
 
 
 class TestWorkloadInstanceProtocol:
-    def make_instance(self, **kwargs):
+    def make_instance(self, chunk_factory=None):
         refs = [(i % 3, i * 64) for i in range(300)]
-        return refs, WorkloadInstance(
-            "T", None, lambda: iter(refs), len(refs), **kwargs
-        )
+        if chunk_factory is None:
+            def chunk_factory(chunk_refs):
+                return chunk_accesses(iter(refs), chunk_refs)
+        return refs, WorkloadInstance("T", None, chunk_factory, len(refs))
 
     def test_fallback_adapter_matches_accesses(self):
         refs, instance = self.make_instance()
+        assert list(instance.accesses()) == refs
+        _, instance = self.make_instance()
         assert flatten(instance.access_chunks(128)) == refs
 
     def test_one_shot_across_protocols(self):
@@ -132,7 +161,7 @@ def phased_process(seed=0, duration=4000):
 
 class TestNativeChunkStreams:
     def test_phased_process_chunks_match_accesses(self):
-        legacy = list(phased_process(seed=3).accesses())
+        legacy = segment_refs(phased_process(seed=3))
         chunks = list(phased_process(seed=3).access_chunks(512))
         assert flatten(chunks) == legacy
         counts = chunk_ref_counts(chunks)
@@ -141,16 +170,15 @@ class TestNativeChunkStreams:
 
     @pytest.mark.parametrize("chunk_refs", [1, 7, 512, 100_000])
     def test_phased_process_any_chunk_size(self, chunk_refs):
-        legacy = list(phased_process(seed=5).accesses())
+        legacy = segment_refs(phased_process(seed=5))
         chunks = list(
             phased_process(seed=5).access_chunks(chunk_refs)
         )
         assert flatten(chunks) == legacy
 
     def test_serial_chain_rechunks_across_jobs(self):
-        legacy = list(serial(
-            [phased_process(seed=1), phased_process(seed=2)]
-        ).accesses())
+        legacy = (segment_refs(phased_process(seed=1))
+                  + segment_refs(phased_process(seed=2)))
         chain = serial(
             [phased_process(seed=1), phased_process(seed=2)]
         )
@@ -168,7 +196,10 @@ class TestNativeChunkStreams:
                 quantum=640,
             )
 
-        legacy = list(build().accesses())
+        legacy = round_robin_refs([
+            (segment_refs(phased_process(seed=1)), 640),
+            (segment_refs(phased_process(seed=2)), 320),
+        ])
         chunks = list(build().access_chunks(500))
         assert flatten(chunks) == legacy
         counts = chunk_ref_counts(chunks)
@@ -185,7 +216,7 @@ class TestNativeChunkStreams:
                 [iter(list(refs_a)), iter(list(refs_b))], quantum=50
             )
 
-        legacy = list(build().accesses())
+        legacy = round_robin_refs([(refs_a, 50), (refs_b, 50)])
         chunks = list(build().access_chunks(64))
         assert flatten(chunks) == legacy
 
@@ -241,7 +272,7 @@ class TestTraceFileChunks:
         refs = [(i % 3, i * 32) for i in range(5000)]
         write_trace(path, refs)
         chunks = list(read_trace_chunks(path, 512))
-        assert flatten(chunks) == list(read_trace(path)) == refs
+        assert flatten(chunks) == refs
         counts = chunk_ref_counts(chunks)
         assert counts == [512] * 9 + [392]
 

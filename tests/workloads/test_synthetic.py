@@ -7,6 +7,7 @@ from repro.common.rng import DeterministicRng
 from repro.vm.segments import AddressSpaceMap, ProcessAddressSpace
 from repro.workloads.base import IFETCH, READ, WRITE
 from repro.workloads.synthetic import Phase, PhasedProcess, ProcessImage
+from tests.oracle import pairs
 
 PAGE = 512
 
@@ -20,7 +21,7 @@ def make_image(code=4, heap=32, file_pages=4, data=0):
 
 
 def collect(process, limit=None):
-    refs = list(process.accesses())
+    refs = list(pairs(process.access_chunks()))
     return refs[:limit] if limit else refs
 
 

@@ -4,7 +4,13 @@ import pytest
 
 from repro.common.errors import TraceFormatError
 from repro.workloads.base import IFETCH, READ, WRITE
-from repro.workloads.tracefile import read_trace, write_trace
+from repro.workloads.tracefile import read_trace_chunks, write_trace
+from tests.oracle import pairs
+
+
+def read_trace(path):
+    """The ``(kind, vaddr)`` records of a trace file, in order."""
+    return list(pairs(read_trace_chunks(path)))
 
 
 def test_round_trip(tmp_path):
@@ -28,10 +34,15 @@ def test_large_trace_spans_chunks(tmp_path):
 
 
 def test_64_bit_addresses(tmp_path):
+    # References are signed 64-bit: the widest address round-trips,
+    # and a wider one written to the file is refused on reading.
     path = tmp_path / "wide.bin"
-    refs = [(READ, (1 << 63) + 5)]
+    refs = [(READ, (1 << 63) - 1)]
     write_trace(path, refs)
     assert list(read_trace(path)) == refs
+    write_trace(path, [(READ, (1 << 63) + 5)])
+    with pytest.raises(TraceFormatError):
+        read_trace(path)
 
 
 def test_bad_magic_rejected(tmp_path):
