@@ -81,7 +81,7 @@ def run_table_3_3(length_scale=1.0, scale=8, runner=None, seed=0,
     which is what the paper measured.  Returns ``(rows, table)``.
 
     ``options`` (a :class:`~repro.options.RunOptions`) carries the
-    execution knobs: workers, caching, journaling, observation.
+    execution knobs: workers, caching, observation.
     """
     runner = runner or ExperimentRunner(options=options)
     points = []
@@ -231,7 +231,7 @@ def run_table_3_5(length_scale=1.0, scale=8, runner=None, seed=0,
     """Simulate the six development-system profiles.
 
     ``options`` (a :class:`~repro.options.RunOptions`) carries the
-    execution knobs: workers, caching, journaling, observation.
+    execution knobs: workers, caching, observation.
     """
     runner = runner or ExperimentRunner(options=options)
     specs = []
@@ -319,7 +319,7 @@ def run_table_4_1(length_scale=1.0, scale=8, repetitions=3,
     MISS policy within each (workload, memory) group.
 
     ``options`` (a :class:`~repro.options.RunOptions`) carries the
-    execution knobs: workers, caching, journaling, observation.
+    execution knobs: workers, caching, observation.
     """
     runner = runner or ExperimentRunner(options=options)
     points = []

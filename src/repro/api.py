@@ -27,7 +27,7 @@ Groups, in import order below:
 * observability — time series, sinks, progress, reports
   (:mod:`repro.observe`),
 * the unified execution-options object (:mod:`repro.options`),
-* campaign execution, result caching and the resume journal
+* campaign execution and the result cache that resumes campaigns
   (:mod:`repro.parallel`),
 * policy models and overhead analysis (:mod:`repro.policies`),
 * workloads (:mod:`repro.workloads`),
@@ -68,13 +68,11 @@ from repro.observe import (
 from repro.options import RunOptions
 from repro.parallel import (
     CampaignError,
-    CampaignJournal,
     CellFailure,
     ResultCache,
     RunCell,
     cell_key,
     execute_cells,
-    read_journal,
 )
 from repro.policies import (
     EventCounts,
@@ -108,7 +106,6 @@ __all__ = [
     "Access",
     "AccessKind",
     "CampaignError",
-    "CampaignJournal",
     "CampaignProgress",
     "CellFailure",
     "DEFAULT_EPOCH_REFS",
@@ -151,7 +148,6 @@ __all__ = [
     "overhead",
     "overhead_table",
     "paper_config",
-    "read_journal",
     "read_trace",
     "record_workload",
     "render_report",

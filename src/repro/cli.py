@@ -25,11 +25,14 @@ from repro.analysis.experiments import (
     run_table_3_5,
     run_table_4_1,
 )
+from repro.common.errors import ConfigurationError
 from repro.counters.events import Event
 from repro.machine.config import scaled_config
 from repro.machine.runner import ExperimentRunner
 from repro.observe.series import DEFAULT_EPOCH_REFS
 from repro.options import RunOptions
+from repro.policies.dirty import make_dirty_policy
+from repro.policies.reference import make_reference_policy
 from repro.workloads.catalog import workload_by_name
 
 TABLE_CHOICES = ("2.1", "3.1", "3.2", "3.3", "3.4", "3.5", "4.1")
@@ -48,12 +51,10 @@ def _options_from_args(args):
         options = RunOptions(
             workers=getattr(args, "workers", 1),
             cache_dir=getattr(args, "cache_dir", None),
-            use_cache=not getattr(args, "no_cache", False),
             sanitize=getattr(args, "sanitize", None),
             observe=getattr(args, "observe", False),
             epoch_refs=getattr(args, "epoch_refs", DEFAULT_EPOCH_REFS),
             progress=getattr(args, "progress", False) or None,
-            journal=getattr(args, "journal", None),
         )
     except ValueError as error:
         raise SystemExit(str(error)) from None
@@ -104,6 +105,32 @@ def _reference_cap(args):
     if cap is not None and cap < 0:
         raise SystemExit(f"max_references must be >= 0, got {cap}")
     return cap
+
+
+def _check_scale(args):
+    """Exit with one line on a ``--reps``/``--length`` no run honours."""
+    reps = getattr(args, "reps", None)
+    if reps is not None and reps < 1:
+        raise SystemExit(f"reps must be >= 1, got {reps}")
+    length = getattr(args, "length", None)
+    if length is not None and not length > 0:
+        raise SystemExit(f"length must be > 0, got {length}")
+
+
+def _machine_config(args):
+    """The scaled machine ``--memory-ratio``, ``--dirty`` and ``--ref``
+    describe, or exit with a one-line message."""
+    try:
+        config = scaled_config(
+            memory_ratio=args.memory_ratio,
+            dirty_policy=args.dirty.upper(),
+            reference_policy=args.ref.upper(),
+        )
+        make_dirty_policy(config.dirty_policy)
+        make_reference_policy(config.reference_policy)
+    except ConfigurationError as error:
+        raise SystemExit(str(error)) from None
+    return config
 
 
 def _workload_by_name(name, length_scale):
@@ -186,11 +213,7 @@ def cmd_table(args):
 
 def cmd_run(args):
     """One simulation run; prints the headline measurements."""
-    config = scaled_config(
-        memory_ratio=args.memory_ratio,
-        dirty_policy=args.dirty.upper(),
-        reference_policy=args.ref.upper(),
-    )
+    config = _machine_config(args)
     workload = _workload_by_name(args.workload, args.length)
     runner = _runner_from_args(args)
     result = runner.run(
@@ -280,8 +303,8 @@ def cmd_campaign(args):
     Runs Tables 3.3, 3.4 (from the measured 3.3 counts), 3.5, and 4.1
     through one shared runner and cache, fanning the independent cells
     over ``--workers`` processes.  A warm cache re-runs the whole
-    campaign without simulating a single cell, and ``--journal``
-    makes it resumable across crashes.
+    campaign without simulating a single cell, which also makes a
+    killed campaign resume where it stopped.
     """
     from repro.parallel import CampaignError
 
@@ -370,11 +393,7 @@ def cmd_replay(args):
     from repro.workloads.recorded import RecordedWorkload
 
     workload = RecordedWorkload(args.trace)
-    config = scaled_config(
-        memory_ratio=args.memory_ratio,
-        dirty_policy=args.dirty.upper(),
-        reference_policy=args.ref.upper(),
-    )
+    config = _machine_config(args)
     if config.page_bytes != workload.page_bytes:
         raise SystemExit(
             f"trace uses {workload.page_bytes}-byte pages; the "
@@ -493,13 +512,8 @@ def build_parser():
                             "bit-identical either way)")
         p.add_argument("--cache-dir",
                        help="reuse results cached here; only changed "
-                            "(config, workload, seed) cells simulate")
-        p.add_argument("--no-cache", action="store_true",
-                       help="ignore --cache-dir for this invocation")
-        p.add_argument("--journal", metavar="PATH",
-                       help="append-only campaign journal; completed "
-                            "cells are durably recorded and a rerun "
-                            "resumes instead of recomputing")
+                            "(config, workload, seed) cells simulate, "
+                            "so a killed run resumes where it stopped")
 
     def observe_opts(p):
         p.add_argument("--observe", action="store_true",
@@ -656,6 +670,7 @@ def main(argv=None):
         return lint_main(argv[1:])
     parser = build_parser()
     args = parser.parse_args(argv)
+    _check_scale(args)
     return args.func(args)
 
 

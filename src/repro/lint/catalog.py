@@ -53,10 +53,10 @@ RULES = {
         "wall clock / environment: the parallel campaign cache\n"
         "assumes two runs of the same cell are bit-identical.\n"
         "The campaign resume machinery\n"
-        "(`resume_identity_roots`: cell keying and journal replay)\n"
-        "is audited the same way — a resumed campaign must derive\n"
-        "identical keys on every run or it recomputes work its\n"
-        "journal already holds.  Fixes: iterate `sorted(...)`,\n"
+        "(`resume_identity_roots`: cell keying) is audited the same\n"
+        "way — a resumed campaign must derive identical keys on\n"
+        "every run or it recomputes work its result cache already\n"
+        "holds.  Fixes: iterate `sorted(...)`,\n"
         "thread an explicit seeded generator, hoist clock reads to\n"
         "the runner (host timing is declared cache-inert there).\n"
         "Membership tests on sets are fine — only iteration order\n"

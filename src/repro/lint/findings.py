@@ -163,21 +163,21 @@ class LintConfig:
     #: change its counters, so they are legitimately absent from the
     #: cache key.
     cache_inert_fields: frozenset = frozenset({
-        "workers", "cache_dir", "use_cache",
+        "workers", "cache_dir",
         "sanitize", "observe", "epoch_refs", "trace_sink", "progress",
-        "label", "journal",
+        "label",
     })
 
     #: Method names that hand a callable to a worker pool (R007).
     submit_methods: frozenset = frozenset({"submit"})
 
     #: Root qualnames of the campaign resume machinery (R005): cell
-    #: identity and journal replay must be deterministic, or a
-    #: restarted campaign derives different keys and recomputes (or
-    #: worse, mismatches) completed work.  Audited with the same
+    #: identity must be deterministic, or a restarted campaign derives
+    #: different keys and recomputes (or worse, mismatches) completed
+    #: work.  Audited with the same
     #: nondeterminism evidence as the simulation path; names absent
     #: from the scanned file set are skipped.
-    resume_identity_roots: tuple = ("cell_key", "read_journal")
+    resume_identity_roots: tuple = ("cell_key",)
 
     #: Effect flags a hot-loop callee may not have, even transitively
     #: (R008).  ``counters`` and ``tag-write`` are the sanctioned

@@ -84,17 +84,16 @@ def check_determinism(project, config):
         ),
     )
     # The resume machinery gets the same audit with its own message:
-    # cell keys and journal replays must come out identical on every
-    # run, or a resumed campaign recomputes (or mismatches) work its
-    # journal already holds.  Roots absent from the scanned file set
+    # cell keys must come out identical on every run, or a resumed
+    # campaign recomputes (or mismatches) work its result cache
+    # already holds.  Roots absent from the scanned file set
     # simply contribute nothing, keeping partial-tree lints clean.
     audit(
         config.resume_identity_roots,
         lambda qualname, detail, chain: (
             f"nondeterminism on the resume-identity path: {qualname} "
             f"{detail} (reached via {chain}); a resumable campaign "
-            f"must derive identical cell keys and journal replays on "
-            f"every run"
+            f"must derive identical cell keys on every run"
         ),
     )
     return findings

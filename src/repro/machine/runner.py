@@ -10,9 +10,9 @@ Because every run is a pure function of (config, workload recipe,
 seed, reference cap), the multi-run entry points hand their cells to
 :func:`repro.parallel.execute_cells`, which can fan them out over
 worker processes (``RunOptions(workers=N)``; results are bit-identical
-to the serial path, only faster), skip cells a
-:class:`~repro.parallel.cache.ResultCache` already holds, and resume a
-journaled campaign.
+to the serial path, only faster), and skip cells a
+:class:`~repro.parallel.cache.ResultCache` already holds — which is
+also how a killed campaign resumes.
 """
 
 import hashlib
@@ -109,23 +109,20 @@ class ExperimentRunner:
         ``master_seed`` into each per-run seed via :func:`mix_seed`
         when independent replications of a whole experiment are
         wanted.
-    cache:
-        Optional :class:`~repro.parallel.cache.ResultCache` consulted
-        by the multi-run entry points.  An explicit ``cache`` object
-        wins over ``options.cache_dir``.
     options:
         A :class:`~repro.options.RunOptions` bundling every execution
-        knob (workers, caching, journaling, sanitizing,
-        observation); defaults to ``RunOptions()``.
+        knob (workers, caching, sanitizing, observation); defaults to
+        ``RunOptions()``.  Its ``cache_dir`` names the result cache
+        the multi-run entry points consult, exposed as ``cache``.
     """
 
     def __init__(self, master_seed=1234, mix_master_seed=False,
-                 cache=None, options=None):
+                 options=None):
         options = RunOptions.coerce(options)
         self.options = options
         self.master_seed = master_seed
         self.mix_master_seed = mix_master_seed
-        self.cache = cache if cache is not None else options.build_cache()
+        self.cache = options.build_cache()
 
     def rep_seed(self, rep):
         """The run seed used for repetition *rep*."""
@@ -234,9 +231,8 @@ class ExperimentRunner:
         :class:`~repro.analysis.sweeps.SweepDriver`) share: turns each
         spec into a :class:`~repro.parallel.executor.RunCell` and runs
         them all through :func:`~repro.parallel.execute_cells`, which
-        resolves them against the runner's cache and the options'
-        journal, simulates the rest, and returns results in spec
-        order.  A failing cell raises
+        resolves them against the runner's cache, simulates the rest,
+        and returns results in spec order.  A failing cell raises
         :class:`~repro.parallel.executor.CampaignError` after every
         other cell has run.
 
@@ -247,14 +243,8 @@ class ExperimentRunner:
         specs = list(specs)
         options = self._call_options(options)
         cache = self.cache
-        if options is not self.options:
-            # Per-call options own the cache decision outright: a
-            # use_cache=False call must bypass the runner's cache too,
-            # not just decline to build its own.
-            if not options.use_cache:
-                cache = None
-            elif options.cache_dir:
-                cache = options.build_cache()
+        if options is not self.options and options.cache_dir:
+            cache = options.build_cache()
         if labels is None:
             labels = [None] * len(specs)
         from repro.parallel import RunCell, execute_cells
@@ -271,8 +261,7 @@ class ExperimentRunner:
         ]
         return execute_cells(
             cells, workers=options.workers, cache=cache,
-            journal=options.journal, sink=options.trace_sink,
-            progress=options.progress,
+            sink=options.trace_sink, progress=options.progress,
         )
 
     def run_repetitions(self, config, workload, repetitions=5,

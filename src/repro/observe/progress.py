@@ -10,11 +10,11 @@ On a TTY the line redraws in place (carriage return); on anything else
 each update is its own line, so CI logs show the trajectory.
 
 Cells that were *computed* (simulated this run, successfully or not)
-and cells that were merely *resolved* (cache hits, journal resumes)
-are tracked separately and both reported: resolved cells cost
-microseconds, so the ETA divides elapsed wall-clock by computed cells
-only — counting hits as full-speed completions would make the
-estimate absurdly optimistic right after a warm start or resume.
+and cells that were merely *resolved* (cache hits) are tracked
+separately and both reported: resolved cells cost microseconds, so the
+ETA divides elapsed wall-clock by computed cells only — counting hits
+as full-speed completions would make the estimate absurdly optimistic
+right after a warm start or resume.
 """
 
 import sys
@@ -41,7 +41,6 @@ class CampaignProgress:
         self.label = label
         self.done = 0
         self.cached = 0
-        self.resumed = 0
         self.computed = 0
         self.failed = 0
         self._started = time.perf_counter()
@@ -66,7 +65,6 @@ class CampaignProgress:
         self.total = total
         self.done = 0
         self.cached = 0
-        self.resumed = 0
         self.computed = 0
         self.failed = 0
         self._started = time.perf_counter()
@@ -77,12 +75,6 @@ class CampaignProgress:
         """One cell resolved from the result cache."""
         self.done += 1
         self.cached += 1
-        self.render()
-
-    def cell_resumed(self):
-        """One cell resolved from a campaign journal's payloads."""
-        self.done += 1
-        self.resumed += 1
         self.render()
 
     def cell_finished(self):
@@ -108,8 +100,8 @@ class CampaignProgress:
         """Estimated seconds remaining, or ``None`` if unknowable.
 
         Based on *computed* completions only (successes and failures
-        that actually simulated); cache hits and journal resumes cost
-        microseconds and must not dilute the per-cell average.
+        that actually simulated); cache hits cost microseconds and
+        must not dilute the per-cell average.
         """
         if self.total is None:
             return None
@@ -127,8 +119,6 @@ class CampaignProgress:
             parts.append(f"{self.computed} computed")
         if self.cached:
             parts.append(f"{self.cached} cached")
-        if self.resumed:
-            parts.append(f"{self.resumed} resumed")
         if self.failed:
             parts.append(f"{self.failed} FAILED")
         parts.append(f"{self.elapsed_seconds:.1f}s elapsed")
@@ -156,7 +146,7 @@ class CampaignProgress:
         return (
             f"CampaignProgress({self.done}/{self.total}, "
             f"{self.computed} computed, {self.cached} cached, "
-            f"{self.resumed} resumed, {self.failed} failed)"
+            f"{self.failed} failed)"
         )
 
 

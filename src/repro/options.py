@@ -35,10 +35,9 @@ class RunOptions:
         in-process.
     cache_dir:
         Directory for the on-disk result cache; ``None`` disables
-        caching.
-    use_cache:
-        Master switch for the cache — ``False`` ignores ``cache_dir``
-        (the ``--no-cache`` flag).
+        caching.  Every finished cell is stored durably before it is
+        reported, so rerunning with the same directory resumes a
+        killed campaign.
     sanitize:
         Optional :mod:`repro.sanitize` mode name; runs execute under
         an attached invariant sanitizer.
@@ -59,18 +58,10 @@ class RunOptions:
         for a stderr line, or a
         :class:`~repro.observe.progress.CampaignProgress` instance.
         Likewise excluded from equality.
-    journal:
-        Path to an append-only campaign journal
-        (:class:`~repro.parallel.journal.CampaignJournal`): every
-        finished cell of a multi-cell entry point is durably
-        recorded, and a rerun resumes instead of recomputing.  Like
-        every other knob, journaling never changes results — only
-        crash behaviour.
     """
 
     workers: int = 1
     cache_dir: Optional[str] = None
-    use_cache: bool = True
     sanitize: Optional[str] = None
     observe: bool = False
     epoch_refs: int = DEFAULT_EPOCH_REFS
@@ -78,7 +69,6 @@ class RunOptions:
         default=None, compare=False, hash=False
     )
     progress: Any = field(default=None, compare=False, hash=False)
-    journal: Optional[str] = None
 
     def __post_init__(self):
         if self.workers < 1:
@@ -100,7 +90,7 @@ class RunOptions:
 
     def build_cache(self):
         """The :class:`ResultCache` these options describe, or ``None``."""
-        if not self.use_cache or not self.cache_dir:
+        if not self.cache_dir:
             return None
         from repro.parallel.cache import ResultCache
 

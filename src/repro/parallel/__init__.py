@@ -8,9 +8,8 @@ for such a grid: it runs cells in-process or over a
 results back in submission order, so parallel runs are bit-identical
 to serial ones.  :class:`ResultCache` persists each cell's
 :class:`~repro.machine.runner.RunResult` under a stable hash of its
-inputs, so re-running a bench or sweep only simulates changed cells;
-:class:`CampaignJournal` records each finished cell durably, so a
-killed campaign resumes where it stopped.
+inputs, so re-running a bench or sweep only simulates changed cells
+and a killed campaign resumes where it stopped.
 
 See ``docs/parallel.md`` for the cache-key derivation, the
 determinism guarantees, and resume.
@@ -34,27 +33,17 @@ from repro.parallel.executor import (
     run_pending,
     simulate_cell,
 )
-from repro.parallel.journal import (
-    JOURNAL_FORMAT,
-    CampaignJournal,
-    JournalReplay,
-    read_journal,
-)
 
 __all__ = [
     "CACHE_FORMAT",
     "CacheKeyError",
     "CampaignError",
-    "CampaignJournal",
     "CellFailure",
-    "JOURNAL_FORMAT",
-    "JournalReplay",
     "ResultCache",
     "RunCell",
     "cache_key",
     "cell_key",
     "execute_cells",
-    "read_journal",
     "result_from_payload",
     "result_to_payload",
     "run_pending",

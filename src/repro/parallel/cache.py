@@ -122,7 +122,7 @@ def cell_key(cell):
 
     ``None`` means the cell's inputs have no canonical rendering
     (:class:`CacheKeyError`): such a cell can be simulated but never
-    cached or resumed, because it has no stable identity.
+    cached, so a rerun always recomputes it.
     """
     try:
         return cache_key(
@@ -196,8 +196,10 @@ def result_from_payload(payload):
 class ResultCache:
     """Directory of cached :class:`RunResult` payloads.
 
-    Entries are written atomically (temp file + ``os.replace``) so a
-    killed run never leaves a truncated payload behind; unreadable or
+    Entries are written durably and atomically (temp file, ``fsync``,
+    ``os.replace``), so the cache is also the resume ledger of a
+    killed campaign: every stored entry survives the kill, a run never
+    leaves a truncated payload behind, and unreadable or
     version-mismatched entries read as misses.  ``hits`` / ``misses``
     / ``stores`` count this instance's traffic, which is what the
     equivalence tests (and ``repro campaign``) report.
@@ -231,14 +233,17 @@ class ResultCache:
         return result
 
     def put(self, key, result):
-        """Persist *result* under *key* (atomic replace)."""
+        """Persist *result* under *key* (fsync, then atomic rename)."""
         path = self.path_for(key)
         path.parent.mkdir(parents=True, exist_ok=True)
         payload = json.dumps(
             result_to_payload(result), sort_keys=True
         )
         tmp = path.with_name(f"{path.name}.tmp{os.getpid()}")
-        tmp.write_text(payload + "\n", encoding="utf-8")
+        with open(tmp, "w", encoding="utf-8") as handle:
+            handle.write(payload + "\n")
+            handle.flush()
+            os.fsync(handle.fileno())
         os.replace(tmp, path)
         self.stores += 1
 

@@ -3,8 +3,7 @@
 One :class:`RunCell` is one cold-start simulation — the unit the
 experiment matrices are built from.  :func:`execute_cells` resolves
 each cell against an optional
-:class:`~repro.parallel.cache.ResultCache` and an optional
-:class:`~repro.parallel.journal.CampaignJournal`, simulates the rest
+:class:`~repro.parallel.cache.ResultCache`, simulates the rest
 (serially, or over a pool of worker processes), and returns results
 in the order the cells were given.  Because every cell is fully
 determined by its inputs and cells share no state, the worker count
@@ -14,10 +13,11 @@ changes wall-clock time only: the returned
 from result equality, are the lone per-host fields).
 
 Each finished cell is made durable before it is made visible: it is
-stored in the cache, then journaled, then announced to the trace sink
-and progress reporter.  A run that is killed at any instant therefore
-keeps every cell it reported, and a re-run with the same cache or
-journal simulates only the cells that failed or never ran.
+stored in the cache (fsynced, then atomically renamed into place),
+then announced to the trace sink and progress reporter.  A run that
+is killed at any instant therefore keeps every cell it reported, and
+a re-run with the same cache simulates only the cells that failed or
+never ran.
 
 Failures degrade gracefully: a cell that raises never aborts the
 campaign.  Remaining cells run to completion, each failure is recorded
@@ -49,8 +49,6 @@ from repro.observe.series import DEFAULT_EPOCH_REFS
 from repro.parallel.cache import (
     CacheKeyError,
     cell_key,
-    result_from_payload,
-    result_to_payload,
     workload_spec,
 )
 from repro.workloads.synthetic import StreamRecording
@@ -261,7 +259,7 @@ def run_pending(cells, pending, record, workers=1, sink=None):
     :class:`~repro.machine.runner.RunResult` on success, the raised
     exception on failure.  ``record`` is always called from the
     calling process (workers return values; they never call back), so
-    callers may journal, cache, and emit from it without locking.
+    callers may cache and emit from it without locking.
 
     Work goes out in :func:`stream_batches`: one batch per stream in
     process, ``min(workers, cells)`` batches per stream on the pool,
@@ -316,8 +314,8 @@ def run_pending(cells, pending, record, workers=1, sink=None):
             }))
 
 
-def execute_cells(cells, workers=1, cache=None, journal=None,
-                  sink=None, progress=None):
+def execute_cells(cells, workers=1, cache=None, sink=None,
+                  progress=None):
     """Execute *cells*, returning results in the given cell order.
 
     Parameters
@@ -328,16 +326,11 @@ def execute_cells(cells, workers=1, cache=None, journal=None,
         Process count; 1 simulates in-process (no pool is created).
     cache:
         Optional :class:`ResultCache`.  Hits skip simulation entirely;
-        every other cell is stored as soon as it finishes.  Cells
+        every other cell is stored as soon as it finishes, so a rerun
+        with the same cache resumes where a killed run stopped.  Cells
         whose inputs cannot be canonically hashed
         (:class:`CacheKeyError`) are simulated unconditionally and
         never stored — correctness first.
-    journal:
-        Optional path or
-        :class:`~repro.parallel.journal.CampaignJournal`.  Cells the
-        cache misses resume from the journal's embedded results
-        (healing the cache on the way); every computed or failed cell
-        is appended to it.
     sink:
         Optional trace sink (``emit(dict)``); receives campaign,
         cell, and worker-pool lifecycle events plus each completed
@@ -348,43 +341,19 @@ def execute_cells(cells, workers=1, cache=None, journal=None,
 
     Raises :class:`CampaignError` after all cells have been given
     their chance if any cell failed; successful results (and their
-    cache and journal records) survive the error.
+    cache entries) survive the error.
     """
     from repro.observe.progress import CampaignProgress
     from repro.observe.sinks import emit_cell, emit_run, stamp
-    from repro.parallel.journal import CampaignJournal
 
     cells = list(cells)
-    journal = CampaignJournal.coerce(journal)
-    results = [None] * len(cells)
     keys = [None] * len(cells)
-    if cache is not None or journal is not None:
+    if cache is not None:
         keys = [cell_key(cell) for cell in cells]
-    journaled = journal.replay().results if journal is not None else {}
-    cached = []
-    resumed = []
-    pending = []
-    for index, key in enumerate(keys):
-        if key is not None and cache is not None:
-            hit = cache.get(key)
-            if hit is not None:
-                results[index] = hit
-                cached.append(index)
-                continue
-        if key in journaled:
-            try:
-                result = result_from_payload(journaled[key])
-            except (KeyError, TypeError):
-                result = None
-            if result is not None:
-                results[index] = result
-                resumed.append(index)
-                # The journal proves the work was done: heal the cache
-                # so later campaigns hit instead of resuming.
-                if cache is not None:
-                    cache.put(key, result)
-                continue
-        pending.append(index)
+    results = [cache.get(key) if key is not None else None
+               for key in keys]
+    cached = [index for index, hit in enumerate(results) if hit is not None]
+    pending = [index for index, hit in enumerate(results) if hit is None]
 
     progress = CampaignProgress.coerce(progress, len(cells))
     if sink is not None:
@@ -392,32 +361,22 @@ def execute_cells(cells, workers=1, cache=None, journal=None,
             "type": "campaign_started",
             "cells": len(cells),
             "cached": len(cached),
-            "resumed": len(resumed),
             "pending": len(pending),
             "workers": workers,
         }))
-    if journal is not None:
-        journal.plan(keys, [cell.label for cell in cells])
     for index in cached:
         emit_cell(sink, "cell_cached", index, cells[index])
         if progress is not None:
             progress.cell_cached()
-    for index in resumed:
-        emit_cell(sink, "cell_resumed", index, cells[index])
-        if progress is not None:
-            progress.cell_resumed()
 
     failures = []
 
     def record(index, outcome):
         """Fold one finished/raised cell in: durable, then visible."""
         cell = cells[index]
-        key = keys[index]
         if isinstance(outcome, BaseException):
             failure = _failure(index, cell, outcome)
             failures.append(failure)
-            if journal is not None:
-                journal.cell_failed(index, key, cell.label, failure.error)
             emit_cell(sink, "cell_failed", index, cell,
                       error=failure.error)
             if progress is not None:
@@ -425,23 +384,15 @@ def execute_cells(cells, workers=1, cache=None, journal=None,
             return
         results[index] = outcome
         # Runs in the parent process only, so pool workers never race
-        # on the cache directory or the journal file.
-        if cache is not None and key is not None:
-            cache.put(key, outcome)
-        if journal is not None:
-            journal.cell_done(
-                index, key, cell.label, result_to_payload(outcome)
-            )
+        # on the cache directory.
+        if keys[index] is not None:
+            cache.put(keys[index], outcome)
         emit_run(sink, outcome, label=cell.label)
         emit_cell(sink, "cell_finished", index, cell)
         if progress is not None:
             progress.cell_finished()
 
-    try:
-        run_pending(cells, pending, record, workers=workers, sink=sink)
-    finally:
-        if journal is not None:
-            journal.close()
+    run_pending(cells, pending, record, workers=workers, sink=sink)
 
     if progress is not None:
         progress.finish()
@@ -450,7 +401,6 @@ def execute_cells(cells, workers=1, cache=None, journal=None,
             "type": "campaign_finished",
             "cells": len(cells),
             "cached": len(cached),
-            "resumed": len(resumed),
             "computed": len(pending) - len(failures),
             "failed": len(failures),
         }))

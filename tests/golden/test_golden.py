@@ -6,10 +6,12 @@ every mode the same way fails here.  The ``scalar-oracle`` mode sends
 every run through the frozen per-tuple loop of ``tests/oracle.py``
 instead of the chunk engine.  Serial runs all three tables;
 the other modes run the Table 4.1 grid only (18 cells, paging out) to
-keep the cost down.  The journal modes resume an interrupted Table 4.1
-campaign, serially and on a pool.  Regenerate the file only with
-``python tests/golden/regen.py``.
+keep the cost down.  The resumed modes finish a Table 4.1 campaign
+from the result cache a kill left behind, serially and on a pool.
+Regenerate the file only with ``python tests/golden/regen.py``.
 """
+
+import shutil
 
 import pytest
 
@@ -20,7 +22,7 @@ from repro.parallel import ResultCache
 from tests.golden.regen import TABLES, load_golden, run_table
 from tests.oracle import scalar_run_chunks
 
-#: ``cell_done`` records the interrupted journal keeps (of 18).
+#: Intact cache entries the interrupted campaign keeps (of 18).
 KEPT_CELLS = 7
 
 
@@ -52,46 +54,45 @@ def test_mode_matches_golden(golden, options, scalar, monkeypatch):
     assert_matches(run_table("4.1", options), golden["4.1"])
 
 
-
 @pytest.fixture(scope="module")
-def interrupted_journal(tmp_path_factory):
-    """A Table 4.1 journal cut back as a kill would leave it.
+def interrupted_cache(tmp_path_factory):
+    """A Table 4.1 result cache cut back as a kill would leave it.
 
-    It keeps the plan and the first :data:`KEPT_CELLS` ``cell_done``
-    records, then half of the next record with no newline: the torn
-    tail of a kill mid-append.
+    It keeps :data:`KEPT_CELLS` intact entries and half the bytes of
+    one more; the remaining cells are gone, one of them leaving a
+    complete ``*.json.tmp<pid>`` file that was never renamed into
+    place.  Returns the cache directory and the truncated entry's
+    path relative to it.
     """
-    path = tmp_path_factory.mktemp("journal") / "journal.jsonl"
-    run_table("4.1", RunOptions(journal=str(path)))
-    kept = []
-    done = 0
-    for line in path.read_text().splitlines(keepends=True):
-        if '"type":"cell_done"' in line:
-            if done == KEPT_CELLS:
-                kept.append(line[: len(line) // 2])
-                break
-            done += 1
-        kept.append(line)
-    return "".join(kept)
+    root = tmp_path_factory.mktemp("cache")
+    run_table("4.1", RunOptions(cache_dir=str(root)))
+    entries = sorted(root.glob("??/*.json"))
+    assert len(entries) == 18
+    truncated, stray = entries[KEPT_CELLS:KEPT_CELLS + 2]
+    payload = truncated.read_bytes()
+    truncated.write_bytes(payload[: len(payload) // 2])
+    stray.rename(stray.with_name(stray.name + ".tmp4242"))
+    for entry in entries[KEPT_CELLS + 2:]:
+        entry.unlink()
+    return root, truncated.relative_to(root)
 
 
-@pytest.mark.parametrize("workers,cached", [
-    (1, False), (2, False), (1, True),
-], ids=["serial", "workers2", "serial-cached"])
-def test_resumed_journal_matches_golden(golden, interrupted_journal,
-                                        tmp_path, workers, cached):
-    path = tmp_path / "journal.jsonl"
-    path.write_text(interrupted_journal)
-    cache_dir = str(tmp_path / "cache") if cached else None
+@pytest.mark.parametrize("workers", [1, 2], ids=["serial", "workers2"])
+def test_resumed_cache_matches_golden(golden, interrupted_cache,
+                                      tmp_path, workers):
+    template, truncated = interrupted_cache
+    cache_dir = tmp_path / "cache"
+    shutil.copytree(template, cache_dir)
     sink = MemorySink()
     records = run_table("4.1", RunOptions(
-        workers=workers, journal=str(path), cache_dir=cache_dir,
-        trace_sink=sink,
+        workers=workers, cache_dir=str(cache_dir), trace_sink=sink,
     ))
     assert_matches(records, golden["4.1"])
     (started,) = sink.of_type("campaign_started")
-    assert started["resumed"] == KEPT_CELLS
+    assert started["cached"] == KEPT_CELLS
     assert started["pending"] == 18 - KEPT_CELLS
-    if cached:
-        # Resumed cells heal the cache; computed cells are stored.
-        assert len(ResultCache(cache_dir)) == 18
+    # The truncated entry was recomputed and rewritten whole, and
+    # the stray temp file never counted as an entry.
+    cache = ResultCache(cache_dir)
+    assert len(cache) == 18
+    assert cache.get(truncated.stem) is not None

@@ -33,6 +33,7 @@ FUNCTIONS = src_functions()
 
 @pytest.mark.parametrize("field", [
     "hot_loops", "chunked_hot_loops", "effect_hot_loops", "cache_roots",
+    "resume_identity_roots",
 ])
 def test_every_name_is_a_function_in_src(field):
     names = getattr(DEFAULTS, field)

@@ -66,8 +66,6 @@ class TestValidation:
 
     def test_build_cache(self, tmp_path):
         assert RunOptions().build_cache() is None
-        assert RunOptions(cache_dir=str(tmp_path),
-                          use_cache=False).build_cache() is None
         cache = RunOptions(cache_dir=str(tmp_path)).build_cache()
         assert isinstance(cache, ResultCache)
 
@@ -81,13 +79,13 @@ class TestRunnerAcceptsOptions:
     def test_runner_defaults_to_default_options(self):
         assert ExperimentRunner().options == RunOptions()
 
-    def test_explicit_cache_object_wins(self, tmp_path):
-        mine = ResultCache(str(tmp_path / "mine"))
+    def test_cache_dir_names_the_runner_cache(self, tmp_path):
+        assert ExperimentRunner().cache is None
         runner = ExperimentRunner(
-            cache=mine,
-            options=RunOptions(cache_dir=str(tmp_path / "other")),
+            options=RunOptions(cache_dir=str(tmp_path / "mine")),
         )
-        assert runner.cache is mine
+        assert isinstance(runner.cache, ResultCache)
+        assert runner.cache.root == tmp_path / "mine"
 
     def test_per_call_options_override_runner(self):
         runner = ExperimentRunner()
@@ -99,22 +97,21 @@ class TestRunnerAcceptsOptions:
         assert run_with(runner).observation is None
         assert observed == run_with(runner)
 
-    def test_per_call_use_cache_false_bypasses_runner_cache(
-            self, tmp_path):
-        # Regression: per-call use_cache=False used to bypass only
-        # the options' own cache_dir, leaving the runner-level cache
-        # active for the call.
-        cache = ResultCache(str(tmp_path))
-        runner = ExperimentRunner(cache=cache)
+    def test_per_call_cache_dir_replaces_runner_cache(self, tmp_path):
+        runner = ExperimentRunner(
+            options=RunOptions(cache_dir=str(tmp_path / "runner")),
+        )
         specs = [(CONFIG, SlcWorkload(length_scale=0.01), 1,
                   MAX_REFS)]
-        fresh = runner.run_many(
-            specs, options=RunOptions(use_cache=False)
-        )
-        assert cache.hits == 0 and cache.misses == 0
-        # Without the override the same call consults the cache.
-        cached = runner.run_many(specs)
-        assert cache.misses == 1
+        fresh = runner.run_many(specs, options=RunOptions(
+            cache_dir=str(tmp_path / "call"),
+        ))
+        assert runner.cache.misses == 0
+        assert len(ResultCache(str(tmp_path / "call"))) == 1
+        # Per-call options without a cache_dir keep the runner's.
+        cached = runner.run_many(specs, options=RunOptions(workers=1,
+                                                           observe=True))
+        assert runner.cache.misses == 1
         assert cached == fresh
 
     def test_per_call_workers_come_from_options(self):
@@ -189,12 +186,13 @@ class TestOptionsAreTheOnlyWay:
 
     def test_fields_are_the_execution_knobs(self):
         assert [f.name for f in dataclasses.fields(RunOptions)] == [
-            "workers", "cache_dir", "use_cache",
+            "workers", "cache_dir",
             "sanitize", "observe", "epoch_refs", "trace_sink",
-            "progress", "journal",
+            "progress",
         ]
 
     @pytest.mark.parametrize("entry,keyword", [
+        ("ExperimentRunner", "cache"),
         ("ExperimentRunner", "chunk_refs"),
         ("ExperimentRunner", "sanitize"),
         ("ExperimentRunner.run_many", "workers"),

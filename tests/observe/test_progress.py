@@ -35,18 +35,16 @@ class TestCounting:
         progress = CampaignProgress(total=5, stream=stream)
         progress.cell_finished()
         progress.cell_cached()
-        progress.cell_resumed()
         progress.cell_failed()
 
         assert (
             progress.done, progress.computed, progress.cached,
-            progress.resumed, progress.failed,
-        ) == (4, 1, 1, 1, 1)
+            progress.failed,
+        ) == (3, 1, 1, 1)
         line = progress.status_line()
-        assert "4/5 cells done" in line
+        assert "3/5 cells done" in line
         assert "1 computed" in line
         assert "1 cached" in line
-        assert "1 resumed" in line
         assert "1 FAILED" in line
         assert "elapsed" in line
 
@@ -60,10 +58,10 @@ class TestCounting:
         line = progress.status_line()
         assert "2 cached" in line and "1 computed" in line
 
-    def test_eta_ignores_cache_hits_and_resumes(self):
+    def test_eta_ignores_cache_hits(self):
         progress = CampaignProgress(total=5, stream=io.StringIO())
         progress.cell_cached()
-        progress.cell_resumed()
+        progress.cell_cached()
         # Only resolved cells so far: no basis for an estimate.
         assert progress.eta_seconds() is None
         progress.cell_finished()

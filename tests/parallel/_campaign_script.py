@@ -1,10 +1,10 @@
-"""Subprocess half of the kill-resume tests: a paced journaled campaign.
+"""Subprocess half of the kill-resume tests: a paced cached campaign.
 
-Run as a script (``python _campaign_script.py --journal J --cache-dir
-C --delay 0.3``) it executes the Table 4.1-shaped grid below through
+Run as a script (``python _campaign_script.py --cache-dir C --delay
+0.3``) it executes the Table 4.1-shaped grid below through
 :func:`~repro.parallel.execute_cells`, sleeping ``--delay`` seconds
 after each computed cell's ``cell_finished`` event (which follows the
-cell's cache store and journal record) so the parent test can kill it
+cell's durable cache store) so the parent test can kill it
 mid-campaign at a known point.  The test imports
 :func:`campaign_cells` from this same file, so both processes agree
 on the grid by construction.
@@ -52,14 +52,12 @@ class PacingSink:
 
 def main(argv=None):
     parser = argparse.ArgumentParser()
-    parser.add_argument("--journal", required=True)
     parser.add_argument("--cache-dir", required=True)
     parser.add_argument("--delay", type=float, default=0.0)
     args = parser.parse_args(argv)
     execute_cells(
         campaign_cells(),
         cache=ResultCache(args.cache_dir),
-        journal=args.journal,
         sink=PacingSink(args.delay),
     )
     print("campaign complete")

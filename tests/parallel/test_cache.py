@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import multiprocessing
+import os
 from concurrent.futures import ProcessPoolExecutor
 
 import pytest
@@ -149,7 +150,7 @@ def fresh_interpreter_keys():
 
     A spawned interpreter has its own string-hash seed, so equal keys
     prove the key never depends on per-process state — the property
-    that lets a journal or cache written by one run resume another.
+    that lets a cache written by one run resume another.
     """
     context = multiprocessing.get_context("spawn")
     cells = [named_cell(name) for name in WORKLOAD_NAMES]
@@ -189,8 +190,8 @@ class TestSerialisation:
         "other-format", "not-a-dict",
     ])
     def test_malformed_payload_raises(self, damage):
-        # KeyError/TypeError is the contract the cache and the
-        # journal resume rely on to treat a payload as a miss.
+        # KeyError/TypeError is the contract the cache relies on to
+        # treat a payload as a miss.
         payload = damaged_payload(result_to_payload(tiny_run()), damage)
         with pytest.raises((KeyError, TypeError)):
             result_from_payload(payload)
@@ -242,6 +243,33 @@ class TestResultCache:
                           workload, 0, 2000)
         assert cache.get(other) is None
 
+    def test_every_store_is_fsynced_before_it_is_visible(
+            self, tmp_path, monkeypatch):
+        # A killed campaign resumes from whatever entries are visible,
+        # so each one must reach the disk before it is renamed into
+        # place.
+        cache = ResultCache(tmp_path)
+        result = tiny_run()
+        keys = [
+            cache_key(scaled_config(memory_ratio=40),
+                      SlcWorkload(length_scale=TINY_SCALE), seed, 2000)
+            for seed in range(2)
+        ]
+        visible_at_fsync = []
+        real_fsync = os.fsync
+
+        def spy(fd):
+            visible_at_fsync.append(
+                cache.path_for(keys[len(visible_at_fsync)]).exists()
+            )
+            real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", spy)
+        for key in keys:
+            cache.put(key, result)
+        assert visible_at_fsync == [False, False]
+        assert all(cache.get(key) == result for key in keys)
+
     def test_corrupt_entry_reads_as_miss(self, tmp_path):
         cache = ResultCache(tmp_path)
         key = cache_key(scaled_config(memory_ratio=40),
@@ -271,3 +299,208 @@ class TestResultCache:
         assert len(cache) == 3
         cache.clear()
         assert len(cache) == 0
+
+
+@pytest.fixture(scope="module")
+def stored():
+    """One tiny result and keys for three seeds of its recipe."""
+    result = tiny_run()
+    keys = [
+        cache_key(scaled_config(memory_ratio=40),
+                  SlcWorkload(length_scale=TINY_SCALE), seed, 2000)
+        for seed in range(3)
+    ]
+    return result, keys
+
+
+def stray_files(root):
+    return sorted(path.name for path in root.glob("??/*.tmp*"))
+
+
+class TestDurableStore:
+    """The cache is the resume ledger: what it promises a killed run."""
+
+    def test_missing_root_directories_are_created(self, tmp_path,
+                                                  stored):
+        result, (key, *_) = stored
+        root = tmp_path / "a" / "b" / "cache"
+        cache = ResultCache(root)
+        assert root.is_dir()
+        cache.put(key, result)
+        assert ResultCache(root).get(key) == result
+
+    def test_empty_store_misses_every_key(self, tmp_path, stored):
+        _, keys = stored
+        cache = ResultCache(tmp_path)
+        assert len(cache) == 0
+        assert [cache.get(key) for key in keys] == [None] * len(keys)
+        assert (cache.hits, cache.misses, cache.stores) == (
+            0, len(keys), 0)
+
+    def test_last_store_wins(self, tmp_path, stored):
+        result, (key, *_) = stored
+        cache = ResultCache(tmp_path)
+        cache.put(key, result)
+        later = dataclasses.replace(result, cycles=result.cycles + 1)
+        cache.put(key, later)
+        assert len(cache) == 1
+        assert ResultCache(tmp_path).get(key) == later
+
+    def test_entry_is_one_sorted_json_line_under_a_two_level_fanout(
+            self, tmp_path, stored):
+        result, (key, *_) = stored
+        cache = ResultCache(tmp_path)
+        cache.put(key, result)
+        path = cache.path_for(key)
+        assert path == tmp_path / key[:2] / f"{key}.json"
+        text = path.read_text(encoding="utf-8")
+        assert text.endswith("\n") and text.count("\n") == 1
+        payload = json.loads(text)
+        assert list(payload) == sorted(payload)
+        assert payload["format"] == CACHE_FORMAT
+        assert payload == result_to_payload(result)
+
+    def test_store_leaves_no_temp_file(self, tmp_path, stored):
+        result, keys = stored
+        cache = ResultCache(tmp_path)
+        for key in keys:
+            cache.put(key, result)
+        assert stray_files(tmp_path) == []
+        assert len(cache) == len(keys)
+
+    @pytest.mark.parametrize("step", ["fsync", "replace"])
+    def test_interrupted_store_keeps_the_previous_entry(
+            self, tmp_path, stored, monkeypatch, step):
+        # A store that dies before its rename must leave the entry a
+        # reader sees untouched: old payload, never a partial one.
+        result, (key, *_) = stored
+        cache = ResultCache(tmp_path)
+        cache.put(key, result)
+
+        def killed(*args):
+            raise OSError("killed mid-store")
+
+        monkeypatch.setattr(os, step, killed)
+        later = dataclasses.replace(result, cycles=result.cycles + 1)
+        with pytest.raises(OSError):
+            cache.put(key, later)
+        monkeypatch.undo()
+        assert cache.stores == 1
+        assert ResultCache(tmp_path).get(key) == result
+
+    def test_interrupted_first_store_leaves_no_entry(
+            self, tmp_path, stored, monkeypatch):
+        result, (key, *_) = stored
+        cache = ResultCache(tmp_path)
+
+        def killed(*args):
+            raise OSError("killed mid-store")
+
+        monkeypatch.setattr(os, "replace", killed)
+        with pytest.raises(OSError):
+            cache.put(key, result)
+        monkeypatch.undo()
+        # The torn temp file is left behind but is not an entry.
+        assert len(stray_files(tmp_path)) == 1
+        assert len(cache) == 0
+        assert ResultCache(tmp_path).get(key) is None
+
+    def test_counters_are_per_instance(self, tmp_path, stored):
+        result, (first, second, _) = stored
+        writer = ResultCache(tmp_path)
+        writer.put(first, result)
+        reader = ResultCache(tmp_path)
+        assert reader.get(first) == result
+        assert reader.get(second) is None
+        assert (writer.hits, writer.misses, writer.stores) == (0, 0, 1)
+        assert (reader.hits, reader.misses, reader.stores) == (1, 1, 0)
+
+    def test_stats_line_reports_traffic_and_root(self, tmp_path,
+                                                 stored):
+        result, (first, second, _) = stored
+        cache = ResultCache(tmp_path)
+        cache.get(first)
+        cache.put(first, result)
+        cache.get(first)
+        cache.get(second)
+        assert cache.stats_line() == (
+            f"cache: 1 hits, 2 misses, 1 stores ({tmp_path})"
+        )
+
+    def test_clear_keeps_the_root_and_accepts_new_stores(
+            self, tmp_path, stored):
+        result, keys = stored
+        cache = ResultCache(tmp_path)
+        for key in keys:
+            cache.put(key, result)
+        cache.clear()
+        assert tmp_path.is_dir()
+        assert [cache.get(key) for key in keys] == [None] * len(keys)
+        cache.put(keys[0], result)
+        assert len(cache) == 1
+        assert cache.get(keys[0]) == result
+
+
+class TestDamageTolerance:
+    """Unreadable entries are misses; a store over them heals them."""
+
+    @pytest.mark.parametrize("damage", [
+        "missing-field", "unknown-event", "events-not-a-mapping",
+        "other-format", "not-a-dict", "truncated", "empty", "not-json",
+    ])
+    def test_damaged_entry_reads_as_miss_until_restored(
+            self, tmp_path, stored, damage):
+        result, (key, *_) = stored
+        cache = ResultCache(tmp_path)
+        cache.put(key, result)
+        path = cache.path_for(key)
+        if damage == "truncated":
+            data = path.read_bytes()
+            path.write_bytes(data[: len(data) // 2])
+        elif damage == "empty":
+            path.write_bytes(b"")
+        elif damage == "not-json":
+            path.write_text("\x00 not json\n")
+        else:
+            path.write_text(json.dumps(
+                damaged_payload(result_to_payload(result), damage)
+            ))
+        assert cache.get(key) is None
+        assert (cache.hits, cache.misses) == (0, 1)
+        cache.put(key, result)
+        assert cache.get(key) == result
+
+    def test_damage_is_local_to_its_entry(self, tmp_path, stored):
+        result, keys = stored
+        cache = ResultCache(tmp_path)
+        for key in keys:
+            cache.put(key, result)
+        cache.path_for(keys[1]).write_text("{ torn")
+        again = ResultCache(tmp_path)
+        assert [again.get(key) == result for key in keys] == [
+            True, False, True]
+        assert (again.hits, again.misses) == (2, 1)
+
+    def test_stray_temp_file_is_neither_an_entry_nor_a_hit(
+            self, tmp_path, stored):
+        # A store killed between write and rename leaves its temp
+        # file: a complete payload, but never renamed into place.
+        result, (key, *_) = stored
+        cache = ResultCache(tmp_path)
+        path = cache.path_for(key)
+        path.parent.mkdir(parents=True)
+        path.with_name(path.name + ".tmp999999").write_text(
+            json.dumps(result_to_payload(result))
+        )
+        assert len(cache) == 0
+        assert cache.get(key) is None
+        cache.put(key, result)
+        assert len(cache) == 1
+        assert cache.get(key) == result
+
+    def test_unreadable_entry_reads_as_miss(self, tmp_path, stored):
+        _, (key, *_) = stored
+        cache = ResultCache(tmp_path)
+        cache.path_for(key).mkdir(parents=True)
+        assert cache.get(key) is None
+        assert cache.misses == 1

@@ -97,9 +97,10 @@ class TestParallelEquivalence:
 class TestCachedMatrix:
     def test_warm_cache_simulates_zero_cells(self, tmp_path):
         points = table_4_1_points()
-        cache = ResultCache(tmp_path)
-        runner = ExperimentRunner(cache=cache,
-                                  options=RunOptions(workers=2))
+        runner = ExperimentRunner(options=RunOptions(
+            workers=2, cache_dir=str(tmp_path),
+        ))
+        cache = runner.cache
         first = runner.run_matrix(
             points, repetitions=2, max_references=MAX_REFS,
         )
@@ -119,8 +120,10 @@ class TestCachedMatrix:
         uncached = ExperimentRunner().run_matrix(
             points, repetitions=1, max_references=MAX_REFS,
         )
-        cache = ResultCache(tmp_path)
-        runner = ExperimentRunner(cache=cache)
+        runner = ExperimentRunner(
+            options=RunOptions(cache_dir=str(tmp_path))
+        )
+        cache = runner.cache
         runner.run_matrix(points, repetitions=1,
                           max_references=MAX_REFS)
         reloaded = runner.run_matrix(points, repetitions=1,
@@ -130,8 +133,10 @@ class TestCachedMatrix:
 
     def test_config_change_invalidates_only_changed_cells(
             self, tmp_path):
-        cache = ResultCache(tmp_path)
-        runner = ExperimentRunner(cache=cache)
+        runner = ExperimentRunner(
+            options=RunOptions(cache_dir=str(tmp_path))
+        )
+        cache = runner.cache
         workload = SlcWorkload(length_scale=TINY_SCALE)
         base = [("a", scaled_config(memory_ratio=40), workload),
                 ("b", scaled_config(memory_ratio=48), workload)]
@@ -179,8 +184,11 @@ class TestSweepDriverParallel:
         pool = RunOptions(workers=2)
         parallel = build(ExperimentRunner()).run(options=pool)
         assert serial == parallel
-        cache = ResultCache(tmp_path)
-        cached_driver = build(ExperimentRunner(cache=cache))
+        cached_runner = ExperimentRunner(
+            options=RunOptions(cache_dir=str(tmp_path))
+        )
+        cache = cached_runner.cache
+        cached_driver = build(cached_runner)
         cached_driver.run(options=pool)
         again = cached_driver.run(options=pool)
         assert cache.hits == 2

@@ -7,7 +7,6 @@ that also pickles cleanly into worker processes.  An interrupted run
 """
 
 import io
-import json
 import os
 
 import pytest
@@ -18,18 +17,13 @@ from repro.observe.progress import CampaignProgress
 from repro.observe.sinks import MemorySink
 from repro.options import RunOptions
 from repro.parallel import executor
-from repro.parallel.cache import (
-    ResultCache,
-    cell_key,
-    result_to_payload,
-)
+from repro.parallel.cache import ResultCache, cell_key
 from repro.parallel.executor import (
     CampaignError,
     CellFailure,
     RunCell,
     execute_cells,
 )
-from repro.parallel.journal import CampaignJournal, read_journal
 from repro.workloads.recorded import RecordedWorkload, record_workload
 from repro.workloads.slc import SlcWorkload
 
@@ -225,81 +219,70 @@ class TestRunnerSurface:
         assert failure.error.startswith("FileNotFoundError")
 
 
-class TestJournaledFailures:
+class TestCachedFailures:
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_failed_cell_is_journaled_and_rerun(self, broken_workload,
-                                                tmp_path, workers):
-        journal = tmp_path / "j.jsonl"
+    def test_failed_cell_is_not_stored_and_is_rerun(
+            self, broken_workload, tmp_path, workers):
         cells = make_cells(broken_workload)
+        cache = ResultCache(str(tmp_path / "cache"))
         with pytest.raises(CampaignError) as excinfo:
-            execute_cells(cells, workers=workers, journal=journal)
+            execute_cells(cells, workers=workers, cache=cache)
         first = excinfo.value.results
-        records = [json.loads(line)
-                   for line in journal.read_text().splitlines()]
-        (failed,) = [r for r in records if r["type"] == "cell_failed"]
-        assert failed["label"] == "doomed"
-        assert failed["error"].startswith("FileNotFoundError")
-        assert read_journal(journal).completed == 2
+        (failure,) = excinfo.value.failures
+        assert failure.label == "doomed"
+        assert failure.error.startswith("FileNotFoundError")
+        assert cache.stores == len(cache) == 2
 
-        # A re-run resumes the good cells and tries only the failed one.
+        # A re-run resolves the good cells and tries only the failed one.
         sink = MemorySink()
         with pytest.raises(CampaignError) as again:
-            execute_cells(cells, workers=workers, journal=journal,
+            execute_cells(cells, workers=workers,
+                          cache=ResultCache(str(tmp_path / "cache")),
                           sink=sink)
         (started,) = sink.of_type("campaign_started")
-        assert started["resumed"] == 2
+        assert started["cached"] == 2
         assert started["pending"] == 1
         assert again.value.results == first
-
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_mixed_run_accounting(self, broken_workload, tmp_path,
                                   workers):
-        # One cell of each fate: cached, failed, resumed, computed.
+        # Every fate in one run: cached (two), failed, computed.
         cells = make_cells(broken_workload)
         cells.append(RunCell(config=CONFIG,
                              workload=SlcWorkload(length_scale=0.01),
                              seed=3, max_references=MAX_REFS,
                              label="good3"))
         reference = execute_cells([cells[0], cells[2], cells[3]])
-        ResultCache(str(tmp_path / "cache")).put(cell_key(cells[0]),
-                                                 reference[0])
+        warm = ResultCache(str(tmp_path / "cache"))
+        warm.put(cell_key(cells[0]), reference[0])
+        warm.put(cell_key(cells[2]), reference[1])
         cache = ResultCache(str(tmp_path / "cache"))
-        journal = CampaignJournal(tmp_path / "j.jsonl", fsync=False)
-        journal.cell_done(2, cell_key(cells[2]), cells[2].label,
-                          result_to_payload(reference[1]))
-        journal.close()
 
         sink = MemorySink()
         progress = CampaignProgress(stream=io.StringIO())
         with pytest.raises(CampaignError) as excinfo:
             execute_cells(cells, workers=workers, cache=cache,
-                          journal=journal, sink=sink,
-                          progress=progress)
+                          sink=sink, progress=progress)
         assert excinfo.value.results == [
             reference[0], None, reference[1], reference[2],
         ]
         (started,) = sink.of_type("campaign_started")
         assert {key: started[key] for key in (
-            "cells", "cached", "resumed", "pending", "workers"
-        )} == {"cells": 4, "cached": 1, "resumed": 1, "pending": 2,
+            "cells", "cached", "pending", "workers"
+        )} == {"cells": 4, "cached": 2, "pending": 2,
                "workers": workers}
         (finished,) = sink.of_type("campaign_finished")
         assert {key: finished[key] for key in (
-            "cells", "cached", "resumed", "computed", "failed"
-        )} == {"cells": 4, "cached": 1, "resumed": 1, "computed": 1,
-               "failed": 1}
-        assert [e["cell"] for e in sink.of_type("cell_cached")] == [0]
-        assert [e["cell"] for e in sink.of_type("cell_resumed")] == [2]
+            "cells", "cached", "computed", "failed"
+        )} == {"cells": 4, "cached": 2, "computed": 1, "failed": 1}
+        assert [e["cell"] for e in sink.of_type("cell_cached")] == [0, 2]
         assert [e["cell"] for e in sink.of_type("cell_failed")] == [1]
         assert [e["cell"] for e in sink.of_type("cell_finished")] == [3]
-        assert (progress.done, progress.cached, progress.resumed,
-                progress.computed, progress.failed) == (4, 1, 1, 1, 1)
-        # The resumed cell healed the cache; the computed one joined it.
-        assert cache.stores == 2
-        # The journal gained the computed cell; the resumed one was
-        # already on record.
-        assert read_journal(journal.path).completed == 2
+        assert (progress.done, progress.cached, progress.computed,
+                progress.failed) == (4, 2, 1, 1)
+        # Only the computed cell joined the cache.
+        assert cache.stores == 1
 
 
 class InterruptingWorkload(SlcWorkload):
@@ -317,9 +300,8 @@ class InterruptingWorkload(SlcWorkload):
 
 
 class TestInterruptedRun:
-    @pytest.mark.parametrize("store", ["cache", "journal"])
     def test_cells_finished_before_an_interrupt_survive(
-        self, tmp_path, monkeypatch, store
+        self, tmp_path, monkeypatch
     ):
         cells = [
             RunCell(config=CONFIG, workload=workload_cls(0.01),
@@ -330,23 +312,15 @@ class TestInterruptedRun:
                 SlcWorkload,
             ))
         ]
-        journal = tmp_path / "j.jsonl"
-
-        def stores():
-            if store == "cache":
-                return {"cache": ResultCache(str(tmp_path / "cache"))}
-            return {"journal": journal}
+        cache_dir = str(tmp_path / "cache")
 
         monkeypatch.setattr(InterruptingWorkload, "armed", True)
-        kept = stores()
+        kept = ResultCache(cache_dir)
         with pytest.raises(KeyboardInterrupt):
-            execute_cells(cells, **kept)
-        if store == "cache":
-            assert kept["cache"].stores == 2
-            assert all(kept["cache"].get(cell_key(cell)) is not None
-                       for cell in cells[:2])
-        else:
-            assert read_journal(journal).completed == 2
+            execute_cells(cells, cache=kept)
+        assert kept.stores == 2
+        assert all(kept.get(cell_key(cell)) is not None
+                   for cell in cells[:2])
 
         # The re-run simulates only the interrupted and unrun cells.
         monkeypatch.setattr(InterruptingWorkload, "armed", False)
@@ -358,7 +332,7 @@ class TestInterruptedRun:
             return original(cell)
 
         monkeypatch.setattr(executor, "simulate_cell", spy)
-        results = execute_cells(cells, **stores())
+        results = execute_cells(cells, cache=ResultCache(cache_dir))
         assert simulated == ["cell2", "cell3"]
         monkeypatch.setattr(executor, "simulate_cell", original)
         assert results == execute_cells(cells)

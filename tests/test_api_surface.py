@@ -57,7 +57,6 @@ MODULES = (
     "repro.observe.sinks",
     "repro.parallel.cache",
     "repro.parallel.executor",
-    "repro.parallel.journal",
     "repro.workloads.catalog",
     "repro.workloads.synthetic",
     "repro.workloads.recorded",

@@ -188,14 +188,6 @@ class TestParallelCommands:
         assert first == second
         assert any(cache_dir.glob("??/*.json"))
 
-    def test_no_cache_flag_disables_caching(self, tmp_path, capsys):
-        cache_dir = tmp_path / "cache"
-        assert main([
-            "table", "3.3", "--length", "0.005",
-            "--cache-dir", str(cache_dir), "--no-cache",
-        ]) == 0
-        assert not any(cache_dir.glob("??/*.json"))
-
     def test_campaign_writes_artefacts_and_caches(self, tmp_path,
                                                   capsys):
         out_dir = tmp_path / "out"
@@ -221,21 +213,50 @@ class TestParallelCommands:
             for p in sorted(cache_dir.glob("??/*.json"))
         } == first
 
-    @pytest.mark.parametrize("flag,value,message", [
-        ("--workers", "0", "workers must be >= 1, got 0"),
-        ("--epoch-refs", "0", "epoch_refs must be >= 1, got 0"),
-    ])
+    @pytest.mark.parametrize("argv,message", [
+        (["table", "4.1", "--workers", "0"],
+         "workers must be >= 1, got 0"),
+        (["table", "4.1", "--epoch-refs", "0"],
+         "epoch_refs must be >= 1, got 0"),
+        (["table", "4.1", "--reps", "0"], "reps must be >= 1, got 0"),
+        (["table", "4.1", "--reps", "-1"], "reps must be >= 1, got -1"),
+        (["table", "3.3", "--length", "0"],
+         "length must be > 0, got 0.0"),
+        (["table", "3.3", "--length", "-1"],
+         "length must be > 0, got -1.0"),
+        (["run", "--memory-ratio", "0"],
+         "wired frames consume all memory"),
+        (["run", "--dirty", "BOGUS"],
+         "unknown dirty-bit policy 'BOGUS'; expected one of "
+         "['FAULT', 'FLUSH', 'MIN', 'PROTMISS', 'SPUR', 'WRITE']"),
+    ], ids=["workers", "epoch-refs", "reps0", "reps-neg", "length0",
+            "length-neg", "memory-ratio", "dirty"])
     def test_invalid_option_exits_with_one_line(self, tmp_path, capsys,
-                                                flag, value, message):
+                                                argv, message):
         trace = tmp_path / "trace.jsonl"
         with pytest.raises(SystemExit) as excinfo:
-            main(["table", "4.1", flag, value, "--trace", str(trace)])
+            main(argv + ["--trace", str(trace)])
         # A string SystemExit code is printed as one line, never as a
-        # traceback; the ValueError it replaces is not chained.
+        # traceback; an error it replaces is not chained.
         assert excinfo.value.code == message
-        assert excinfo.value.__suppress_context__
+        error = excinfo.value
+        assert error.__context__ is None or error.__suppress_context__
         assert "Traceback" not in capsys.readouterr().err
         assert not trace.exists()
+
+    def test_campaign_with_no_reps_runs_no_cell(self, tmp_path, capsys,
+                                                monkeypatch):
+        from repro.parallel import executor
+
+        ran = []
+        monkeypatch.setattr(executor, "simulate_cell", ran.append)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["campaign", "--reps", "0",
+                  "--out-dir", str(tmp_path / "out")])
+        assert excinfo.value.code == "reps must be >= 1, got 0"
+        assert ran == []
+        assert not (tmp_path / "out").exists()
+        capsys.readouterr()
 
 
 class TestCampaignSurface:
@@ -258,28 +279,15 @@ class TestCampaignSurface:
         ("--retries", "1"),
         ("--retry-backoff", "0.5"),
         ("--cell-timeout", "5"),
+        ("--journal", "j.jsonl"),
+        ("--no-cache", None),
     ])
     def test_retired_flag_is_rejected(self, capsys, command, flag,
                                       value):
         with pytest.raises(SystemExit) as excinfo:
-            main(command + [flag, value])
+            main(command + [flag] + ([value] if value else []))
         assert excinfo.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
-
-    def test_journal_resumes_a_campaign(self, tmp_path, capsys):
-        journal = tmp_path / "j.jsonl"
-        argv = [
-            "table", "3.3", "--length", "0.005",
-            "--journal", str(journal),
-        ]
-        assert main(argv) == 0
-        first = capsys.readouterr().out
-        done = journal.read_text().count('"type":"cell_done"')
-        assert done == 6
-        # The rerun resolves every cell from the journal.
-        assert main(argv) == 0
-        assert capsys.readouterr().out == first
-        assert journal.read_text().count('"type":"cell_done"') == done
 
 
 class TestLintSubcommand:
