@@ -50,7 +50,7 @@ def main():
     print("   -----------------------------------------------------")
     cache = machine.cache
     index = next(iter(cache.resident_lines()))
-    vaddr = cache.line_vaddr[index]
+    vaddr = cache.line_address(index)
     # Berkeley Ownership only permits dirty data in the OWNED states;
     # a write path that set block-dirty without the ownership
     # transaction would corrupt exactly like this.

@@ -7,6 +7,12 @@ rather than Python lists or line objects: a :class:`ColumnStore` owns
 one ``array('q')`` per word-sized column and one ``bytearray`` per
 flag column, and the cache aliases each buffer as a public attribute.
 
+``line_block`` is the only tag: the resident block number of each
+line, or -1 when the line is invalid.  Validity (``line_block[i] >=
+0``), the address tag (``line_block[i] >> index_bits``) and the
+block-aligned fill address (``line_block[i] << block_bits``) are all
+functions of it, so no column stores them.
+
 Two invariants make this safe (checked by
 ``repro.sanitize.checks.check_column_store``):
 
@@ -22,11 +28,11 @@ Two invariants make this safe (checked by
 from array import array
 
 #: ``array('q')`` columns: (name, initial element).
-WORD_COLUMNS = (("tags", 0), ("line_vaddr", 0), ("line_block", -1))
+WORD_COLUMNS = (("line_block", -1),)
 
 #: ``bytearray`` flag columns (initially all zero).
-FLAG_COLUMNS = ("valid", "prot", "page_dirty", "block_dirty",
-                "filled_by_read", "holds_pte")
+FLAG_COLUMNS = ("prot", "page_dirty", "block_dirty", "filled_by_read",
+                "holds_pte")
 
 
 class ColumnStore:
@@ -34,12 +40,9 @@ class ColumnStore:
 
     def __init__(self, num_lines):
         self.num_lines = num_lines
-        self.tags = array("q", bytes(8 * num_lines))
-        self.line_vaddr = array("q", bytes(8 * num_lines))
         # Resident block number per line or -1 when invalid; block
         # numbers are non-negative, so -1 never matches a probe.
         self.line_block = array("q", [-1]) * num_lines
-        self.valid = bytearray(num_lines)
         self.prot = bytearray(num_lines)
         self.page_dirty = bytearray(num_lines)
         self.block_dirty = bytearray(num_lines)

@@ -46,36 +46,39 @@ class TagCheckedFlush:
         self.flush_cycles = flush_cycles
 
     def flush_page(self, cache, page_vaddr, page_bytes):
-        """Remove every block of the page from ``cache``."""
-        limit = page_vaddr + page_bytes
-        cycles = 0
+        """Remove every block of the page from ``cache``.
+
+        A frame holds a block of the page when its resident block
+        number lies in the page's block range.  Every frame costs its
+        loop overhead plus a check; a dirty block costs a flush
+        instead of the check, plus its write-back transfer, so the
+        cycles follow from the frame and write-back counts.
+        """
+        line_block = cache.line_block
+        block_dirty = cache.block_dirty
+        invalidate = cache.invalidate
+        first_block = page_vaddr >> cache.block_bits
+        last_block = (page_vaddr + page_bytes) >> cache.block_bits
         flushed = 0
         write_backs = 0
         frames = cache.page_line_range(page_vaddr, page_bytes)
         for index in frames:
-            cycles += self.loop_cycles
-            if (
-                cache.valid[index]
-                and page_vaddr <= cache.line_vaddr[index] < limit
-            ):
-                if cache.block_dirty[index]:
-                    cycles += self.flush_cycles
-                    write_backs += 1
-                else:
-                    cycles += self.check_cycles
-                cache.invalidate(index, write_back=False)
+            if first_block <= line_block[index] < last_block:
+                # Dirty data must reach memory before, e.g., a
+                # page-out reads the frame; the write-back transfer
+                # itself rides the bus.
+                write_backs += block_dirty[index]
+                invalidate(index, write_back=False)
                 flushed += 1
-            else:
-                cycles += self.check_cycles
-        # Dirty data must reach memory before, e.g., a page-out reads
-        # the frame; the write-back transfer itself rides the bus.
-        cycles += write_backs * cache.block_transfer_cycles
+        checked = len(frames)
         return FlushResult(
-            lines_checked=len(frames),
+            lines_checked=checked,
             blocks_flushed=flushed,
             foreign_blocks_flushed=0,
             write_backs=write_backs,
-            cycles=cycles,
+            cycles=checked * (self.loop_cycles + self.check_cycles)
+            + write_backs * (self.flush_cycles - self.check_cycles
+                             + cache.block_transfer_cycles),
         )
 
 
@@ -97,7 +100,8 @@ class TaglessFlush:
 
     def flush_page(self, cache, page_vaddr, page_bytes):
         """Vacate all frames in the page's index range."""
-        limit = page_vaddr + page_bytes
+        first_block = page_vaddr >> cache.block_bits
+        last_block = (page_vaddr + page_bytes) >> cache.block_bits
         cycles = 0
         flushed = 0
         foreign = 0
@@ -105,9 +109,10 @@ class TaglessFlush:
         frames = cache.page_line_range(page_vaddr, page_bytes)
         for index in frames:
             cycles += self.op_cycles
-            if not cache.valid[index]:
+            block = cache.line_block[index]
+            if block < 0:
                 continue
-            in_page = page_vaddr <= cache.line_vaddr[index] < limit
+            in_page = first_block <= block < last_block
             if cache.block_dirty[index]:
                 write_backs += 1
                 cycles += cache.block_transfer_cycles

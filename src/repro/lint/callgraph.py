@@ -5,8 +5,9 @@ Every call site in every scanned function is resolved to one of:
 ``function``
     A direct project function/method hit — a module-level call, a
     constructor, a ``self``/typed-receiver method whose class (or base
-    chain) defines it, or a pre-bound local (``miss = self._miss``
-    before a hot loop) traced back to its definition.
+    chain) defines it, or a pre-bound local (``write_hit =
+    self._resolve_write_hit`` before a hot loop) traced back to its
+    definition.
 
 ``dynamic``
     The dynamic-dispatch fallback: the receiver's class could not be
@@ -69,9 +70,9 @@ class CallSite:
 def _local_method_bindings(func_node):
     """Pre-bound locals: ``{name: (method/attr names,)}``.
 
-    ``miss = self._miss`` binds ``miss`` to the attribute name
-    ``_miss``; conditional forms (``poll = a.poll if x else None``)
-    contribute every arm.  Only the *outermost* attribute of each
+    ``write_hit = self._resolve_write_hit`` binds ``write_hit`` to the
+    attribute name ``_resolve_write_hit``; conditional forms
+    (``poll = a.poll if x else None``) contribute every arm.  Only the *outermost* attribute of each
     chain is a candidate callable — ``self.vm.daemon.poll`` binds
     ``poll``, not ``vm``.
     """

@@ -57,9 +57,6 @@ class LintConfig:
     #: The cache's parallel tag arrays (R002); writes to
     #: ``<obj>.<field>[...]`` outside the sanctioned modules flag.
     tag_arrays: frozenset = frozenset({
-        "valid",
-        "tags",
-        "line_vaddr",
         "line_block",
         "prot",
         "page_dirty",
@@ -70,11 +67,12 @@ class LintConfig:
     })
 
     #: Module basename -> fields it may write (R002).  ``"*"`` means
-    #: every field.  cache.py owns the arrays; the machine's batched
-    #: resolver performs full inlined block installs (the same column
-    #: sequence as ``fill_fast``) plus the documented single-field
-    #: updates, and the dirty policies refresh their two cached-copy
-    #: fields (see the docstring of ``repro/cache/cache.py``).
+    #: every field.  cache.py owns the arrays; the machine's reference
+    #: loop performs full inlined block installs (the same column
+    #: sequence as ``VirtualCache.fill``) plus the documented
+    #: single-field updates, and the dirty policies refresh their two
+    #: cached-copy fields (see the docstring of
+    #: ``repro/cache/cache.py``).
     tag_array_writers: tuple = (
         ("cache.py", "*"),
         ("simulator.py", "*"),

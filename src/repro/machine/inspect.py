@@ -49,7 +49,7 @@ def cache_lines(cache, limit=16):
                         f"{len(cache.resident_lines()) - limit} more")
             break
         rows.append(
-            f"{index:>5} {cache.line_vaddr[index]:#10x} "
+            f"{index:>5} {cache.line_address(index):#10x} "
             f"{Protection(cache.prot[index]).name[:5]:>5} "
             f"{int(cache.page_dirty[index]):>3} "
             f"{int(cache.block_dirty[index]):>4} "

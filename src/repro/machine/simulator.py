@@ -4,10 +4,12 @@ Every simulated memory reference passes through one scalar loop,
 :meth:`SpurMachine._run_refs`, which :meth:`SpurMachine.run_chunks`
 drives over poll-free segments of flat reference chunks.  The loop
 reads the cache's flat tag columns directly (they are public for
-exactly this purpose), resolves hits and event-free misses inline with
-its bookkeeping in local variables, and falls into method calls only
-on the rare paths: write hits needing dirty-bit work, page faults,
-first-touch PTE or page creation, protection faults.
+exactly this purpose), resolves hits and every miss inline — one miss
+sequence, as in SPUR's cache controller — and derives its bookkeeping
+from a few counts per segment.  It calls out only for the events a
+miss or write hit can raise: page faults (walked by the translator and
+serviced by the VM), reference- and dirty-bit work, first-touch page
+records, and dirty-bit work on write hits; protection faults raise.
 :meth:`SpurMachine.run` only chunks hand-written ``(kind, vaddr)``
 tuples for it.  The frozen scalar oracle in ``tests/oracle.py`` and
 the absolute goldens pin the engine's results.
@@ -26,19 +28,12 @@ import sys
 from array import array
 
 from repro.common.errors import ProtectionFault
-from repro.common.types import AccessKind, Protection
+from repro.common.types import Protection
 from repro.common.units import SPUR_CYCLE_TIME_SECONDS
 from repro.counters.counters import PerformanceCounters
 from repro.counters.events import Event
 from repro.cache.bus import SnoopyBus
-from repro.cache.cache import (
-    TALLY_BUS,
-    TALLY_CACHE_SLOTS,
-    TALLY_EVICTIONS,
-    TALLY_FILLS,
-    TALLY_WRITE_BACKS,
-    VirtualCache,
-)
+from repro.cache.cache import TALLY_BUS, TALLY_CACHE_SLOTS, VirtualCache
 from repro.cache.coherence import BusOp, CoherencyState
 from repro.cache.flush import TagCheckedFlush, TaglessFlush
 from repro.machine.cpu import ReferenceMix
@@ -50,7 +45,6 @@ from repro.vm.swap import SwapDevice
 from repro.vm.system import VirtualMemorySystem
 from repro.workloads.base import chunk_accesses
 
-_WRITE = int(AccessKind.WRITE)
 _RW = int(Protection.READ_WRITE)
 _PROT_KERNEL = int(Protection.KERNEL)
 _UNOWNED = CoherencyState.UNOWNED
@@ -61,39 +55,28 @@ _BUS_WRITE_BACK = BusOp.WRITE_BACK
 _BUS_FOR_OWNERSHIP = BusOp.WRITE_FOR_OWNERSHIP
 
 # Simulator-side slots in the chunked loop's deferred tally (the cache
-# owns slots [0, TALLY_CACHE_SLOTS); see repro.cache.cache).  Each slot
-# accumulates one counter event; ``_flush_tally`` applies them in one
+# owns slots [0, TALLY_CACHE_SLOTS); see repro.cache.cache).
+# ``_run_refs`` folds its per-segment counts into these slots and
+# ``_flush_tally`` turns them into counter events and cache stats, one
 # ``increment(event, n)`` per event, which is exact because counter
 # arithmetic is modular addition and nothing samples the counter bank
-# mid-call.
-# Events that are 1:1 with a tallied slot on the fast path are derived
-# at flush time instead of paying a per-reference tally op: TRANSLATION
-# and BLOCK_FILL equal the kind-miss sum, SECOND_LEVEL_LOOKUP equals
-# the PTE-miss count, and WRITE_MISS_FILL equals the write-miss count
-# (the fast path commits only after the writability checks).
-_T_PTE_HIT = TALLY_CACHE_SLOTS
-_T_PTE_MISS = TALLY_CACHE_SLOTS + 1
-_T_SECOND_HIT = TALLY_CACHE_SLOTS + 2
-_T_SECOND_MEMORY = TALLY_CACHE_SLOTS + 3
-_T_IFETCH_MISS = TALLY_CACHE_SLOTS + 4
-_T_READ_MISS = TALLY_CACHE_SLOTS + 5
-_T_WRITE_MISS = TALLY_CACHE_SLOTS + 6
-_T_WRITE_HIT_CLEAN = TALLY_CACHE_SLOTS + 7
-_T_WRITE_READ_FILLED = TALLY_CACHE_SLOTS + 8
-_TALLY_SLOTS = TALLY_CACHE_SLOTS + 9
+# mid-call.  Events that follow from the slots (PTE-cache and
+# second-level hits, second-level lookups) are derived there.
+_T_IFETCH_MISS = TALLY_CACHE_SLOTS
+_T_READ_MISS = TALLY_CACHE_SLOTS + 1
+_T_WRITE_MISS = TALLY_CACHE_SLOTS + 2
+_T_WALKS = TALLY_CACHE_SLOTS + 3          # inline PTE walks
+_T_PTE_MISS = TALLY_CACHE_SLOTS + 4       # ... whose first level missed
+_T_SECOND_MISS = TALLY_CACHE_SLOTS + 5    # ... and second level too
+_T_FILLS = TALLY_CACHE_SLOTS + 6          # data-block fills
+_T_WRITE_FILLS = TALLY_CACHE_SLOTS + 7    # ... by a write miss
+_T_INSTALLS = TALLY_CACHE_SLOTS + 8       # data and PTE block installs
+_T_EVICTIONS = TALLY_CACHE_SLOTS + 9
+_T_WRITE_BACKS = TALLY_CACHE_SLOTS + 10
+_T_WRITE_HIT_CLEAN = TALLY_CACHE_SLOTS + 11
+_T_WRITE_READ_FILLED = TALLY_CACHE_SLOTS + 12
+_TALLY_SLOTS = TALLY_CACHE_SLOTS + 13
 _TALLY_ZEROS = (0,) * _TALLY_SLOTS
-
-_TALLY_EVENTS = (
-    (_T_PTE_HIT, Event.PTE_CACHE_HIT),
-    (_T_PTE_MISS, Event.PTE_CACHE_MISS),
-    (_T_SECOND_HIT, Event.SECOND_LEVEL_CACHE_HIT),
-    (_T_SECOND_MEMORY, Event.SECOND_LEVEL_MEMORY_ACCESS),
-    (_T_IFETCH_MISS, Event.IFETCH_MISS),
-    (_T_READ_MISS, Event.READ_MISS),
-    (_T_WRITE_MISS, Event.WRITE_MISS),
-    (_T_WRITE_HIT_CLEAN, Event.WRITE_HIT_CLEAN_BLOCK),
-    (_T_WRITE_READ_FILLED, Event.WRITE_TO_READ_FILLED_BLOCK),
-)
 
 # Byte patterns for C-speed kind tallies over a flat chunk's kind
 # slice (``array('q')``, so 8 bytes per element, native byte order).
@@ -350,35 +333,38 @@ class SpurMachine:
 
         Hits cost nothing beyond the base cycle.  A write hit whose
         dirty state is unsettled goes to :meth:`_resolve_write_hit`.
-        A miss commits inline when it is provably free of structural
-        events: PTE present and valid, and (for writes) page record
-        present, region writable, and the dirty policy's write-miss
-        hook a no-op (:meth:`~repro.policies.dirty.DirtyBitPolicy.
-        write_miss_settled`).  Everything else — page faults,
-        dirty-bit work, protection faults, first-touch PTE/page
-        creation — goes to the scalar :meth:`_miss` *before* any state
-        or count is touched, so those paths stay bit-identical,
-        exceptions included.
+        Every miss runs the cache controller's one miss sequence
+        inline, as SPUR's hardware does with the PTE in hand:
 
-        The inline miss replays the in-cache PTE walk of
-        :class:`~repro.translation.incache.InCacheTranslator` as plain
-        arithmetic against the ``line_block`` column, installing PTE
-        blocks through :meth:`~repro.cache.cache.VirtualCache.
-        fill_fast`.  A clear reference bit does not leave the inline
-        path: as in SPUR's MISS scheme the PTE is in hand, so the
-        reference policy's miss hook runs right after the walk (the
-        same point :meth:`_miss` calls it).  The data block's install
-        is ``fill_fast``'s column sequence inlined (this method is a
-        sanctioned tag-array writer).  Miss-kind, PTE-walk, eviction,
-        write-back, bus and fill counts accumulate in local ints and
-        are folded into ``tally`` on exit, including when a slow path
-        raises.  Returns extra cycles beyond the base charge.
+        1. walk the in-cache page table as plain arithmetic against the
+           ``line_block`` column, installing the first-level PTE block
+           (and, when that misses too, the second-level one) — except
+           when the PTE is absent or invalid: that miss is a page
+           fault, walked by :meth:`InCacheTranslator.translate
+           <repro.translation.incache.InCacheTranslator.translate>`
+           and serviced by the VM;
+        2. run the reference policy's miss hook on a clear reference
+           bit;
+        3. on a write, fetch the page record (created on first touch),
+           raise :class:`ProtectionFault` for a read-only region, and
+           run the dirty policy's write-miss hook unless it is settled
+           (:meth:`~repro.policies.dirty.DirtyBitPolicy.
+           write_miss_settled`);
+        4. install the data block, replaying :meth:`~repro.cache.cache.
+           VirtualCache.fill`'s column sequence (this method is a
+           sanctioned tag-array writer).
+
+        The loop keeps only counts that cannot be derived: misses per
+        kind, page faults, first- and second-level PTE misses,
+        write-backs and installs into invalid lines.  The block
+        transfers, checks, fills, evictions, private-bus transactions
+        and walk outcomes follow from them once per segment (see
+        :meth:`_flush_tally`), including when a miss raises.  On a
+        shared bus every transaction is still broadcast live, in
+        order.  Returns the segment's cycles beyond the base charge.
         """
         cache = self.cache
         line_block = cache.line_block
-        valid = cache.valid
-        tags = cache.tags
-        line_vaddr = cache.line_vaddr
         prot = cache.prot
         page_dirty = cache.page_dirty
         block_dirty = cache.block_dirty
@@ -387,18 +373,11 @@ class SpurMachine:
         state = cache.state
         block_bits = cache.block_bits
         index_mask = cache.index_mask
-        tag_shift = cache.tag_shift
-        offset_mask = cache.block_offset_mask
-        transfer = cache.block_transfer_cycles
-        fill_fast = cache.fill_fast
         bus = cache.bus
         live_bus = cache.has_peers
-        solo_bus = bus is not None and not live_bus
         page_bits = self.page_bits
         pte_base = self._pte_base
         second_base = self._second_level_base
-        pte_check = self._pte_check_cycles
-        second_check = self._second_check_cycles
         pte_peek = self._pte_peek
         page_peek = self._page_peek
         maintains_bits = self._maintains_bits
@@ -406,28 +385,29 @@ class SpurMachine:
         dirty_policy = self.dirty_policy
         reference_policy = self.reference_policy
         write_hit = self._resolve_write_hit
-        miss = self._miss
+        translate = self.translator.translate
+        page_fault = self.vm.handle_page_fault
+        page_record = self.vm.page
 
         ifetch_misses = 0
         read_misses = 0
         write_misses = 0
-        pte_hits = 0
+        faults = 0
         pte_misses = 0
-        second_hits = 0
-        second_memory = 0
-        fills = 0
-        evictions = 0
+        second_misses = 0
         write_backs = 0
-        bus_ops = 0
+        empties = 0
         extra = 0
+        unfilled = 0
+        unfilled_writes = 0
         it = iter(chunk[start << 1:end << 1])
         try:
             for kind, vaddr in zip(it, it):
                 block = vaddr >> block_bits
-                if line_block[block & index_mask] == block:
+                index = block & index_mask
+                if line_block[index] == block:
                     if kind != 2:
                         continue
-                    index = block & index_mask
                     if (
                         block_dirty[index]
                         and page_dirty[index]
@@ -437,73 +417,98 @@ class SpurMachine:
                     extra += write_hit(index, vaddr, tally)
                     continue
 
-                # A miss: every reason to leave the inline path is
-                # checked before any state changes.
-                index = block & index_mask
-                vpn = vaddr >> page_bits
-                pte = pte_peek(vpn)
-                if pte is None or not pte.valid:
-                    extra += miss(kind, vaddr)
-                    continue
                 if kind == 2:
-                    page = page_peek(vpn)
-                    if (
-                        page is None
-                        or not page.writable
-                        or not dirty_policy.write_miss_settled(pte)
-                    ):
-                        extra += miss(kind, vaddr)
-                        continue
                     write_misses += 1
                 elif kind:
                     read_misses += 1
                 else:
                     ifetch_misses += 1
-
-                cycles = pte_check
-                pte_vaddr = pte_base + vpn * PTE_BYTES
-                pblock = pte_vaddr >> block_bits
-                if line_block[pblock & index_mask] == pblock:
-                    pte_hits += 1
+                vpn = vaddr >> page_bits
+                pte = pte_peek(vpn)
+                if pte is None or not pte.valid:
+                    # A page fault: the translator walks (counting
+                    # live) and creates the PTE, the VM maps the page.
+                    faults += 1
+                    result = translate(vaddr)
+                    pte = result.pte
+                    extra += result.cycles + page_fault(vpn)
                 else:
-                    pte_misses += 1
-                    cycles += second_check
-                    second_vaddr = second_base + (
-                        pte_vaddr >> page_bits
-                    ) * PTE_BYTES
-                    sblock = second_vaddr >> block_bits
-                    if line_block[sblock & index_mask] == sblock:
-                        second_hits += 1
-                    else:
-                        second_memory += 1
-                        cycles += fill_fast(
-                            second_vaddr, _PROT_KERNEL, True, False,
-                            True, tally,
-                        )
-                    cycles += fill_fast(
-                        pte_vaddr, _PROT_KERNEL, True, False, True,
-                        tally,
-                    )
+                    pte_vaddr = pte_base + vpn * PTE_BYTES
+                    pblock = pte_vaddr >> block_bits
+                    pindex = pblock & index_mask
+                    if line_block[pindex] != pblock:
+                        pte_misses += 1
+                        second_vaddr = second_base + (
+                            pte_vaddr >> page_bits
+                        ) * PTE_BYTES
+                        sblock = second_vaddr >> block_bits
+                        sindex = sblock & index_mask
+                        if line_block[sindex] != sblock:
+                            # Wired second-level PTE from memory.
+                            second_misses += 1
+                            if block_dirty[sindex]:
+                                write_backs += 1
+                                if live_bus:
+                                    bus.broadcast(
+                                        cache, _BUS_WRITE_BACK,
+                                        line_block[sindex] << block_bits,
+                                    )
+                            elif line_block[sindex] < 0:
+                                empties += 1
+                            line_block[sindex] = sblock
+                            prot[sindex] = _PROT_KERNEL
+                            page_dirty[sindex] = 1
+                            block_dirty[sindex] = 0
+                            filled_by_read[sindex] = 1
+                            holds_pte[sindex] = 1
+                            state[sindex] = _UNOWNED
+                            if live_bus:
+                                bus.broadcast(cache, _BUS_READ,
+                                              second_vaddr)
+                        if block_dirty[pindex]:
+                            write_backs += 1
+                            if live_bus:
+                                bus.broadcast(
+                                    cache, _BUS_WRITE_BACK,
+                                    line_block[pindex] << block_bits,
+                                )
+                        elif line_block[pindex] < 0:
+                            empties += 1
+                        line_block[pindex] = pblock
+                        prot[pindex] = _PROT_KERNEL
+                        page_dirty[pindex] = 1
+                        block_dirty[pindex] = 0
+                        filled_by_read[pindex] = 1
+                        holds_pte[pindex] = 1
+                        state[pindex] = _UNOWNED
+                        if live_bus:
+                            bus.broadcast(cache, _BUS_READ, pte_vaddr)
                 if not pte.referenced and maintains_bits:
-                    cycles += reference_policy.on_cache_miss(self, pte)
+                    extra += reference_policy.on_cache_miss(self, pte)
+                if kind == 2:
+                    page = page_peek(vpn)
+                    if page is None:
+                        page = page_record(vpn)
+                    if not page.writable:
+                        raise ProtectionFault(
+                            vaddr, "write to read-only region"
+                        )
+                    if not dirty_policy.write_miss_settled(pte):
+                        extra += dirty_policy.on_write_miss(
+                            self, pte, page
+                        )
 
                 # Data-block install.  fill_page_dirty is
                 # pte.is_modified() exactly when the policy declares
                 # cached_dirty_tracks_pte (the WRITE policy is the one
                 # unconditional-True exception).
-                if valid[index]:
-                    if block_dirty[index]:
-                        cycles += transfer
-                        write_backs += 1
-                        if live_bus:
-                            bus.broadcast(cache, _BUS_WRITE_BACK,
-                                          line_vaddr[index])
-                        elif solo_bus:
-                            bus_ops += 1
-                    evictions += 1
-                valid[index] = 1
-                tags[index] = vaddr >> tag_shift
-                line_vaddr[index] = vaddr & offset_mask
+                if block_dirty[index]:
+                    write_backs += 1
+                    if live_bus:
+                        bus.broadcast(cache, _BUS_WRITE_BACK,
+                                      line_block[index] << block_bits)
+                elif line_block[index] < 0:
+                    empties += 1
                 line_block[index] = block
                 prot[index] = pte.protection
                 page_dirty[index] = (
@@ -514,31 +519,48 @@ class SpurMachine:
                     block_dirty[index] = 1
                     filled_by_read[index] = 0
                     state[index] = _OWNED_EXCLUSIVE
-                    bus_op = _BUS_READ_OWNED
+                    if live_bus:
+                        bus.broadcast(cache, _BUS_READ_OWNED, vaddr)
                 else:
                     block_dirty[index] = 0
                     filled_by_read[index] = 1
                     state[index] = _UNOWNED
-                    bus_op = _BUS_READ
-                if live_bus:
-                    bus.broadcast(cache, bus_op, vaddr)
-                elif solo_bus:
-                    bus_ops += 1
-                fills += 1
-                extra += cycles + transfer
+                    if live_bus:
+                        bus.broadcast(cache, _BUS_READ, vaddr)
+        except BaseException:
+            # A miss that raised (a protection fault, an unmapped
+            # address) installed no data block: its walk and kind
+            # count stand, its fill does not.  The block cannot have
+            # arrived another way — data and page-table addresses
+            # never share a block — so a resident block means the
+            # exception came from a write hit instead.
+            if line_block[index] != block:
+                unfilled = 1
+                unfilled_writes = kind == 2
+            raise
         finally:
+            misses = ifetch_misses + read_misses + write_misses
             tally[_T_IFETCH_MISS] += ifetch_misses
             tally[_T_READ_MISS] += read_misses
             tally[_T_WRITE_MISS] += write_misses
-            tally[_T_PTE_HIT] += pte_hits
+            tally[_T_WALKS] += misses - faults
             tally[_T_PTE_MISS] += pte_misses
-            tally[_T_SECOND_HIT] += second_hits
-            tally[_T_SECOND_MEMORY] += second_memory
-            tally[TALLY_FILLS] += fills
-            tally[TALLY_EVICTIONS] += evictions
-            tally[TALLY_WRITE_BACKS] += write_backs
-            tally[TALLY_BUS] += bus_ops
-        return extra
+            tally[_T_SECOND_MISS] += second_misses
+            tally[_T_WRITE_BACKS] += write_backs
+            fills = misses - unfilled
+            tally[_T_FILLS] += fills
+            tally[_T_WRITE_FILLS] += write_misses - unfilled_writes
+            installs = fills + pte_misses + second_misses
+            tally[_T_INSTALLS] += installs
+            tally[_T_EVICTIONS] += installs - empties
+            if bus is not None and not live_bus:
+                tally[TALLY_BUS] += installs + write_backs
+        return (
+            extra
+            + (misses - faults) * self._pte_check_cycles
+            + pte_misses * self._second_check_cycles
+            + (installs + write_backs) * cache.block_transfer_cycles
+        )
 
     def _resolve_write_hit(self, index, vaddr, tally):
         """Inline write-hit resolver in front of :meth:`_slow_write_hit`.
@@ -583,7 +605,7 @@ class SpurMachine:
                 cache.state[index] = _OWNED_EXCLUSIVE
                 if cache.has_peers:
                     cache.bus.broadcast(cache, _BUS_FOR_OWNERSHIP,
-                                        cache.line_vaddr[index])
+                                        cache.line_address(index))
                 elif cache.bus is not None:
                     tally[TALLY_BUS] += 1
             else:
@@ -596,42 +618,62 @@ class SpurMachine:
         Exact regardless of where the run stopped: counter increments
         are modular sums, stats are plain sums, and nothing samples
         the books mid-call (the observer and sanitizer both cut
-        between calls).
+        between calls).  A walk's PTE-cache hit is a walk without a
+        PTE miss, a second-level lookup is a PTE miss, and its hit is
+        a PTE miss without a second-level miss.
         """
-        increment = self.counters.increment
         stats = self.cache.stats
-        fills = tally[TALLY_FILLS]
-        if fills:
-            stats["fills"] += fills
-        evictions = tally[TALLY_EVICTIONS]
-        if evictions:
-            stats["evictions"] += evictions
-        write_backs = tally[TALLY_WRITE_BACKS]
-        if write_backs:
-            stats["write_backs"] += write_backs
-            increment(Event.WRITE_BACK, write_backs)
+        stats["fills"] += tally[_T_INSTALLS]
+        stats["evictions"] += tally[_T_EVICTIONS]
+        write_backs = tally[_T_WRITE_BACKS]
+        stats["write_backs"] += write_backs
         bus_count = tally[TALLY_BUS]
         if bus_count:
             self.cache.bus.transactions += bus_count
-            increment(Event.BUS_TRANSACTION, bus_count)
-        # Derived events (see the tally-slot table): 1:1 with tallied
-        # slots on the fast path, so they are summed here instead of
-        # paying per-reference tally ops.
-        miss_sum = (tally[_T_IFETCH_MISS] + tally[_T_READ_MISS]
-                    + tally[_T_WRITE_MISS])
-        if miss_sum:
-            increment(Event.TRANSLATION, miss_sum)
-            increment(Event.BLOCK_FILL, miss_sum)
+        # Zero counts are skipped: an increment by 0 would still make
+        # the event appear in the counter snapshot.
+        counters = self.counters
+        if bus_count:
+            counters.increment(Event.BUS_TRANSACTION, bus_count)
+        if write_backs:
+            counters.increment(Event.WRITE_BACK, write_backs)
+        count = tally[_T_IFETCH_MISS]
+        if count:
+            counters.increment(Event.IFETCH_MISS, count)
+        count = tally[_T_READ_MISS]
+        if count:
+            counters.increment(Event.READ_MISS, count)
+        count = tally[_T_WRITE_MISS]
+        if count:
+            counters.increment(Event.WRITE_MISS, count)
+        walks = tally[_T_WALKS]
         pte_misses = tally[_T_PTE_MISS]
+        second_misses = tally[_T_SECOND_MISS]
+        if walks:
+            counters.increment(Event.TRANSLATION, walks)
+        if walks > pte_misses:
+            counters.increment(Event.PTE_CACHE_HIT, walks - pte_misses)
         if pte_misses:
-            increment(Event.SECOND_LEVEL_LOOKUP, pte_misses)
-        write_misses = tally[_T_WRITE_MISS]
-        if write_misses:
-            increment(Event.WRITE_MISS_FILL, write_misses)
-        for slot, event in _TALLY_EVENTS:
-            count = tally[slot]
-            if count:
-                increment(event, count)
+            counters.increment(Event.PTE_CACHE_MISS, pte_misses)
+            counters.increment(Event.SECOND_LEVEL_LOOKUP, pte_misses)
+        if pte_misses > second_misses:
+            counters.increment(Event.SECOND_LEVEL_CACHE_HIT,
+                               pte_misses - second_misses)
+        if second_misses:
+            counters.increment(Event.SECOND_LEVEL_MEMORY_ACCESS,
+                               second_misses)
+        count = tally[_T_FILLS]
+        if count:
+            counters.increment(Event.BLOCK_FILL, count)
+        count = tally[_T_WRITE_FILLS]
+        if count:
+            counters.increment(Event.WRITE_MISS_FILL, count)
+        count = tally[_T_WRITE_HIT_CLEAN]
+        if count:
+            counters.increment(Event.WRITE_HIT_CLEAN_BLOCK, count)
+        count = tally[_T_WRITE_READ_FILLED]
+        if count:
+            counters.increment(Event.WRITE_TO_READ_FILLED_BLOCK, count)
 
     # -- slow paths ------------------------------------------------------
 
@@ -657,54 +699,11 @@ class SpurMachine:
         )
 
         # The policy may have flushed and refilled the block (FLUSH);
-        # find where the written block lives now and mark it dirty.
-        if cache.valid[index] and cache.tags[index] == (
-            vaddr >> cache.tag_shift
-        ):
-            target = index
-        else:
-            target = cache.probe(vaddr)
-        if target >= 0:
-            cache.block_dirty[target] = True
-            cache.acquire_ownership(target)
+        # in a direct-mapped cache it can only be back in this line.
+        if cache.line_block[index] == vaddr >> cache.block_bits:
+            cache.block_dirty[index] = True
+            cache.acquire_ownership(index)
         return cycles
-
-    def _miss(self, kind, vaddr):
-        """Reference missed in the cache: translate, maybe fault, fill."""
-        counters = self.counters
-        if kind == 0:
-            counters.increment(Event.IFETCH_MISS)
-        elif kind == 1:
-            counters.increment(Event.READ_MISS)
-        else:
-            counters.increment(Event.WRITE_MISS)
-
-        result = self.translator.translate(vaddr)
-        cycles = result.cycles
-        pte = result.pte
-
-        vpn = vaddr >> self.page_bits
-        if not pte.valid:
-            cycles += self.vm.handle_page_fault(vpn)
-
-        cycles += self.reference_policy.on_cache_miss(self, pte)
-
-        is_write = kind == _WRITE
-        if is_write:
-            page = self.vm.page(vpn)
-            if not page.writable:
-                raise ProtectionFault(vaddr, "write to read-only region")
-            counters.increment(Event.WRITE_MISS_FILL)
-            cycles += self.dirty_policy.on_write_miss(self, pte, page)
-
-        _, fill_cycles = self.cache.fill(
-            vaddr,
-            pte.protection,
-            page_dirty=self.dirty_policy.fill_page_dirty(pte),
-            by_write=is_write,
-        )
-        counters.increment(Event.BLOCK_FILL)
-        return cycles + fill_cycles
 
     # -- results -----------------------------------------------------------
 

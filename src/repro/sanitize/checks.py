@@ -19,14 +19,11 @@ _INVALID = int(CoherencyState.INVALID)
 _OWNED_SHARED = int(CoherencyState.OWNED_SHARED)
 
 #: Column-store flag columns constrained to boolean 0/1 values.
-_BOOL_COLUMNS = ("valid", "page_dirty", "block_dirty",
-                 "filled_by_read", "holds_pte")
+_BOOL_COLUMNS = ("page_dirty", "block_dirty", "filled_by_read",
+                 "holds_pte")
 
 #: The parallel per-line tag arrays a :class:`VirtualCache` keeps.
 TAG_ARRAY_FIELDS = (
-    "valid",
-    "tags",
-    "line_vaddr",
     "prot",
     "page_dirty",
     "block_dirty",
@@ -48,45 +45,34 @@ def _line_state(cache, index):
 def check_line(cache, index, ref_index=None):
     """Validate the parallel-array slots of one cache line.
 
-    The per-line legality rules:
+    ``line_block`` is the line's only tag: the resident block number,
+    or -1 when the line is invalid.  The per-line legality rules:
 
-    * an invalid line is fully quiescent — coherency state ``INVALID``
-      and block-dirty clear (``cache.invalid-quiescent``);
+    * an invalid line is fully quiescent — block number exactly -1,
+      coherency state ``INVALID`` and block-dirty clear
+      (``cache.invalid-quiescent``);
     * a valid line has a non-``INVALID`` coherency state
       (``cache.valid-state``);
-    * the tag, fill-address, and index arrays agree: the stored tag is
-      the tag of the stored fill address, and the fill address maps to
-      this line and is block-aligned (``cache.tag-agreement``);
+    * a valid line's block maps to this line, ``line_block[i] &
+      index_mask == i``, so the reference loop's single-compare hit
+      test is the full direct-mapped tag check
+      (``cache.line-block-index``);
     * the protection slot holds a legal two-bit encoding
       (``cache.protection-encoding``);
     * a block-dirty line is owned — Berkeley Ownership permits dirty
       data only in the two OWNED states, which is also the "UNOWNED
       implies memory up to date" half of the protocol
-      (``cache.dirty-owned``);
-    * the probe shortcut agrees with the tag arrays: ``line_block`` is
-      the fill address's block number on a valid line and -1 on an
-      invalid one, so the chunked hot loop's single-compare hit test
-      matches the valid+tag test exactly
-      (``cache.line-block-agreement``).
+      (``cache.dirty-owned``).
     """
-    valid = cache.valid[index]
+    block = cache.line_block[index]
     state = cache.state[index]
     dirty = cache.block_dirty[index]
-    if not valid:
-        if state != _INVALID or dirty:
+    if block < 0:
+        if block != -1 or state != _INVALID or dirty:
             raise InvariantViolation(
                 "cache.invalid-quiescent",
-                f"invalid line {index} keeps state/dirty residue",
-                machine=cache.name,
-                ref_index=ref_index,
-                state=_line_state(cache, index),
-            )
-        if cache.line_block[index] != -1:
-            raise InvariantViolation(
-                "cache.line-block-agreement",
-                f"invalid line {index} keeps block number "
-                f"{cache.line_block[index]}; the chunked hot loop "
-                f"would hit on a stale block",
+                f"invalid line {index} keeps block-number/state/dirty "
+                f"residue",
                 machine=cache.name,
                 ref_index=ref_index,
                 state=_line_state(cache, index),
@@ -100,25 +86,11 @@ def check_line(cache, index, ref_index=None):
             ref_index=ref_index,
             state=_line_state(cache, index),
         )
-    vaddr = cache.line_vaddr[index]
-    if (
-        cache.tags[index] != vaddr >> cache.tag_shift
-        or (vaddr >> cache.block_bits) & cache.index_mask != index
-        or vaddr & ((1 << cache.block_bits) - 1)
-    ):
+    if block & cache.index_mask != index:
         raise InvariantViolation(
-            "cache.tag-agreement",
-            f"line {index}: tag, fill address, and index disagree",
-            machine=cache.name,
-            ref_index=ref_index,
-            state=_line_state(cache, index),
-        )
-    if cache.line_block[index] != vaddr >> cache.block_bits:
-        raise InvariantViolation(
-            "cache.line-block-agreement",
-            f"line {index}: block number "
-            f"{cache.line_block[index]} disagrees with fill address "
-            f"{vaddr:#x}",
+            "cache.line-block-index",
+            f"line {index} holds block {block:#x}, which maps to line "
+            f"{block & cache.index_mask}",
             machine=cache.name,
             ref_index=ref_index,
             state=_line_state(cache, index),
@@ -146,7 +118,7 @@ def check_line(cache, index, ref_index=None):
 def check_cache_arrays(cache, ref_index=None):
     """Validate a whole cache: array lengths plus every line.
 
-    Invariant ``cache.array-lengths``: the ten parallel tag arrays all
+    Invariant ``cache.array-lengths``: the seven parallel tag arrays all
     have exactly ``num_lines`` entries — the structural precondition of
     the hot loop's unguarded indexing.
     """
@@ -175,7 +147,8 @@ def check_column_store(cache, ref_index=None):
       object* as the corresponding :class:`~repro.cache.columns.
       ColumnStore` column — the reference loop and the slow paths
       must mutate one buffer, and an accidental rebinding
-      (``cache.valid = [...]``) would silently desynchronize them;
+      (``cache.line_block = [...]``) would silently desynchronize
+      them;
     * flag columns hold only 0/1 — any other byte means a writer
       stored something other than a boolean into a flag.
     """
@@ -244,11 +217,10 @@ def check_bus_coherence(bus, ref_index=None):
     """Validate global protocol state for every block on the bus."""
     blocks = set()
     for cache in bus.caches:
-        valid = cache.valid
-        line_vaddr = cache.line_vaddr
-        for index in range(cache.num_lines):
-            if valid[index]:
-                blocks.add(line_vaddr[index])
+        block_bits = cache.block_bits
+        for block in cache.line_block:
+            if block >= 0:
+                blocks.add(block << block_bits)
     for block_vaddr in blocks:
         check_block_ownership(bus, block_vaddr, ref_index=ref_index)
 
@@ -278,9 +250,9 @@ def check_dirty_policy(machine, ref_index=None):
     tracks_pte = machine.dirty_policy.cached_dirty_tracks_pte
     for cache in machine.caches():
         for index in range(cache.num_lines):
-            if not cache.valid[index] or cache.holds_pte[index]:
+            if cache.line_block[index] < 0 or cache.holds_pte[index]:
                 continue
-            vaddr = cache.line_vaddr[index]
+            vaddr = cache.line_address(index)
             if vaddr >= user_limit:
                 continue
             pte = page_table.lookup(vaddr >> page_bits)

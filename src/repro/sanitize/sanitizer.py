@@ -95,7 +95,7 @@ class Sanitizer:
             self._add(self.buses, obj)
         elif hasattr(obj, "frame_table"):  # VirtualMemorySystem
             self._add(self.vms, obj)
-        elif hasattr(obj, "tags") and hasattr(obj, "probe"):
+        elif hasattr(obj, "line_block") and hasattr(obj, "probe"):
             self._add(self.caches, obj)   # bare VirtualCache
             if self.mode == "full":
                 self._wrap_cache(obj)
@@ -195,16 +195,12 @@ class Sanitizer:
         raising ``StopIteration``.
         """
         cache = machine.cache
-        valid = cache.valid
-        tags = cache.tags
-        line_vaddr = cache.line_vaddr
         line_block = cache.line_block
         prot = cache.prot
         block_dirty = cache.block_dirty
         state = cache.state
         block_bits = cache.block_bits
         index_mask = cache.index_mask
-        tag_shift = cache.tag_shift
         bus = machine.bus
         multi = len(bus.caches) > 1
         block_mask = ~((1 << block_bits) - 1)
@@ -217,22 +213,20 @@ class Sanitizer:
                 for position in range(1, len(chunk), 2):
                     vaddr = chunk[position]
                     index = (vaddr >> block_bits) & index_mask
-                    if valid[index]:
+                    block = line_block[index]
+                    if block >= 0:
                         ok = (
                             state[index] != 0
-                            and tags[index]
-                            == line_vaddr[index] >> tag_shift
-                            and line_block[index]
-                            == line_vaddr[index] >> block_bits
+                            and block & index_mask == index
                             and (not block_dirty[index]
                                  or state[index] >= 2)
                             and 0 <= prot[index] <= 3
                         )
                     else:
                         ok = (
-                            state[index] == 0
+                            block == -1
+                            and state[index] == 0
                             and not block_dirty[index]
-                            and line_block[index] == -1
                         )
                     checked += 1
                     if not ok:

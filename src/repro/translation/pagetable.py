@@ -15,6 +15,7 @@ and the cache-conflict behaviour depend on.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from repro.common.errors import AddressError, ConfigurationError
 from repro.common.units import is_power_of_two, log2_exact
@@ -38,7 +39,9 @@ class PageTableLayout:
         Base global virtual address of the wired second-level table.
     user_limit:
         Exclusive upper bound of ordinary (non-page-table) addresses;
-        workload generators must stay below it.
+        workload generators must stay below it.  It may not exceed
+        ``pte_base``: a data block would otherwise alias a first-level
+        PTE block in the cache.
     """
 
     page_bytes: int = 4096
@@ -55,13 +58,17 @@ class PageTableLayout:
             raise ConfigurationError(
                 "second_level_base must be page aligned"
             )
+        if self.user_limit > self.pte_base:
+            raise ConfigurationError(
+                "user range would overlap the first-level page table"
+            )
         first_level_span = (self.user_limit // self.page_bytes) * PTE_BYTES
         if self.pte_base + first_level_span > self.second_level_base:
             raise ConfigurationError(
                 "first-level table would overlap the second-level table"
             )
 
-    @property
+    @cached_property
     def page_bits(self):
         return log2_exact(self.page_bytes)
 

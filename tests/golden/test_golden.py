@@ -46,12 +46,28 @@ def test_serial_matches_golden(golden, table):
     (RunOptions(workers=2), False),
     (RunOptions(), True),
     (RunOptions(sanitize="sampled"), False),
+    (RunOptions(sanitize="full"), False),
     (RunOptions(observe=True), False),
-], ids=["workers2", "scalar-oracle", "sanitized", "observed"])
+], ids=["workers2", "scalar-oracle", "sanitized", "sanitized-full",
+        "observed"])
 def test_mode_matches_golden(golden, options, scalar, monkeypatch):
     if scalar:
         monkeypatch.setattr(SpurMachine, "run_chunks", scalar_run_chunks)
     assert_matches(run_table("4.1", options), golden["4.1"])
+
+
+def test_every_clean_write_hit_finds_a_read_filled_block(golden):
+    # block_dirty clears only when a line is invalidated, so a valid
+    # clean line always entered by read: the first write to it is
+    # both a clean-block write hit and a write to a read-filled block.
+    cells = [cell for table in golden.values()
+             for cell in table.values()]
+    assert len(cells) == 29
+    for cell in cells:
+        events = cell["events"]
+        assert events["WRITE_TO_READ_FILLED_BLOCK"] == (
+            events["WRITE_HIT_CLEAN_BLOCK"]
+        )
 
 
 @pytest.fixture(scope="module")

@@ -17,7 +17,7 @@ from repro.lint.findings import Finding
 
 DIRTY_SOURCE = """\
     def poke(cache, index):
-        cache.valid[index] = False
+        cache.line_block[index] = -1
     """
 
 

@@ -198,7 +198,7 @@ class TestR002TagArrayWrites:
     def test_fires_outside_sanctioned_writers(self, tmp_path, config):
         path = write(tmp_path, "rogue.py", """\
             def poke(cache, index):
-                cache.valid[index] = False
+                cache.line_block[index] = -1
                 cache.state[index] |= 1
             """)
         found = findings_for("R002", [path], config)
@@ -208,8 +208,8 @@ class TestR002TagArrayWrites:
     def test_cache_module_writes_anything(self, tmp_path, config):
         path = write(tmp_path, "cache.py", """\
             def fill(self, index):
-                self.valid[index] = True
-                self.tags[index] = 7
+                self.line_block[index] = 7
+                self.prot[index] = 1
             """)
         assert findings_for("R002", [path], config) == []
 
@@ -217,11 +217,11 @@ class TestR002TagArrayWrites:
         path = write(tmp_path, "dirty.py", """\
             def refresh(cache, index):
                 cache.page_dirty[index] = True
-                cache.tags[index] = 9
+                cache.line_block[index] = 9
             """)
         found = findings_for("R002", [path], config)
         assert len(found) == 1
-        assert ".tags" in found[0].message
+        assert ".line_block" in found[0].message
 
     def test_scalar_attributes_ignored(self, tmp_path, config):
         path = write(tmp_path, "records.py", """\
@@ -345,7 +345,7 @@ class TestRepoIsClean:
         assert "0 findings" in capsys.readouterr().out
         path = write(tmp_path, "rogue.py", """\
             def poke(cache, index):
-                cache.valid[index] = False
+                cache.line_block[index] = -1
             """)
         assert lint_main([path]) == 1
         out = capsys.readouterr().out

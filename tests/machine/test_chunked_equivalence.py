@@ -112,9 +112,6 @@ def machine_state(machine):
         "cycles": machine.cycles,
         "references": machine.references,
         "events": machine.counters.snapshot().as_dict(),
-        "valid": list(cache.valid),
-        "tags": list(cache.tags),
-        "line_vaddr": list(cache.line_vaddr),
         "line_block": list(cache.line_block),
         "prot": list(cache.prot),
         "page_dirty": list(cache.page_dirty),

@@ -5,7 +5,8 @@ clear sets the bit through the reference policy right after the
 in-cache PTE walk, without the translator or ``cache.fill``.  These
 tests pin that path against the frozen scalar oracle
 (``tests/oracle.py``) and check that protection faults raised
-mid-chunk leave the same books.
+mid-chunk leave the same books.  The translator walks page faults
+only: once per fault, never for a resident page.
 """
 
 import pytest
@@ -17,7 +18,13 @@ from repro.machine.smp import SmpSystem
 from repro.translation.incache import InCacheTranslator
 from repro.workloads.base import IFETCH, READ, WRITE, chunk_accesses
 
-from tests.conftest import TINY_CACHE, simple_space, tiny_config
+from tests.conftest import (
+    BLOCK,
+    TINY_CACHE,
+    TINY_PAGE,
+    simple_space,
+    tiny_config,
+)
 from tests.machine.test_chunked_equivalence import machine_state
 from tests.oracle import scalar_run, scalar_run_interleaved
 
@@ -215,7 +222,55 @@ class TestProtectionFaultMidChunk:
             chunked.run_chunks(chunk_accesses(iter(faulting), 512))
 
         assert books(chunked) == books(oracle)
-        # The faulting chunk's misses before the write all committed
-        # inline; only the write reached the translator.
-        assert len(translate_calls["chunked.cache"]) == warm_calls + 1
+        # The faulting write's page is resident, so its walk ran
+        # inline like every miss of the chunk: the translator ran
+        # once per page fault and never for the faulting chunk.
+        assert len(translate_calls["chunked.cache"]) == warm_calls
+        assert warm_calls == chunked.counters.read(Event.PAGE_FAULT)
         assert chunked.cache.stats["fills"] > 100
+
+
+def pte_install_over_dirty_block(runner, name):
+    """Map a heap page, dirty a block of another page in the line the
+    page's PTE block maps to (evicting the PTE block), then read a
+    fresh block of the page: its walk misses on the PTE and installs
+    the PTE block over the dirty one, writing it back.
+
+    ``runner(machine, refs)`` pushes references through one protocol.
+    Returns the machine."""
+    space_map, regions = simple_space()
+    machine = SpurMachine(tiny_config(), space_map, name=name)
+    cache = machine.cache
+    heap = regions["heap"].start
+    page = heap + 8 * TINY_PAGE
+    vpn = page >> machine.page_bits
+    pte_vaddr = machine.page_table.layout.pte_vaddr(vpn)
+    line = cache.line_index(pte_vaddr)
+    dirty = next(
+        vaddr for vaddr in range(heap, page, BLOCK)
+        if cache.line_index(vaddr) == line
+    )
+    fresh = next(
+        page + offset for offset in range(BLOCK, TINY_PAGE, BLOCK)
+        if cache.line_index(page + offset) != line
+    )
+    runner(machine, [(READ, page), (WRITE, dirty)])
+    assert cache.probe(dirty) == line and cache.block_dirty[line]
+    write_backs = cache.stats["write_backs"]
+    runner(machine, [(READ, fresh)])
+    assert cache.probe(pte_vaddr) == line and cache.holds_pte[line]
+    assert cache.stats["write_backs"] == write_backs + 1
+    return machine
+
+
+class TestInlinePteInstall:
+    def test_evicting_a_dirty_block_matches_tuple_oracle(
+        self, translate_calls
+    ):
+        oracle = pte_install_over_dirty_block(run_tuples, "oracle")
+        chunked = pte_install_over_dirty_block(run_flat, "chunked")
+        assert books(chunked) == books(oracle)
+        # The translator walked the two page faults only; the fresh
+        # read's walk ran inline.
+        assert len(translate_calls["oracle.cache"]) == 3
+        assert len(translate_calls["chunked.cache"]) == 2

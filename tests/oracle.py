@@ -3,10 +3,12 @@
 :func:`scalar_run` and :func:`scalar_run_interleaved` are the
 reference loops the simulator ran before flat chunks became its only
 stream format.  They take ``(kind, vaddr)`` tuples, resolve every
-miss through :meth:`SpurMachine._miss` and every unsettled write hit
-through :meth:`SpurMachine._slow_write_hit`, and keep no deferred
-books.  The production engine (``run_chunks`` → ``_run_refs``) must
-match them bit for bit; the equivalence tests and the golden
+miss through :func:`scalar_miss` (the machine's former scalar miss
+path: the translator's walk, then ``VirtualCache.fill``, all with live
+counters) and every unsettled write hit through
+:meth:`SpurMachine._slow_write_hit`, and keep no deferred books.
+The production engine (``run_chunks`` → ``_run_refs``) must match
+them bit for bit; the equivalence tests and the golden
 ``scalar-oracle`` mode check that it does.
 
 Keep these loops frozen: a change here moves the yardstick, not the
@@ -15,11 +17,51 @@ simulator.
 
 import itertools
 
+from repro.common.errors import ProtectionFault
 from repro.common.types import AccessKind, Protection
+from repro.counters.events import Event
 from repro.machine.cpu import ReferenceMix
 
 _WRITE = int(AccessKind.WRITE)
 _RW = int(Protection.READ_WRITE)
+
+
+def scalar_miss(machine, kind, vaddr):
+    """Reference missed in the cache: translate, maybe fault, fill."""
+    counters = machine.counters
+    if kind == 0:
+        counters.increment(Event.IFETCH_MISS)
+    elif kind == 1:
+        counters.increment(Event.READ_MISS)
+    else:
+        counters.increment(Event.WRITE_MISS)
+
+    result = machine.translator.translate(vaddr)
+    cycles = result.cycles
+    pte = result.pte
+
+    vpn = vaddr >> machine.page_bits
+    if not pte.valid:
+        cycles += machine.vm.handle_page_fault(vpn)
+
+    cycles += machine.reference_policy.on_cache_miss(machine, pte)
+
+    is_write = kind == _WRITE
+    if is_write:
+        page = machine.vm.page(vpn)
+        if not page.writable:
+            raise ProtectionFault(vaddr, "write to read-only region")
+        counters.increment(Event.WRITE_MISS_FILL)
+        cycles += machine.dirty_policy.on_write_miss(machine, pte, page)
+
+    _, fill_cycles = machine.cache.fill(
+        vaddr,
+        pte.protection,
+        page_dirty=machine.dirty_policy.fill_page_dirty(pte),
+        by_write=is_write,
+    )
+    counters.increment(Event.BLOCK_FILL)
+    return cycles + fill_cycles
 
 
 def scalar_run(machine, accesses):
@@ -31,16 +73,13 @@ def scalar_run(machine, accesses):
     processed.
     """
     cache = machine.cache
-    valid = cache.valid
-    tags = cache.tags
+    line_block = cache.line_block
     block_dirty = cache.block_dirty
     page_dirty = cache.page_dirty
     prot = cache.prot
     block_bits = cache.block_bits
     index_mask = cache.index_mask
-    tag_shift = cache.tag_shift
     slow_write_hit = machine._slow_write_hit
-    miss = machine._miss
 
     interval = machine.config.daemon_poll_refs
     poll = machine.vm.daemon.poll if interval else None
@@ -60,8 +99,9 @@ def scalar_run(machine, accesses):
             cycles += poll()
             until_poll = interval
         kind_counts[kind] += 1
-        index = (vaddr >> block_bits) & index_mask
-        if valid[index] and tags[index] == (vaddr >> tag_shift):
+        block = vaddr >> block_bits
+        index = block & index_mask
+        if line_block[index] == block:
             if kind != _WRITE:
                 cycles += 1
                 continue
@@ -74,7 +114,7 @@ def scalar_run(machine, accesses):
                 continue
             cycles += 1 + slow_write_hit(index, vaddr)
             continue
-        cycles += 1 + miss(kind, vaddr)
+        cycles += 1 + scalar_miss(machine, kind, vaddr)
 
     machine.cycles += cycles
     machine.references += processed

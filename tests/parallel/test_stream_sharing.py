@@ -27,6 +27,7 @@ from repro.parallel.executor import (
     stream_key,
 )
 from repro.policies.reference import REFERENCE_POLICY_NAMES
+from repro.vm.system import VirtualMemorySystem
 from repro.workloads import synthetic
 from repro.workloads.slc import SlcWorkload
 from repro.workloads.workload1 import Workload1
@@ -166,18 +167,20 @@ def test_partial_recording_is_never_replayed(bursts, monkeypatch):
     expected = per_cell(specs)
     one_run = bursts[0] // len(specs)
     armed = [True]
-    misses = [0]
-    real_miss = SpurMachine._miss
+    faults = [0]
+    real_fault = VirtualMemorySystem.handle_page_fault
 
-    def miss(self, kind, vaddr):
+    def page_fault(self, vpn):
         if armed[0]:
-            misses[0] += 1
-            if misses[0] == 300:
+            faults[0] += 1
+            if faults[0] == 300:
                 armed[0] = False
-                raise ProtectionFault(vaddr, "injected fault")
-        return real_miss(self, kind, vaddr)
+                raise ProtectionFault(vpn * self.page_bytes,
+                                      "injected fault")
+        return real_fault(self, vpn)
 
-    monkeypatch.setattr(SpurMachine, "_miss", miss)
+    monkeypatch.setattr(VirtualMemorySystem, "handle_page_fault",
+                        page_fault)
     bursts[0] = 0
     with pytest.raises(CampaignError) as excinfo:
         execute_cells([RunCell(*spec) for spec in specs])
@@ -192,15 +195,16 @@ def test_partial_recording_is_never_replayed(bursts, monkeypatch):
 def test_pool_batch_keeps_its_other_cells_when_one_faults(monkeypatch):
     specs = policy_specs()
     expected = per_cell(specs)
-    real_miss = SpurMachine._miss
+    real_fault = VirtualMemorySystem.handle_page_fault
 
-    def miss(self, kind, vaddr):
-        if self.config.dirty_policy == "FAULT":
-            raise ProtectionFault(vaddr, "injected fault")
-        return real_miss(self, kind, vaddr)
+    def page_fault(self, vpn):
+        if self.machine.config.dirty_policy == "FAULT":
+            raise ProtectionFault(vpn * self.page_bytes, "injected fault")
+        return real_fault(self, vpn)
 
     # Forked pool workers inherit the patch.
-    monkeypatch.setattr(SpurMachine, "_miss", miss)
+    monkeypatch.setattr(VirtualMemorySystem, "handle_page_fault",
+                        page_fault)
     with pytest.raises(CampaignError) as excinfo:
         execute_cells([RunCell(*spec) for spec in specs], workers=2)
     (failure,) = excinfo.value.failures

@@ -53,10 +53,8 @@ def test_valid_lines_sit_in_their_direct_mapped_frame(ops):
     cache = make_cache()
     apply_ops(cache, ops)
     for index in cache.resident_lines():
-        assert cache.line_index(cache.line_vaddr[index]) == index
-        assert cache.tags[index] == cache.tag_of(
-            cache.line_vaddr[index]
-        )
+        assert cache.line_index(cache.line_address(index)) == index
+        assert cache.line_block[index] & cache.index_mask == index
 
 
 @given(operations)
@@ -64,7 +62,8 @@ def test_invalid_lines_are_fully_quiescent(ops):
     cache = make_cache()
     apply_ops(cache, ops)
     for index in range(cache.num_lines):
-        if not cache.valid[index]:
+        if cache.line_block[index] < 0:
+            assert cache.line_block[index] == -1
             assert cache.state[index] is CoherencyState.INVALID
             assert not cache.block_dirty[index]
 
@@ -83,8 +82,8 @@ def test_probe_agrees_with_line_state(ops):
     cache = make_cache()
     apply_ops(cache, ops)
     for index in range(cache.num_lines):
-        vaddr = cache.line_vaddr[index]
-        if cache.valid[index]:
+        vaddr = cache.line_address(index)
+        if cache.line_block[index] >= 0:
             assert cache.probe(vaddr) == index
 
 
@@ -94,14 +93,14 @@ def test_flush_page_removes_exactly_that_page(ops, page_number):
     apply_ops(cache, ops)
     page_vaddr = page_number * PAGE
     survivors_before = {
-        cache.line_vaddr[i]
+        cache.line_address(i)
         for i in cache.resident_lines()
-        if not page_vaddr <= cache.line_vaddr[i] < page_vaddr + PAGE
+        if not page_vaddr <= cache.line_address(i) < page_vaddr + PAGE
     }
     TagCheckedFlush().flush_page(cache, page_vaddr, PAGE)
     assert cache.lines_of_page(page_vaddr, PAGE) == []
     survivors_after = {
-        cache.line_vaddr[i] for i in cache.resident_lines()
+        cache.line_address(i) for i in cache.resident_lines()
     }
     assert survivors_after == survivors_before
 

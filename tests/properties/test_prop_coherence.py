@@ -69,7 +69,7 @@ def copies_by_block(caches):
     holders = defaultdict(list)
     for cache in caches:
         for index in cache.resident_lines():
-            holders[cache.line_vaddr[index]].append(
+            holders[cache.line_address(index)].append(
                 (cache, index, cache.state[index])
             )
     return holders

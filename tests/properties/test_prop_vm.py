@@ -82,7 +82,7 @@ def test_cached_blocks_belong_to_resident_or_flushed_pages(traffic):
     machine.run([(kind, heap.start + offset)
                  for kind, offset in traffic])
     for index in machine.cache.resident_lines():
-        vaddr = machine.cache.line_vaddr[index]
+        vaddr = machine.cache.line_address(index)
         if heap.start <= vaddr < heap.end:
             vpn = vaddr >> machine.page_bits
             assert machine.page_table.lookup(vpn).valid

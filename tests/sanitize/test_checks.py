@@ -54,19 +54,29 @@ class TestLineChecks:
         check_line(cache, index)
         check_cache_arrays(cache)
 
-    def test_tag_disagreement(self):
+    def test_block_number_maps_to_another_line(self):
         cache = small_cache()
         index = filled_line(cache)
-        cache.tags[index] ^= 1
-        expect_violation("cache.tag-agreement", check_line, cache, index)
+        cache.line_block[index] ^= 1
+        expect_violation(
+            "cache.line-block-index", check_line, cache, index
+        )
 
-    def test_line_vaddr_maps_elsewhere(self):
+    def test_block_number_with_same_index_bits_passes(self):
         cache = small_cache()
         index = filled_line(cache)
-        # Same tag, but recorded fill address indexes another line.
-        cache.line_vaddr[index] += 32
-        cache.tags[index] = cache.line_vaddr[index] >> cache.tag_shift
-        expect_violation("cache.tag-agreement", check_line, cache, index)
+        # Another tag, same index bits: a legal (if different) block.
+        cache.line_block[index] += cache.num_lines
+        check_line(cache, index)
+
+    def test_invalid_line_with_stray_block_number(self):
+        cache = small_cache()
+        index = filled_line(cache)
+        cache.invalidate(index)
+        cache.line_block[index] = -2
+        expect_violation(
+            "cache.invalid-quiescent", check_line, cache, index
+        )
 
     def test_valid_line_with_invalid_state(self):
         cache = small_cache()
@@ -77,7 +87,7 @@ class TestLineChecks:
     def test_invalid_line_with_residue(self):
         cache = small_cache()
         index = filled_line(cache)
-        cache.valid[index] = False
+        cache.line_block[index] = -1
         expect_violation(
             "cache.invalid-quiescent", check_line, cache, index
         )
@@ -110,15 +120,15 @@ class TestLineChecks:
     def test_violation_carries_context(self):
         cache = small_cache()
         index = filled_line(cache)
-        cache.tags[index] ^= 1
+        cache.line_block[index] ^= 1
         violation = expect_violation(
-            "cache.tag-agreement", check_line, cache, index, 41
+            "cache.line-block-index", check_line, cache, index, 41
         )
         text = str(violation)
-        assert "cache.tag-agreement" in text
+        assert "cache.line-block-index" in text
         assert "c0" in text
         assert violation.ref_index == 41
-        assert "tags" in violation.state
+        assert "line_block" in violation.state
 
 
 class TestColumnStoreAgreement:
@@ -136,7 +146,7 @@ class TestColumnStoreAgreement:
     def test_rebound_word_column(self):
         cache = small_cache()
         filled_line(cache)
-        cache.tags = cache.tags[:]
+        cache.line_block = cache.line_block[:]
         expect_violation(
             "cache.column-store-agreement", check_cache_arrays, cache
         )

@@ -89,7 +89,7 @@ class TestChunkedDetection:
         other_page = heap + 128
         with pytest.raises(InvariantViolation) as excinfo:
             machine.run_chunks(chunked([(READ, other_page)] * 4, 4))
-        assert excinfo.value.invariant == "cache.line-block-agreement"
+        assert excinfo.value.invariant == "cache.line-block-index"
         assert sanitizer.line_checks > 0
 
     def test_sampled_mode_spot_checks_chunk_tails(self, rig):

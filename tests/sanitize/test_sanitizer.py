@@ -156,7 +156,7 @@ class TestBareCache:
         cache = self.build()
         sanitizer = attach(cache, mode="epoch")
         index = cache.fill(0x400, Protection.READ_WRITE, False, False)[0]
-        cache.tags[index] ^= 1
+        cache.line_block[index] ^= 1
         with pytest.raises(InvariantViolation):
             sanitizer.check_now()
 

@@ -295,7 +295,7 @@ class TestLintSubcommand:
         rogue = tmp_path / "rogue.py"
         rogue.write_text(
             "def poke(cache, index):\n"
-            "    cache.valid[index] = False\n"
+            "    cache.line_block[index] = -1\n"
         )
         assert main(["lint", str(rogue)]) == 1
         assert "R002" in capsys.readouterr().out

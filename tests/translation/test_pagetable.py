@@ -59,6 +59,27 @@ class TestLayoutArithmetic:
                 user_limit=0x8000_0000,
             )
 
+    def test_user_range_overlapping_first_level_table_rejected(self):
+        # User blocks would alias first-level PTE blocks in the cache
+        # and count as page-table addresses.
+        with pytest.raises(ConfigurationError, match="first-level"):
+            PageTableLayout(
+                page_bytes=4096,
+                pte_base=0x4000_0000,
+                second_level_base=0xC000_0000,
+                user_limit=0x8000_0000,
+            )
+
+    def test_user_range_may_end_at_the_first_level_table(self):
+        layout = PageTableLayout(
+            page_bytes=4096,
+            pte_base=0x4000_0000,
+            second_level_base=0xC000_0000,
+            user_limit=0x4000_0000,
+        )
+        assert not layout.is_page_table_address(layout.user_limit - 1)
+        assert layout.page_bits == 12
+
 
 class TestPageTable:
     def test_lookup_unmapped_returns_invalid_sentinel(self):
