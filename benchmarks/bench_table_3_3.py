@@ -2,64 +2,20 @@
 
 One full run per (workload, memory) point with the prototype's actual
 configuration (SPUR dirty-bit mechanism, MISS reference bits).  The
-assertions pin the *shape* targets from DESIGN.md: excess faults are a
-small fraction of necessary faults, roughly a fifth of modified blocks
-are read before written, zero-fill faults are a large share of dirty
-faults, and all paging-driven counts rise as memory shrinks.
+shape targets (:mod:`repro.analysis.targets`): excess faults are a
+small fraction of dirty faults, roughly a fifth of modified blocks are
+read before written, zero-fill faults are a large share of dirty
+faults, and dirty faults rise as memory shrinks.
 """
-
-import pytest
 
 from repro.analysis.experiments import run_table_3_3
 
-from conftest import (
-    bench_runner,
-    bench_scale,
-    once,
-    shape_asserts_enabled,
-)
+from conftest import assert_targets, bench_runner, bench_scale, once
 
 
-@pytest.fixture(scope="module")
-def rows():
-    result = {}
-
-    def compute():
-        result["rows"], result["table"] = run_table_3_3(
-            length_scale=bench_scale(), runner=bench_runner(),
-        )
-        return result["rows"]
-
-    return result, compute
-
-
-def test_table_3_3(benchmark, record_result, rows):
-    holder, compute = rows
-    once(benchmark, compute)
-    record_result("table_3_3", holder["table"].render())
-    if not shape_asserts_enabled():
-        return
-
-    by_point = {
-        (row.workload, row.memory_mb): row.counts
-        for row in holder["rows"]
-    }
-    for workload in ("SLC", "WORKLOAD1"):
-        for memory_mb in (5, 6, 8):
-            counts = by_point[(workload, memory_mb)]
-            # Excess faults are rare: well under the necessary count.
-            assert counts.excess_fault_fraction < 0.20, (
-                workload, memory_mb
-            )
-            # Roughly one fifth of modified blocks were read first.
-            assert 0.08 <= counts.read_before_write_fraction <= 0.35
-            # Zero-fill faults are a large share of dirty faults.
-            assert 0.25 <= counts.n_zfod / counts.n_ds <= 0.9
-
-        # Paging pressure: dirty faults grow as memory shrinks.
-        small = by_point[(workload, 5)]
-        large = by_point[(workload, 8)]
-        assert small.n_ds > large.n_ds
-        # Zero-fill counts are nearly memory-independent (the paper's
-        # SLC column is constant at 905).
-        assert abs(small.n_zfod - large.n_zfod) < 0.25 * large.n_zfod
+def test_table_3_3(benchmark, record_result):
+    rows, table = once(benchmark, lambda: run_table_3_3(
+        length_scale=bench_scale(), runner=bench_runner(),
+    ))
+    record_result("table_3_3", table.render())
+    assert_targets("3.3", rows)

@@ -11,49 +11,37 @@ Two variants, as DESIGN.md specifies:
    :math:`N_{w\\text{-}hit} t_{dc}` term scales with trace length and
    our traces are ~1000x shorter (see EXPERIMENTS.md).
 
-A sensitivity sweep reproduces the paper's "even at t_dc = 1 cycle,
-WRITE stays worst" observation on the published counts.
-"""
+Both variants check the shared targets of
+:mod:`repro.analysis.targets`.
 
-import pytest
+A sensitivity sweep prints the paper's "even at t_dc = 1 cycle, WRITE
+stays worst" observation on the published counts (checked by the
+published-counts targets).
+"""
 
 from repro.analysis import paper_data
 from repro.analysis.experiments import build_table_3_4, run_table_3_3
 from repro.policies.costs import TimeParameters, overhead_table
 
-from conftest import bench_scale, once, shape_asserts_enabled
+from conftest import assert_targets, bench_runner, bench_scale, once
 
 
 def test_table_3_4_from_paper_counts(benchmark, record_result):
     results, table = once(benchmark, build_table_3_4)
     record_result("table_3_4_paper_counts", table.render())
-    for key, published in paper_data.TABLE_3_4.items():
-        for policy, (mcycles, ratio) in published.items():
-            cycles, got_ratio = results[key][policy]
-            assert cycles / 1e6 == pytest.approx(mcycles, rel=0.02)
-            assert got_ratio == pytest.approx(ratio, rel=0.02)
+    assert_targets("3.4-paper", results)
 
 
 def test_table_3_4_from_measured_counts(benchmark, record_result):
     def compute():
-        rows, _ = run_table_3_3(length_scale=bench_scale())
+        rows, _ = run_table_3_3(
+            length_scale=bench_scale(), runner=bench_runner(),
+        )
         return build_table_3_4(rows)
 
     results, table = once(benchmark, compute)
     record_result("table_3_4_measured_counts", table.render())
-    if not shape_asserts_enabled():
-        return
-    for key, overheads in results.items():
-        if overheads["MIN"][0] == 0:
-            continue
-        # FLUSH is exactly 1.5x MIN (t_flush = t_ds / 2).
-        assert overheads["FLUSH"][1] == pytest.approx(1.5)
-        # SPUR sits a few percent above MIN.
-        assert 1.0 < overheads["SPUR"][1] < 1.15
-        # FAULT carries the excess faults: above SPUR, below FLUSH
-        # in the rare-excess-fault regime the workloads produce.
-        assert overheads["SPUR"][1] < overheads["FAULT"][1]
-        assert overheads["FAULT"][1] <= overheads["FLUSH"][1] + 0.05
+    assert_targets("3.4-measured", results)
 
 
 def test_write_policy_sensitivity(benchmark, record_result):
@@ -63,21 +51,13 @@ def test_write_policy_sensitivity(benchmark, record_result):
         lines = ["WRITE-policy sensitivity to t_dc "
                  "(paper counts, WORKLOAD1 at 5 MB):"]
         counts, _ = paper_data.TABLE_3_3[("WORKLOAD1", 5)]
-        rows = {}
         for t_dc in (5, 3, 1):
-            times = TimeParameters(t_dc=t_dc)
-            table = overhead_table(counts, times)
-            rows[t_dc] = table
+            table = overhead_table(counts, TimeParameters(t_dc=t_dc))
             lines.append(
                 f"  t_dc={t_dc}: WRITE = {table['WRITE'][0] / 1e6:.1f}M "
                 f"cycles ({table['WRITE'][1]:.2f}x MIN)"
             )
-        return rows, "\n".join(lines)
+        return "\n".join(lines)
 
-    rows, text = once(benchmark, sweep)
+    text = once(benchmark, sweep)
     record_result("table_3_4_tdc_sensitivity", text)
-    for t_dc, table in rows.items():
-        worst = max(cycles for cycles, _ in table.values())
-        assert table["WRITE"][0] == worst, (
-            f"WRITE must stay worst even at t_dc={t_dc}"
-        )

@@ -2,8 +2,9 @@
 
 One driver per paper table/figure (:mod:`repro.analysis.experiments`),
 the paper's published numbers for comparison
-(:mod:`repro.analysis.paper_data`), small-sample statistics for the
-repetition-based experiments (:mod:`repro.analysis.stats`), and ASCII
+(:mod:`repro.analysis.paper_data`), the paper-shape targets checked
+against them (:mod:`repro.analysis.targets`), small-sample statistics
+for the repetition-based experiments (:mod:`repro.analysis.stats`), and ASCII
 table rendering in the paper's layouts (:mod:`repro.analysis.tables`).
 """
 
@@ -13,7 +14,6 @@ from repro.analysis.charts import bar_chart, line_plot, sparkline
 from repro.analysis.latex import table_to_latex
 from repro.analysis.sweeps import SweepDriver
 from repro.analysis.tracestats import TraceStatistics, analyze_trace
-from repro.analysis.report import generate_report
 from repro.analysis import paper_data
 from repro.analysis.experiments import (
     Table33Row,
@@ -35,7 +35,6 @@ __all__ = [
     "TraceStatistics",
     "analyze_trace",
     "bar_chart",
-    "generate_report",
     "line_plot",
     "sparkline",
     "build_table_3_4",

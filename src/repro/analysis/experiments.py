@@ -5,7 +5,9 @@ table and returns structured rows plus a rendered ASCII table that
 places measured values beside the paper's published ones.  The benches
 in ``benchmarks/`` are thin wrappers over these drivers, so the same
 code paths are exercised by tests (at tiny ``length_scale``) and by
-the full regeneration runs.
+the full regeneration runs.  Each simulating driver takes a
+``runner``; its :class:`~repro.options.RunOptions` carry the execution
+settings (workers, caching, observation).
 """
 
 from dataclasses import dataclass
@@ -73,17 +75,14 @@ class Table33Row:
 
 
 def run_table_3_3(length_scale=1.0, scale=8, runner=None, seed=0,
-                  max_references=None, options=None):
+                  max_references=None):
     """Measure the Table 3.3 event frequencies.
 
     One run per (workload, memory) point with the SPUR dirty-bit
     mechanism and MISS reference bits — the prototype's configuration,
     which is what the paper measured.  Returns ``(rows, table)``.
-
-    ``options`` (a :class:`~repro.options.RunOptions`) carries the
-    execution knobs: workers, caching, observation.
     """
-    runner = runner or ExperimentRunner(options=options)
+    runner = runner or ExperimentRunner()
     points = []
     for name, workload in _standard_workloads(length_scale):
         for memory_mb, ratio in MEMORY_POINTS:
@@ -99,7 +98,6 @@ def run_table_3_3(length_scale=1.0, scale=8, runner=None, seed=0,
             (config, workload, seed, max_references)
             for _, _, config, workload in points
         ],
-        options=options,
         labels=[
             f"{name}/{memory_mb}MB" for name, memory_mb, _, _ in points
         ],
@@ -226,14 +224,10 @@ class Table35Row:
 
 
 def run_table_3_5(length_scale=1.0, scale=8, runner=None, seed=0,
-                  profiles=DEV_SYSTEM_PROFILES, max_references=None,
-                  options=None):
+                  profiles=DEV_SYSTEM_PROFILES, max_references=None):
     """Simulate the six development-system profiles.
-
-    ``options`` (a :class:`~repro.options.RunOptions`) carries the
-    execution knobs: workers, caching, observation.
     """
-    runner = runner or ExperimentRunner(options=options)
+    runner = runner or ExperimentRunner()
     specs = []
     for profile in profiles:
         config = scaled_config(
@@ -243,8 +237,7 @@ def run_table_3_5(length_scale=1.0, scale=8, runner=None, seed=0,
         workload = DevSystemWorkload(profile, length_scale=length_scale)
         specs.append((config, workload, seed, max_references))
     results = runner.run_many(
-        specs, options=options,
-        labels=[profile.hostname for profile in profiles],
+        specs, labels=[profile.hostname for profile in profiles],
     )
     rows = []
     for profile, result in zip(profiles, results):
@@ -309,19 +302,15 @@ class Table41Row:
 
 
 def run_table_4_1(length_scale=1.0, scale=8, repetitions=3,
-                  runner=None, randomize=True, max_references=None,
-                  options=None):
+                  runner=None, randomize=True, max_references=None):
     """Run the full reference-bit policy matrix.
 
     Repetitions use distinct workload seeds and (like the paper's
     five-repetition design) a randomised execution order.  Returns
     ``(rows, table)`` with page-ins and elapsed time normalised to the
     MISS policy within each (workload, memory) group.
-
-    ``options`` (a :class:`~repro.options.RunOptions`) carries the
-    execution knobs: workers, caching, observation.
     """
-    runner = runner or ExperimentRunner(options=options)
+    runner = runner or ExperimentRunner()
     points = []
     for name, _ in _standard_workloads(length_scale):
         workload_cls = SlcWorkload if name == "SLC" else Workload1
@@ -338,7 +327,7 @@ def run_table_4_1(length_scale=1.0, scale=8, repetitions=3,
                 ))
     matrix = runner.run_matrix(
         points, repetitions=repetitions, randomize=randomize,
-        max_references=max_references, options=options,
+        max_references=max_references,
     )
 
     rows = []

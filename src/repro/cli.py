@@ -8,7 +8,7 @@
     python -m repro run --workload slc --memory-ratio 48 \\
         --dirty FAULT --ref MISS
     python -m repro formats              # Figure 3.2 bit layouts
-    python -m repro all --out-dir out/   # everything, to files
+    python -m repro campaign --out-dir out/  # every table + report
     python -m repro campaign --workers 4 --cache-dir .repro-cache
 
 All commands print the rendered artefact; ``--out`` / ``--out-dir``
@@ -271,41 +271,20 @@ def cmd_formats(args):
     return 0
 
 
-def cmd_all(args):
-    """Regenerate the main tables into a directory."""
-    out_dir = pathlib.Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    runner = _runner_from_args(args)
-    jobs = (
-        ("table_3_3", lambda: run_table_3_3(
-            length_scale=args.length, seed=args.seed,
-            runner=runner)[1]),
-        ("table_3_4_paper", lambda: build_table_3_4()[1]),
-        ("table_3_5", lambda: run_table_3_5(
-            length_scale=args.length, seed=args.seed,
-            runner=runner)[1]),
-        ("table_4_1", lambda: run_table_4_1(
-            length_scale=args.length, repetitions=args.reps,
-            runner=runner)[1]),
-    )
-    for name, job in jobs:
-        print(f"regenerating {name} ...", file=sys.stderr)
-        table = job()
-        (out_dir / f"{name}.txt").write_text(table.render() + "\n")
-    _finish(runner)
-    print(f"artefacts in {out_dir}", file=sys.stderr)
-    return 0
-
-
 def cmd_campaign(args):
-    """The full measured-table campaign, parallel, cached, resumable.
+    """The one artefact pipeline: every main table plus the report.
 
-    Runs Tables 3.3, 3.4 (from the measured 3.3 counts), 3.5, and 4.1
-    through one shared runner and cache, fanning the independent cells
-    over ``--workers`` processes.  A warm cache re-runs the whole
+    Runs Tables 3.3, 3.4 (published and measured counts), 3.5, and
+    4.1 through one shared runner and cache, fanning the independent
+    cells over ``--workers`` processes, then checks every paper-shape
+    target (:mod:`repro.analysis.targets`) and writes the tables and
+    ``REPRODUCTION_REPORT.md``.  A warm cache re-runs the whole
     campaign without simulating a single cell, which also makes a
-    killed campaign resume where it stopped.
+    killed campaign resume where it stopped.  Exits 1 when a cell
+    fails, or -- after writing every artefact -- when a target fails
+    at or above its length.
     """
+    from repro.analysis import targets
     from repro.parallel import CampaignError
 
     runner = _runner_from_args(args)
@@ -318,13 +297,12 @@ def cmd_campaign(args):
         rows_33, table_33 = run_table_3_3(
             length_scale=args.length, seed=args.seed, runner=runner,
         )
-        _, table_34 = build_table_3_4(rows_33)
         print("table 3.5 ...", file=sys.stderr)
-        _, table_35 = run_table_3_5(
+        rows_35, table_35 = run_table_3_5(
             length_scale=args.length, seed=args.seed, runner=runner,
         )
         print("table 4.1 ...", file=sys.stderr)
-        _, table_41 = run_table_4_1(
+        rows_41, table_41 = run_table_4_1(
             length_scale=args.length, repetitions=args.reps,
             runner=runner,
         )
@@ -336,17 +314,31 @@ def cmd_campaign(args):
             print(f"  {failure.describe()}", file=sys.stderr)
         _finish(runner)
         return 1
-    artefacts = (
-        ("table_3_3", table_33),
-        ("table_3_4_measured", table_34),
-        ("table_3_5", table_35),
-        ("table_4_1", table_41),
-    )
-    for name, table in artefacts:
-        (out_dir / f"{name}.txt").write_text(table.render() + "\n")
     _finish(runner)
+    results = {
+        "3.3": (rows_33, table_33),
+        "3.4-paper": build_table_3_4(),
+        "3.4-measured": build_table_3_4(rows_33),
+        "3.5": (rows_35, table_35),
+        "4.1": (rows_41, table_41),
+    }
+    verdicts = targets.evaluate(
+        {key: rows for key, (rows, _) in results.items()}, args.length,
+    )
+    tables = {key: table for key, (_, table) in results.items()}
+    for key, stem, _ in targets.TABLES:
+        (out_dir / f"{stem}.txt").write_text(tables[key].render() + "\n")
+    (out_dir / "REPRODUCTION_REPORT.md").write_text(
+        targets.render_reproduction_report(
+            tables, verdicts, length_scale=args.length,
+            repetitions=args.reps, seed=args.seed,
+        )
+    )
     print(f"artefacts in {out_dir}", file=sys.stderr)
-    return 0
+    failed = [target for target, verdict in verdicts if verdict is False]
+    for target in failed:
+        print(f"target FAILED: {target.name}", file=sys.stderr)
+    return 1 if failed else 0
 
 
 def cmd_characterize(args):
@@ -457,20 +449,6 @@ def cmd_observe_report(args):
     return 0
 
 
-def cmd_report(args):
-    """Run every experiment and emit the Markdown report.
-
-    Exits nonzero if any shape check fails."""
-    from repro.analysis.report import generate_report
-
-    text, all_passed = generate_report(
-        length_scale=args.length, repetitions=args.reps,
-        seed=args.seed,
-    )
-    _emit(text, args.out)
-    return 0 if all_passed else 1
-
-
 def cmd_lint(args):
     """Delegate to the analysis CLI (:mod:`repro.lint.cli`).
 
@@ -566,17 +544,10 @@ def build_parser():
     p_formats.add_argument("--out")
     p_formats.set_defaults(func=cmd_formats)
 
-    p_all = sub.add_parser("all", help="regenerate the main tables")
-    p_all.add_argument("--out-dir", default="results")
-    common(p_all, reps=True)
-    parallel_opts(p_all)
-    observe_opts(p_all)
-    p_all.set_defaults(func=cmd_all)
-
     p_campaign = sub.add_parser(
         "campaign",
-        help="the full measured-table campaign: parallel, cached, "
-             "and resumable",
+        help="regenerate every main table and the checked "
+             "reproduction report: parallel, cached, resumable",
     )
     p_campaign.add_argument("--out-dir", default="results")
     p_campaign.add_argument(
@@ -611,13 +582,6 @@ def build_parser():
     p_obs_report.add_argument("--out",
                               help="also write the report here")
     p_obs_report.set_defaults(func=cmd_observe_report)
-
-    p_report = sub.add_parser(
-        "report",
-        help="run everything and emit a Markdown reproduction report",
-    )
-    common(p_report, reps=True)
-    p_report.set_defaults(func=cmd_report)
 
     p_char = sub.add_parser(
         "characterize",

@@ -4,12 +4,13 @@ The multi-run entry points grew their knobs one keyword at a time —
 ``workers``, ``cache``, ``sanitize`` — and the
 observability layer would have added four more to every signature.
 :class:`RunOptions` collects them all in a single frozen value that
-every driver accepts::
+the runner, the sweep driver and their multi-run methods accept; the
+table drivers take the runner::
 
     options = RunOptions(workers=4, cache_dir=".cache",
                          observe=True, trace_sink=JsonlSink("t.jsonl"))
     runner = ExperimentRunner(options=options)
-    run_table_3_3(options=options)
+    run_table_3_3(runner=runner)
 
 None of these knobs may change what a run *measures*: workers,
 caching, sanitizing, and observing all produce bit-identical

@@ -1,0 +1,290 @@
+"""Tests for the paper-shape targets and the reproduction report."""
+
+import dataclasses
+import re
+
+import pytest
+
+from repro.analysis import paper_data, targets
+from repro.analysis.experiments import (
+    Table33Row,
+    Table35Row,
+    Table41Row,
+    build_table_3_4,
+)
+from repro.analysis.tables import Table
+from repro.policies.costs import EventCounts
+
+#: Long enough for every target to be evaluated.
+LONG = 100.0
+
+BY_NAME = {target.name: target for target in targets.TARGETS}
+
+
+def _target(prefix):
+    (name,) = [name for name in BY_NAME if name.startswith(prefix)]
+    return BY_NAME[name]
+
+
+# Hand-built rows that pass every target; each case below edits one
+# row to sit just inside and just outside one target's bound.
+
+def rows_33(point=("SLC", 8), **counts):
+    rows = []
+    for workload in ("SLC", "WORKLOAD1"):
+        for memory_mb, n_ds in ((5, 1100), (6, 1050), (8, 1000)):
+            fields = dict(n_ds=n_ds, n_zfod=500, n_ef=100,
+                          n_w_hit=20, n_w_miss=80)
+            if (workload, memory_mb) == point:
+                fields.update(counts)
+            rows.append(Table33Row(workload, memory_mb,
+                                   EventCounts(**fields),
+                                   elapsed_seconds=1.0, references=1))
+    return rows
+
+
+def results_34(point=("SLC", 8), **ratios):
+    results = {}
+    for workload in ("SLC", "WORKLOAD1"):
+        for memory_mb in (5, 6, 8):
+            cells = dict(MIN=1.0, FAULT=1.2, FLUSH=1.5, SPUR=1.03,
+                         WRITE=1.1)
+            if (workload, memory_mb) == point:
+                cells.update(ratios)
+            results[(workload, memory_mb)] = {
+                policy: (1000 * ratio, ratio)
+                for policy, ratio in cells.items()
+            }
+    return results
+
+
+def published_34(scale):
+    """Published-counts Table 3.4 with SLC 5 MB SPUR cycles set to
+    ``scale`` times the published value."""
+    results, _ = build_table_3_4()
+    mcycles, _ = paper_data.TABLE_3_4[("SLC", 5)]["SPUR"]
+    _, ratio = results[("SLC", 5)]["SPUR"]
+    results[("SLC", 5)]["SPUR"] = (mcycles * 1e6 * scale, ratio)
+    return results
+
+
+def rows_35(host=0, **fields):
+    rows = []
+    for index, (hostname, memory_mb) in enumerate((
+        ("mace", 8), ("sloth", 8), ("mace", 8),
+        ("sage", 12), ("fenugreek", 12), ("murder", 16),
+    )):
+        values = dict(page_ins=10_000, potentially_modified=1000,
+                      not_modified=100 if memory_mb < 12 else 50)
+        if index == host:
+            values.update(fields)
+        rows.append(Table35Row(hostname, memory_mb, uptime_hours=1,
+                               **values))
+    return rows
+
+
+def rows_41(cell=("SLC", 8, "REF"), **fields):
+    rows = []
+    for workload in ("SLC", "WORKLOAD1"):
+        for memory_mb in (5, 6, 8):
+            for policy, page_ins, elapsed in (
+                ("MISS", 100, 100), ("REF", 100, 105),
+                ("NOREF", 150, 110),
+            ):
+                row = Table41Row(workload, memory_mb, policy,
+                                 page_ins_mean=page_ins,
+                                 elapsed_mean=elapsed,
+                                 page_ins_pct=page_ins,
+                                 elapsed_pct=elapsed)
+                if (workload, memory_mb, policy) == cell:
+                    row = dataclasses.replace(row, **fields)
+                rows.append(row)
+    return rows
+
+
+BASELINE = {
+    "3.3": rows_33,
+    "3.4-paper": lambda: build_table_3_4()[0],
+    "3.4-measured": results_34,
+    "3.5": rows_35,
+    "4.1": rows_41,
+}
+
+#: (target name prefix, rows just inside its bound, rows just outside).
+CASES = [
+    ("excess faults", lambda: rows_33(n_ef=199),
+     lambda: rows_33(n_ef=200)),
+    ("8-35% of modified", lambda: rows_33(n_w_hit=35, n_w_miss=65),
+     lambda: rows_33(n_w_hit=36, n_w_miss=64)),
+    ("8-35% of modified", lambda: rows_33(n_w_hit=8, n_w_miss=92),
+     lambda: rows_33(n_w_hit=7, n_w_miss=93)),
+    ("zero-fill faults are", lambda: rows_33(n_zfod=900),
+     lambda: rows_33(n_zfod=901)),
+    ("zero-fill faults are", lambda: rows_33(n_zfod=250),
+     lambda: rows_33(n_zfod=249)),
+    ("dirty faults grow", lambda: rows_33(n_ds=1099),
+     lambda: rows_33(n_ds=1100)),
+    ("zero-fill faults within", lambda: rows_33(("SLC", 5), n_zfod=624),
+     lambda: rows_33(("SLC", 5), n_zfod=625)),
+    ("published Table 3.4", lambda: published_34(1.019),
+     lambda: published_34(1.021)),
+    ("FLUSH = 1.5x", lambda: results_34(FLUSH=1.5),
+     lambda: results_34(FLUSH=1.501)),
+    ("SPUR within", lambda: results_34(SPUR=1.149),
+     lambda: results_34(SPUR=1.15)),
+    ("SPUR within", lambda: results_34(SPUR=1.001),
+     lambda: results_34(SPUR=1.0)),
+    ("FAULT above SPUR", lambda: results_34(FAULT=1.031),
+     lambda: results_34(FAULT=1.03)),
+    ("FAULT at most FLUSH", lambda: results_34(FAULT=1.55),
+     lambda: results_34(FAULT=1.551)),
+    ("every host replaces",
+     lambda: rows_35(5, potentially_modified=1, not_modified=0),
+     lambda: rows_35(5, potentially_modified=0, not_modified=0)),
+    (">= 75%", lambda: rows_35(0, not_modified=250),
+     lambda: rows_35(0, not_modified=251)),
+    (">= 90%", lambda: rows_35(3, not_modified=100),
+     lambda: rows_35(3, not_modified=101)),
+    ("no dirty bits", lambda: rows_35(0, page_ins=150, not_modified=150),
+     lambda: rows_35(0, page_ins=149, not_modified=150)),
+    ("8 MB hosts replace", lambda: rows_35(5, not_modified=199),
+     lambda: rows_35(5, not_modified=200)),
+    ("REF page-ins", lambda: rows_41(page_ins_pct=110),
+     lambda: rows_41(page_ins_pct=111)),
+    ("REF page-ins", lambda: rows_41(page_ins_pct=90),
+     lambda: rows_41(page_ins_pct=89)),
+    ("REF elapsed", lambda: rows_41(elapsed_pct=99),
+     lambda: rows_41(elapsed_pct=98.9)),
+    ("NOREF page-ins", lambda: rows_41(("SLC", 8, "NOREF"),
+                                       page_ins_pct=102),
+     lambda: rows_41(("SLC", 8, "NOREF"), page_ins_pct=101.9)),
+    ("MISS fastest", lambda: rows_41(elapsed_pct=99),
+     lambda: rows_41(elapsed_pct=98.9)),
+    ("SLC NOREF", lambda: rows_41(("SLC", 5, "NOREF"),
+                                  page_ins_pct=145.1),
+     lambda: rows_41(("SLC", 5, "NOREF"), page_ins_pct=145)),
+]
+
+
+class TestDeclarations:
+    def test_names_are_unique(self):
+        names = [target.name for target in targets.TARGETS]
+        assert len(names) == len(set(names))
+
+    def test_every_target_reads_a_declared_table(self):
+        keys = {key for key, _, _ in targets.TABLES}
+        assert {target.table for target in targets.TARGETS} <= keys
+
+    def test_every_target_has_a_bound_case(self):
+        covered = {_target(prefix).name for prefix, _, _ in CASES}
+        covered.add(_target("WRITE stays").name)
+        assert covered == set(BY_NAME)
+
+    def test_fault_below_flush_holds_from_length_one(self):
+        # SLC at 8 MB reads FAULT/MIN 1.70 at length 0.5.
+        assert _target("FAULT at most FLUSH").min_length == 1.0
+
+    def test_published_targets_hold_at_any_length(self):
+        for target in targets.TARGETS:
+            if target.table == "3.4-paper":
+                assert target.min_length == 0
+
+
+class TestVerdicts:
+    def test_baseline_passes_every_target(self):
+        data = {key: build() for key, build in BASELINE.items()}
+        verdicts = targets.evaluate(data, LONG)
+        assert len(verdicts) == len(targets.TARGETS)
+        assert all(verdict is True for _, verdict in verdicts)
+
+    @pytest.mark.parametrize("prefix,inside,outside", CASES,
+                             ids=[case[0] for case in CASES])
+    def test_passes_inside_and_fails_outside_its_bound(
+            self, prefix, inside, outside):
+        target = _target(prefix)
+        assert target.verdict(inside(), LONG) is True
+        assert target.verdict(outside(), LONG) is False
+
+    def test_measured_34_skips_points_without_dirty_faults(self):
+        results = results_34()
+        results[("SLC", 8)] = {
+            policy: (0, float("nan"))
+            for policy in ("MIN", "FAULT", "FLUSH", "SPUR", "WRITE")
+        }
+        verdicts = targets.evaluate({"3.4-measured": results}, LONG)
+        assert all(verdict for _, verdict in verdicts)
+
+    def test_write_stays_worst_fails_when_write_is_cheap(
+            self, monkeypatch):
+        target = _target("WRITE stays")
+        assert target.verdict(None, LONG) is True
+        # No w-hit blocks: WRITE costs MIN's cycles, below FLUSH.
+        monkeypatch.setitem(
+            paper_data.TABLE_3_3, ("WORKLOAD1", 5),
+            (EventCounts(n_ds=9860, n_zfod=5286, n_ef=1534, n_w_hit=0,
+                         n_w_miss=0), 3016),
+        )
+        assert target.verdict(None, LONG) is False
+
+    def test_below_min_length_is_not_evaluated(self):
+        target = _target("FAULT at most FLUSH")
+        failing = results_34(FAULT=9.0)
+        assert target.verdict(failing, 0.5) is None
+        assert target.verdict(failing, 1.0) is False
+
+    def test_published_targets_pass_at_tiny_length(self):
+        verdicts = targets.evaluate(
+            {"3.4-paper": build_table_3_4()[0]}, 0.005
+        )
+        assert len(verdicts) == 2
+        assert all(verdict is True for _, verdict in verdicts)
+
+    def test_evaluate_skips_tables_not_given(self):
+        verdicts = targets.evaluate({"3.5": rows_35()}, LONG)
+        assert {target.table for target, _ in verdicts} == {"3.5"}
+
+
+def _report(length_scale, data=None):
+    data = data or {key: build() for key, build in BASELINE.items()}
+    tables = {
+        key: Table(f"stub {key}", ["column"])
+        for key, _, _ in targets.TABLES
+    }
+    return targets.render_reproduction_report(
+        tables, targets.evaluate(data, length_scale),
+        length_scale=length_scale, repetitions=2, seed=0,
+    )
+
+
+def _line(report, target):
+    (line,) = [line for line in report.splitlines()
+               if target.name in line]
+    return line
+
+
+class TestReport:
+    def test_sections_and_one_line_per_target(self):
+        report = _report(LONG)
+        for _, _, heading in targets.TABLES:
+            assert f"## {heading}" in report
+        assert report.count("\n- [") == len(targets.TARGETS)
+
+    def test_passing_target_is_checked(self):
+        report = _report(LONG)
+        assert _line(report, targets.TARGETS[0]).startswith("- [x] ")
+
+    def test_failing_target_is_marked(self):
+        data = {key: build() for key, build in BASELINE.items()}
+        data["3.3"] = rows_33(n_ef=500)
+        line = _line(_report(LONG, data), _target("excess faults"))
+        assert line.startswith("- [ ] ") and line.endswith("FAILED")
+
+    def test_target_below_its_length_is_not_evaluated(self):
+        line = _line(_report(0.5), _target("FAULT at most FLUSH"))
+        assert line.startswith("- [ ] ")
+        assert "not evaluated at length 0.5" in line
+
+    def test_report_is_deterministic_and_carries_no_timestamp(self):
+        report = _report(LONG)
+        assert report == _report(LONG)
+        assert not re.search(r"\d{4}-\d{2}-\d{2}|\d{2}:\d{2}", report)

@@ -156,7 +156,7 @@ class TestDriversAcceptOptions:
         sink = MemorySink()
         rows, _ = run_table_3_3(
             length_scale=0.01, max_references=30_000,
-            options=RunOptions(trace_sink=sink),
+            runner=ExperimentRunner(options=RunOptions(trace_sink=sink)),
         )
         assert len(rows) == 6
         labels = {event["label"]
@@ -200,12 +200,6 @@ class TestOptionsAreTheOnlyWay:
         ("ExperimentRunner.run_matrix", "workers"),
         ("SweepDriver", "chunk_refs"),
         ("SweepDriver.run", "workers"),
-        ("run_table_3_3", "workers"),
-        ("run_table_3_3", "chunk_refs"),
-        ("run_table_3_5", "workers"),
-        ("run_table_3_5", "chunk_refs"),
-        ("run_table_4_1", "workers"),
-        ("run_table_4_1", "chunk_refs"),
     ])
     def test_entry_point_takes_options_not_keyword(self, entry,
                                                    keyword):
@@ -215,3 +209,15 @@ class TestOptionsAreTheOnlyWay:
         parameters = inspect.signature(target).parameters
         assert "options" in parameters
         assert keyword not in parameters
+
+    @pytest.mark.parametrize("driver", [
+        "run_table_3_3", "run_table_3_5", "run_table_4_1",
+    ])
+    def test_table_driver_takes_a_runner_only(self, driver):
+        # One way to pass execution settings: the runner's options.
+        parameters = inspect.signature(
+            getattr(repro.api, driver)
+        ).parameters
+        assert "runner" in parameters
+        for keyword in ("options", "workers", "chunk_refs"):
+            assert keyword not in parameters

@@ -61,6 +61,7 @@ MODULES = (
     "repro.workloads.synthetic",
     "repro.workloads.recorded",
     "repro.analysis.experiments",
+    "repro.analysis.targets",
     "repro.analysis.tracestats",
     "repro.analysis.sweeps",
     "repro.lint.symbols",

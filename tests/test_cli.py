@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import dataclasses
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -85,19 +87,6 @@ class TestSimulationCommands:
         ]) == 0
         assert "measured counts" in capsys.readouterr().out
 
-    def test_report_command(self, tmp_path, capsys):
-        target = tmp_path / "report.md"
-        # Miniature report: exit code reflects the (failing at this
-        # scale) shape checklist, but the artefact must be complete.
-        code = main([
-            "report", "--length", "0.005", "--reps", "1",
-            "--out", str(target),
-        ])
-        assert code in (0, 1)
-        text = target.read_text()
-        assert "# Reproduction report" in text
-        assert "## Table 4.1" in text
-
     def test_characterize(self, capsys):
         assert main([
             "characterize", "--workload", "workload1",
@@ -147,30 +136,69 @@ class TestSimulationCommands:
         assert excinfo.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
-    def test_all_writes_artefacts(self, tmp_path):
+    def test_campaign_writes_every_artefact(self, tmp_path):
         assert main([
-            "all", "--out-dir", str(tmp_path), "--length", "0.005",
+            "campaign", "--out-dir", str(tmp_path), "--length", "0.005",
             "--reps", "1",
         ]) == 0
         names = {p.name for p in tmp_path.iterdir()}
-        assert {"table_3_3.txt", "table_3_4_paper.txt",
-                "table_3_5.txt", "table_4_1.txt"} <= names
+        assert names == {
+            "table_3_3.txt", "table_3_4_paper.txt",
+            "table_3_4_measured.txt", "table_3_5.txt", "table_4_1.txt",
+            "REPRODUCTION_REPORT.md",
+        }
+        report = (tmp_path / "REPRODUCTION_REPORT.md").read_text()
+        assert "## Shape-target checklist" in report
+        assert "not evaluated at length 0.005" in report
+        table = (tmp_path / "table_4_1.txt").read_text()
+        assert table.rstrip("\n") in report
 
-    def test_all_runs_tables_at_the_given_seed(self, tmp_path, capsys):
+    def test_campaign_runs_tables_at_the_given_seed(self, tmp_path,
+                                                    capsys):
         assert main([
-            "all", "--out-dir", str(tmp_path), "--length", "0.02",
+            "campaign", "--out-dir", str(tmp_path), "--length", "0.02",
             "--reps", "1", "--seed", "1",
         ]) == 0
-        seeded = (tmp_path / "table_3_3.txt").read_text()
+        seeded = {
+            number: (tmp_path / f"table_{number}.txt").read_text()
+            for number in ("3_3", "3_5")
+        }
         capsys.readouterr()
-        tables = {}
-        for seed in ("0", "1"):
-            assert main([
-                "table", "3.3", "--length", "0.02", "--seed", seed,
-            ]) == 0
-            tables[seed] = capsys.readouterr().out
-        assert seeded == tables["1"]
-        assert seeded != tables["0"]
+        for number in ("3.3", "3.5"):
+            tables = {}
+            for seed in ("0", "1"):
+                assert main([
+                    "table", number, "--length", "0.02", "--seed", seed,
+                ]) == 0
+                tables[seed] = capsys.readouterr().out
+            stem = number.replace(".", "_")
+            assert seeded[stem] == tables["1"]
+            assert seeded[stem] != tables["0"]
+
+    @pytest.mark.parametrize("min_length,code", [
+        (0.005, 1), (0.01, 0),
+    ], ids=["at-length-fails", "below-length-skipped"])
+    def test_campaign_exit_code_follows_targets(self, tmp_path,
+                                                monkeypatch, capsys,
+                                                min_length, code):
+        from repro.analysis import targets
+
+        broken = dataclasses.replace(
+            targets.TARGETS[0], check=lambda rows: False,
+            min_length=min_length,
+        )
+        monkeypatch.setattr(targets, "TARGETS",
+                            (broken,) + targets.TARGETS[1:])
+        assert main([
+            "campaign", "--out-dir", str(tmp_path), "--length", "0.005",
+            "--reps", "1",
+        ]) == code
+        # Every artefact is written whatever the verdict.
+        assert len(list(tmp_path.iterdir())) == 6
+        report = (tmp_path / "REPRODUCTION_REPORT.md").read_text()
+        failed = f"target FAILED: {broken.name}"
+        assert (failed in capsys.readouterr().err) == bool(code)
+        assert ("FAILED" in report) == bool(code)
 
 
 class TestParallelCommands:
@@ -264,7 +292,9 @@ class TestCampaignSurface:
         ["worker", "--cells", "shard.json"],
         ["campaign", "serve"],
         ["campaign", "status", "--port", "1"],
-    ], ids=["worker", "serve", "status"])
+        ["all"],
+        ["report"],
+    ], ids=["worker", "serve", "status", "all", "report"])
     def test_retired_subcommand_is_rejected(self, capsys, argv):
         with pytest.raises(SystemExit) as excinfo:
             main(argv)
@@ -272,8 +302,8 @@ class TestCampaignSurface:
         capsys.readouterr()
 
     @pytest.mark.parametrize("command", [
-        ["table", "4.1"], ["all"], ["campaign"],
-    ], ids=["table", "all", "campaign"])
+        ["table", "4.1"], ["campaign"],
+    ], ids=["table", "campaign"])
     @pytest.mark.parametrize("flag,value", [
         ("--driver", "subprocess"),
         ("--retries", "1"),
