@@ -65,10 +65,14 @@ class Table:
                 cell.ljust(w) for cell, w in zip(cells, widths)
             ) + " |"
 
+        # A trailing separator would double the table's bottom rule.
+        rows = list(self.rows)
+        while rows and rows[-1] is None:
+            rows.pop()
         parts = [self.title, line("=")]
         parts.append(fmt(self.columns))
         parts.append(line("="))
-        for row in self.rows:
+        for row in rows:
             parts.append(line() if row is None else fmt(row))
         parts.append(line())
         for note in self.notes:

@@ -111,12 +111,6 @@ def _small_hosts_replace_more_clean_pages(rows):
     return sum(small) / len(small) > sum(large) / len(large)
 
 
-def _slc_noref_penalty_holds_at_5mb(rows):
-    noref = {r.memory_mb: r.page_ins_pct for r in rows
-             if (r.workload, r.policy) == ("SLC", "NOREF")}
-    return noref[5] > noref[6] - 5
-
-
 TARGETS = (
     Target("excess faults < 20% of dirty faults at every point",
            "N_ef/N_ds 5-16%", "3.3",
@@ -189,9 +183,6 @@ TARGETS = (
            "all but WORKLOAD1 at 8 MB, NOREF 98%", "4.1",
            _each_point(lambda miss, ref, noref: miss.elapsed_pct
                        <= min(ref.elapsed_pct, noref.elapsed_pct) + 1)),
-    Target("SLC NOREF page-in penalty at 5 MB above 6 MB's less 5 points",
-           "177% at 5 MB vs 189% at 6 MB", "4.1",
-           _slc_noref_penalty_holds_at_5mb),
 )
 
 

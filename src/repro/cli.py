@@ -449,17 +449,6 @@ def cmd_observe_report(args):
     return 0
 
 
-def cmd_lint(args):
-    """Delegate to the analysis CLI (:mod:`repro.lint.cli`).
-
-    The lint tool owns its own argument surface (``--explain``,
-    ``--format``, ``--baseline``...), so everything after ``lint`` is
-    forwarded verbatim rather than re-declared here."""
-    from repro.lint.cli import main as lint_main
-
-    return lint_main(args.lint_argv)
-
-
 def build_parser():
     """Construct the argparse command tree."""
     parser = argparse.ArgumentParser(
@@ -478,7 +467,6 @@ def build_parser():
                        help="run seed (default 0)" + (
                            "; Table 4.1 ignores it and runs "
                            "repetition seeds 0..reps-1" if reps else ""))
-        p.add_argument("--out", help="also write the artefact here")
         if reps:
             p.add_argument("--reps", type=int, default=2,
                            help="repetitions (paper used 5)")
@@ -519,6 +507,7 @@ def build_parser():
                          help="counts source for table 3.4")
     p_table.add_argument("--include-zero-fill", action="store_true",
                          help="keep N_zfod in the 3.4 models")
+    p_table.add_argument("--out", help="also write the artefact here")
     common(p_table, reps=True)
     parallel_opts(p_table)
     observe_opts(p_table)
@@ -534,6 +523,7 @@ def build_parser():
                        help="FAULT|FLUSH|SPUR|PROTMISS|WRITE|MIN")
     p_run.add_argument("--ref", default="MISS",
                        help="MISS|REF|NOREF")
+    p_run.add_argument("--out", help="also write the artefact here")
     common(p_run)
     observe_opts(p_run)
     p_run.set_defaults(func=cmd_run)
@@ -544,8 +534,9 @@ def build_parser():
     p_formats.add_argument("--out")
     p_formats.set_defaults(func=cmd_formats)
 
+    # No abbreviations: `--out` would otherwise pass as `--out-dir`.
     p_campaign = sub.add_parser(
-        "campaign",
+        "campaign", allow_abbrev=False,
         help="regenerate every main table and the checked "
              "reproduction report: parallel, cached, resumable",
     )
@@ -589,6 +580,7 @@ def build_parser():
     )
     p_char.add_argument("--workload", default="slc")
     p_char.add_argument("--max-references", type=int, default=200_000)
+    p_char.add_argument("--out", help="also write the artefact here")
     common(p_char)
     p_char.set_defaults(func=cmd_characterize)
 
@@ -611,27 +603,11 @@ def build_parser():
     p_replay.add_argument("--out", help="also write the artefact here")
     p_replay.set_defaults(func=cmd_replay)
 
-    p_lint = sub.add_parser(
-        "lint", add_help=False,
-        help="whole-program static analysis (rules R001-R008)",
-    )
-    p_lint.add_argument("lint_argv", nargs=argparse.REMAINDER)
-    p_lint.set_defaults(func=cmd_lint)
-
     return parser
 
 
 def main(argv=None):
     """CLI entry point; returns the process exit code."""
-    if argv is None:
-        argv = sys.argv[1:]
-    # `lint` forwards its whole tail to the analysis CLI.  Done ahead
-    # of argparse because REMAINDER refuses leading option-like tokens
-    # (`repro lint --explain R006` would die as "unrecognized").
-    if argv and argv[0] == "lint":
-        from repro.lint.cli import main as lint_main
-
-        return lint_main(argv[1:])
     parser = build_parser()
     args = parser.parse_args(argv)
     _check_scale(args)

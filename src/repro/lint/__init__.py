@@ -1,6 +1,6 @@
 """Repo-specific static analysis for the SPUR reproduction.
 
-Eight rules encode discipline the simulator depends on but generic
+Seven rules encode discipline the simulator depends on but generic
 linters cannot check::
 
     python -m repro.lint src/
@@ -20,20 +20,13 @@ scanned tree):
   simulator hot loops
 * **R006** cache-key soundness for ``MachineConfig``/``RunOptions``
   field reads on the simulation path
-* **R007** worker safety for callables submitted to process pools
 * **R008** transitive hot-path purity (R001's call ban as a proof)
 
-See ``docs/analysis.md`` for the full catalogue, the effect lattice,
-and suppression syntax.
+See ``docs/analysis.md`` for the rule catalogue and the effect
+lattice.
 """
 
-from repro.lint.baseline import (
-    apply_baseline,
-    load_baseline,
-    render_baseline,
-)
 from repro.lint.callgraph import CallGraph, CallSite
-from repro.lint.catalog import RULES, explain
 from repro.lint.effects import NONDET, EffectTable, classify
 from repro.lint.engine import (
     Module,
@@ -47,7 +40,6 @@ from repro.lint.flowrules import (
     check_cache_key,
     check_determinism,
     check_transitive_purity,
-    check_worker_safety,
 )
 from repro.lint.rules import (
     ALL_RULES,
@@ -69,9 +61,7 @@ __all__ = [
     "Module",
     "NONDET",
     "Project",
-    "RULES",
     "SymbolTable",
-    "apply_baseline",
     "build_project",
     "check_cache_key",
     "check_determinism",
@@ -80,10 +70,6 @@ __all__ = [
     "check_hot_loops",
     "check_tag_array_writes",
     "check_transitive_purity",
-    "check_worker_safety",
     "classify",
-    "explain",
-    "load_baseline",
-    "render_baseline",
     "run_lint",
 ]

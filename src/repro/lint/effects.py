@@ -15,8 +15,8 @@ recursion converge).  The flags:
     Writes to the outside world: ``print``, ``open``, stdout/stderr.
 
 ``global-mutation``
-    Rebinding or mutating a module-level name — unsafe in a worker
-    function that may run in a forked pool (R007).
+    Rebinding or mutating a module-level name: hidden state a hot-loop
+    callee may not keep (R008).
 
 ``counters``
     Scalar attribute writes (``self.misses += 1``): the sanctioned

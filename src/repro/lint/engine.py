@@ -5,7 +5,6 @@ import os
 from dataclasses import dataclass, field
 from typing import List
 
-from repro.lint.baseline import filter_inline_suppressions
 from repro.lint.callgraph import CallGraph
 from repro.lint.effects import EffectTable
 from repro.lint.findings import Finding, LintConfig
@@ -28,7 +27,7 @@ class Project:
     """The whole-program analysis context every rule receives.
 
     The syntactic rules (R001-R004) read only ``modules``; the flow
-    rules (R005-R008) consume the symbol table, call graph, and
+    rules (R005, R006, R008) consume the symbol table, call graph, and
     effect table built over the same parsed set.
     """
 
@@ -107,19 +106,13 @@ def build_project(modules, config=None):
 
 
 def run_lint(paths, config=None):
-    """Lint *paths* and return findings sorted by location.
-
-    Inline ``# lint: disable=RXXX`` suppressions are applied here;
-    baseline filtering is the CLI's concern (the baseline is a
-    workflow artifact, not part of the analysis).
-    """
+    """Lint *paths* and return findings sorted by location."""
     if config is None:
         config = LintConfig()
     modules, findings = parse_modules(collect_files(paths))
     project = build_project(modules, config)
     for rule in ALL_RULES + FLOW_RULES:
         findings.extend(rule(project, config))
-    findings = filter_inline_suppressions(findings, modules)
     findings.sort(key=lambda f: (f.path, f.line, f.rule))
     return findings
 

@@ -90,7 +90,7 @@ class LintConfig:
     #: Path of the event documentation page (R004).
     events_doc: str = "docs/events.md"
 
-    # -- whole-program flow analysis (R005-R008) ----------------------
+    # -- whole-program flow analysis (R005, R006, R008) ---------------
 
     #: Root qualnames of the simulation surface: the functions whose
     #: transitive callees the determinism audit (R005) and hot-path
@@ -165,9 +165,6 @@ class LintConfig:
         "sanitize", "observe", "epoch_refs", "trace_sink", "progress",
         "label",
     })
-
-    #: Method names that hand a callable to a worker pool (R007).
-    submit_methods: frozenset = frozenset({"submit"})
 
     #: Root qualnames of the campaign resume machinery (R005): cell
     #: identity must be deterministic, or a restarted campaign derives

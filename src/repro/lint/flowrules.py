@@ -1,4 +1,4 @@
-"""R005-R008: the whole-program flow rules.
+"""R005, R006 and R008: the whole-program flow rules.
 
 Unlike R001-R004 (syntactic, per-file), these rules consume the
 project analysis built by the engine — symbol table, call graph,
@@ -21,12 +21,6 @@ R006
     class.  The rule derives coverage from the key function itself:
     which parameters its body reads, plus which attributes call sites
     forward into it.
-
-R007
-    Worker safety.  A callable handed to ``pool.submit`` must survive
-    pickling into another process and must not smuggle results out
-    through module globals (the mutation happens in the child and is
-    silently lost).
 
 R008
     Transitive hot-path purity.  R001's attribute-call ban, escalated:
@@ -216,81 +210,6 @@ def check_cache_key(project, config):
     return findings
 
 
-# -- R007: worker safety -----------------------------------------------
-
-
-def check_worker_safety(project, config):
-    findings = []
-    symbols = project.symbols
-    seen = set()
-    for infos in symbols.functions.values():
-        for info in infos:
-            nested = {
-                child.name
-                for child in ast.walk(info.node)
-                if isinstance(child, (ast.FunctionDef,
-                                      ast.AsyncFunctionDef))
-                and child is not info.node
-            }
-            for node in ast.walk(info.node):
-                if not isinstance(node, ast.Call):
-                    continue
-                func = node.func
-                if not (isinstance(func, ast.Attribute)
-                        and func.attr in config.submit_methods
-                        and node.args):
-                    continue
-                finding = _judge_worker(
-                    project, config, info, node.args[0],
-                    node.lineno, nested,
-                )
-                if finding is not None and finding not in seen:
-                    seen.add(finding)
-                    findings.append(finding)
-    return findings
-
-
-def _judge_worker(project, config, info, work, lineno, nested):
-    path = info.module_path
-    if isinstance(work, ast.Lambda):
-        return Finding(
-            "R007", path, work.lineno,
-            "lambda submitted to a worker pool; a lambda cannot be "
-            "pickled into a process pool worker — submit a "
-            "module-level function",
-        )
-    if not isinstance(work, ast.Name):
-        return None
-    if work.id in nested:
-        return Finding(
-            "R007", path, lineno,
-            f"nested function `{work.id}` submitted to a worker "
-            f"pool; its closure is not picklable — hoist it to "
-            f"module level",
-        )
-    symbols = project.symbols
-    target = symbols.module_functions.get((path, work.id))
-    if target is None:
-        imported = symbols.import_target(path, work.id)
-        if imported is not None:
-            candidates = symbols.by_name.get(
-                imported.split(".")[-1], []
-            )
-            target = candidates[0] if candidates else None
-    if target is None:
-        return None
-    flags = project.effects.effects_of(target.qualname)
-    if fx.GLOBAL_MUTATION in flags:
-        return Finding(
-            "R007", path, lineno,
-            f"worker function {target.qualname} (or a callee) "
-            f"mutates module globals; the mutation happens in the "
-            f"worker process and is silently lost — return the data "
-            f"instead",
-        )
-    return None
-
-
 # -- R008: transitive hot-path purity ----------------------------------
 
 
@@ -411,7 +330,6 @@ def _render_flags(flags):
 FLOW_RULES = (
     check_determinism,
     check_cache_key,
-    check_worker_safety,
     check_transitive_purity,
 )
 
@@ -420,5 +338,4 @@ __all__ = [
     "check_cache_key",
     "check_determinism",
     "check_transitive_purity",
-    "check_worker_safety",
 ]

@@ -1,6 +1,6 @@
 """Project-wide symbol table for the whole-program lint pass.
 
-The flow rules (R005-R008) need to answer questions a single parsed
+The flow rules (R005, R006, R008) need to answer questions a single parsed
 file cannot: *which function does this call land in*, *what class does
 ``self.vm.daemon`` hold*, *which dataclass fields does ``RunOptions``
 declare*.  :class:`SymbolTable` indexes every scanned module once:
@@ -14,7 +14,7 @@ declare*.  :class:`SymbolTable` indexes every scanned module once:
 * per-module import aliases (``import time`` / ``from x import y``)
   so external calls resolve to dotted names like ``time.perf_counter``,
 * per-module global (module-level) variable names, for the
-  worker-safety rule's global-mutation check.
+  global-mutation effect.
 
 Resolution is deliberately *best effort*: Python cannot be statically
 typed after the fact, so every consumer treats "unknown" as its own

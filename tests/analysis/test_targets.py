@@ -160,9 +160,6 @@ CASES = [
      lambda: rows_41(("SLC", 8, "NOREF"), page_ins_pct=101.9)),
     ("MISS fastest", lambda: rows_41(elapsed_pct=99),
      lambda: rows_41(elapsed_pct=98.9)),
-    ("SLC NOREF", lambda: rows_41(("SLC", 5, "NOREF"),
-                                  page_ins_pct=145.1),
-     lambda: rows_41(("SLC", 5, "NOREF"), page_ins_pct=145)),
 ]
 
 
@@ -242,6 +239,56 @@ class TestVerdicts:
     def test_evaluate_skips_tables_not_given(self):
         verdicts = targets.evaluate({"3.5": rows_35()}, LONG)
         assert {target.table for target, _ in verdicts} == {"3.5"}
+
+
+
+def papers_own_data():
+    """Every checked table, built from the paper's published numbers.
+
+    The measured Table 3.4 is given the published counts too: it is
+    what a reproduction that matched Table 3.3 exactly would read.
+    """
+    published_34 = build_table_3_4()[0]
+    return {
+        "3.3": [
+            Table33Row(workload, memory_mb, counts, elapsed,
+                       references=1)
+            for (workload, memory_mb), (counts, elapsed)
+            in paper_data.TABLE_3_3.items()
+        ],
+        "3.4-paper": published_34,
+        "3.4-measured": published_34,
+        "3.5": [
+            Table35Row(host, memory_mb, uptime, page_ins, modified,
+                       clean)
+            for host, memory_mb, uptime, page_ins, modified, clean, _, _
+            in paper_data.TABLE_3_5
+        ],
+        "4.1": [
+            Table41Row(workload, memory_mb, policy, page_ins, elapsed,
+                       page_ins_pct, elapsed_pct)
+            for (workload, memory_mb, policy),
+                (page_ins, page_ins_pct, elapsed, elapsed_pct)
+            in paper_data.TABLE_4_1.items()
+        ],
+    }
+
+
+class TestOnThePapersOwnData:
+    # A target the paper contradicts checks nothing about the
+    # reproduction.  The one known exception is named in the target
+    # itself: NOREF beats MISS (98%) at WORKLOAD1 8 MB.
+    EXCEPTION = "MISS fastest"
+
+    @pytest.mark.parametrize("name", list(BY_NAME))
+    def test_target_holds_unless_it_names_the_exception(self, name):
+        target = BY_NAME[name]
+        rows = papers_own_data()[target.table]
+        expected = not name.startswith(self.EXCEPTION)
+        assert target.verdict(rows, LONG) is expected
+
+    def test_the_exception_is_stated_in_the_target(self):
+        assert "WORKLOAD1 at 8 MB" in _target(self.EXCEPTION).paper
 
 
 def _report(length_scale, data=None):

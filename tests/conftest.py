@@ -9,10 +9,6 @@ code paths as the full configurations.
 import pytest
 
 from repro.common.params import CacheGeometry, FaultTiming
-from repro.lint.pytest_plugin import (  # noqa: F401
-    assert_lint_clean,
-    repro_lint,
-)
 from repro.sanitize.pytest_plugin import sanitizer  # noqa: F401
 from repro.machine.config import MachineConfig
 from repro.machine.simulator import SpurMachine

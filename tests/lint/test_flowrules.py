@@ -1,4 +1,4 @@
-"""Golden-finding tests for the flow rules R005-R008.
+"""Golden-finding tests for the flow rules R005, R006 and R008.
 
 Each rule gets fixture packages with known violations (the rule must
 fire on exactly those) and sanctioned equivalents (it must stay
@@ -248,101 +248,6 @@ class TestR006CacheKeySoundness:
                             flow_config) == []
 
 
-class TestR007WorkerSafety:
-    def test_fires_on_unsafe_submissions(self, tmp_path,
-                                         flow_config):
-        path = write(tmp_path, "mod.py", """\
-            TOTALS = {}
-
-            def bad_worker(cell):
-                TOTALS[cell] = 1
-                return cell
-
-            def good_worker(cell):
-                return cell * 2
-
-            def launch(pool, cells):
-                futures = [pool.submit(bad_worker, c)
-                           for c in cells]
-                futures.append(pool.submit(lambda c: c, 1))
-
-                def local(c):
-                    return c
-
-                futures.append(pool.submit(local, 2))
-                futures.append(pool.submit(good_worker, 3))
-                return futures
-            """)
-        found = findings_for("R007", [path], flow_config)
-        messages = " | ".join(f.message for f in found)
-        assert len(found) == 3
-        assert "bad_worker" in messages
-        assert "lambda" in messages
-        assert "nested function `local`" in messages
-        assert "good_worker" not in messages
-
-    def test_transitive_global_mutation_is_caught(self, tmp_path,
-                                                  flow_config):
-        path = write(tmp_path, "mod.py", """\
-            SEEN = []
-
-            def note(cell):
-                SEEN.append(cell)
-
-            def worker(cell):
-                note(cell)
-                return cell
-
-            def launch(pool, cells):
-                return [pool.submit(worker, c) for c in cells]
-            """)
-        found = findings_for("R007", [path], flow_config)
-        assert len(found) == 1
-        assert "worker" in found[0].message
-
-    def test_mutation_behind_a_batch_closure_is_caught(
-            self, tmp_path, flow_config):
-        # The shape of repro.parallel.executor: the pool runs
-        # simulate_batch, which reaches the per-cell work function
-        # only through a nested closure handed to run_batch.
-        path = write(tmp_path, "mod.py", """\
-            SEEN = []
-
-            def simulate_cell(cell):
-                SEEN.append(cell)
-                return cell
-
-            def run_batch(batch, run_one):
-                for item in batch:
-                    run_one(item)
-
-            def simulate_batch(cells):
-                outcomes = []
-
-                def run_one(cell):
-                    outcomes.append(simulate_cell(cell))
-
-                run_batch(cells, run_one)
-                return outcomes
-
-            def launch(pool, batches):
-                return [pool.submit(simulate_batch, b) for b in batches]
-            """)
-        found = findings_for("R007", [path], flow_config)
-        assert len(found) == 1
-        assert "simulate_batch" in found[0].message
-
-    def test_quiet_on_clean_worker(self, tmp_path, flow_config):
-        path = write(tmp_path, "mod.py", """\
-            def worker(cell):
-                return cell * 2
-
-            def launch(pool, cells):
-                return [pool.submit(worker, c) for c in cells]
-            """)
-        assert findings_for("R007", [path], flow_config) == []
-
-
 class TestR008TransitivePurity:
     def test_accepts_inferred_pure_helper_r001_rejected(
             self, tmp_path, flow_config):
@@ -414,6 +319,67 @@ class TestR008TransitivePurity:
         assert len(found) == 1
         assert "time.perf_counter" in found[0].message
 
+    def test_fires_when_helper_mutates_a_module_global(
+            self, tmp_path, flow_config):
+        path = write(tmp_path, "mod.py", """\
+            TOTALS = {}
+
+            class Machine:
+                def note(self, ref):
+                    TOTALS[ref] = 1
+
+                def run(self, refs):
+                    for ref in refs:
+                        self.note(ref)
+            """)
+        found = findings_for("R008", [path], flow_config)
+        assert len(found) == 1
+        assert "Machine.note" in found[0].message
+        assert "global-mutation" in found[0].message
+
+    def test_transitive_global_mutation_is_caught(self, tmp_path,
+                                                  flow_config):
+        # The mutation sits two calls below the loop, in a module
+        # function the loop never names.
+        path = write(tmp_path, "mod.py", """\
+            SEEN = []
+
+            def remember(ref):
+                SEEN.append(ref)
+
+            class Machine:
+                def step(self, ref):
+                    remember(ref)
+                    return ref
+
+                def run(self, refs):
+                    total = 0
+                    for ref in refs:
+                        total += self.step(ref)
+                    return total
+            """)
+        found = findings_for("R008", [path], flow_config)
+        assert len(found) == 1
+        assert "global-mutation" in found[0].message
+
+    def test_instance_state_is_not_global_mutation(self, tmp_path,
+                                                   flow_config):
+        path = write(tmp_path, "mod.py", """\
+            SEEN = []
+
+            class Machine:
+                def step(self, ref):
+                    self.seen = ref
+                    return len(SEEN)
+
+                def run(self, refs):
+                    total = 0
+                    for ref in refs:
+                        total += self.step(ref)
+                    return total
+            """)
+        assert findings_for("R008", [path], flow_config) == []
+
     def test_counters_and_prebound_calls_pass(self, tmp_path,
                                               flow_config):
         path = write(tmp_path, "mod.py", """\
@@ -444,21 +410,3 @@ class TestR008TransitivePurity:
         )
         assert findings_for("R008", [path], lenient) == []
 
-
-class TestSuppression:
-    def test_inline_disable_comment(self, tmp_path, flow_config):
-        path = write(tmp_path, "mod.py", """\
-            import time
-
-            class Machine:
-                def run(self, refs):
-                    total = 0
-                    for ref in refs:
-                        total += self._step(ref)
-                    return total
-
-                def _step(self, ref):
-                    return time.perf_counter()  # lint: disable=R005
-            """)
-        found = run_lint([path], flow_config)
-        assert [f.rule for f in found] == ["R008"]

@@ -3,13 +3,17 @@ sanctioned equivalent — plus the acceptance check that the repo at
 HEAD is clean.
 """
 
+import os
 import pathlib
+import re
+import subprocess
+import sys
 import textwrap
 
 import pytest
 
 from repro.lint import Finding, LintConfig, run_lint
-from repro.lint.cli import main as lint_main
+from repro.lint.__main__ import main as lint_main
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[2]
 
@@ -350,3 +354,80 @@ class TestRepoIsClean:
         assert lint_main([path]) == 1
         out = capsys.readouterr().out
         assert "R002" in out and "1 finding" in out
+
+    def test_docs_catalogue_has_exactly_the_emitted_rules(self):
+        emitted = set()
+        for path in (REPO_ROOT / "src" / "repro" / "lint").glob("*.py"):
+            emitted |= set(re.findall(r'Finding\(\s*"(\w+)"',
+                                      path.read_text(encoding="utf-8")))
+        doc = (REPO_ROOT / "docs" / "analysis.md").read_text(
+            encoding="utf-8")
+        headings = set(re.findall(r"^### ([A-Z]\d{3})\b", doc,
+                                  re.MULTILINE))
+        assert "E000" in emitted
+        assert headings == emitted
+
+
+ROGUE = """\
+    def poke(cache, index):
+        cache.line_block[index] = -1
+    """
+
+
+class TestCommandLine:
+    def test_one_line_per_finding_then_a_summary(self, tmp_path,
+                                                 capsys):
+        path = write(tmp_path, "rogue.py", """\
+            def poke(cache, index):
+                cache.line_block[index] = -1
+                cache.state[index] = 3
+            """)
+        assert lint_main([path]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(" ")[:2] for line in lines[:-1]] == [
+            [f"{path}:2:", "R002"], [f"{path}:3:", "R002"],
+        ]
+        assert lines[-1] == f"repro.lint: 2 findings in {path}"
+
+    def test_lints_every_path_given(self, tmp_path, capsys):
+        first = write(tmp_path, "first.py", ROGUE)
+        clean = tmp_path / "pkg"
+        clean.mkdir()
+        second = write(clean, "second.py", ROGUE)
+        assert lint_main([first, str(clean)]) == 1
+        out = capsys.readouterr().out
+        assert f"{first}:2: R002" in out
+        assert f"{second}:2: R002" in out
+        assert out.splitlines()[-1] == (
+            f"repro.lint: 2 findings in {first} {clean}"
+        )
+
+    def test_defaults_to_src(self, tmp_path, monkeypatch, capsys):
+        (tmp_path / "src").mkdir()
+        write(tmp_path / "src", "rogue.py", ROGUE)
+        monkeypatch.chdir(tmp_path)
+        assert lint_main([]) == 1
+        assert capsys.readouterr().out.splitlines()[-1] == (
+            "repro.lint: 1 finding in src"
+        )
+
+    @pytest.mark.parametrize("argv", [
+        ["--quiet"],
+        ["--format", "json"],
+        ["--write-baseline", "lint.json"],
+    ], ids=["quiet", "format", "write-baseline"])
+    def test_takes_no_options(self, capsys, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            lint_main(argv + ["src"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_runs_as_a_module(self, tmp_path):
+        path = write(tmp_path, "rogue.py", ROGUE)
+        result = subprocess.run(
+            [sys.executable, "-m", "repro.lint", path],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")},
+        )
+        assert result.returncode == 1
+        assert result.stdout.startswith(f"{path}:2: R002 ")

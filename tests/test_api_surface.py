@@ -68,8 +68,6 @@ MODULES = (
     "repro.lint.callgraph",
     "repro.lint.effects",
     "repro.lint.engine",
-    "repro.lint.baseline",
-    "repro.lint.catalog",
 )
 
 

@@ -294,7 +294,8 @@ class TestCampaignSurface:
         ["campaign", "status", "--port", "1"],
         ["all"],
         ["report"],
-    ], ids=["worker", "serve", "status", "all", "report"])
+        ["lint", "src"],
+    ], ids=["worker", "serve", "status", "all", "report", "lint"])
     def test_retired_subcommand_is_rejected(self, capsys, argv):
         with pytest.raises(SystemExit) as excinfo:
             main(argv)
@@ -319,22 +320,18 @@ class TestCampaignSurface:
         assert excinfo.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
-
-class TestLintSubcommand:
-    def test_forwards_paths(self, tmp_path, capsys):
-        rogue = tmp_path / "rogue.py"
-        rogue.write_text(
-            "def poke(cache, index):\n"
-            "    cache.line_block[index] = -1\n"
-        )
-        assert main(["lint", str(rogue)]) == 1
-        assert "R002" in capsys.readouterr().out
-
-    def test_forwards_option_like_tokens(self, capsys):
-        # REMAINDER-style forwarding must survive a leading flag.
-        assert main(["lint", "--explain", "R006"]) == 0
-        assert "Cache-key soundness" in capsys.readouterr().out
-
-    def test_listed_in_top_level_help(self):
-        parser = build_parser()
-        assert "lint" in parser.format_help()
+    @pytest.mark.parametrize("argv", [
+        ["campaign", "--reps", "0", "--out-dir", "out"],
+        ["record", "t.trace", "--length", "0"],
+    ], ids=["campaign", "record"])
+    def test_out_is_rejected_where_nothing_reads_it(self, capsys,
+                                                    tmp_path, argv):
+        # The campaign writes under --out-dir and record writes its
+        # trace argument; an --out they would ignore is a usage
+        # error.  (The bad --reps/--length stop a parser that still
+        # takes --out before it runs anything.)
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv + ["--out", str(tmp_path / "x")])
+        assert excinfo.value.code == 2
+        assert ("unrecognized arguments: --out"
+                in capsys.readouterr().err)
