@@ -1,9 +1,9 @@
 """The direct-mapped virtual-address cache.
 
 Per-line tag state lives in flat parallel columns
-(:class:`repro.cache.columns.ColumnStore`: an ``array('q')`` of
-resident block numbers, the only tag, and ``bytearray`` flags) rather
-than line objects, because the simulator touches these fields on every
+(:class:`repro.cache.columns.ColumnStore`: a list of resident block
+numbers, the only tag, and ``bytearray`` flags) rather than line
+objects, because the simulator touches these fields on every
 simulated reference; the columns are aliased as public attributes so
 the machine's reference loop can read them without a method call.  All
 *mutations* other than the ones the machine's hot paths perform (the
@@ -12,7 +12,7 @@ column sequence, and the single-field block-dirty, page-dirty, and
 protection refreshes) go through methods on this class, which keep the
 columns mutually consistent.  The columns are allocated once and
 only mutated in place, never rebound: the reference loop and the
-sanitizer both alias the buffers.
+sanitizer both alias them.
 
 Addresses are *global virtual* addresses throughout: SPUR's OS-level
 synonym prevention guarantees one global address per datum, so the

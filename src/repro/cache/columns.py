@@ -2,21 +2,25 @@
 
 The simulator's reference loop (:meth:`repro.machine.simulator.
 SpurMachine._run_refs`) reads and writes the cache's tag state on
-every miss, so the per-line state lives in flat, fixed-width buffers
-rather than Python lists or line objects: a :class:`ColumnStore` owns
-one ``array('q')`` per word-sized column and one ``bytearray`` per
-flag column, and the cache aliases each buffer as a public attribute.
+every reference, so the per-line state lives in flat parallel columns
+rather than line objects: a :class:`ColumnStore` owns the tag column
+and one ``bytearray`` per flag column, and the cache aliases each as a
+public attribute.
 
 ``line_block`` is the only tag: the resident block number of each
 line, or -1 when the line is invalid.  Validity (``line_block[i] >=
 0``), the address tag (``line_block[i] >> index_bits``) and the
 block-aligned fill address (``line_block[i] << block_bits``) are all
-functions of it, so no column stores them.
+functions of it, so no column stores them.  It is a plain ``list``:
+the hit compare ``line_block[index] == block`` that every reference
+makes then reads the int object the last install stored, where an
+``array('q')`` would box a new one per read.  Even the prototype's
+4096 lines cost the list under 200 KB.
 
 Two invariants make this safe (checked by
 ``repro.sanitize.checks.check_column_store``):
 
-* the buffers are allocated once and only ever mutated **in place**
+* the columns are allocated once and only ever mutated **in place**
   (``col[i] = x``), never rebound — the cache's attributes, the
   reference loop's locals and the sanitizer all alias them directly;
 * the coherency ``state`` column stays a plain Python list of
@@ -25,9 +29,7 @@ Two invariants make this safe (checked by
   *not* part of this store.
 """
 
-from array import array
-
-#: ``array('q')`` columns: (name, initial element).
+#: Word columns, held as lists: (name, initial element).
 WORD_COLUMNS = (("line_block", -1),)
 
 #: ``bytearray`` flag columns (initially all zero).
@@ -42,7 +44,7 @@ class ColumnStore:
         self.num_lines = num_lines
         # Resident block number per line or -1 when invalid; block
         # numbers are non-negative, so -1 never matches a probe.
-        self.line_block = array("q", [-1]) * num_lines
+        self.line_block = [-1] * num_lines
         self.prot = bytearray(num_lines)
         self.page_dirty = bytearray(num_lines)
         self.block_dirty = bytearray(num_lines)

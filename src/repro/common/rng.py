@@ -48,10 +48,6 @@ class DeterministicRng:
         """Uniform integer in [low, high], inclusive."""
         return self._random.randint(low, high)
 
-    def randrange(self, stop):
-        """Uniform integer in [0, stop)."""
-        return self._random.randrange(stop)
-
     def choice(self, sequence):
         """Uniform choice from a non-empty sequence."""
         return self._random.choice(sequence)
@@ -83,23 +79,6 @@ class DeterministicRng:
             count += 1
         return count
 
-    def zipf_index(self, n, skew=1.0):
-        """Draw an index in [0, n) with a Zipf-like popularity skew.
-
-        Workload generators use this to model the hot/cold page
-        behaviour of real programs: low indices are drawn far more
-        often than high ones.  ``skew=0`` degenerates to uniform.
-        """
-        if n <= 0:
-            raise ValueError("n must be positive")
-        if skew <= 0:
-            return self._random.randrange(n)
-        # Inverse-power transform: cheap, monotone, adequate skew shape
-        # for locality modelling (we do not need exact Zipf moments).
-        u = self._random.random()
-        index = int(n * (u ** (1.0 + skew)))
-        return min(index, n - 1)
-
     def getstate(self):
         """Snapshot the generator state (pair with setstate)."""
         return self._random.getstate()
@@ -107,3 +86,19 @@ class DeterministicRng:
     def setstate(self, state):
         """Restore a state captured by :meth:`getstate`."""
         self._random.setstate(state)
+
+    def draws(self):
+        """Bound ``(random, getrandbits)`` for hot loops; draw ``[0, n)``
+        with :func:`randbelow` to keep ``randrange``'s stream."""
+        return self._random.random, self._random.getrandbits
+
+
+def randbelow(getrandbits, n):
+    """Uniform integer in ``[0, n)``, ``n >= 1``, drawn exactly as
+    CPython's ``random.Random.randrange(n)`` draws it: a rejection
+    loop over ``getrandbits(n.bit_length())``."""
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r

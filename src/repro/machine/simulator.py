@@ -78,15 +78,10 @@ _T_WRITE_READ_FILLED = TALLY_CACHE_SLOTS + 12
 _TALLY_SLOTS = TALLY_CACHE_SLOTS + 13
 _TALLY_ZEROS = (0,) * _TALLY_SLOTS
 
-# Byte patterns for C-speed kind tallies over a flat chunk's kind
-# slice (``array('q')``, so 8 bytes per element, native byte order).
-# Kinds are 0/1/2 by protocol, so the only nonzero bytes in the slice
-# are aligned kind bytes: a zero element is exactly one aligned 8-zero
-# run (maximal runs of 7+8k or 8k zero bytes yield k greedy matches),
-# and a WRITE match can only start at an aligned 2-byte.  Both counts
-# are therefore exact.
-_KIND_ZERO_BYTES = bytes(8)
-_KIND_WRITE_BYTES = (2).to_bytes(8, sys.byteorder)
+# Offset of a kind's low-order byte in its 8-byte ``array('q')``
+# element (native byte order).  Kinds are 0, 1 or 2, so counting 0 and
+# 2 bytes over every eighth byte tallies a chunk at C speed.
+_KIND_BYTE = 0 if sys.byteorder == "little" else 7
 
 
 def _make_flusher(strategy, cost_scale=1):
@@ -252,8 +247,8 @@ class SpurMachine:
         Bit-identical for any chunking of the same references: each
         chunk is cut into poll-free segments (computed arithmetically, so any positive
         ``daemon_poll_refs`` works) and every segment goes through
-        :meth:`_run_refs`.  Kind tallies come from byte-pattern counts
-        over the chunk's kind slice (memchr speed, no per-element
+        :meth:`_run_refs`.  Kind tallies count one byte per kind
+        (each kind's low-order byte; C speed, no per-element
         boxing), the per-reference cycle charge is folded into one
         addition per call, and miss-path bookkeeping is deferred into
         a per-call tally flushed by :meth:`_flush_tally`.  Returns the
@@ -267,7 +262,6 @@ class SpurMachine:
         cycles = 0
         extra = 0
         ifetches = 0
-        reads = 0
         writes = 0
         processed = 0
         try:
@@ -275,12 +269,9 @@ class SpurMachine:
                 pairs = len(chunk) >> 1
                 if not pairs:
                     continue
-                kind_bytes = chunk[0::2].tobytes()
-                chunk_ifetches = kind_bytes.count(_KIND_ZERO_BYTES)
-                chunk_writes = kind_bytes.count(_KIND_WRITE_BYTES)
-                ifetches += chunk_ifetches
-                writes += chunk_writes
-                reads += pairs - chunk_ifetches - chunk_writes
+                kinds = chunk[0::2].tobytes()[_KIND_BYTE::8]
+                ifetches += kinds.count(0)
+                writes += kinds.count(2)
                 start = 0
                 while start < pairs:
                     if poll is None:
@@ -320,9 +311,7 @@ class SpurMachine:
         # to ``extra``, polls to ``cycles``.
         self.cycles += cycles + extra + processed
         self.references += processed
-        mix = ReferenceMix(
-            ifetches=ifetches, reads=reads, writes=writes
-        )
+        mix = ReferenceMix(ifetches, processed - ifetches - writes, writes)
         mix.flush_to_counters(self.counters)
         self.reference_mix.add(mix.ifetches, mix.reads, mix.writes)
         return processed

@@ -60,6 +60,22 @@ def chunk_accesses(accesses, chunk_refs=DEFAULT_CHUNK_REFS):
         yield buf
 
 
+def rechunk(segments, chunk_refs=DEFAULT_CHUNK_REFS):
+    """Re-cut flat segments into chunks of exactly ``chunk_refs``
+    references; only the last may be short."""
+    if chunk_refs <= 0:
+        raise ValueError("chunk_refs must be positive")
+    limit = 2 * chunk_refs
+    buf = array("q")
+    for segment in segments:
+        buf.extend(segment)
+        while len(buf) >= limit:
+            yield buf[:limit]
+            buf = buf[limit:]
+    if buf:
+        yield buf
+
+
 def take_chunks(chunks, count):
     """Yield at most ``count`` references' worth of flat chunks.
 

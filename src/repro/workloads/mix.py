@@ -11,9 +11,7 @@ pulls each process's stream in whole-quantum chunks and re-chunks the
 interleaved sequence.
 """
 
-from array import array
-
-from repro.workloads.base import DEFAULT_CHUNK_REFS, chunk_accesses
+from repro.workloads.base import DEFAULT_CHUNK_REFS, chunk_accesses, rechunk
 
 
 def _chunk_stream(proc, chunk_refs):
@@ -51,18 +49,9 @@ class SerialChain:
         Chunks span job boundaries: only the final chunk of the whole
         chain may be short.
         """
-        if chunk_refs <= 0:
-            raise ValueError("chunk_refs must be positive")
-        limit = 2 * chunk_refs
-        buf = array("q")
-        for proc in self.processes:
-            for chunk in _chunk_stream(proc, chunk_refs):
-                buf.extend(chunk)
-                while len(buf) >= limit:
-                    yield buf[:limit]
-                    buf = buf[limit:]
-        if buf:
-            yield buf
+        jobs = (chunk for proc in self.processes
+                for chunk in _chunk_stream(proc, chunk_refs))
+        return rechunk(jobs, chunk_refs)
 
 
 class RoundRobinScheduler:
@@ -101,14 +90,13 @@ class RoundRobinScheduler:
         boundaries.  A short (or missing) per-process chunk marks that
         process finished.
         """
-        if chunk_refs <= 0:
-            raise ValueError("chunk_refs must be positive")
-        limit = 2 * chunk_refs
+        return rechunk(self._quanta(), chunk_refs)
+
+    def _quanta(self):
         streams = [
             (_chunk_stream(proc, slice_size), slice_size)
             for proc, slice_size in self._entries
         ]
-        buf = array("q")
         while streams:
             finished = []
             for entry in streams:
@@ -117,13 +105,8 @@ class RoundRobinScheduler:
                 if chunk is None:
                     finished.append(entry)
                     continue
-                buf.extend(chunk)
-                while len(buf) >= limit:
-                    yield buf[:limit]
-                    buf = buf[limit:]
+                yield chunk
                 if len(chunk) >> 1 < slice_size:
                     finished.append(entry)
             for entry in finished:
                 streams.remove(entry)
-        if buf:
-            yield buf

@@ -32,12 +32,16 @@ from contextvars import ContextVar
 from dataclasses import dataclass
 
 from repro.common.errors import ConfigurationError
+from repro.common.rng import randbelow
 from repro.vm.segments import RegionKind
-from repro.workloads.base import DEFAULT_CHUNK_REFS, IFETCH, READ, WRITE
+from repro.workloads.base import (
+    DEFAULT_CHUNK_REFS, IFETCH, READ, WRITE, rechunk)
 
 #: Cache block size assumed by the generators (fixed across scales).
 BLOCK_BYTES = 32
 WORD_BYTES = 4
+_BLOCK_WORDS = BLOCK_BYTES // WORD_BYTES
+_WORD_BITS = _BLOCK_WORDS.bit_length()
 
 
 class ProcessImage:
@@ -135,11 +139,11 @@ class Phase:
         """Check the phase fits the image's regions; raise if not."""
         if self.duration <= 0:
             raise ConfigurationError("phase duration must be positive")
-        if self.code_hot_pages > image.code_pages:
-            raise ConfigurationError("hot code exceeds the code region")
-        if self.ws_start + self.ws_pages > image.heap_pages:
+        if not 0 < self.code_hot_pages <= image.code_pages:
+            raise ConfigurationError("hot code must fit the code region")
+        if not 0 < self.ws_pages <= image.heap_pages - self.ws_start:
             raise ConfigurationError(
-                "working set exceeds the heap region"
+                "working set must fit the heap region"
             )
         if self.scan_pages and image.file is None:
             raise ConfigurationError("phase scans but image has no file")
@@ -299,6 +303,7 @@ class PhasedProcess:
         self.burst_ops = burst_ops
         self.burst_repeats = burst_repeats
         self.length_hint = sum(p.duration for p in self.phases)
+        self._code_rings = {}
         recording = _ACTIVE_RECORDING.get()
         self._tape = recording.claim() if recording is not None else None
 
@@ -308,17 +313,7 @@ class PhasedProcess:
         Drains :meth:`_segments`; every chunk is exactly
         ``chunk_refs`` references except the last.
         """
-        if chunk_refs <= 0:
-            raise ValueError("chunk_refs must be positive")
-        limit = 2 * chunk_refs
-        buf = array("q")
-        for segment in self._segments():
-            buf.extend(segment)
-            while len(buf) >= limit:
-                yield buf[:limit]
-                buf = buf[limit:]
-        if buf:
-            yield buf
+        return rechunk(self._segments(), chunk_refs)
 
     # -- phase machinery ---------------------------------------------------
 
@@ -380,67 +375,92 @@ class PhasedProcess:
                     break
 
     def _make_burst(self, phase):
-        """Build one reusable loop-body burst as a flat segment."""
+        """Build one reusable loop-body burst as a flat segment.
+
+        A Zipf-like page index in ``[0, n)`` is ``min(int(n * u ** (1.0
+        + skew)), n - 1)`` for one ``u = random()``, or
+        :func:`~repro.common.rng.randbelow` when ``skew <= 0``.
+        """
         image = self.image
-        rng = self.rng
+        random, getrandbits = self.rng.draws()
         page_bytes = image.page_bytes
         blocks = image.blocks_per_page
-        code_base = image.code.start
-        heap_base = image.heap.start
+        block_bits = blocks.bit_length()
         stack_top = image.stack.end - page_bytes
+        data_base = image.data.start if image.data is not None else 0
+        stack_frac = phase.stack_frac
+        data_cut = stack_frac + phase.data_frac
+        data_pages = max(1, phase.data_ws_pages)
+        data_write_frac = phase.data_write_frac
+        ws_base = image.heap.start + phase.ws_start * page_bytes
+        ws_pages = phase.ws_pages
+        ws_uniform = phase.data_skew <= 0
+        ws_exp = 1.0 + phase.data_skew
+        write_frac = phase.write_frac
+        rmw_frac = phase.rmw_frac
 
+        # ``append``, not ``extend`` of a tuple: about twice as fast.
         burst = array("q")
         append = burst.append
 
-        # One hot code page per burst, fetched sequentially — a loop.
-        code_page = rng.zipf_index(phase.code_hot_pages, skew=1.5)
-        code_page_base = code_base + code_page * page_bytes
-        code_offset = rng.randrange(blocks) * BLOCK_BYTES
+        # One hot code page per burst, fetched sequentially — a loop:
+        # each op's fetches are a slice of the page's ``IFETCH`` ring.
+        n = phase.code_hot_pages
+        code_page = min(int(n * (random() ** (1.0 + 1.5))), n - 1)
+        fetches = phase.ifetch_per_op
+        ring = self._code_rings.get((code_page, fetches))
+        if ring is None:
+            base = image.code.start + code_page * page_bytes
+            end = page_bytes + fetches * WORD_BYTES
+            ring = self._code_rings[code_page, fetches] = _refs(IFETCH, (
+                base + offset % page_bytes
+                for offset in range(0, end, WORD_BYTES)
+            ))
+        ring_wrap = 2 * (page_bytes // WORD_BYTES)
+        fetch_slots = 2 * fetches
+        at = 2 * _BLOCK_WORDS * randbelow(getrandbits, blocks)
 
         for _ in range(self.burst_ops):
-            for _ in range(phase.ifetch_per_op):
-                append(IFETCH)
-                append(code_page_base + code_offset)
-                code_offset = (code_offset + WORD_BYTES) % page_bytes
+            burst += ring[at:at + fetch_slots]
+            at = (at + fetch_slots) % ring_wrap
 
-            roll = rng.random()
-            if roll < phase.stack_frac:
+            roll = random()
+            if roll < stack_frac:
                 # Stack traffic: write-then-read near the top.
-                offset = rng.randrange(blocks) * BLOCK_BYTES
+                addr = stack_top + BLOCK_BYTES * randbelow(getrandbits, blocks)
                 append(WRITE)
-                append(stack_top + offset)
+                append(addr)
                 append(READ)
-                append(stack_top + offset)
+                append(addr)
                 continue
-            if roll < phase.stack_frac + phase.data_frac:
+            if roll < data_cut:
                 # Read-mostly traffic over file-backed writable data.
-                data_page = rng.zipf_index(
-                    max(1, phase.data_ws_pages), skew=0.3
-                )
-                addr = (
-                    image.data.start
-                    + data_page * page_bytes
-                    + rng.randrange(blocks) * BLOCK_BYTES
-                )
-                if rng.random() < phase.data_write_frac:
-                    append(WRITE)
-                else:
-                    append(READ)
+                data_page = min(int(data_pages * random() ** (1.0 + 0.3)),
+                                data_pages - 1)
+                addr = (data_base + data_page * page_bytes
+                        + randbelow(getrandbits, blocks) * BLOCK_BYTES)
+                append(WRITE if random() < data_write_frac else READ)
                 append(addr)
                 continue
 
-            page = phase.ws_start + rng.zipf_index(
-                phase.ws_pages, skew=phase.data_skew
-            )
-            block = rng.randrange(blocks)
-            addr = (
-                heap_base
-                + page * page_bytes
-                + block * BLOCK_BYTES
-                + rng.randrange(BLOCK_BYTES // WORD_BYTES) * WORD_BYTES
-            )
-            if rng.random() < phase.write_frac:
-                if rng.random() < phase.rmw_frac:
+            if ws_uniform:
+                index = randbelow(getrandbits, ws_pages)
+            else:
+                index = int(ws_pages * (random() ** ws_exp))
+                if index >= ws_pages:
+                    index = ws_pages - 1
+            page_base = ws_base + index * page_bytes
+            # ``randbelow`` written out: a call for these two draws
+            # costs 12-16% of a burst (docs/performance.md).
+            block = getrandbits(block_bits)
+            while block >= blocks:
+                block = getrandbits(block_bits)
+            word = getrandbits(_WORD_BITS)
+            while word >= _BLOCK_WORDS:
+                word = getrandbits(_WORD_BITS)
+            addr = page_base + block * BLOCK_BYTES + word * WORD_BYTES
+            if random() < write_frac:
+                if random() < rmw_frac:
                     # Scatter-gather update: read a run of consecutive
                     # blocks, then write most of them back.  This is
                     # the Figure 3.1 pattern — several blocks of one
@@ -448,8 +468,7 @@ class PhasedProcess:
                     # afterwards — and is what generates the paper's
                     # N_w-hit events and, while the page is still
                     # clean, its excess faults / dirty-bit misses.
-                    page_base = heap_base + page * page_bytes
-                    span = 2 + rng.randrange(2)
+                    span = 2 + randbelow(getrandbits, 2)
                     run = [
                         page_base + ((block + i) % blocks) * BLOCK_BYTES
                         for i in range(span)
@@ -458,7 +477,7 @@ class PhasedProcess:
                         append(READ)
                         append(run_addr)
                     for run_addr in run:
-                        if rng.random() < 0.55:
+                        if random() < 0.55:
                             append(WRITE)
                             append(run_addr)
                 else:
@@ -472,28 +491,24 @@ class PhasedProcess:
     def _alloc_page(self, phase):
         """Touch one fresh zero-fill heap page, write-first."""
         image = self.image
-        page_bytes = image.page_bytes
         page = image.alloc_cursor % image.heap_pages
         image.alloc_cursor += 1
-        base = image.heap.start + page * page_bytes
-        refs = array("q")
-        written = max(
-            1, int(image.blocks_per_page * phase.alloc_write_frac)
-        )
-        for block in range(written):
-            refs.append(WRITE)
-            refs.append(base + block * BLOCK_BYTES)
-        return refs
+        base = image.heap.start + page * image.page_bytes
+        written = max(1, int(image.blocks_per_page
+                             * phase.alloc_write_frac))
+        return _refs(WRITE, range(base, base + written * BLOCK_BYTES,
+                                  BLOCK_BYTES))
 
     def _scan_page(self):
         """Sequentially read one file page (compiler input, etc.)."""
         image = self.image
-        page_bytes = image.page_bytes
         page = image.scan_cursor % image.file_pages
         image.scan_cursor += 1
-        base = image.file.start + page * page_bytes
-        refs = array("q")
-        for block in range(image.blocks_per_page):
-            refs.append(READ)
-            refs.append(base + block * BLOCK_BYTES)
-        return refs
+        base = image.file.start + page * image.page_bytes
+        end = base + image.blocks_per_page * BLOCK_BYTES
+        return _refs(READ, range(base, end, BLOCK_BYTES))
+
+
+def _refs(kind, addrs):
+    """A flat segment of one *kind* reference to each of *addrs*."""
+    return array("q", [item for addr in addrs for item in (kind, addr)])

@@ -36,9 +36,7 @@ class TestColumnStore:
         )
         for name, initial in WORD_COLUMNS:
             column = names[name]
-            assert isinstance(column, array) and column.typecode == "q"
-            assert len(column) == 32
-            assert set(column) == {initial}
+            assert list(column) == [initial] * 32
         for name in FLAG_COLUMNS:
             column = names[name]
             assert isinstance(column, bytearray)

@@ -2,7 +2,9 @@
 
 import pytest
 
-from repro.common.rng import DeterministicRng
+import random
+
+from repro.common.rng import DeterministicRng, randbelow
 
 
 class TestDeterminism:
@@ -57,9 +59,15 @@ class TestDraws:
         draws = {rng.randint(2, 4) for _ in range(200)}
         assert draws == {2, 3, 4}
 
-    def test_randrange_bounds(self):
-        rng = DeterministicRng(0)
-        assert all(0 <= rng.randrange(5) < 5 for _ in range(100))
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 16, 100, 1650])
+    def test_randbelow_is_stdlib_randrange(self, n):
+        random_, getrandbits = DeterministicRng(5).draws()
+        reference = random.Random(5)
+        for _ in range(200):
+            value = randbelow(getrandbits, n)
+            assert 0 <= value < n
+            assert value == reference.randrange(n)
+            assert random_() == reference.random()
 
     def test_choice_and_sample(self):
         rng = DeterministicRng(1)
@@ -91,18 +99,3 @@ class TestDraws:
         n = 4000
         mean = sum(rng.geometric(p) for _ in range(n)) / n
         assert abs(mean - (1 - p) / p) < 0.1
-
-    def test_zipf_index_in_range(self):
-        rng = DeterministicRng(3)
-        assert all(0 <= rng.zipf_index(17, 1.0) < 17
-                   for _ in range(300))
-
-    def test_zipf_skew_prefers_low_indices(self):
-        rng = DeterministicRng(4)
-        skewed = sum(rng.zipf_index(100, 2.0) for _ in range(2000))
-        uniform = sum(rng.zipf_index(100, 0.0) for _ in range(2000))
-        assert skewed < uniform * 0.6
-
-    def test_zipf_rejects_empty_range(self):
-        with pytest.raises(ValueError):
-            DeterministicRng(0).zipf_index(0)

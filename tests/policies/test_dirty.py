@@ -189,7 +189,7 @@ class TestWriteHitFastPath:
         pte = machine._pte_peek(vpn)
         page = machine._page_peek(vpn)
         before_cols = {
-            name: bytes(col) for name, col in cache.columns.columns()
+            name: list(col) for name, col in cache.columns.columns()
         }
         before_pte = (pte.dirty, pte.referenced)
         cost = machine.dirty_policy.handle_write_hit(
@@ -198,6 +198,6 @@ class TestWriteHitFastPath:
         assert cost == 0
         assert before_pte == (pte.dirty, pte.referenced)
         after_cols = {
-            name: bytes(col) for name, col in cache.columns.columns()
+            name: list(col) for name, col in cache.columns.columns()
         }
         assert after_cols == before_cols

@@ -73,6 +73,13 @@ class TestPhaseValidation:
             PhasedProcess(image, [Phase(duration=0)],
                           DeterministicRng(0))
 
+    @pytest.mark.parametrize("field", ["code_hot_pages", "ws_pages"])
+    def test_empty_page_range_rejected(self, field):
+        image, _ = make_image()
+        with pytest.raises(ConfigurationError):
+            PhasedProcess(image, [Phase(duration=100, **{field: 0})],
+                          DeterministicRng(0))
+
 
 class TestStream:
     def phases(self, **overrides):
@@ -120,6 +127,27 @@ class TestStream:
         kinds = [kind for kind, _ in refs]
         ifetch_share = kinds.count(IFETCH) / len(kinds)
         assert 0.5 < ifetch_share < 0.85
+
+    def heap_pages(self, image, **overrides):
+        """Heap page of every data reference, relative to the heap."""
+        process = PhasedProcess(image, self.phases(**overrides),
+                                DeterministicRng(4))
+        return [(vaddr - image.heap.start) // PAGE
+                for kind, vaddr in collect(process)
+                if kind != IFETCH and image.heap.contains(vaddr)]
+
+    def test_heap_pages_stay_in_working_set(self):
+        image, _ = make_image(heap=32)
+        pages = self.heap_pages(image, ws_start=3, ws_pages=17)
+        assert set(pages) <= set(range(3, 20))
+        assert {3, 19} <= set(pages)
+
+    def test_data_skew_prefers_low_pages(self):
+        image, _ = make_image(heap=100)
+        skewed = self.heap_pages(image, ws_pages=100, data_skew=2.0)
+        uniform = self.heap_pages(image, ws_pages=100, data_skew=0.0)
+        assert (sum(skewed) / len(skewed)
+                < 0.6 * sum(uniform) / len(uniform))
 
     def test_determinism(self):
         streams = []
