@@ -10,8 +10,7 @@ table rendering in the paper's layouts (:mod:`repro.analysis.tables`).
 
 from repro.analysis.stats import Summary, summarize
 from repro.analysis.tables import Table, format_ratio
-from repro.analysis.charts import bar_chart, line_plot, sparkline
-from repro.analysis.latex import table_to_latex
+from repro.analysis.charts import line_plot
 from repro.analysis.sweeps import SweepDriver
 from repro.analysis.tracestats import TraceStatistics, analyze_trace
 from repro.analysis import paper_data
@@ -34,9 +33,7 @@ __all__ = [
     "Table41Row",
     "TraceStatistics",
     "analyze_trace",
-    "bar_chart",
     "line_plot",
-    "sparkline",
     "build_table_3_4",
     "format_ratio",
     "paper_data",
@@ -44,5 +41,4 @@ __all__ = [
     "run_table_3_5",
     "run_table_4_1",
     "summarize",
-    "table_to_latex",
 ]

@@ -1,42 +1,13 @@
 """Terminal charts for experiment output.
 
-The benches and examples are terminal-first; these helpers render
-horizontal bar charts and multi-series line plots in plain ASCII so
-sweeps and comparisons read at a glance in logs and
-``benchmarks/results/`` artefacts.
+The benches and examples are terminal-first; :func:`line_plot`
+renders multi-series line plots in plain ASCII so sweeps and
+comparisons read at a glance in logs and ``benchmarks/results/``
+artefacts.
 """
 
-#: Glyph used for bars.
-_BAR = "#"
 #: Glyphs cycled over line-plot series.
 _SERIES_MARKS = "ox+*@%"
-
-
-def bar_chart(items, width=48, title=None):
-    """Render labelled values as horizontal bars.
-
-    Parameters
-    ----------
-    items:
-        Sequence of ``(label, value)`` pairs; values must be >= 0.
-    width:
-        Maximum bar length in characters.
-    """
-    items = list(items)
-    if not items:
-        return title or ""
-    peak = max(value for _, value in items)
-    if peak < 0 or any(value < 0 for _, value in items):
-        raise ValueError("bar_chart takes non-negative values")
-    label_width = max(len(str(label)) for label, _ in items)
-    lines = [title] if title else []
-    for label, value in items:
-        length = int(round(width * value / peak)) if peak else 0
-        lines.append(
-            f"{str(label):>{label_width}} | "
-            f"{_BAR * length}{' ' * (width - length)} {value:g}"
-        )
-    return "\n".join(lines)
 
 
 def line_plot(series, width=60, height=16, title=None,
@@ -77,10 +48,11 @@ def line_plot(series, width=60, height=16, title=None,
     for row in grid:
         lines.append(" " * 11 + "|" + "".join(row) + "|")
     lines.append(f"{y_low:>10.4g} +" + "-" * width + "+")
-    lines.append(
-        " " * 12 + f"{x_low:<.4g}"
-        + " " * max(1, width - 12) + f"{x_high:>.4g}"
-    )
+    # x_low starts under the first plot column; x_high ends under the
+    # right border.
+    low_label, high_label = f"{x_low:.4g}", f"{x_high:.4g}"
+    gap = max(1, width + 1 - len(low_label) - len(high_label))
+    lines.append(" " * 12 + low_label + " " * gap + high_label)
     if x_label:
         lines.append(" " * 12 + x_label)
     legend = "   ".join(
@@ -89,16 +61,3 @@ def line_plot(series, width=60, height=16, title=None,
     )
     lines.append(f"{'':12}{legend}")
     return "\n".join(lines)
-
-
-def sparkline(values, levels=" .:-=+*#%@"):
-    """A one-line trend: map values onto glyph intensities."""
-    values = list(values)
-    if not values:
-        return ""
-    low, high = min(values), max(values)
-    span = (high - low) or 1
-    top = len(levels) - 1
-    return "".join(
-        levels[int((value - low) / span * top)] for value in values
-    )

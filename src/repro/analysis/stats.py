@@ -94,6 +94,7 @@ class PairedComparison:
         return self.std_difference / math.sqrt(self.n)
 
     def ci95(self):
+        """Approximate 95% half-width of the mean difference."""
         return 1.96 * self.sem
 
     @property

@@ -35,6 +35,7 @@ class Table:
         self.notes: List[str] = []
 
     def add_row(self, *cells):
+        """Append one row; every cell is rendered with ``str``."""
         if len(cells) != len(self.columns):
             raise ValueError(
                 f"expected {len(self.columns)} cells, got {len(cells)}"
@@ -42,12 +43,15 @@ class Table:
         self.rows.append([str(cell) for cell in cells])
 
     def add_separator(self):
+        """Append a horizontal rule between row groups."""
         self.rows.append(None)
 
     def add_note(self, note):
+        """Append a note printed under the table."""
         self.notes.append(note)
 
     def render(self):
+        """The table as text: title, ruled grid, then notes."""
         widths = [len(c) for c in self.columns]
         for row in self.rows:
             if row is None:

@@ -30,7 +30,8 @@ Groups, in import order below:
 * campaign execution and the result cache that resumes campaigns
   (:mod:`repro.parallel`),
 * policy models and overhead analysis (:mod:`repro.policies`),
-* workloads (:mod:`repro.workloads`),
+* the synthetic workload families and their name catalog
+  (:mod:`repro.workloads`),
 * experiment drivers and sweeps (:mod:`repro.analysis`).
 """
 
@@ -86,11 +87,8 @@ from repro.policies import (
 from repro.workloads import (
     DEV_SYSTEM_PROFILES,
     DevSystemWorkload,
-    RecordedWorkload,
-    ScriptedWorkload,
     SlcWorkload,
     Workload1,
-    record_workload,
     workload_by_name,
 )
 from repro.analysis import (
@@ -123,7 +121,6 @@ __all__ = [
     "NullSink",
     "PerformanceCounters",
     "Protection",
-    "RecordedWorkload",
     "ReproError",
     "ResultCache",
     "RunCell",
@@ -131,7 +128,6 @@ __all__ = [
     "RunObserver",
     "RunOptions",
     "RunResult",
-    "ScriptedWorkload",
     "SlcWorkload",
     "SmpSystem",
     "SpurMachine",
@@ -149,7 +145,6 @@ __all__ = [
     "overhead_table",
     "paper_config",
     "read_trace",
-    "record_workload",
     "render_report",
     "run_table_3_3",
     "run_table_3_5",

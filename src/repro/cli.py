@@ -363,51 +363,6 @@ def cmd_characterize(args):
     return 0
 
 
-def cmd_record(args):
-    """Capture a workload's reference stream to disk."""
-    from repro.machine.config import scaled_config
-    from repro.workloads.recorded import record_workload
-
-    cap = _reference_cap(args)
-    page_bytes = scaled_config().page_bytes
-    workload = _workload_by_name(args.workload, args.length)
-    count = record_workload(
-        workload, page_bytes, args.trace, seed=args.seed,
-        max_references=cap,
-    )
-    print(f"recorded {count:,} references of {workload.name} to "
-          f"{args.trace} (+ .regions sidecar)", file=sys.stderr)
-    return 0
-
-
-def cmd_replay(args):
-    """Simulate a recorded trace under chosen policies."""
-    from repro.workloads.recorded import RecordedWorkload
-
-    workload = RecordedWorkload(args.trace)
-    config = _machine_config(args)
-    if config.page_bytes != workload.page_bytes:
-        raise SystemExit(
-            f"trace uses {workload.page_bytes}-byte pages; the "
-            f"default machine uses {config.page_bytes}"
-        )
-    result = ExperimentRunner().run(config, workload)
-    lines = [
-        f"replayed            {result.references:,} references of "
-        f"{result.workload}",
-        f"policies            dirty={result.dirty_policy} "
-        f"ref={result.reference_policy}",
-        f"cycles              {result.cycles:,}",
-        f"page-ins            {result.page_ins:,}",
-        f"dirty faults        {result.event(Event.DIRTY_FAULT):,}",
-        f"dirty-bit misses    "
-        f"{result.event(Event.DIRTY_BIT_MISS):,}",
-        f"excess faults       {result.event(Event.EXCESS_FAULT):,}",
-    ]
-    _emit("\n".join(lines), args.out)
-    return 0
-
-
 def cmd_observe_report(args):
     """Summarise a JSONL trace; optionally export CSV/JSON."""
     from repro.common.errors import TraceFormatError
@@ -515,7 +470,7 @@ def build_parser():
 
     p_run = sub.add_parser("run", help="one simulation run")
     p_run.add_argument("--workload", default="slc",
-                       help="slc | workload1 | dev-<host> | spec.json")
+                       help="slc | workload1 | dev-<host>")
     p_run.add_argument("--memory-ratio", type=int, default=48,
                        help="memory as a multiple of the cache "
                             "(40/48/64 = the paper's 5/6/8 MB)")
@@ -583,25 +538,6 @@ def build_parser():
     p_char.add_argument("--out", help="also write the artefact here")
     common(p_char)
     p_char.set_defaults(func=cmd_characterize)
-
-    p_record = sub.add_parser(
-        "record", help="capture a workload's reference stream"
-    )
-    p_record.add_argument("trace", help="output trace path")
-    p_record.add_argument("--workload", default="slc")
-    p_record.add_argument("--max-references", type=int, default=None)
-    common(p_record)
-    p_record.set_defaults(func=cmd_record)
-
-    p_replay = sub.add_parser(
-        "replay", help="simulate a recorded trace"
-    )
-    p_replay.add_argument("trace", help="trace path from `record`")
-    p_replay.add_argument("--memory-ratio", type=int, default=48)
-    p_replay.add_argument("--dirty", default="SPUR")
-    p_replay.add_argument("--ref", default="MISS")
-    p_replay.add_argument("--out", help="also write the artefact here")
-    p_replay.set_defaults(func=cmd_replay)
 
     return parser
 

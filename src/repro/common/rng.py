@@ -48,21 +48,9 @@ class DeterministicRng:
         """Uniform integer in [low, high], inclusive."""
         return self._random.randint(low, high)
 
-    def choice(self, sequence):
-        """Uniform choice from a non-empty sequence."""
-        return self._random.choice(sequence)
-
     def shuffle(self, sequence):
         """In-place Fisher-Yates shuffle."""
         self._random.shuffle(sequence)
-
-    def sample(self, population, k):
-        """Sample ``k`` distinct elements."""
-        return self._random.sample(population, k)
-
-    def expovariate(self, rate):
-        """Exponential variate with the given rate."""
-        return self._random.expovariate(rate)
 
     def geometric(self, p):
         """Geometric variate: number of failures before first success.
@@ -78,14 +66,6 @@ class DeterministicRng:
         while self._random.random() >= p:
             count += 1
         return count
-
-    def getstate(self):
-        """Snapshot the generator state (pair with setstate)."""
-        return self._random.getstate()
-
-    def setstate(self, state):
-        """Restore a state captured by :meth:`getstate`."""
-        self._random.setstate(state)
 
     def draws(self):
         """Bound ``(random, getrandbits)`` for hot loops; draw ``[0, n)``

@@ -39,6 +39,7 @@ class CounterSnapshot:
         return event in self._values
 
     def events(self):
+        """The events this snapshot holds a value for."""
         return self._values.keys()
 
     def __sub__(self, earlier):

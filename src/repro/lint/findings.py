@@ -13,6 +13,7 @@ class Finding:
     message: str
 
     def render(self):
+        """The one-line ``path:line: rule message`` form."""
         return f"{self.path}:{self.line}: {self.rule} {self.message}"
 
 

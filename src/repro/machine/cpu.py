@@ -26,6 +26,7 @@ class ReferenceMix:
         return self.ifetches + self.reads + self.writes
 
     def add(self, ifetches, reads, writes):
+        """Accumulate one batch of reference counts."""
         self.ifetches += ifetches
         self.reads += reads
         self.writes += writes

@@ -47,6 +47,7 @@ class FrameTable:
         return None if vpn == FREE else vpn
 
     def is_free(self, frame):
+        """Whether no page occupies ``frame``."""
         return self._owner[frame] == FREE
 
     def assign(self, frame, vpn):

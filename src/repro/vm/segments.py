@@ -75,6 +75,7 @@ class Region:
         return self.kind.page_kind
 
     def contains(self, vaddr):
+        """Whether ``vaddr`` lies in this region."""
         return self.start <= vaddr < self.end
 
 
@@ -122,9 +123,11 @@ class AddressSpaceMap:
         return region if region.contains(vaddr) else None
 
     def regions(self):
+        """Every region, in address order."""
         return tuple(self._regions)
 
     def total_pages(self):
+        """Pages spanned by all regions together."""
         return sum(r.size for r in self._regions) // self.page_bytes
 
 

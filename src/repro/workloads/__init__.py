@@ -13,7 +13,9 @@ heap/stack allocation, file scans, and round-robin context switching,
 tuned to reproduce the *event ratios* the paper's analysis consumes
 (read-before-write fraction, zero-fill share of dirty faults, paging
 pressure vs. memory size).  See DESIGN.md §2 for the substitution
-argument.
+argument.  Every stream is generated in memory from a seed, and
+:func:`workload_by_name` maps the CLI's workload names to these
+recipes.
 """
 
 from repro.workloads.base import (
@@ -34,9 +36,6 @@ from repro.workloads.devsystems import (
     DevSystemProfile,
     DevSystemWorkload,
 )
-from repro.workloads.tracefile import read_trace_chunks, write_trace
-from repro.workloads.recorded import RecordedWorkload, record_workload
-from repro.workloads.scripted import ScriptedWorkload
 from repro.workloads.catalog import workload_by_name
 
 __all__ = [
@@ -49,9 +48,7 @@ __all__ = [
     "PhasedProcess",
     "ProcessImage",
     "READ",
-    "RecordedWorkload",
     "RoundRobinScheduler",
-    "ScriptedWorkload",
     "SerialChain",
     "SlcWorkload",
     "WRITE",
@@ -59,9 +56,6 @@ __all__ = [
     "Workload1",
     "WorkloadInstance",
     "chunk_accesses",
-    "read_trace_chunks",
-    "record_workload",
     "serial",
     "workload_by_name",
-    "write_trace",
 ]

@@ -1,7 +1,7 @@
 """Resolve workload names to recipes (the CLI's vocabulary).
 
-``slc``/``lisp``, ``workload1``/``w1``/``cad``, ``dev-<host>``, and
-``*.json`` scripted-spec paths all map to workload recipes here.
+``slc``/``lisp``, ``workload1``/``w1``/``cad`` and ``dev-<host>`` all
+map to workload recipes here.
 Library callers get a :class:`ValueError` on unknown names; the CLI
 wraps that into a ``SystemExit`` with the same message.
 """
@@ -18,14 +18,9 @@ def workload_by_name(name, length_scale=1.0):
     """The workload recipe for a CLI-style *name*.
 
     Accepts ``slc``/``lisp``, ``workload1``/``w1``/``cad``,
-    ``dev-<host>`` (a Table 3.5 development system), or a path to a
-    ``.json`` scripted-workload spec.  Raises :class:`ValueError` for
-    anything else.
+    or ``dev-<host>`` (a Table 3.5 development system).  Raises
+    :class:`ValueError` for anything else.
     """
-    if name.endswith(".json"):
-        from repro.workloads.scripted import ScriptedWorkload
-
-        return ScriptedWorkload(name, length_scale=length_scale)
     lowered = name.lower()
     if lowered in ("slc", "lisp"):
         return SlcWorkload(length_scale=length_scale)
@@ -42,8 +37,7 @@ def workload_by_name(name, length_scale=1.0):
             f"{sorted({p.hostname for p in DEV_SYSTEM_PROFILES})}"
         )
     raise ValueError(
-        f"unknown workload {name!r}; try slc, workload1, "
-        f"dev-<host>, or a .json spec file"
+        f"unknown workload {name!r}; try slc, workload1 or dev-<host>"
     )
 
 

@@ -1,32 +1,8 @@
-"""Tests for the ASCII chart helpers."""
+"""Tests for the ASCII line plot."""
 
 import pytest
 
-from repro.analysis.charts import bar_chart, line_plot, sparkline
-
-
-class TestBarChart:
-    def test_longest_bar_belongs_to_peak(self):
-        text = bar_chart([("a", 10), ("b", 5)], width=20)
-        lines = text.splitlines()
-        assert lines[0].count("#") == 20
-        assert lines[1].count("#") == 10
-
-    def test_labels_and_values_present(self):
-        text = bar_chart([("miss", 3), ("ref", 4)], title="T")
-        assert "T" in text
-        assert "miss" in text and "4" in text
-
-    def test_zero_values_render(self):
-        text = bar_chart([("a", 0), ("b", 0)])
-        assert "#" not in text
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            bar_chart([("a", -1)])
-
-    def test_empty(self):
-        assert bar_chart([], title="empty") == "empty"
+from repro.analysis.charts import line_plot
 
 
 class TestLinePlot:
@@ -39,11 +15,25 @@ class TestLinePlot:
         assert "x = ref" in text
         assert "o" in text and "x" in text
 
-    def test_axis_bounds_shown(self):
-        text = line_plot({"s": [(40, 100), (64, 900)]},
-                         width=20, height=5)
-        assert "40" in text and "64" in text
-        assert "100" in text and "900" in text
+    @pytest.mark.parametrize("points, width, labels", [
+        ([(40, 100), (64, 900)], 20, ("40", "64", "100", "900")),
+        ([(x, 10 * x) for x in range(1, 33)], 30,
+         ("1", "32", "10", "320")),
+    ], ids=["memory-ratio", "length-1-to-32"])
+    def test_axis_bounds_shown(self, points, width, labels):
+        x_low, x_high, y_low, y_high = labels
+        lines = line_plot({"s": points}, width=width,
+                          height=5).splitlines()
+        assert lines[0].split()[0] == y_high
+        bottom = next(index for index, line in enumerate(lines)
+                      if line.split()[0] == y_low)
+        border, footer = lines[bottom], lines[bottom + 1]
+        # x_low starts under the first plot column; x_high ends under
+        # the right corner of the plot.
+        assert footer.split() == [x_low, x_high]
+        assert footer.index(x_low) == border.index("+") + 1
+        assert footer.endswith(x_high)
+        assert len(footer) == len(border)
 
     def test_flat_series_does_not_crash(self):
         text = line_plot({"s": [(0, 5), (1, 5)]}, width=10, height=3)
@@ -51,16 +41,3 @@ class TestLinePlot:
 
     def test_empty(self):
         assert line_plot({}, title="t") == "t"
-
-
-class TestSparkline:
-    def test_monotone_values_monotone_glyphs(self):
-        levels = " .:#"
-        line = sparkline([0, 1, 2, 3], levels=levels)
-        assert line == " .:#"
-
-    def test_flat(self):
-        assert sparkline([5, 5, 5]) == "   "
-
-    def test_empty(self):
-        assert sparkline([]) == ""

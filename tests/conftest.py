@@ -9,10 +9,14 @@ code paths as the full configurations.
 import pytest
 
 from repro.common.params import CacheGeometry, FaultTiming
-from repro.sanitize.pytest_plugin import sanitizer  # noqa: F401
 from repro.machine.config import MachineConfig
 from repro.machine.simulator import SpurMachine
+from repro.sanitize.sanitizer import Sanitizer
 from repro.vm.segments import AddressSpaceMap, ProcessAddressSpace, RegionKind
+from repro.workloads.base import (
+    DEFAULT_CHUNK_REFS, Workload, WorkloadInstance)
+from repro.workloads.mix import RoundRobinScheduler
+from repro.workloads.synthetic import Phase, PhasedProcess, ProcessImage
 
 #: Geometry constants for the tiny test machine.
 TINY_PAGE = 128
@@ -63,6 +67,82 @@ def simple_space(page_bytes=TINY_PAGE, code_pages=4, heap_pages=32,
     return space_map, regions
 
 
+class TwoProcessMix(Workload):
+    """A hand-scripted two-process mix built from the generator parts.
+
+    Unlike the catalog families it weights its processes unequally,
+    switches every 256 references, and mixes read-modify-write
+    traffic, zero-fill allocation and a file scan in one phase, so the
+    engine sees a stream shape WORKLOAD1, SLC and the dev hosts do not
+    produce.
+    """
+
+    name = "two-process-mix"
+
+    #: Global-space slice reserved per process image.
+    SLICE = 0x0100_0000
+
+    def instantiate(self, page_bytes, seed=0):
+        """Build both process images and their scheduler."""
+        rng = self._rng(seed)
+        space_map = AddressSpaceMap(page_bytes)
+        script = (
+            (dict(code_pages=4, heap_pages=32, file_pages=8),
+             Phase(duration=3000, ws_pages=12, write_frac=0.4,
+                   rmw_frac=0.3, alloc_pages=4, scan_pages=4), 1.0),
+            (dict(code_pages=2, heap_pages=16),
+             Phase(duration=1500, ws_pages=8, write_frac=0.2), 0.5),
+        )
+        scheduled = []
+        for pid, (regions, phase, weight) in enumerate(script):
+            space = ProcessAddressSpace(
+                pid, (pid + 1) * self.SLICE, self.SLICE, space_map
+            )
+            process = PhasedProcess(
+                ProcessImage(space, **regions), [phase],
+                rng.substream(f"p{pid}"),
+            )
+            scheduled.append((process, weight))
+        space_map.seal()
+        scheduler = RoundRobinScheduler(scheduled, quantum=256)
+        return WorkloadInstance(
+            self.name, space_map, scheduler.access_chunks,
+            sum(phase.duration for _, phase, _ in script),
+        )
+
+
+class ReplayedWorkload(Workload):
+    """Replays *workload*'s stream from a finished *recording*.
+
+    Every process of *workload* must be built by ``instantiate``: a
+    process claims its tape when it is constructed.
+    """
+
+    def __init__(self, workload, recording):
+        assert recording.complete
+        self.workload = workload
+        self.recording = recording
+        self.name = workload.name
+
+    def instantiate(self, page_bytes, seed=0):
+        """Instantiate the wrapped workload with its tapes replayed."""
+        with self.recording.active():
+            return self.workload.instantiate(page_bytes, seed)
+
+
+def record_stream(recording, workload, page_bytes, seed=0, last=False,
+                  chunk_refs=DEFAULT_CHUNK_REFS):
+    """Drain one *workload* stream under *recording*; returns its
+    ``(kind, vaddr)`` sequence."""
+    refs = []
+    with recording.active(last=last):
+        instance = workload.instantiate(page_bytes, seed)
+        for chunk in instance.access_chunks(chunk_refs):
+            it = iter(chunk)
+            refs.extend(zip(it, it))
+    return refs
+
+
 def make_machine(space_map=None, **overrides):
     """A tiny SpurMachine over ``space_map`` (a default one if None)."""
     if space_map is None:
@@ -83,6 +163,31 @@ def machine(space_and_regions):
     m = make_machine(space_map)
     m.test_regions = regions
     return m
+
+
+@pytest.fixture
+def sanitizer():
+    """Factory fixture: attach sanitizers, sweep them at teardown.
+
+    Call it with any simulator object (machine, SMP system, cache,
+    bus, or VM system) and an optional mode to get an attached
+    :class:`~repro.sanitize.sanitizer.Sanitizer`.  Everything attached
+    through the factory is swept once more at test teardown, so a test
+    that ends with latent corruption fails even if it never ran
+    another reference.
+    """
+    created = []
+
+    def _attach(obj, mode="full", **kwargs):
+        instance = Sanitizer(mode=mode, **kwargs)
+        instance.attach(obj)
+        created.append(instance)
+        return instance
+
+    yield _attach
+    for instance in created:
+        instance.check_now()
+        instance.detach()
 
 
 @pytest.fixture

@@ -8,8 +8,6 @@ import pathlib
 import subprocess
 import sys
 
-import pytest
-
 EXAMPLES = pathlib.Path(__file__).resolve().parents[2] / "examples"
 
 
@@ -71,12 +69,6 @@ def test_workload_characterization():
     out = run_example("workload_characterization.py", "40000")
     assert "WORKLOAD1" in out
     assert "reuse distances" in out
-
-
-def test_trace_replay():
-    out = run_example("trace_replay.py", "60000")
-    assert "PROTMISS" in out
-    assert "identical stream" in out
 
 
 def test_counter_methodology():

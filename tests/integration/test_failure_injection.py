@@ -92,29 +92,6 @@ class TestTinyMemory:
         assert stats.page_outs > 0
 
 
-class TestCorruptedCapture:
-    def test_truncated_trace_detected_during_replay(self, tmp_path):
-        from repro.common.errors import TraceFormatError
-        from repro.workloads.recorded import (
-            RecordedWorkload,
-            record_workload,
-        )
-        from repro.workloads.slc import SlcWorkload
-
-        path = tmp_path / "cut.trace"
-        record_workload(
-            SlcWorkload(length_scale=0.01), 512, path,
-            max_references=5_000,
-        )
-        data = path.read_bytes()
-        path.write_bytes(data[:-7])
-        workload = RecordedWorkload(path)
-        instance = workload.instantiate(512)
-        with pytest.raises(TraceFormatError):
-            for _ in instance.accesses():
-                pass
-
-
 class TestDaemonStarvation:
     def test_everything_referenced_still_reclaims_on_second_lap(self):
         # All resident pages referenced: the clock must clear on lap

@@ -6,8 +6,6 @@ cycles, paging totals — and the same machine state as the per-tuple
 loops frozen in ``tests/oracle.py``.
 """
 
-import itertools
-
 import pytest
 
 from repro.machine.config import scaled_config
@@ -19,12 +17,17 @@ from repro.workloads.devsystems import (
     DEV_SYSTEM_PROFILES,
     DevSystemWorkload,
 )
-from repro.workloads.recorded import RecordedWorkload, record_workload
-from repro.workloads.scripted import ScriptedWorkload
 from repro.workloads.slc import SlcWorkload
+from repro.workloads.synthetic import StreamRecording
 from repro.workloads.workload1 import Workload1
 
-from tests.conftest import simple_space, tiny_config
+from tests.conftest import (
+    ReplayedWorkload,
+    TwoProcessMix,
+    record_stream,
+    simple_space,
+    tiny_config,
+)
 from tests.oracle import (
     scalar_run,
     scalar_run_chunks,
@@ -34,36 +37,18 @@ from tests.oracle import (
 DIRTY_POLICIES = ("SPUR", "FAULT", "FLUSH", "WRITE")
 REFERENCE_POLICIES = ("MISS", "REF", "NOREF")
 
-SCRIPT_SPEC = {
-    "name": "equiv-script",
-    "quantum": 256,
-    "processes": [
-        {"name": "p0", "code_pages": 4, "heap_pages": 32,
-         "file_pages": 8,
-         "phases": [{"duration": 3000, "ws_pages": 12,
-                     "write_frac": 0.4, "rmw_frac": 0.3,
-                     "alloc_pages": 4, "scan_pages": 4}]},
-        {"name": "p1", "weight": 0.5, "code_pages": 2,
-         "heap_pages": 16,
-         "phases": [{"duration": 1500, "ws_pages": 8,
-                     "write_frac": 0.2}]},
-    ],
-}
-
 PAGE_BYTES = scaled_config(scale=8).page_bytes
 
 
 @pytest.fixture(scope="module")
-def recorded_trace(tmp_path_factory):
-    path = tmp_path_factory.mktemp("traces") / "equiv.bin"
-    record_workload(
-        ScriptedWorkload(SCRIPT_SPEC), PAGE_BYTES, path, seed=9,
-        max_references=3000,
-    )
-    return str(path)
+def recorded_stream():
+    """A finished in-memory recording of the two-process mix."""
+    recording = StreamRecording()
+    record_stream(recording, TwoProcessMix(), PAGE_BYTES, seed=9)
+    return recording
 
 
-def make_workload(name, recorded_path):
+def make_workload(name, recording=None):
     if name == "workload1":
         return Workload1(length_scale=0.01)
     if name == "slc":
@@ -72,9 +57,9 @@ def make_workload(name, recorded_path):
         return DevSystemWorkload(DEV_SYSTEM_PROFILES[0],
                                  length_scale=0.01)
     if name == "scripted":
-        return ScriptedWorkload(SCRIPT_SPEC)
+        return TwoProcessMix()
     if name == "recorded":
-        return RecordedWorkload(recorded_path)
+        return ReplayedWorkload(TwoProcessMix(), recording)
     raise AssertionError(name)
 
 
@@ -88,18 +73,18 @@ class TestRunResultCrossProduct:
         "workload1", "slc", "devsystem", "scripted", "recorded",
     ])
     def test_chunked_equals_legacy(self, workload_name, dirty, ref,
-                                   recorded_trace, monkeypatch):
+                                   recorded_stream, monkeypatch):
         config = scaled_config(
             memory_ratio=24, scale=8,
             dirty_policy=dirty, reference_policy=ref,
         )
         chunked = ExperimentRunner().run(
-            config, make_workload(workload_name, recorded_trace),
+            config, make_workload(workload_name, recorded_stream),
             seed=1, max_references=2000,
         )
         monkeypatch.setattr(SpurMachine, "run_chunks", scalar_run_chunks)
         legacy = ExperimentRunner().run(
-            config, make_workload(workload_name, recorded_trace),
+            config, make_workload(workload_name, recorded_stream),
             seed=1, max_references=2000,
         )
         assert chunked == legacy

@@ -18,7 +18,7 @@ from repro.machine.runner import ExperimentRunner
 from repro.machine.simulator import SpurMachine
 from repro.machine.smp import SmpSystem
 from repro.options import RunOptions
-from repro.workloads.base import READ, WRITE
+from repro.workloads.base import READ
 
 from tests.conftest import simple_space, tiny_config
 from tests.machine.test_chunked_equivalence import (
@@ -27,7 +27,7 @@ from tests.machine.test_chunked_equivalence import (
     machine_state,
     make_workload,
     mixed_trace,
-    recorded_trace,  # noqa: F401  (fixture re-export)
+    recorded_stream,  # noqa: F401  (fixture re-export)
 )
 from tests.oracle import scalar_run_chunks, scalar_run_interleaved
 
@@ -65,56 +65,61 @@ class TestObservedEqualsUnobserved:
     @pytest.mark.parametrize("workload_name", [
         "workload1", "slc", "devsystem", "scripted", "recorded",
     ])
-    def test_grid(self, workload_name, dirty, ref, recorded_trace):
+    def test_grid(self, workload_name, dirty, ref, recorded_stream):
         config = grid_config(dirty, ref)
         plain = ExperimentRunner().run(
-            config, make_workload(workload_name, recorded_trace),
+            config, make_workload(workload_name, recorded_stream),
             seed=1, max_references=2000,
         )
         observed = ExperimentRunner(options=RunOptions(
             observe=True, epoch_refs=EPOCH_REFS,
         )).run(
-            config, make_workload(workload_name, recorded_trace),
+            config, make_workload(workload_name, recorded_stream),
             seed=1, max_references=2000,
         )
         assert observed == plain
         assert plain.observation is None
         check_observation(observed)
 
-    def test_legacy_tuple_path(self, recorded_trace, monkeypatch):
+    def test_legacy_tuple_path(self, monkeypatch):
         # Observed engine run against the unobserved scalar oracle.
         config = grid_config("SPUR", "MISS")
         observed = ExperimentRunner(options=RunOptions(
             observe=True, epoch_refs=EPOCH_REFS,
         )).run(
-            config, make_workload("slc", recorded_trace),
+            config, make_workload("slc"),
             seed=1, max_references=2000,
         )
         monkeypatch.setattr(SpurMachine, "run_chunks", scalar_run_chunks)
         plain = ExperimentRunner().run(
-            config, make_workload("slc", recorded_trace),
+            config, make_workload("slc"),
             seed=1, max_references=2000,
         )
         assert observed == plain
         check_observation(observed)
 
-    def test_epoch_cadence_one_poll_interval(self, recorded_trace):
+    def test_epoch_cadence_one_poll_interval(self):
         # The tightest legal cadence: one sample per poll interval.
         config = grid_config("SPUR", "MISS")
         plain = ExperimentRunner().run(
-            config, make_workload("scripted", recorded_trace),
+            config, make_workload("workload1"),
             seed=1, max_references=2000,
         )
         observed = ExperimentRunner(options=RunOptions(
             observe=True, epoch_refs=1,
         )).run(
-            config, make_workload("scripted", recorded_trace),
+            config, make_workload("workload1"),
             seed=1, max_references=2000,
         )
         assert observed == plain
         assert observed.observation.epoch_refs == 256
-        # 2000 refs / 256-ref epochs: baseline + 7 epochs + final.
-        assert len(observed.observation.samples) == 9
+        # WORKLOAD1 fills the 2000-ref cap: a baseline, seven full
+        # 256-ref epochs and the final partial one.
+        samples = observed.observation.samples
+        assert len(samples) == 9
+        assert [sample.references for sample in samples] == [
+            *range(0, 2000, 256), 2000,
+        ]
 
 
 class TestSmpObservedEqualsUnobserved:

@@ -1,11 +1,12 @@
 """Graceful campaign degradation: failures never abort the campaign.
 
-The failing cell is a RecordedWorkload whose trace file is deleted
-after construction — a realistic mid-campaign failure (missing input)
-that also pickles cleanly into worker processes.  An interrupted run
+The failing cell is a MissingInputWorkload whose input file does not
+exist — a realistic mid-campaign failure (missing input) that also
+pickles cleanly into worker processes.  An interrupted run
 (``KeyboardInterrupt``) does abort, but keeps every cell it finished.
 """
 
+import errno
 import io
 import os
 
@@ -24,23 +25,32 @@ from repro.parallel.executor import (
     RunCell,
     execute_cells,
 )
-from repro.workloads.recorded import RecordedWorkload, record_workload
 from repro.workloads.slc import SlcWorkload
 
 CONFIG = scaled_config(memory_ratio=24, scale=8)
 MAX_REFS = 1500
 
 
+class MissingInputWorkload:
+    """A recipe read from a file that is gone by the time it runs.
+
+    Module-level, so it pickles into pool workers; its state is a
+    plain path, so its cells have a cache key like any other.
+    """
+
+    def __init__(self, path):
+        self.path = path
+
+    def instantiate(self, page_bytes, seed=0):
+        raise FileNotFoundError(
+            errno.ENOENT, os.strerror(errno.ENOENT), self.path
+        )
+
+
 @pytest.fixture
 def broken_workload(tmp_path):
-    """A workload whose backing trace vanishes before the run."""
-    path = tmp_path / "vanishing.bin"
-    record_workload(SlcWorkload(length_scale=0.01),
-                    CONFIG.page_bytes, path, seed=5,
-                    max_references=500)
-    workload = RecordedWorkload(str(path))
-    os.unlink(path)
-    return workload
+    """A workload whose input file is missing."""
+    return MissingInputWorkload(str(tmp_path / "missing.bin"))
 
 
 def make_cells(broken, broken_at=1):
@@ -80,7 +90,7 @@ class TestSerialFailures:
         assert failure.index == 1
         assert failure.label == "doomed"
         assert failure.seed == 9
-        assert failure.workload == "RecordedWorkload"
+        assert failure.workload == "MissingInputWorkload"
         assert "doomed" in failure.describe()
         assert "seed=9" in failure.describe()
         assert "doomed" in str(excinfo.value)

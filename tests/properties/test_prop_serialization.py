@@ -1,67 +1,55 @@
-"""Property tests: serialisation round trips (traces, LaTeX escapes)."""
+"""Property tests: JSONL observation traces round-trip exactly."""
 
 from hypothesis import given, settings, strategies as st
 
-from repro.analysis.latex import escape
-from repro.workloads.tracefile import read_trace_chunks, write_trace
-from tests.oracle import pairs
+from repro.observe.report import read_trace
+from repro.observe.sinks import JsonlSink
 
+scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text()
+)
 
-def read_trace(path):
-    """The ``(kind, vaddr)`` records of a trace file, in order."""
-    return list(pairs(read_trace_chunks(path)))
+values = st.recursive(
+    scalars,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=12,
+)
 
-references = st.lists(
-    st.tuples(st.integers(0, 2), st.integers(0, 2**63 - 1)),
-    max_size=300,
+events = st.builds(
+    lambda event_type, fields: {**fields, "type": event_type},
+    st.text(),
+    st.dictionaries(st.text(), values, max_size=5),
 )
 
 
-@settings(max_examples=50, deadline=None)
-@given(references)
-def test_trace_round_trip(tmp_path_factory, refs):
-    path = tmp_path_factory.mktemp("traces") / "t.bin"
-    count = write_trace(path, refs)
-    assert count == len(refs)
-    assert list(read_trace(path)) == refs
+def write_trace(path, trace, mode="w"):
+    with JsonlSink(path, mode=mode) as sink:
+        for event in trace:
+            sink.emit(event)
 
 
-@settings(max_examples=50, deadline=None)
-@given(references, references)
+@settings(max_examples=40, deadline=None)
+@given(st.lists(events, max_size=8))
+def test_trace_round_trip(tmp_path_factory, trace):
+    path = tmp_path_factory.mktemp("trace") / "t.jsonl"
+    write_trace(path, trace)
+    assert read_trace(path) == trace
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(events, min_size=1, max_size=8),
+       st.lists(events, max_size=3))
 def test_trace_overwrite_is_clean(tmp_path_factory, first, second):
-    # Re-recording over an existing file must leave exactly the new
-    # stream (stale bytes from a longer old file must not leak).
-    path = tmp_path_factory.mktemp("traces") / "t.bin"
+    # A fresh trace over a longer old one keeps none of the old
+    # records; appending keeps both in order.
+    path = tmp_path_factory.mktemp("trace") / "t.jsonl"
     write_trace(path, first)
     write_trace(path, second)
-    assert list(read_trace(path)) == second
-
-
-latex_text = st.text(
-    alphabet=st.characters(min_codepoint=32, max_codepoint=126),
-    max_size=60,
-)
-
-
-@given(latex_text)
-def test_escape_output_has_no_bare_specials(text):
-    escaped = escape(text)
-    # After escaping, specials only appear in sanctioned commands.
-    stripped = (
-        escaped.replace(r"\textbackslash{}", "")
-        .replace(r"\textasciitilde{}", "")
-        .replace(r"\textasciicircum{}", "")
-        .replace(r"\&", "").replace(r"\%", "").replace(r"\$", "")
-        .replace(r"\#", "").replace(r"\_", "")
-        .replace(r"\{", "").replace(r"\}", "")
-    )
-    for char in "&%$#_{}\\~^":
-        assert char not in stripped, (text, escaped)
-
-
-@given(latex_text)
-def test_escape_is_idempotent_on_clean_text(text):
-    clean = "".join(
-        ch for ch in text if ch not in "&%$#_{}\\~^"
-    )
-    assert escape(clean) == clean
+    assert read_trace(path) == second
+    write_trace(path, first, mode="a")
+    assert read_trace(path) == second + first

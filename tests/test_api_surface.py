@@ -32,14 +32,27 @@ PACKAGES = (
 MODULES = (
     "repro.cli",
     "repro.common.bitfields",
+    "repro.common.errors",
     "repro.common.params",
     "repro.common.rng",
+    "repro.common.types",
+    "repro.common.units",
+    "repro.cache.block",
     "repro.cache.cache",
     "repro.cache.coherence",
+    "repro.cache.columns",
     "repro.cache.flush",
     "repro.translation.incache",
     "repro.translation.pagetable",
+    "repro.translation.pte",
+    "repro.counters.counters",
+    "repro.counters.events",
     "repro.counters.methodology",
+    "repro.vm.allocator",
+    "repro.vm.faults",
+    "repro.vm.frames",
+    "repro.vm.segments",
+    "repro.vm.swap",
     "repro.vm.system",
     "repro.vm.pagedaemon",
     "repro.vm.segfifo",
@@ -47,6 +60,9 @@ MODULES = (
     "repro.policies.reference",
     "repro.policies.costs",
     "repro.policies.model",
+    "repro.machine.config",
+    "repro.machine.cpu",
+    "repro.machine.inspect",
     "repro.machine.simulator",
     "repro.machine.smp",
     "repro.machine.runner",
@@ -57,13 +73,25 @@ MODULES = (
     "repro.observe.sinks",
     "repro.parallel.cache",
     "repro.parallel.executor",
+    "repro.workloads.base",
     "repro.workloads.catalog",
+    "repro.workloads.devsystems",
+    "repro.workloads.mix",
+    "repro.workloads.slc",
     "repro.workloads.synthetic",
-    "repro.workloads.recorded",
+    "repro.workloads.workload1",
+    "repro.analysis.charts",
     "repro.analysis.experiments",
+    "repro.analysis.paper_data",
+    "repro.analysis.stats",
+    "repro.analysis.tables",
     "repro.analysis.targets",
     "repro.analysis.tracestats",
     "repro.analysis.sweeps",
+    "repro.sanitize.checks",
+    "repro.sanitize.sanitizer",
+    "repro.sanitize.violation",
+    "repro.lint.findings",
     "repro.lint.symbols",
     "repro.lint.callgraph",
     "repro.lint.effects",

@@ -1,11 +1,10 @@
 """The flat-buffer chunk protocol carries each stream exactly.
 
 Every generator family is checked against an independent reference
-sequence: the raw generator segments, a per-tuple round-robin loop,
-or the records written to a trace file.  The chunk stream must
-flatten to that sequence, and chunk sizing must follow the protocol —
-exactly ``chunk_refs`` references per chunk, except a short final
-chunk.
+sequence: the raw generator segments or a per-tuple round-robin loop.
+The chunk stream must flatten to that sequence, and chunk sizing must
+follow the protocol — exactly ``chunk_refs`` references per chunk,
+except a short final chunk.
 """
 
 import itertools
@@ -14,7 +13,6 @@ from array import array
 
 import pytest
 
-from repro.common.errors import TraceFormatError
 from repro.common.rng import DeterministicRng
 from repro.machine.config import scaled_config
 from repro.vm.segments import AddressSpaceMap, ProcessAddressSpace
@@ -30,11 +28,11 @@ from repro.workloads.devsystems import (
     DevSystemWorkload,
 )
 from repro.workloads.mix import RoundRobinScheduler, serial
-from repro.workloads.scripted import ScriptedWorkload
 from repro.workloads.slc import SlcWorkload
 from repro.workloads.synthetic import Phase, PhasedProcess, ProcessImage
-from repro.workloads.tracefile import read_trace_chunks, write_trace
 from repro.workloads.workload1 import Workload1
+
+from tests.conftest import TwoProcessMix
 
 PAGE = 512
 
@@ -242,48 +240,14 @@ class TestNativeChunkStreams:
         assert chunked[:cap] == legacy
 
     def test_scripted_workload_matches(self):
-        spec = {
-            "name": "tiny-script",
-            "quantum": 256,
-            "processes": [
-                {"name": "p0", "code_pages": 4, "heap_pages": 32,
-                 "file_pages": 8,
-                 "phases": [{"duration": 2500, "ws_pages": 12,
-                             "write_frac": 0.4, "alloc_pages": 4}]},
-                {"name": "p1", "weight": 0.5, "code_pages": 2,
-                 "heap_pages": 16,
-                 "phases": [{"duration": 1500, "ws_pages": 8,
-                             "write_frac": 0.2}]},
-            ],
-        }
         page_bytes = scaled_config(scale=8).page_bytes
-        legacy = list(ScriptedWorkload(spec).instantiate(
+        legacy = list(TwoProcessMix().instantiate(
             page_bytes, seed=4
         ).accesses())
-        chunks = list(ScriptedWorkload(spec).instantiate(
+        chunks = list(TwoProcessMix().instantiate(
             page_bytes, seed=4
         ).access_chunks(333))
         assert flatten(chunks) == legacy
-
-
-class TestTraceFileChunks:
-    def test_matches_read_trace(self, tmp_path):
-        path = tmp_path / "trace.bin"
-        refs = [(i % 3, i * 32) for i in range(5000)]
-        write_trace(path, refs)
-        chunks = list(read_trace_chunks(path, 512))
-        assert flatten(chunks) == refs
-        counts = chunk_ref_counts(chunks)
-        assert counts == [512] * 9 + [392]
-
-    def test_truncated_trace_raises(self, tmp_path):
-        path = tmp_path / "trace.bin"
-        refs = [(READ, i) for i in range(100)]
-        write_trace(path, refs)
-        data = path.read_bytes()
-        path.write_bytes(data[:-5])
-        with pytest.raises(TraceFormatError):
-            list(read_trace_chunks(path, 64))
 
 
 class TestLengthHint:
