@@ -3,9 +3,11 @@
 ``golden.json`` pins the simulated output of every cell the three
 table drivers run at ``length_scale`` 0.02, one repetition, seed 0:
 the reference count, cycles, paging statistics and the full
-performance-counter event dict.  ``test_golden.py`` checks every
-execution mode against this file, so a change that shifts all modes
-the same way still fails.
+performance-counter event dict.  Its ``slow_path`` grid pins, the
+same way, eight paging-heavy cells at ``length_scale`` 0.1 (see
+:func:`run_slow_path`).  ``test_golden.py`` checks every execution
+mode against this file, so a change that shifts all modes the same
+way still fails.
 
 Regenerating the file is a deliberate, reviewed edit, never a test
 side effect.  From the repository root::
@@ -28,11 +30,19 @@ from repro.analysis.experiments import (  # noqa: E402
     run_table_3_5,
     run_table_4_1,
 )
+from repro.machine.config import scaled_config  # noqa: E402
 from repro.machine.runner import ExperimentRunner  # noqa: E402
+from repro.workloads.workload1 import Workload1  # noqa: E402
 
 LENGTH_SCALE = 0.02
 SEED = 0
 TABLES = ("3.3", "3.5", "4.1")
+
+#: Length of the ``slow_path`` grid: long enough for WORKLOAD1 at
+#: 5 MB to page out under every policy and to reach the 65,536-ref
+#: daemon polls, which the 0.02 tables never do.
+SLOW_PATH_LENGTH = 0.1
+DIRTY_POLICIES = ("FAULT", "FLUSH", "MIN", "PROTMISS", "SPUR", "WRITE")
 
 #: The RunResult fields a cell record pins besides ``events``.  Host
 #: fields (``host_seconds``, ``scalar_bailouts``) are left out.
@@ -83,9 +93,43 @@ def run_table(table, options=None):
     return runner.records
 
 
+def run_slow_path(options=None):
+    """``{label: cell record}`` of the ``slow_path`` grid.
+
+    WORKLOAD1 at 5 MB (cache ratio 40) under the six dirty-bit
+    policies with MISS reference bits, plus SPUR/REF with the tagless
+    flush and SPUR/MISS with the segmented-FIFO daemon: every page
+    fault, eviction, flush and daemon route a policy can take.
+    """
+    grid = [
+        (f"WORKLOAD1/5MB/{policy}/MISS",
+         scaled_config(memory_ratio=40, dirty_policy=policy,
+                       reference_policy="MISS"))
+        for policy in DIRTY_POLICIES
+    ]
+    grid.append(("WORKLOAD1/5MB/SPUR/REF/tagless", scaled_config(
+        memory_ratio=40, dirty_policy="SPUR", reference_policy="REF",
+        flush_strategy="tagless")))
+    grid.append(("WORKLOAD1/5MB/SPUR/MISS/segfifo", scaled_config(
+        memory_ratio=40, dirty_policy="SPUR", reference_policy="MISS",
+        daemon_kind="segfifo")))
+    runner = RecordingRunner(options=options)
+    runner.run_many(
+        [(config, Workload1(length_scale=SLOW_PATH_LENGTH), SEED, None)
+         for _, config in grid],
+        labels=[label for label, _ in grid],
+    )
+    return runner.records
+
+
 def load_golden():
     """``{table: {label: cell record}}`` from ``golden.json``."""
     return json.loads(GOLDEN_PATH.read_text())["tables"]
+
+
+def load_slow_path_golden():
+    """``{label: cell record}`` of the ``slow_path`` grid."""
+    return json.loads(GOLDEN_PATH.read_text())["slow_path"]
 
 
 def main():
@@ -97,9 +141,12 @@ def main():
             table: dict(sorted(run_table(table).items()))
             for table in TABLES
         },
+        "slow_path_length_scale": SLOW_PATH_LENGTH,
+        "slow_path": dict(sorted(run_slow_path().items())),
     }
     GOLDEN_PATH.write_text(json.dumps(document, indent=1) + "\n")
     cells = sum(len(cells) for cells in document["tables"].values())
+    cells += len(document["slow_path"])
     print(f"wrote {cells} cells to {GOLDEN_PATH}")
 
 

@@ -6,7 +6,8 @@ every mode the same way fails here.  The ``scalar-oracle`` mode sends
 every run through the frozen per-tuple loop of ``tests/oracle.py``
 instead of the chunk engine.  Serial runs all three tables;
 the other modes run the Table 4.1 grid only (18 cells, paging out) to
-keep the cost down.  The resumed modes finish a Table 4.1 campaign
+keep the cost down.  The ``slow_path`` grid (paging-heavy cells at
+length 0.1) runs serially and through the oracle.  The resumed modes finish a Table 4.1 campaign
 from the result cache a kill left behind, serially and on a pool.
 Regenerate the file only with ``python tests/golden/regen.py``.
 """
@@ -19,7 +20,13 @@ from repro.machine.simulator import SpurMachine
 from repro.observe.sinks import MemorySink
 from repro.options import RunOptions
 from repro.parallel import ResultCache
-from tests.golden.regen import TABLES, load_golden, run_table
+from tests.golden.regen import (
+    TABLES,
+    load_golden,
+    load_slow_path_golden,
+    run_slow_path,
+    run_table,
+)
 from tests.oracle import scalar_run_chunks
 
 #: Intact cache entries the interrupted campaign keeps (of 18).
@@ -54,6 +61,14 @@ def test_mode_matches_golden(golden, options, scalar, monkeypatch):
     if scalar:
         monkeypatch.setattr(SpurMachine, "run_chunks", scalar_run_chunks)
     assert_matches(run_table("4.1", options), golden["4.1"])
+
+
+@pytest.mark.parametrize("scalar", [False, True],
+                         ids=["serial", "scalar-oracle"])
+def test_slow_path_matches_golden(scalar, monkeypatch):
+    if scalar:
+        monkeypatch.setattr(SpurMachine, "run_chunks", scalar_run_chunks)
+    assert_matches(run_slow_path(), load_slow_path_golden())
 
 
 def test_every_clean_write_hit_finds_a_read_filled_block(golden):
