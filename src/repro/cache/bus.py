@@ -14,6 +14,8 @@ when a counter bank is attached.
 
 from repro.counters.events import Event
 
+_BUS_TRANSACTION = int(Event.BUS_TRANSACTION)
+
 
 class SnoopyBus:
     """Broadcast medium connecting the caches to memory.
@@ -52,7 +54,7 @@ class SnoopyBus:
         self.transactions += 1
         counters = self.counters
         if counters is not None:
-            counters.increment(Event.BUS_TRANSACTION)
+            counters.slots[_BUS_TRANSACTION] += 1
         for cache in self.caches:
             if cache is origin:
                 continue

@@ -36,6 +36,13 @@ TALLY_CACHE_SLOTS = 1
 
 _UNOWNED = CoherencyState.UNOWNED
 _OWNED_EXCLUSIVE = CoherencyState.OWNED_EXCLUSIVE
+_INVALID = CoherencyState.INVALID
+_BUS_READ = BusOp.READ
+_BUS_READ_OWNED = BusOp.READ_OWNED
+_BUS_WRITE_BACK = BusOp.WRITE_BACK
+_WRITE_BACK = int(Event.WRITE_BACK)
+#: Above every block number (addresses are at most 64 bits).
+_NO_BLOCK = 1 << 64
 
 
 class VirtualCache:
@@ -149,48 +156,41 @@ class VirtualCache:
         Evicts the previous occupant (writing it back if it is owned
         dirty data) and installs the new block with protection and
         page-dirty state copied from the PTE — the copy operation whose
-        staleness the whole paper is about.
+        staleness the whole paper is about.  Berkeley Ownership loads
+        a write miss's block owned exclusive and a read miss's
+        unowned.
 
         Returns ``(line index, cycles)`` where cycles covers the block
         fetch and any write-back.
         """
         block = vaddr >> self.block_bits
         index = block & self.index_mask
-        cycles = 0
-        if self.line_block[index] >= 0:
-            cycles += self._evict(index)
-
-        self.line_block[index] = block
-        self.prot[index] = int(protection)
-        self.page_dirty[index] = page_dirty
-        self.block_dirty[index] = by_write
-        self.filled_by_read[index] = not by_write
-        self.holds_pte[index] = holds_pte
-        if by_write:
-            self.state[index] = BerkeleyOwnership.on_write_fill()
-            self._broadcast(BusOp.READ_OWNED, vaddr)
-        else:
-            self.state[index] = BerkeleyOwnership.on_read_fill(False)
-            self._broadcast(BusOp.READ, vaddr)
-        cycles += self.block_transfer_cycles
-        self.stats["fills"] += 1
-        return index, cycles
-
-    def _evict(self, index):
-        """Vacate one line, returning write-back cycles (0 if clean)."""
-        cycles = 0
-        if self.block_dirty[index] or self.state[index].is_owned:
+        bus = self.bus
+        cycles = self.block_transfer_cycles
+        resident = self.line_block[index]
+        if resident >= 0:
             if self.block_dirty[index]:
                 cycles += self.block_transfer_cycles
                 self.stats["write_backs"] += 1
                 if self.counters is not None:
-                    self.counters.increment(Event.WRITE_BACK)
-                self._broadcast(BusOp.WRITE_BACK, self.line_address(index))
-        self.line_block[index] = -1
-        self.state[index] = CoherencyState.INVALID
-        self.block_dirty[index] = False
-        self.stats["evictions"] += 1
-        return cycles
+                    self.counters.slots[_WRITE_BACK] += 1
+                if bus is not None:
+                    bus.broadcast(self, _BUS_WRITE_BACK,
+                                  resident << self.block_bits)
+            self.stats["evictions"] += 1
+
+        self.line_block[index] = block
+        self.prot[index] = protection
+        self.page_dirty[index] = page_dirty
+        self.block_dirty[index] = by_write
+        self.filled_by_read[index] = not by_write
+        self.holds_pte[index] = holds_pte
+        self.state[index] = _OWNED_EXCLUSIVE if by_write else _UNOWNED
+        if bus is not None:
+            bus.broadcast(self, _BUS_READ_OWNED if by_write else _BUS_READ,
+                          vaddr)
+        self.stats["fills"] += 1
+        return index, cycles
 
     def invalidate(self, index, write_back=True):
         """Invalidate one line.
@@ -205,9 +205,9 @@ class VirtualCache:
             cycles += self.block_transfer_cycles
             self.stats["write_backs"] += 1
             if self.counters is not None:
-                self.counters.increment(Event.WRITE_BACK)
+                self.counters.slots[_WRITE_BACK] += 1
         self.line_block[index] = -1
-        self.state[index] = CoherencyState.INVALID
+        self.state[index] = _INVALID
         self.block_dirty[index] = False
         self.stats["invalidations"] += 1
         return cycles
@@ -282,6 +282,40 @@ class VirtualCache:
             (first + offset) & self.index_mask
             for offset in range(blocks_per_page)
         ]
+
+    def drop_page(self, page_vaddr, page_bytes, foreign=False):
+        """Invalidate, without write-back, every line of the page's
+        line range that holds one of its blocks — or, with
+        ``foreign``, any block at all: the loop behind both flush
+        strategies (:mod:`repro.cache.flush`), which price the result.
+
+        Returns ``(lines checked, blocks dropped, foreign blocks
+        dropped, dirty blocks dropped)``.
+        """
+        line_block = self.line_block
+        block_dirty = self.block_dirty
+        state = self.state
+        first_block = page_vaddr >> self.block_bits
+        last_block = (page_vaddr + page_bytes) >> self.block_bits
+        first = first_block & self.index_mask
+        count = last_block - first_block
+        if first + count <= self.num_lines:
+            lines = range(first, first + count)
+        else:  # the page's frames wrap, or it spans the whole cache
+            lines = self.page_line_range(page_vaddr, page_bytes)
+        # The resident block numbers a line must hold to be dropped.
+        low, high = (0, _NO_BLOCK) if foreign else (first_block, last_block)
+        own = dropped = dirty = 0
+        for index in lines:
+            if low <= line_block[index] < high:
+                own += first_block <= line_block[index] < last_block
+                dirty += block_dirty[index]
+                line_block[index] = -1
+                state[index] = _INVALID
+                block_dirty[index] = 0
+                dropped += 1
+        self.stats["invalidations"] += dropped
+        return len(lines), dropped, dropped - own, dirty
 
     def lines_of_page(self, page_vaddr, page_bytes):
         """Indices of valid lines actually holding blocks of the page."""

@@ -60,19 +60,11 @@ class BerkeleyOwnership:
     """
 
     # -- processor-side transitions ------------------------------------
-
-    @staticmethod
-    def on_read_fill(shared_with_others):
-        """State for a block just fetched by a read miss."""
-        # Berkeley Ownership loads read misses unowned; memory (or the
-        # previous owner, which wrote back) supplies data.
-        del shared_with_others
-        return CoherencyState.UNOWNED
-
-    @staticmethod
-    def on_write_fill():
-        """State for a block fetched by a write miss (read-owned)."""
-        return CoherencyState.OWNED_EXCLUSIVE
+    #
+    # A read miss loads its block unowned (memory, or the previous
+    # owner, which wrote back, supplies the data) and a write miss
+    # loads it owned exclusive; ``VirtualCache.fill`` and the
+    # reference loop's inlined install set those states directly.
 
     @staticmethod
     def on_write_hit(state):

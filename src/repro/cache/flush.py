@@ -30,12 +30,41 @@ class FlushResult(NamedTuple):
     cycles: int
 
 
-class TagCheckedFlush:
+class _PageFlush:
+    """The shared flush: one pass of
+    :meth:`~repro.cache.cache.VirtualCache.drop_page`, priced at
+    ``line_cycles`` per frame examined plus ``dirty_cycles`` and the
+    write-back transfer per dirty block dropped."""
+
+    #: Whether blocks of *other* pages in the page's frames go too.
+    foreign = False
+
+    def flush_page(self, cache, page_vaddr, page_bytes):
+        """Flush the page from ``cache``; returns a :class:`FlushResult`."""
+        checked, flushed, foreign, write_backs = cache.drop_page(
+            page_vaddr, page_bytes, self.foreign
+        )
+        return FlushResult(checked, flushed, foreign, write_backs,
+                           self.cycles(cache, checked, write_backs))
+
+    def cycles(self, cache, lines_checked, write_backs):
+        """The price of examining ``lines_checked`` frames of
+        ``cache`` and dropping ``write_backs`` dirty blocks."""
+        return lines_checked * self.line_cycles + write_backs * (
+            self.dirty_cycles + cache.block_transfer_cycles
+        )
+
+
+class TagCheckedFlush(_PageFlush):
     """Flush only the blocks whose tags match the target page.
 
     Cost model (per the paper's estimate): ``loop_cycles`` for each
     frame examined, ``check_cycles`` per frame whose block is absent or
-    clean, ``flush_cycles`` per dirty block flushed.
+    clean, ``flush_cycles`` per dirty block flushed.  Every frame costs
+    its loop overhead plus a check; a dirty block costs a flush instead
+    of the check, plus its write-back transfer (dirty data must reach
+    memory before, e.g., a page-out reads the frame; the transfer
+    rides the bus).
     """
 
     name = "tag-checked"
@@ -44,45 +73,11 @@ class TagCheckedFlush:
         self.loop_cycles = loop_cycles
         self.check_cycles = check_cycles
         self.flush_cycles = flush_cycles
-
-    def flush_page(self, cache, page_vaddr, page_bytes):
-        """Remove every block of the page from ``cache``.
-
-        A frame holds a block of the page when its resident block
-        number lies in the page's block range.  Every frame costs its
-        loop overhead plus a check; a dirty block costs a flush
-        instead of the check, plus its write-back transfer, so the
-        cycles follow from the frame and write-back counts.
-        """
-        line_block = cache.line_block
-        block_dirty = cache.block_dirty
-        invalidate = cache.invalidate
-        first_block = page_vaddr >> cache.block_bits
-        last_block = (page_vaddr + page_bytes) >> cache.block_bits
-        flushed = 0
-        write_backs = 0
-        frames = cache.page_line_range(page_vaddr, page_bytes)
-        for index in frames:
-            if first_block <= line_block[index] < last_block:
-                # Dirty data must reach memory before, e.g., a
-                # page-out reads the frame; the write-back transfer
-                # itself rides the bus.
-                write_backs += block_dirty[index]
-                invalidate(index, write_back=False)
-                flushed += 1
-        checked = len(frames)
-        return FlushResult(
-            lines_checked=checked,
-            blocks_flushed=flushed,
-            foreign_blocks_flushed=0,
-            write_backs=write_backs,
-            cycles=checked * (self.loop_cycles + self.check_cycles)
-            + write_backs * (self.flush_cycles - self.check_cycles
-                             + cache.block_transfer_cycles),
-        )
+        self.line_cycles = loop_cycles + check_cycles
+        self.dirty_cycles = flush_cycles - check_cycles
 
 
-class TaglessFlush:
+class TaglessFlush(_PageFlush):
     """SPUR's real flush: vacate every frame the page maps to.
 
     Blocks from unrelated pages resident in those frames are evicted
@@ -91,39 +86,12 @@ class TaglessFlush:
     """
 
     name = "tagless"
+    foreign = True
+    dirty_cycles = 0
 
     def __init__(self, op_cycles=12):
         # The paper prices the 128-operation tagless flush near 2000
         # cycles with a fifth of the blocks written back; that implies
         # roughly twelve cycles of issue/latency per flush operation.
         self.op_cycles = op_cycles
-
-    def flush_page(self, cache, page_vaddr, page_bytes):
-        """Vacate all frames in the page's index range."""
-        first_block = page_vaddr >> cache.block_bits
-        last_block = (page_vaddr + page_bytes) >> cache.block_bits
-        cycles = 0
-        flushed = 0
-        foreign = 0
-        write_backs = 0
-        frames = cache.page_line_range(page_vaddr, page_bytes)
-        for index in frames:
-            cycles += self.op_cycles
-            block = cache.line_block[index]
-            if block < 0:
-                continue
-            in_page = first_block <= block < last_block
-            if cache.block_dirty[index]:
-                write_backs += 1
-                cycles += cache.block_transfer_cycles
-            cache.invalidate(index, write_back=False)
-            flushed += 1
-            if not in_page:
-                foreign += 1
-        return FlushResult(
-            lines_checked=len(frames),
-            blocks_flushed=flushed,
-            foreign_blocks_flushed=foreign,
-            write_backs=write_backs,
-            cycles=cycles,
-        )
+        self.line_cycles = op_cycles

@@ -18,6 +18,10 @@ from repro.counters.events import Event, MODE_SETS, NUM_COUNTERS, NUM_MODES
 #: Counters are 32 bits wide on the chip and wrap silently.
 COUNTER_MODULUS = 2**32
 
+#: Every event, at the index of its slot (the enum's values run
+#: 0, 1, 2, ... in definition order).
+_EVENTS = tuple(Event)
+
 
 class CounterSnapshot:
     """An immutable copy of counter values at a point in time.
@@ -85,10 +89,23 @@ class PerformanceCounters:
         Counter mode (0..3) selecting one of :data:`MODE_SETS`, or
         ``None`` for the omniscient simulation-only mode that counts
         every event.
+
+    The counting primitive is :attr:`slots`: one raw count per event,
+    indexed by ``int(event)``, that slow-path code adds to in place
+    (``slots[_PAGE_FAULT] += 1`` with ``_PAGE_FAULT =
+    int(Event.PAGE_FAULT)`` bound at module level) at the cost of a
+    list-slot add; :meth:`increment` is the same add behind a call.
+    A slot holds ``False`` until its first add, so an add of 0 still
+    makes the event appear, and it grows without bound: the 32-bit
+    wrap and the mode's filter are applied when counts are read.
     """
 
     def __init__(self, mode: Optional[int] = None):
-        self._counts: Dict[Event, int] = {}
+        #: Raw counts, never rebound (callers alias it).
+        self.slots = [False] * len(_EVENTS)
+        # The slots as of the last mode change: an event the mode
+        # hides reads, and on the next change rolls back to, this.
+        self._marks = list(self.slots)
         self._mode: Optional[int] = None
         self._visible = None
         self.set_mode(mode)
@@ -101,14 +118,28 @@ class PerformanceCounters:
         """Select a counter mode.
 
         Changing modes does *not* clear the counters (the hardware did
-        not either); call :meth:`reset` explicitly.
+        not either); call :meth:`reset` explicitly.  Events the old
+        mode hid are dropped here.
         """
         if mode is not None and mode not in MODE_SETS:
             raise ValueError(
                 f"mode must be None or 0..{NUM_MODES - 1}, got {mode!r}"
             )
+        slots = self.slots
+        slots[:] = self._values()
+        self._marks[:] = slots
         self._mode = mode
         self._visible = None if mode is None else frozenset(MODE_SETS[mode])
+
+    def _values(self):
+        """Raw counts as the mode sees them (``False`` if never
+        counted)."""
+        if self._visible is None:
+            return list(self.slots)
+        return [
+            value if event in self._visible else mark
+            for event, value, mark in zip(_EVENTS, self.slots, self._marks)
+        ]
 
     def increment(self, event, amount=1):
         """Count ``amount`` occurrences of ``event``.
@@ -116,22 +147,25 @@ class PerformanceCounters:
         Events not in the selected mode's set are dropped, mirroring
         the hardware.
         """
-        if self._visible is not None and event not in self._visible:
-            return
-        current = self._counts.get(event, 0)
-        self._counts[event] = (current + amount) % COUNTER_MODULUS
+        self.slots[event] += amount
 
     def read(self, event):
         """Read one counter (0 if never incremented or not visible)."""
-        return self._counts.get(event, 0)
+        if self._visible is None or event in self._visible:
+            return self.slots[event] % COUNTER_MODULUS
+        return self._marks[event] % COUNTER_MODULUS
 
     def snapshot(self):
         """Capture all counters as a :class:`CounterSnapshot`."""
-        return CounterSnapshot(self._counts)
+        return CounterSnapshot(
+            (event, value % COUNTER_MODULUS)
+            for event, value in zip(_EVENTS, self._values())
+            if value is not False
+        )
 
     def reset(self):
         """Zero every counter."""
-        self._counts.clear()
+        self.slots[:] = self._marks[:] = [False] * len(_EVENTS)
 
     def visible_events(self):
         """Events countable under the current mode."""

@@ -324,23 +324,40 @@ def _mode_set_members(events_module, config):
     return names
 
 
+def _event_names(node, config):
+    """Every ``Event.X`` name referenced inside *node*."""
+    return {
+        sub.attr for sub in ast.walk(node)
+        if isinstance(sub, ast.Attribute)
+        and isinstance(sub.value, ast.Name)
+        and sub.value.id == config.event_class
+    }
+
+
 def _incremented_members(modules, config):
-    """Every ``Event.X`` passed to an ``increment(...)`` call."""
+    """Every ``Event.X`` passed to an ``increment(...)`` call or added
+    to a counter slot: ``slots[_X] += n`` where the module binds
+    ``_X = int(Event.X)``."""
     names = set()
     for module in modules:
+        slot_events = {
+            node.targets[0].id: _event_names(node.value, config)
+            for node in module.tree.body
+            if isinstance(node, ast.Assign)
+            and isinstance(node.targets[0], ast.Name)
+            and isinstance(node.value, ast.Call)
+            and getattr(node.value.func, "id", None) == "int"
+        }
         for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            func = node.func
-            if not (isinstance(func, ast.Attribute)
-                    and func.attr == "increment"):
-                continue
-            for arg in node.args + [kw.value for kw in node.keywords]:
-                for sub in ast.walk(arg):
-                    if (isinstance(sub, ast.Attribute)
-                            and isinstance(sub.value, ast.Name)
-                            and sub.value.id == config.event_class):
-                        names.add(sub.attr)
+            if isinstance(node, ast.AugAssign):
+                index = getattr(node.target, "slice", None)
+                if isinstance(index, ast.Name):
+                    names |= slot_events.get(index.id, set())
+            elif (isinstance(node, ast.Call)
+                  and isinstance(node.func, ast.Attribute)
+                  and node.func.attr == "increment"):
+                for arg in node.args + [kw.value for kw in node.keywords]:
+                    names |= _event_names(arg, config)
     return names
 
 
@@ -366,7 +383,8 @@ def check_event_exhaustiveness(project, config):
             findings.append(Finding(
                 "R003", events_module.path, lineno,
                 f"{config.event_class}.{name} is never passed to "
-                f"increment() anywhere in the scanned sources",
+                f"increment() or added to a counter slot anywhere in "
+                f"the scanned sources",
             ))
     return findings
 

@@ -53,6 +53,10 @@ _BUS_READ = BusOp.READ
 _BUS_READ_OWNED = BusOp.READ_OWNED
 _BUS_WRITE_BACK = BusOp.WRITE_BACK
 _BUS_FOR_OWNERSHIP = BusOp.WRITE_FOR_OWNERSHIP
+_FLUSH_OPERATION = int(Event.FLUSH_OPERATION)
+_FLUSH_WRITE_BACK = int(Event.FLUSH_WRITE_BACK)
+_WRITE_HIT_CLEAN_BLOCK = int(Event.WRITE_HIT_CLEAN_BLOCK)
+_WRITE_TO_READ_FILLED_BLOCK = int(Event.WRITE_TO_READ_FILLED_BLOCK)
 
 # Simulator-side slots in the chunked loop's deferred tally (the cache
 # owns slots [0, TALLY_CACHE_SLOTS); see repro.cache.cache).
@@ -172,6 +176,12 @@ class SpurMachine:
         self.reference_policy = make_reference_policy(
             config.reference_policy
         )
+        #: The protection a freshly mapped page gets, indexed by its
+        #: region's writability (the VM's fault path reads it).
+        self.map_protections = (
+            self.dirty_policy.map_protection(False),
+            self.dirty_policy.map_protection(True),
+        )
 
         self.cycles = 0
         self.references = 0
@@ -213,21 +223,20 @@ class SpurMachine:
         the REF policy's flush-on-clear, and page eviction.  On a
         multiprocessor it must run on *all* caches — the cost the
         paper cites when arguing the REF policy gets worse with more
-        processors.  Returns total cycles.
+        processors — so a board of an :class:`SmpSystem` hands it to
+        the system.  Returns total cycles.
         """
-        cycles = 0
-        lines_checked = 0
-        write_backs = 0
-        for cache in self.caches():
-            result = self.flusher.flush_page(
-                cache, page_vaddr, self.page_bytes
-            )
-            lines_checked += result.lines_checked
-            write_backs += result.write_backs
-            cycles += result.cycles
-        self.counters.increment(Event.FLUSH_OPERATION, lines_checked)
-        self.counters.increment(Event.FLUSH_WRITE_BACK, write_backs)
-        return cycles
+        if self.system is not None:
+            return self.system.flush_page(page_vaddr)
+        flusher = self.flusher
+        cache = self.cache
+        checked, _, _, write_backs = cache.drop_page(
+            page_vaddr, self.page_bytes, flusher.foreign
+        )
+        slots = self.counters.slots
+        slots[_FLUSH_OPERATION] += checked
+        slots[_FLUSH_WRITE_BACK] += write_backs
+        return flusher.cycles(cache, checked, write_backs)
 
     # -- the reference loops --------------------------------------------
 
@@ -488,9 +497,10 @@ class SpurMachine:
                         )
 
                 # Data-block install.  fill_page_dirty is
-                # pte.is_modified() exactly when the policy declares
-                # cached_dirty_tracks_pte (the WRITE policy is the one
-                # unconditional-True exception).
+                # pte.is_modified() (spelled out below) exactly when
+                # the policy declares cached_dirty_tracks_pte (the
+                # WRITE policy is the one unconditional-True
+                # exception).
                 if block_dirty[index]:
                     write_backs += 1
                     if live_bus:
@@ -501,7 +511,8 @@ class SpurMachine:
                 line_block[index] = block
                 prot[index] = pte.protection
                 page_dirty[index] = (
-                    pte.is_modified() if tracks_pte else True
+                    (pte.dirty or pte.software_dirty) if tracks_pte
+                    else True
                 )
                 holds_pte[index] = 0
                 if kind == 2:
@@ -670,17 +681,18 @@ class SpurMachine:
         """A write hit whose dirty-bit state is not settled."""
         cache = self.cache
         vpn = vaddr >> self.page_bits
-        pte = self.page_table.entry(vpn)
-        page = self.vm.page(vpn)
+        pte = self._pte_peek(vpn) or self.page_table.entry(vpn)
+        page = self._page_peek(vpn) or self.vm.page(vpn)
         if not page.writable:
             raise ProtectionFault(vaddr, "write to read-only region")
 
+        slots = self.counters.slots
         if not cache.block_dirty[index]:
-            self.counters.increment(Event.WRITE_HIT_CLEAN_BLOCK)
+            slots[_WRITE_HIT_CLEAN_BLOCK] += 1
         if cache.filled_by_read[index] and not cache.block_dirty[index]:
             # First modification of a block that entered on a read:
             # one of the paper's N_w-hit events (counted per block).
-            self.counters.increment(Event.WRITE_TO_READ_FILLED_BLOCK)
+            slots[_WRITE_TO_READ_FILLED_BLOCK] += 1
             cache.filled_by_read[index] = False
 
         cycles = self.dirty_policy.handle_write_hit(

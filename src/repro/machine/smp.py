@@ -116,6 +116,10 @@ class SmpSystem:
         return self.cpus[0].reference_policy
 
     @property
+    def map_protections(self):
+        return self.cpus[0].map_protections
+
+    @property
     def flusher(self):
         return self.cpus[0].flusher
 

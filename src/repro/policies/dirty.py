@@ -22,6 +22,15 @@ from repro.common.errors import ConfigurationError
 from repro.common.types import PageKind, Protection
 from repro.counters.events import Event
 
+_DIRTY_FAULT = int(Event.DIRTY_FAULT)
+_ZERO_FILL_DIRTY_FAULT = int(Event.ZERO_FILL_DIRTY_FAULT)
+_EXCESS_FAULT = int(Event.EXCESS_FAULT)
+_DIRTY_BIT_MISS = int(Event.DIRTY_BIT_MISS)
+_DIRTY_CHECK = int(Event.DIRTY_CHECK)
+_RW = int(Protection.READ_WRITE)
+_READ_WRITE = Protection.READ_WRITE
+_ZERO_FILL = PageKind.ZERO_FILL
+
 
 class DirtyBitPolicy:
     """Base class; concrete policies override the three hooks."""
@@ -66,9 +75,10 @@ class DirtyBitPolicy:
         settled write misses off the slow path; a policy that changes
         :meth:`on_write_miss`'s no-op condition must override this
         predicate to match (the chunked-equivalence grid enforces the
-        pairing).
+        pairing).  Called on every write miss, so it spells out
+        ``pte.is_modified()``.
         """
-        return pte.is_modified()
+        return pte.dirty or pte.software_dirty
 
     def write_hit_settled(self, cache, index):
         """True iff :meth:`handle_write_hit` would be a zero-cycle,
@@ -92,10 +102,10 @@ class DirtyBitPolicy:
 
     def _necessary_fault(self, machine, pte):
         """Take the fault that actually sets the dirty bit."""
-        counters = machine.counters
-        counters.increment(Event.DIRTY_FAULT)
-        if pte.kind is PageKind.ZERO_FILL:
-            counters.increment(Event.ZERO_FILL_DIRTY_FAULT)
+        slots = machine.counters.slots
+        slots[_DIRTY_FAULT] += 1
+        if pte.kind is _ZERO_FILL:
+            slots[_ZERO_FILL_DIRTY_FAULT] += 1
         self._set_dirty(pte)
         return machine.fault_timing.dirty_fault
 
@@ -126,31 +136,31 @@ class FaultDirtyPolicy(DirtyBitPolicy):
 
     def _set_dirty(self, pte):
         pte.software_dirty = True
-        pte.protection = Protection.READ_WRITE
+        pte.protection = _READ_WRITE
 
     def handle_write_hit(self, machine, index, vaddr, pte, page):
         cache = machine.cache
-        if cache.prot[index] == int(Protection.READ_WRITE):
+        if cache.prot[index] == _RW:
             # Protection already settled; only the block-dirty bit was
             # clear.  No policy work.
             return 0
         if pte.is_modified():
             # Stale cached protection: the PTE was promoted by an
             # earlier fault on another block of this page.
-            machine.counters.increment(Event.EXCESS_FAULT)
-            cache.prot[index] = int(Protection.READ_WRITE)
+            machine.counters.slots[_EXCESS_FAULT] += 1
+            cache.prot[index] = _RW
             cache.page_dirty[index] = True
             return machine.fault_timing.dirty_fault
         cycles = self._necessary_fault(machine, pte)
         # The handler repairs the faulting block's cached protection so
         # the retried write proceeds.
-        cache.prot[index] = int(Protection.READ_WRITE)
+        cache.prot[index] = _RW
         cache.page_dirty[index] = True
         return cycles
 
     def write_hit_settled(self, cache, index):
         # Mirrors the handler's first branch (FLUSH inherits both).
-        return cache.prot[index] == int(Protection.READ_WRITE)
+        return cache.prot[index] == _RW
 
 
 class FlushDirtyPolicy(FaultDirtyPolicy):
@@ -166,15 +176,15 @@ class FlushDirtyPolicy(FaultDirtyPolicy):
 
     def handle_write_hit(self, machine, index, vaddr, pte, page):
         cache = machine.cache
-        if cache.prot[index] == int(Protection.READ_WRITE):
+        if cache.prot[index] == _RW:
             return 0
         if pte.is_modified():
             # Should be rare to impossible (the flush removed stale
             # blocks), but a block filled between fault and flush of
             # a concurrent processor could land here; treat it as the
             # FAULT policy would.
-            machine.counters.increment(Event.EXCESS_FAULT)
-            cache.prot[index] = int(Protection.READ_WRITE)
+            machine.counters.slots[_EXCESS_FAULT] += 1
+            cache.prot[index] = _RW
             cache.page_dirty[index] = True
             return machine.fault_timing.dirty_fault
         cycles = self._necessary_fault(machine, pte)
@@ -218,7 +228,7 @@ class SpurDirtyPolicy(DirtyBitPolicy):
             return 0
         timing = machine.fault_timing
         if pte.dirty:
-            machine.counters.increment(Event.DIRTY_BIT_MISS)
+            machine.counters.slots[_DIRTY_BIT_MISS] += 1
             cache.page_dirty[index] = True
             return timing.dirty_bit_miss
         cycles = self._necessary_fault(machine, pte)
@@ -267,21 +277,21 @@ class ProtectionMissDirtyPolicy(DirtyBitPolicy):
 
     def _set_dirty(self, pte):
         pte.software_dirty = True
-        pte.protection = Protection.READ_WRITE
+        pte.protection = _READ_WRITE
 
     def handle_write_hit(self, machine, index, vaddr, pte, page):
         cache = machine.cache
-        if cache.prot[index] == int(Protection.READ_WRITE):
+        if cache.prot[index] == _RW:
             return 0
         timing = machine.fault_timing
         if pte.is_modified():
             # Stale cached protection: hardware refresh, no fault.
-            machine.counters.increment(Event.DIRTY_BIT_MISS)
-            cache.prot[index] = int(Protection.READ_WRITE)
+            machine.counters.slots[_DIRTY_BIT_MISS] += 1
+            cache.prot[index] = _RW
             cache.page_dirty[index] = True
             return timing.dirty_bit_miss
         cycles = self._necessary_fault(machine, pte)
-        cache.prot[index] = int(Protection.READ_WRITE)
+        cache.prot[index] = _RW
         cache.page_dirty[index] = True
         return cycles + timing.dirty_bit_miss
 
@@ -293,7 +303,7 @@ class ProtectionMissDirtyPolicy(DirtyBitPolicy):
 
     def write_hit_settled(self, cache, index):
         # An up-to-date cached protection copy permits the write.
-        return cache.prot[index] == int(Protection.READ_WRITE)
+        return cache.prot[index] == _RW
 
 
 class WriteDirtyPolicy(DirtyBitPolicy):
@@ -318,7 +328,7 @@ class WriteDirtyPolicy(DirtyBitPolicy):
         return True
 
     def handle_write_hit(self, machine, index, vaddr, pte, page):
-        machine.counters.increment(Event.DIRTY_CHECK)
+        machine.counters.slots[_DIRTY_CHECK] += 1
         cycles = machine.fault_timing.dirty_check
         if not pte.dirty:
             cycles += self._necessary_fault(machine, pte)

@@ -13,36 +13,37 @@
   "unreferenced" and the clear routine does nothing, leaving the
   hardware bit permanently set so reference faults never occur.  The
   clock degenerates to FIFO with zero maintenance overhead.
+
+The daemon's read routine is the PTE bit where the policy maintains
+bits and "unreferenced" where it does not (``maintains_bits``), read
+inline by the clock scan just as the reference loop reads it on a
+miss; the policies supply the miss-time check and the clear routine.
 """
 
 from repro.common.errors import ConfigurationError
 from repro.counters.events import Event
 
+_REFERENCE_FAULT = int(Event.REFERENCE_FAULT)
+
 
 class ReferenceBitPolicy:
-    """Base class; concrete policies override the four hooks."""
+    """Base class; concrete policies override the two hooks.
+
+    A freshly mapped page starts with its bit set for free under every
+    policy — the faulting access obviously references the page — so
+    the VM sets it without a hook.
+    """
 
     name = "ABSTRACT"
 
-    #: Whether the policy maintains reference information at all; the
-    #: page daemon skips its periodic clear passes when False (NOREF
-    #: "spends no time maintaining reference bits").
+    #: Whether the policy maintains reference information at all.
+    #: When False the daemon reads every page as unreferenced and
+    #: skips its periodic clear passes (NOREF "spends no time
+    #: maintaining reference bits").
     maintains_bits = True
-
-    def on_map(self, pte):
-        """Initialise the reference bit for a freshly mapped page.
-
-        The page-fault handler sets the bit for free under every
-        policy — the faulting access obviously references the page.
-        """
-        pte.referenced = True
 
     def on_cache_miss(self, machine, pte):
         """Check/set the reference bit during a miss; returns cycles."""
-        raise NotImplementedError
-
-    def read_reference(self, pte):
-        """The machine-dependent daemon read routine."""
         raise NotImplementedError
 
     def clear_reference(self, machine, vpn, pte):
@@ -62,12 +63,9 @@ class MissReferencePolicy(ReferenceBitPolicy):
         if pte.referenced:
             return 0
         # The hardware faults to a software handler to set the bit.
-        machine.counters.increment(Event.REFERENCE_FAULT)
+        machine.counters.slots[_REFERENCE_FAULT] += 1
         pte.referenced = True
         return machine.fault_timing.reference_fault
-
-    def read_reference(self, pte):
-        return pte.referenced
 
     def clear_reference(self, machine, vpn, pte):
         pte.referenced = False
@@ -102,9 +100,6 @@ class NoReferencePolicy(ReferenceBitPolicy):
     def on_cache_miss(self, machine, pte):
         # The hardware bit is permanently set; no fault ever fires.
         return 0
-
-    def read_reference(self, pte):
-        return False
 
     def clear_reference(self, machine, vpn, pte):
         return 0

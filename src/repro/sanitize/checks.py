@@ -371,7 +371,7 @@ def check_vm(vm, ref_index=None):
                 machine=name, ref_index=ref_index,
             )
 
-    free = vm.allocator._free
+    free = vm.allocator.free_frames
     free_set = set(free)
     if len(free_set) != len(free):
         raise InvariantViolation(

@@ -29,6 +29,15 @@ from typing import NamedTuple
 
 from repro.common.types import Protection
 from repro.counters.events import Event
+from repro.translation.pagetable import PTE_BYTES
+
+_TRANSLATION = int(Event.TRANSLATION)
+_PTE_CACHE_HIT = int(Event.PTE_CACHE_HIT)
+_PTE_CACHE_MISS = int(Event.PTE_CACHE_MISS)
+_SECOND_LEVEL_LOOKUP = int(Event.SECOND_LEVEL_LOOKUP)
+_SECOND_LEVEL_CACHE_HIT = int(Event.SECOND_LEVEL_CACHE_HIT)
+_SECOND_LEVEL_MEMORY_ACCESS = int(Event.SECOND_LEVEL_MEMORY_ACCESS)
+_KERNEL = Protection.KERNEL
 
 
 @dataclass(frozen=True)
@@ -63,6 +72,15 @@ class InCacheTranslator:
         self.cache = cache
         self.timing = timing or TranslationTiming()
         self.counters = counters
+        # Walk constants: the layout and timing are frozen, and a
+        # translator without a bank counts into a private sink.
+        layout = page_table.layout
+        self._page_bits = layout.page_bits
+        self._pte_base = layout.pte_base
+        self._second_base = layout.second_level_base
+        self._slots = (
+            [0] * len(Event) if counters is None else counters.slots
+        )
 
     def translate(self, vaddr):
         """Translate a (missing) reference's address.
@@ -70,58 +88,46 @@ class InCacheTranslator:
         Returns a :class:`TranslationResult` whose ``pte`` field is the
         live page-table entry for the page — possibly invalid, in which
         case the caller raises a page fault, services it, and simply
-        uses the same (now valid) entry.
+        uses the same (now valid) entry.  The probes are the cache's
+        one-compare hit test; the PTE blocks go in through
+        :meth:`~repro.cache.cache.VirtualCache.fill`.
         """
-        layout = self.page_table.layout
-        vpn = vaddr >> layout.page_bits
-        pte = self.page_table.entry(vpn)
-        pte_vaddr = layout.pte_vaddr(vpn)
-
-        counters = self.counters
-        if counters is not None:
-            counters.increment(Event.TRANSLATION)
+        page_bits = self._page_bits
+        vpn = vaddr >> page_bits
+        table = self.page_table
+        pte = table.peek(vpn) or table.entry(vpn)
+        pte_vaddr = self._pte_base + vpn * PTE_BYTES
+        cache = self.cache
+        line_block = cache.line_block
+        block_bits = cache.block_bits
+        index_mask = cache.index_mask
+        slots = self._slots
+        slots[_TRANSLATION] += 1
 
         cycles = self.timing.pte_check_cycles
-        if self.cache.probe(pte_vaddr) >= 0:
-            if counters is not None:
-                counters.increment(Event.PTE_CACHE_HIT)
+        block = pte_vaddr >> block_bits
+        if line_block[block & index_mask] == block:
+            slots[_PTE_CACHE_HIT] += 1
             return TranslationResult(pte, cycles, True, False, False)
-
-        if counters is not None:
-            counters.increment(Event.PTE_CACHE_MISS)
-            counters.increment(Event.SECOND_LEVEL_LOOKUP)
+        slots[_PTE_CACHE_MISS] += 1
+        slots[_SECOND_LEVEL_LOOKUP] += 1
 
         # First-level PTE missed: look for the second-level PTE.
-        second_vaddr = layout.second_level_pte_vaddr(pte_vaddr)
+        second_vaddr = self._second_base + (
+            pte_vaddr >> page_bits
+        ) * PTE_BYTES
         cycles += self.timing.second_level_check_cycles
-        second_hit = self.cache.probe(second_vaddr) >= 0
-        went_to_memory = False
+        block = second_vaddr >> block_bits
+        second_hit = line_block[block & index_mask] == block
         if second_hit:
-            if counters is not None:
-                counters.increment(Event.SECOND_LEVEL_CACHE_HIT)
+            slots[_SECOND_LEVEL_CACHE_HIT] += 1
         else:
             # Second-level tables are wired: fetch straight from
             # memory and cache the block.
-            went_to_memory = True
-            if counters is not None:
-                counters.increment(Event.SECOND_LEVEL_MEMORY_ACCESS)
-            _, fill_cycles = self.cache.fill(
-                second_vaddr,
-                Protection.KERNEL,
-                page_dirty=True,
-                by_write=False,
-                holds_pte=True,
-            )
-            cycles += fill_cycles
+            slots[_SECOND_LEVEL_MEMORY_ACCESS] += 1
+            cycles += cache.fill(second_vaddr, _KERNEL, True, False, True)[1]
 
         # Fetch the first-level PTE block and install it.
-        _, fill_cycles = self.cache.fill(
-            pte_vaddr,
-            Protection.KERNEL,
-            page_dirty=True,
-            by_write=False,
-            holds_pte=True,
-        )
-        cycles += fill_cycles
+        cycles += cache.fill(pte_vaddr, _KERNEL, True, False, True)[1]
         return TranslationResult(pte, cycles, False, second_hit,
-                                 went_to_memory)
+                                 not second_hit)

@@ -145,31 +145,6 @@ class PageTable:
         """
         return self._entries.get(vpn, _INVALID_SENTINEL)
 
-    def map(self, vpn, ppn, protection, kind, coherent=False):
-        """Install a valid mapping for ``vpn``.
-
-        Returns the (fresh or reused) PTE.  The reference and dirty
-        bits start clear; Sprite's zero-fill pages are mapped with the
-        dirty bit off exactly so the first write faults (Section 3.2).
-        """
-        pte = self.entry(vpn)
-        pte.ppn = ppn
-        pte.protection = protection
-        pte.valid = True
-        pte.dirty = False
-        pte.software_dirty = False
-        pte.referenced = False
-        pte.cacheable = True
-        pte.coherent = coherent
-        pte.kind = kind
-        return pte
-
-    def unmap(self, vpn):
-        """Invalidate the mapping for ``vpn`` (it remains allocated)."""
-        pte = self._entries.get(vpn)
-        if pte is not None:
-            pte.valid = False
-
     def resident_vpns(self):
         """Virtual page numbers with valid mappings."""
         return [vpn for vpn, pte in self._entries.items() if pte.valid]

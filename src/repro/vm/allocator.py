@@ -1,9 +1,9 @@
 """Free-frame allocator.
 
 A LIFO free list over the allocatable frames of a
-:class:`repro.vm.frames.FrameTable`.  The allocator never blocks; when
-it is empty the VM system must reclaim frames through the page daemon
-before asking again.  :class:`OutOfFramesError` therefore indicates a
+:class:`repro.vm.frames.FrameTable`.  It never blocks; when it runs
+low the VM system reclaims frames through the page daemon before
+taking one.  :class:`OutOfFramesError` therefore indicates a
 VM-system logic error (asked without reclaiming), not a recoverable
 condition, and the system tests assert it never escapes.
 """
@@ -16,30 +16,17 @@ class OutOfFramesError(ReproError):
 
 
 class FrameAllocator:
-    """LIFO allocator over a frame table's allocatable frames."""
+    """The LIFO free list over a frame table's allocatable frames."""
 
     def __init__(self, frame_table):
         self.frame_table = frame_table
-        self._free = list(
+        #: Free frames, next to allocate last.  The VM's fault path
+        #: pops from it and its eviction path appends to it.
+        self.free_frames = list(
             range(frame_table.num_frames - 1,
                   frame_table.wired_frames - 1, -1)
         )
 
     @property
     def free_count(self):
-        return len(self._free)
-
-    def allocate(self, vpn):
-        """Take a free frame and assign it to ``vpn``."""
-        if not self._free:
-            raise OutOfFramesError(
-                f"no free frame for page {vpn}; the caller must reclaim"
-            )
-        frame = self._free.pop()
-        self.frame_table.assign(frame, vpn)
-        return frame
-
-    def free(self, frame):
-        """Release ``frame`` back to the free list."""
-        self.frame_table.release(frame)
-        self._free.append(frame)
+        return len(self.free_frames)

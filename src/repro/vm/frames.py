@@ -34,8 +34,12 @@ class FrameTable:
             )
         self.num_frames = num_frames
         self.wired_frames = wired_frames
-        # Frames [0, wired_frames) are the kernel's; the rest start free.
-        self._owner = [FREE] * num_frames
+        #: Occupant vpn per frame, or :data:`FREE`.  Frames
+        #: [0, wired_frames) are the kernel's; the rest start free.
+        #: The VM's fault and eviction paths write it in place, and
+        #: check that no page lands on a wired or occupied frame and
+        #: no frame is freed twice.
+        self.owners = [FREE] * num_frames
 
     @property
     def allocatable_frames(self):
@@ -43,37 +47,17 @@ class FrameTable:
 
     def owner(self, frame):
         """Virtual page number occupying ``frame``, or ``None``."""
-        vpn = self._owner[frame]
+        vpn = self.owners[frame]
         return None if vpn == FREE else vpn
 
     def is_free(self, frame):
         """Whether no page occupies ``frame``."""
-        return self._owner[frame] == FREE
-
-    def assign(self, frame, vpn):
-        """Record that ``vpn`` now occupies ``frame``."""
-        if frame < self.wired_frames:
-            raise ConfigurationError(
-                f"frame {frame} is wired and cannot hold page {vpn}"
-            )
-        if self._owner[frame] != FREE:
-            raise ConfigurationError(
-                f"frame {frame} already holds page {self._owner[frame]}"
-            )
-        self._owner[frame] = vpn
-
-    def release(self, frame):
-        """Mark ``frame`` free, returning its previous occupant."""
-        vpn = self._owner[frame]
-        if vpn == FREE:
-            raise ConfigurationError(f"frame {frame} is already free")
-        self._owner[frame] = FREE
-        return vpn
+        return self.owners[frame] == FREE
 
     def resident_count(self):
         """Number of occupied allocatable frames."""
         return sum(
             1
             for frame in range(self.wired_frames, self.num_frames)
-            if self._owner[frame] != FREE
+            if self.owners[frame] != FREE
         )

@@ -3,8 +3,9 @@
 Sprite's page daemon maintains a pseudo-LRU ordering of resident pages
 by periodically clearing reference bits and reclaiming pages whose
 bits are still clear on the next visit (second-chance clock).  How the
-bits are read and cleared is delegated to the active reference-bit
-policy — this indirection is exactly the paper's Section 4 experiment:
+bits are read and cleared depends on the active reference-bit policy
+— exactly the paper's Section 4 experiment.  The scan reads the PTE
+bit when the policy maintains bits and delegates the clear:
 
 * MISS: read/clear the PTE bit only (cached blocks unaffected),
 * REF: clearing also flushes the page from the cache so the next
@@ -14,6 +15,9 @@ policy — this indirection is exactly the paper's Section 4 experiment:
 """
 
 from repro.counters.events import Event
+
+_DAEMON_PAGE_SCAN = int(Event.DAEMON_PAGE_SCAN)
+_REFERENCE_CLEAR = int(Event.REFERENCE_CLEAR)
 
 
 class ClockPageDaemon:
@@ -52,15 +56,6 @@ class ClockPageDaemon:
         """Forget a page evicted outside a daemon run."""
         self._positions.pop(vpn, None)
 
-    def needs_run(self):
-        """Whether the free pool has fallen below the low watermark."""
-        return self.vm.allocator.free_count < self.low_water
-
-    def try_reactivate(self, vpn):
-        """The clock keeps no inactive list; nothing to rescue."""
-        del vpn
-        return False
-
     def run(self):
         """Advance the clock until enough frames are free.
 
@@ -69,50 +64,58 @@ class ClockPageDaemon:
         work; paging I/O initiated by evictions is included by the
         VM's evict path).
         """
-        machine = self.vm.machine
+        vm = self.vm
+        machine = vm.machine
         ref_policy = machine.reference_policy
-        page_table = self.vm.page_table
+        maintains_bits = ref_policy.maintains_bits
+        clear_reference = ref_policy.clear_reference
+        evict = vm.evict
+        peek = vm.page_table.peek
+        free_frames = vm.allocator.free_frames
+        high_water = self.high_water
         scan_cycles = machine.fault_timing.daemon_page_scan
-        counters = machine.counters
+        slots = machine.counters.slots
+        clock = self._clock
+        positions = self._positions
+        hand = self._hand
 
         self.runs += 1
         cycles = 0
+        examined = 0
+        reclaimed = 0
         # Two full laps bound the scan: the first lap may only clear
         # bits, the second then reclaims whatever stayed clear.
-        budget = 2 * len(self._clock) + 1
-        while (
-            self.vm.allocator.free_count < self.high_water and budget > 0
-        ):
-            if not self._clock:
+        budget = 2 * len(clock) + 1
+        while len(free_frames) < high_water and budget > 0:
+            if not clock:
                 break
-            if self._hand >= len(self._clock):
-                self._hand = 0
+            if hand >= len(clock):
+                hand = 0
                 self._compact()
-                if not self._clock:
+                if not clock:
                     break
-            vpn = self._clock[self._hand]
+            vpn = clock[hand]
+            hand += 1
             budget -= 1
-            if vpn not in self._positions:
+            if vpn not in positions:
                 # Stale slot left by an earlier eviction.
-                self._hand += 1
                 continue
-            pte = page_table.lookup(vpn)
-            if not pte.valid:
-                self._positions.pop(vpn, None)
-                self._hand += 1
+            pte = peek(vpn)
+            if pte is None or not pte.valid:
+                del positions[vpn]
                 continue
-            self.pages_examined += 1
+            examined += 1
             cycles += scan_cycles
-            counters.increment(Event.DAEMON_PAGE_SCAN)
-            if ref_policy.read_reference(pte):
-                cycles += ref_policy.clear_reference(machine, vpn, pte)
-                counters.increment(Event.REFERENCE_CLEAR)
-                self._hand += 1
+            slots[_DAEMON_PAGE_SCAN] += 1
+            if maintains_bits and pte.referenced:
+                cycles += clear_reference(machine, vpn, pte)
+                slots[_REFERENCE_CLEAR] += 1
             else:
-                cycles += self.vm.evict(vpn)
-                self.pages_reclaimed += 1
-                self._positions.pop(vpn, None)
-                self._hand += 1
+                cycles += evict(vpn)  # which forgets the page
+                reclaimed += 1
+        self._hand = hand
+        self.pages_examined += examined
+        self.pages_reclaimed += reclaimed
         return cycles
 
     def poll(self):
@@ -123,49 +126,60 @@ class ClockPageDaemon:
         cost of *maintaining* reference information — the overhead the
         NOREF policy exists to eliminate — would only appear under
         paging pressure.  Each poll advances a separate hand over
-        about a sixth of the resident pages, clearing set bits through
-        the active policy (a PTE write under MISS, a page flush under
-        REF).  Returns the daemon's cycles; 0 under NOREF, whose
-        machine-dependent routines do nothing.
+        about a sixth of the resident pages (at least 16 slots, at
+        most one lap), clearing set bits through the active policy (a
+        PTE write under MISS, a page flush under REF).  Returns the
+        daemon's cycles; 0 under NOREF, whose machine-dependent
+        routines do nothing.
         """
         machine = self.vm.machine
         ref_policy = machine.reference_policy
         if not ref_policy.maintains_bits:
             return 0
-        page_table = self.vm.page_table
-        scan_cycles = machine.fault_timing.daemon_page_scan
-        counters = machine.counters
-
         self.polls += 1
-        cycles = 0
-        if not self._clock:
+        clock = self._clock
+        if not clock:
             return 0
-        quota = max(16, len(self._clock) // 6)
-        while quota > 0:
-            if self._poll_hand >= len(self._clock):
-                self._poll_hand = 0
-            vpn = self._clock[self._poll_hand]
-            self._poll_hand += 1
-            quota -= 1
-            if vpn not in self._positions:
+        clear_reference = ref_policy.clear_reference
+        peek = self.vm.page_table.peek
+        scan_cycles = machine.fault_timing.daemon_page_scan
+        slots = machine.counters.slots
+        positions = self._positions
+        hand = self._poll_hand
+
+        cycles = 0
+        examined = 0
+        for _ in range(min(len(clock), max(16, len(clock) // 6))):
+            if hand >= len(clock):
+                hand = 0
+            vpn = clock[hand]
+            hand += 1
+            if vpn not in positions:
                 continue
-            pte = page_table.lookup(vpn)
-            if not pte.valid:
+            pte = peek(vpn)
+            if pte is None or not pte.valid:
                 continue
-            self.pages_examined += 1
+            examined += 1
             cycles += scan_cycles
-            counters.increment(Event.DAEMON_PAGE_SCAN)
-            if ref_policy.read_reference(pte):
-                cycles += ref_policy.clear_reference(machine, vpn, pte)
-                counters.increment(Event.REFERENCE_CLEAR)
+            slots[_DAEMON_PAGE_SCAN] += 1
+            if pte.referenced:
+                cycles += clear_reference(machine, vpn, pte)
+                slots[_REFERENCE_CLEAR] += 1
+        self._poll_hand = hand
+        self.pages_examined += examined
         return cycles
 
     def _compact(self):
-        """Drop stale slots accumulated by evictions."""
-        live = [vpn for vpn in self._clock if vpn in self._positions]
-        self._clock = live
-        self._positions = {vpn: i for i, vpn in enumerate(live)}
-        if self._hand > len(live):
+        """Drop stale slots accumulated by evictions, in place (a
+        running scan holds both containers)."""
+        self._clock[:] = [
+            vpn for vpn in self._clock if vpn in self._positions
+        ]
+        self._positions.clear()
+        self._positions.update(
+            (vpn, i) for i, vpn in enumerate(self._clock)
+        )
+        if self._hand > len(self._clock):
             self._hand = 0
 
     def resident_pages(self):

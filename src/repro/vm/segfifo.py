@@ -74,10 +74,6 @@ class SegmentedFifoDaemon:
         self._active_members.discard(vpn)
         self._inactive_members.discard(vpn)
 
-    def needs_run(self):
-        """Whether the free pool has fallen below the low watermark."""
-        return self.vm.allocator.free_count < self.low_water
-
     def try_reactivate(self, vpn):
         """Claim an inactive page for rescue; True if it was ours."""
         if vpn not in self._inactive_members:
@@ -97,9 +93,9 @@ class SegmentedFifoDaemon:
         """Free frames: refill the inactive list, then evict its head."""
         self.runs += 1
         cycles = 0
-        allocator = self.vm.allocator
+        free_frames = self.vm.allocator.free_frames
         guard = 4 * (len(self._active) + len(self._inactive)) + 8
-        while allocator.free_count < self.high_water and guard > 0:
+        while len(free_frames) < self.high_water and guard > 0:
             guard -= 1
             if (
                 len(self._inactive_members) < self.inactive_target
@@ -117,7 +113,7 @@ class SegmentedFifoDaemon:
                                      self._inactive_members)
                 if vpn is None:
                     continue
-                cycles += self.vm.evict_inactive(vpn)
+                cycles += self.vm.evict(vpn)
                 self.pages_reclaimed += 1
             elif self._active_members:
                 # Inactive list disabled or starved: straight FIFO.
@@ -126,7 +122,7 @@ class SegmentedFifoDaemon:
                 if vpn is None:
                     continue
                 cycles += self.vm.deactivate(vpn)
-                cycles += self.vm.evict_inactive(vpn)
+                cycles += self.vm.evict(vpn)
                 self.pages_reclaimed += 1
             else:
                 break

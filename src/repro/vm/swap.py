@@ -50,35 +50,17 @@ class SwapDevice:
     """
 
     def __init__(self, io_cycles=120_000):
+        #: Cycles of one page read or write.
         self.io_cycles = io_cycles
+        #: The VM's fault and eviction paths count into these in place.
         self.stats = SwapStats()
-        self._images: Set[int] = set()
+        #: vpns written to swap at least once and not yet dropped.
+        self.images: Set[int] = set()
 
     def has_image(self, vpn):
         """True if ``vpn`` has been written to swap before."""
-        return vpn in self._images
-
-    def page_in(self, vpn):
-        """Read a page from backing store.  Returns I/O cycles."""
-        self.stats.page_ins += 1
-        return self.io_cycles
-
-    def page_out(self, vpn):
-        """Write a page to swap.  Returns I/O cycles."""
-        self._images.add(vpn)
-        self.stats.page_outs += 1
-        return self.io_cycles
-
-    def note_zero_fill(self):
-        """Record creation of a zero-filled page (no I/O)."""
-        self.stats.zero_fills += 1
-
-    def note_writable_replacement(self, was_modified):
-        """Record replacement of a writable page for Table 3.5."""
-        self.stats.potentially_modified += 1
-        if not was_modified:
-            self.stats.not_modified += 1
+        return vpn in self.images
 
     def drop_image(self, vpn):
         """Forget a page's swap image (process exit)."""
-        self._images.discard(vpn)
+        self.images.discard(vpn)

@@ -14,9 +14,20 @@ from dataclasses import dataclass
 from repro.common.errors import ConfigurationError, ProtectionFault
 from repro.common.types import PageKind, Protection
 from repro.counters.events import Event
-from repro.vm.allocator import FrameAllocator
-from repro.vm.frames import FrameTable
+from repro.vm.allocator import FrameAllocator, OutOfFramesError
+from repro.vm.frames import FREE, FrameTable
 from repro.vm.pagedaemon import ClockPageDaemon
+
+_PAGE_FAULT = int(Event.PAGE_FAULT)
+_PAGE_IN = int(Event.PAGE_IN)
+_PAGE_OUT = int(Event.PAGE_OUT)
+_ZERO_FILL_PAGE = int(Event.ZERO_FILL_PAGE)
+_PAGE_RECLAIM = int(Event.PAGE_RECLAIM)
+_PAGE_DEACTIVATE = int(Event.PAGE_DEACTIVATE)
+_PAGE_REACTIVATE = int(Event.PAGE_REACTIVATE)
+_FILE = PageKind.FILE
+_SWAP = PageKind.SWAP
+_ZERO_FILL = PageKind.ZERO_FILL
 
 
 class VmPage:
@@ -117,14 +128,15 @@ class VirtualMemorySystem:
             )
         self.pages = {}
         self.stats = VmStats()
+        self.page_bytes = space_map.page_bytes
         self.machine = None  # set by SpurMachine.attach
 
-    @property
-    def page_bytes(self):
-        return self.space_map.page_bytes
-
     def attach_machine(self, machine):
-        """Bind the machine (or SMP facade) this VM charges costs to."""
+        """Bind the machine (or SMP facade) this VM charges costs to.
+
+        The VM reads its counter bank, timings, ``map_protections``,
+        ``zero_fill_cycles`` and ``flush_page``.
+        """
         self.machine = machine
 
     def page(self, vpn):
@@ -149,54 +161,74 @@ class VirtualMemorySystem:
         The sequence mirrors Sprite: reclaim frames if the free pool is
         low, allocate a frame, fill it (swap read, file read, or zero
         fill), and install the PTE with policy-chosen protection and
-        dirty/reference state.
+        dirty/reference state.  The frame table, free list, swap
+        statistics and PTE are updated in place here, as one
+        sequence.
         """
         machine = self.machine
-        timing = machine.fault_timing
-        counters = machine.counters
-        counters.increment(Event.PAGE_FAULT)
-        self.stats.page_faults += 1
-        cycles = timing.page_fault_service
+        slots = machine.counters.slots
+        slots[_PAGE_FAULT] += 1
+        stats = self.stats
+        stats.page_faults += 1
+        cycles = machine.fault_timing.page_fault_service
 
-        page = self.page(vpn)
-
-        if page.inactive and self.daemon.try_reactivate(vpn):
+        page = self.pages.get(vpn)
+        if page is None:
+            page = self.page(vpn)
+        elif page.inactive and self.daemon.try_reactivate(vpn):
             # Segmented FIFO rescue: the frame still holds the page;
             # remap it without any I/O (the "soft fault").
             cycles += self.reactivate(vpn)
-            self.stats.fault_cycles += cycles
+            stats.fault_cycles += cycles
             return cycles
 
-        if self.daemon.needs_run():
+        free_frames = self.allocator.free_frames
+        if len(free_frames) < self.daemon.low_water:
             daemon_cycles = self.daemon.run()
-            self.stats.daemon_cycles += daemon_cycles
+            stats.daemon_cycles += daemon_cycles
             cycles += daemon_cycles
-
-        frame = self.allocator.allocate(vpn)
+        if not free_frames:
+            raise OutOfFramesError(
+                f"no free frame for page {vpn}; the daemon reclaimed none"
+            )
+        frame = free_frames.pop()
+        owners = self.frame_table.owners
+        if owners[frame] != FREE or frame < self.frame_table.wired_frames:
+            raise ConfigurationError(
+                f"frame {frame} is wired or already holds page "
+                f"{owners[frame]}; it cannot hold page {vpn}"
+            )
+        owners[frame] = vpn
         page.frame = frame
         page.page_ins += 1
 
-        if page.in_swap:
-            cycles += self.swap.page_in(vpn)
-            counters.increment(Event.PAGE_IN)
-            kind = PageKind.SWAP
-        elif page.region.page_kind is PageKind.FILE:
-            cycles += self.swap.page_in(vpn)
-            counters.increment(Event.PAGE_IN)
-            kind = PageKind.FILE
+        if page.in_swap or page.region.page_kind is _FILE:
+            kind = _SWAP if page.in_swap else _FILE
+            self.swap.stats.page_ins += 1
+            cycles += self.swap.io_cycles
+            slots[_PAGE_IN] += 1
         else:
-            self.swap.note_zero_fill()
-            counters.increment(Event.ZERO_FILL_PAGE)
+            kind = _ZERO_FILL
+            self.swap.stats.zero_fills += 1
             cycles += machine.zero_fill_cycles
-            kind = PageKind.ZERO_FILL
+            slots[_ZERO_FILL_PAGE] += 1
 
-        protection = machine.dirty_policy.map_protection(
-            page.writable
-        )
-        pte = self.page_table.map(vpn, frame, protection, kind)
-        machine.reference_policy.on_map(pte)
+        # Map the page: fresh dirty bits, so the first write faults
+        # (Section 3.2), and the reference bit set for free — the
+        # faulting access references the page under every policy.
+        table = self.page_table
+        pte = table.peek(vpn) or table.entry(vpn)
+        pte.ppn = frame
+        pte.protection = machine.map_protections[page.writable]
+        pte.valid = True
+        pte.dirty = False
+        pte.software_dirty = False
+        pte.referenced = True
+        pte.cacheable = True
+        pte.coherent = False
+        pte.kind = kind
         self.daemon.note_resident(vpn)
-        self.stats.fault_cycles += cycles
+        stats.fault_cycles += cycles
         return cycles
 
     # -- eviction ---------------------------------------------------------
@@ -206,40 +238,50 @@ class VirtualMemorySystem:
 
         Flushes the page's blocks out of the cache (dirty cache data
         must reach memory before the frame is written to swap or
-        reused), writes the page to swap when the dirty state demands
-        it, and releases the frame.
+        reused) — unless the page sits on the segmented-FIFO inactive
+        list, which was flushed and unmapped when it was deactivated —
+        writes the page to swap when the dirty state demands it, and
+        releases the frame.
         """
         machine = self.machine
-        counters = machine.counters
-        pte = self.page_table.entry(vpn)
-        if not pte.valid:
+        slots = machine.counters.slots
+        page = self.pages.get(vpn)
+        if page is None or page.frame is None:
             raise ConfigurationError(f"evicting non-resident page {vpn}")
-        page = self.page(vpn)
-
-        page_vaddr = vpn * self.page_bytes
-        cycles = machine.flush_page(page_vaddr)
+        pte = self.page_table.peek(vpn)
+        if page.inactive:
+            page.inactive = False
+            cycles = 0
+        else:
+            cycles = machine.flush_page(vpn * self.page_bytes)
 
         modified = pte.is_modified()
+        swap = self.swap
         if page.writable:
-            self.swap.note_writable_replacement(modified)
-
+            swap.stats.potentially_modified += 1
+            if not modified:
+                swap.stats.not_modified += 1
         # Sprite writes a zero-fill page to swap on its first
         # replacement even if clean (paper, footnote 4); thereafter,
         # and for all other pages, only modified pages are written.
-        first_zero_fill_out = (
-            pte.kind is PageKind.ZERO_FILL and not page.in_swap
-        )
-        if modified or first_zero_fill_out:
-            cycles += self.swap.page_out(vpn)
-            counters.increment(Event.PAGE_OUT)
+        if modified or (pte.kind is _ZERO_FILL and not page.in_swap):
+            swap.images.add(vpn)
+            swap.stats.page_outs += 1
+            cycles += swap.io_cycles
+            slots[_PAGE_OUT] += 1
             page.in_swap = True
 
-        counters.increment(Event.PAGE_RECLAIM)
-        self.page_table.unmap(vpn)
+        slots[_PAGE_RECLAIM] += 1
+        pte.valid = False
         pte.dirty = False
         pte.software_dirty = False
         pte.referenced = False
-        self.allocator.free(page.frame)
+        frame = page.frame
+        owners = self.frame_table.owners
+        if owners[frame] == FREE:
+            raise ConfigurationError(f"frame {frame} is already free")
+        owners[frame] = FREE
+        self.allocator.free_frames.append(frame)
         page.frame = None
         self.daemon.note_evicted(vpn)
         return cycles
@@ -253,8 +295,8 @@ class VirtualMemorySystem:
         addressed cache would otherwise keep *hitting* on the unmapped
         page, bypassing the fault that reactivation relies on (the
         same VA-cache staleness problem the whole paper is about).
-        The PTE keeps its dirty state for the eventual hard eviction.
-        Returns cycles.
+        The PTE keeps its dirty state for the eventual hard eviction
+        (:meth:`evict`).  Returns cycles.
         """
         machine = self.machine
         pte = self.page_table.entry(vpn)
@@ -266,7 +308,7 @@ class VirtualMemorySystem:
         cycles = machine.flush_page(vpn * self.page_bytes)
         pte.valid = False
         page.inactive = True
-        machine.counters.increment(Event.PAGE_DEACTIVATE)
+        machine.counters.slots[_PAGE_DEACTIVATE] += 1
         return cycles
 
     def reactivate(self, vpn):
@@ -279,47 +321,10 @@ class VirtualMemorySystem:
         if pte.is_modified():
             pte.protection = Protection.READ_WRITE
         else:
-            pte.protection = machine.dirty_policy.map_protection(
-                page.writable
-            )
-        machine.reference_policy.on_map(pte)
-        machine.counters.increment(Event.PAGE_REACTIVATE)
+            pte.protection = machine.map_protections[page.writable]
+        pte.referenced = True
+        machine.counters.slots[_PAGE_REACTIVATE] += 1
         return machine.fault_timing.page_fault_service
-
-    def evict_inactive(self, vpn):
-        """Hard-evict a page from the inactive list, freeing its frame.
-
-        The cache was already flushed at deactivation, and the PTE has
-        been invalid since — no access can have slipped in without
-        reactivating — so only the backing-store write remains.
-        """
-        machine = self.machine
-        counters = machine.counters
-        page = self.page(vpn)
-        pte = self.page_table.entry(vpn)
-        if not page.inactive or page.frame is None:
-            raise ConfigurationError(
-                f"page {vpn} is not on the inactive list"
-            )
-        cycles = 0
-        modified = pte.is_modified()
-        if page.writable:
-            self.swap.note_writable_replacement(modified)
-        first_zero_fill_out = (
-            pte.kind is PageKind.ZERO_FILL and not page.in_swap
-        )
-        if modified or first_zero_fill_out:
-            cycles += self.swap.page_out(vpn)
-            counters.increment(Event.PAGE_OUT)
-            page.in_swap = True
-        counters.increment(Event.PAGE_RECLAIM)
-        pte.dirty = False
-        pte.software_dirty = False
-        pte.referenced = False
-        self.allocator.free(page.frame)
-        page.frame = None
-        page.inactive = False
-        return cycles
 
     # -- process teardown ---------------------------------------------------
 
@@ -356,9 +361,9 @@ class VirtualMemorySystem:
                     ):
                         cache.invalidate(index, write_back=False)
                         cycles += line_cycles
-                pte = self.page_table.entry(vpn)
-                pte.clear()
-                self.allocator.free(page.frame)
+                self.page_table.entry(vpn).clear()
+                self.frame_table.owners[page.frame] = FREE
+                self.allocator.free_frames.append(page.frame)
                 page.frame = None
                 page.inactive = False
                 self.daemon.note_evicted(vpn)

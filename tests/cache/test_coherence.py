@@ -17,18 +17,6 @@ class TestStates:
 
 
 class TestProcessorTransitions:
-    def test_read_fill_is_unowned(self):
-        assert (
-            BerkeleyOwnership.on_read_fill(False)
-            is CoherencyState.UNOWNED
-        )
-
-    def test_write_fill_is_exclusive(self):
-        assert (
-            BerkeleyOwnership.on_write_fill()
-            is CoherencyState.OWNED_EXCLUSIVE
-        )
-
     def test_write_hit_exclusive_stays_silent(self):
         state, bus_op = BerkeleyOwnership.on_write_hit(
             CoherencyState.OWNED_EXCLUSIVE

@@ -109,3 +109,28 @@ class TestScaledCosts:
         ).flush_page(priced_cache, 0x000, PAGE)
         transfers = cheap_cache.block_transfer_cycles
         assert priced.cycles - transfers == 8 * (cheap.cycles - transfers)
+
+
+class TestPageSpanningTheCache:
+    """A page larger than the cache covers every frame exactly once."""
+
+    def fill(self):
+        cache = make_cache()  # 32 frames
+        fill_page(cache, 0x000)
+        cache.fill(0x1000 + 5 * 32, Protection.READ_WRITE, False, True)
+        return cache
+
+    def test_tag_checked_keeps_foreign_blocks(self):
+        cache = self.fill()
+        result = TagCheckedFlush().flush_page(cache, 0x000, 2048)
+        assert result.lines_checked == 32
+        assert result.blocks_flushed == 4
+        assert cache.probe(0x1000 + 5 * 32) >= 0
+
+    def test_tagless_drops_every_block(self):
+        cache = self.fill()
+        result = TaglessFlush().flush_page(cache, 0x000, 2048)
+        assert result.lines_checked == 32
+        assert (result.blocks_flushed, result.foreign_blocks_flushed) == (5, 1)
+        assert result.write_backs == 1
+        assert cache.resident_lines() == []

@@ -75,6 +75,56 @@ class TestHardwareModes:
         )
 
 
+class TestSlots:
+    """The in-place primitive: ``bank.slots[int(event)] += n``."""
+
+    def test_moded_bank_drops_invisible_slot_adds(self):
+        counters = PerformanceCounters(mode=0)
+        counters.slots[int(Event.DIRTY_FAULT)] += 1  # not in mode 0
+        counters.slots[int(Event.READ_MISS)] += 2    # in mode 0
+        assert counters.read(Event.DIRTY_FAULT) == 0
+        assert Event.DIRTY_FAULT not in counters.snapshot()
+        counters.set_mode(3)  # DIRTY_FAULT visible from here on
+        assert counters.read(Event.DIRTY_FAULT) == 0
+        counters.slots[int(Event.DIRTY_FAULT)] += 1
+        assert counters.read(Event.DIRTY_FAULT) == 1
+        assert counters.read(Event.READ_MISS) == 2
+
+    def test_set_mode_keeps_slot_counts(self):
+        counters = PerformanceCounters(mode=1)
+        counters.slots[int(Event.TRANSLATION)] += 4
+        counters.set_mode(0)
+        counters.slots[int(Event.TRANSLATION)] += 1  # hidden now
+        counters.set_mode(None)
+        assert counters.read(Event.TRANSLATION) == 4
+        assert counters.snapshot()[Event.TRANSLATION] == 4
+
+    def test_slot_counts_wrap_at_32_bits(self):
+        counters = PerformanceCounters()
+        counters.slots[int(Event.PAGE_IN)] += COUNTER_MODULUS - 1
+        counters.slots[int(Event.PAGE_IN)] += 3
+        assert counters.read(Event.PAGE_IN) == 2
+        assert counters.snapshot()[Event.PAGE_IN] == 2
+
+    def test_add_of_zero_makes_the_event_appear(self):
+        counters = PerformanceCounters()
+        counters.slots[int(Event.FLUSH_WRITE_BACK)] += 0
+        counters.increment(Event.PAGE_OUT, 0)
+        snapshot = counters.snapshot()
+        assert snapshot.as_dict() == {
+            Event.PAGE_OUT: 0, Event.FLUSH_WRITE_BACK: 0,
+        }
+        assert Event.PAGE_IN not in snapshot
+
+    def test_reset_clears_slots_in_place(self):
+        counters = PerformanceCounters()
+        slots = counters.slots
+        slots[int(Event.PAGE_IN)] += 1
+        counters.reset()
+        assert counters.slots is slots
+        assert counters.snapshot().as_dict() == {}
+
+
 class TestWraparound:
     def test_increment_wraps_at_32_bits(self):
         counters = PerformanceCounters()

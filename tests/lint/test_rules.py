@@ -281,6 +281,27 @@ class TestR003EventExhaustiveness:
             """)
         assert findings_for("R003", [str(tmp_path)], config) == []
 
+    def test_slot_adds_count_as_increments(self, tmp_path, config):
+        write(tmp_path, "events.py", EVENTS_FIXTURE.replace(
+            "(Event.ALPHA, Event.BETA)",
+            "(Event.ALPHA, Event.BETA, Event.GAMMA)"))
+        write(tmp_path, "user.py", """\
+            from events import Event
+
+            _ALPHA = int(Event.ALPHA)
+            _BETA = int(Event.BETA)
+            _GAMMA = Event.GAMMA
+
+            def tally(slots, n):
+                slots[_ALPHA] += 1
+                slots[_BETA] += n
+                slots[_GAMMA] = 1
+            """)
+        found = findings_for("R003", [str(tmp_path)], config)
+        # An assignment is not an add, and only int(Event.X) names a
+        # slot: GAMMA stays dead.
+        assert [f.message.split()[0] for f in found] == ["Event.GAMMA"]
+
     def test_skipped_without_events_module(self, tmp_path, config):
         path = write(tmp_path, "plain.py", "x = 1\n")
         assert findings_for("R003", [path], config) == []

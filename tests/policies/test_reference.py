@@ -102,12 +102,17 @@ class TestRef:
 
 
 class TestNoref:
-    def test_read_routine_always_false(self):
-        policy = make_reference_policy("NOREF")
+    def test_daemon_reads_every_page_as_unreferenced(self):
         machine, heap = policy_machine("NOREF")
         machine.run([(READ, heap)])
-        pte = machine.page_table.entry(heap >> machine.page_bits)
-        assert policy.read_reference(pte) is False
+        vpn = heap >> machine.page_bits
+        assert machine.page_table.entry(vpn).referenced
+        # The free pool is full, so one run evicts nothing unless the
+        # scan reclaims the page it reads as unreferenced.
+        machine.vm.daemon.high_water = machine.vm.allocator.free_count + 1
+        machine.vm.daemon.run()
+        assert not machine.page_table.entry(vpn).valid
+        assert machine.counters.read(Event.REFERENCE_CLEAR) == 0
 
     def test_clear_has_no_effect(self):
         machine, heap = policy_machine("NOREF")

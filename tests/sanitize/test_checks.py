@@ -260,12 +260,12 @@ class TestVmChecks:
 
     def test_lost_free_frame(self):
         vm = self.touched_vm()
-        vm.allocator._free.pop()
+        vm.allocator.free_frames.pop()
         expect_violation("vm.free-list-disjoint", check_vm, vm)
 
     def test_duplicate_free_frame(self):
         vm = self.touched_vm()
-        vm.allocator._free.append(vm.allocator._free[0])
+        vm.allocator.free_frames.append(vm.allocator.free_frames[0])
         expect_violation("vm.free-list-disjoint", check_vm, vm)
 
     def test_frame_double_booked(self):

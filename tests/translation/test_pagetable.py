@@ -3,7 +3,6 @@
 import pytest
 
 from repro.common.errors import AddressError, ConfigurationError
-from repro.common.types import PageKind, Protection
 from repro.translation.pagetable import (
     PTE_BYTES,
     PageTable,
@@ -99,40 +98,8 @@ class TestPageTable:
         assert 7 in table
         assert table.entry(7) is pte
 
-    def test_map_sets_fields_and_clears_bits(self):
-        table = PageTable()
-        pte = table.map(3, ppn=9, protection=Protection.READ_ONLY,
-                        kind=PageKind.ZERO_FILL)
-        assert pte.valid
-        assert pte.ppn == 9
-        assert pte.protection is Protection.READ_ONLY
-        # Sprite maps zero-fill pages clean so the first write faults.
-        assert not pte.dirty and not pte.software_dirty
-        assert not pte.referenced
-        assert pte.kind is PageKind.ZERO_FILL
-
-    def test_remap_reuses_entry(self):
-        table = PageTable()
-        first = table.map(3, 9, Protection.READ_WRITE, PageKind.FILE)
-        first.dirty = True
-        second = table.map(3, 11, Protection.READ_ONLY, PageKind.SWAP)
-        assert second is first
-        assert not second.dirty
-        assert second.ppn == 11
-
-    def test_unmap_invalidates_but_keeps_entry(self):
-        table = PageTable()
-        table.map(3, 9, Protection.READ_WRITE, PageKind.FILE)
-        table.unmap(3)
-        assert not table.lookup(3).valid
-        assert 3 in table
-
-    def test_unmap_of_unknown_vpn_is_noop(self):
-        PageTable().unmap(99)  # must not raise
-
     def test_resident_vpns(self):
         table = PageTable()
-        table.map(1, 0, Protection.READ_WRITE, PageKind.FILE)
-        table.map(2, 1, Protection.READ_WRITE, PageKind.FILE)
-        table.unmap(1)
+        table.entry(1)
+        table.entry(2).valid = True
         assert table.resident_vpns() == [2]

@@ -3,7 +3,10 @@
 import pytest
 
 from repro.common.errors import ConfigurationError
-from repro.vm.frames import FrameTable
+from repro.vm.frames import FREE, FrameTable
+from repro.workloads.base import READ
+
+from tests.conftest import make_machine, simple_space
 
 
 class TestConstruction:
@@ -21,34 +24,48 @@ class TestConstruction:
             FrameTable(4, wired_frames=4)
 
 
+def faulted_machine():
+    """A tiny machine with one resident heap page: ``(machine, vpn)``."""
+    space_map, regions = simple_space()
+    machine = make_machine(space_map)
+    heap = regions["heap"].start
+    machine.run([(READ, heap)])
+    return machine, heap >> machine.page_bits
+
+
 class TestAssignment:
-    def test_assign_and_owner(self):
-        table = FrameTable(8, wired_frames=2)
-        table.assign(5, vpn=123)
-        assert table.owner(5) == 123
-        assert not table.is_free(5)
+    """The VM's fault and eviction paths keep the table in place."""
+
+    def test_fault_assigns_and_evict_releases(self):
+        machine, vpn = faulted_machine()
+        table = machine.vm.frame_table
+        frame = machine.vm.pages[vpn].frame
+        assert table.owner(frame) == vpn
+        assert not table.is_free(frame)
         assert table.resident_count() == 1
+        machine.vm.evict(vpn)
+        assert table.is_free(frame)
+        assert table.resident_count() == 0
 
-    def test_release_returns_owner(self):
-        table = FrameTable(8)
-        table.assign(3, vpn=9)
-        assert table.release(3) == 9
-        assert table.is_free(3)
-
-    def test_double_assign_rejected(self):
-        table = FrameTable(8)
-        table.assign(3, vpn=9)
+    def test_occupied_frame_not_assignable(self):
+        machine, vpn = faulted_machine()
+        free_frames = machine.vm.allocator.free_frames
+        free_frames.append(machine.vm.pages[vpn].frame)
         with pytest.raises(ConfigurationError):
-            table.assign(3, vpn=10)
-
-    def test_release_of_free_frame_rejected(self):
-        with pytest.raises(ConfigurationError):
-            FrameTable(8).release(3)
+            machine.vm.handle_page_fault(vpn + 1)
 
     def test_wired_frames_not_assignable(self):
-        table = FrameTable(8, wired_frames=2)
+        machine, vpn = faulted_machine()
+        machine.vm.allocator.free_frames.append(1)
         with pytest.raises(ConfigurationError):
-            table.assign(1, vpn=5)
+            machine.vm.handle_page_fault(vpn + 1)
+
+    def test_double_free_rejected(self):
+        machine, vpn = faulted_machine()
+        table = machine.vm.frame_table
+        table.owners[machine.vm.pages[vpn].frame] = FREE
+        with pytest.raises(ConfigurationError):
+            machine.vm.evict(vpn)
 
     def test_owner_of_free_frame_is_none(self):
         assert FrameTable(8).owner(0) is None

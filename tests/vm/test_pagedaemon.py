@@ -98,6 +98,17 @@ class TestPolicyInterplay:
 
 
 class TestPoll:
+    def test_poll_scans_at_most_one_lap(self):
+        # A poll visits max(16, resident / 6) slots, but never the
+        # same slot twice: with 5 resident pages it scans 5, not 16.
+        machine, regions = pressured_machine()
+        touch(machine, regions["heap"], 5)
+        assert len(machine.vm.daemon.resident_pages()) == 5
+        cycles = machine.vm.daemon.poll()
+        assert machine.counters.read(Event.DAEMON_PAGE_SCAN) == 5
+        assert machine.counters.read(Event.REFERENCE_CLEAR) == 5
+        assert cycles == 5 * machine.fault_timing.daemon_page_scan
+
     def test_poll_clears_without_reclaiming(self):
         machine, regions = pressured_machine()
         touch(machine, regions["heap"], 8)

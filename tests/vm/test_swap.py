@@ -2,34 +2,30 @@
 
 import pytest
 
+from repro.common.params import FaultTiming
 from repro.vm.swap import SwapDevice, SwapStats
+from repro.workloads.base import WRITE
+
+from tests.conftest import make_machine, simple_space
 
 
 class TestDevice:
-    def test_page_out_creates_image(self):
-        swap = SwapDevice()
-        assert not swap.has_image(5)
-        swap.page_out(5)
-        assert swap.has_image(5)
-
-    def test_io_cycles_returned(self):
-        swap = SwapDevice(io_cycles=777)
-        assert swap.page_out(1) == 777
-        assert swap.page_in(1) == 777
-
-    def test_counts(self):
-        swap = SwapDevice()
-        swap.page_in(1)
-        swap.page_in(2)
-        swap.page_out(1)
-        swap.note_zero_fill()
-        assert swap.stats.page_ins == 2
-        assert swap.stats.page_outs == 1
-        assert swap.stats.zero_fills == 1
+    def test_dirty_eviction_writes_an_image(self):
+        space_map, regions = simple_space()
+        machine = make_machine(
+            space_map, fault_timing=FaultTiming(page_io=777),
+        )
+        heap = regions["heap"].start
+        machine.run([(WRITE, heap)])
+        vpn = heap >> machine.page_bits
+        assert not machine.swap.has_image(vpn)
+        assert machine.vm.evict(vpn) >= 777
+        assert machine.swap.has_image(vpn)
+        assert machine.swap.stats.page_outs == 1
 
     def test_drop_image(self):
         swap = SwapDevice()
-        swap.page_out(4)
+        swap.images.add(4)
         swap.drop_image(4)
         assert not swap.has_image(4)
         swap.drop_image(4)  # idempotent
@@ -57,11 +53,3 @@ class TestTable35Accounting:
 
     def test_percent_additional_io_no_io(self):
         assert SwapStats().percent_additional_io == 0.0
-
-    def test_writable_replacement_classification(self):
-        swap = SwapDevice()
-        swap.note_writable_replacement(was_modified=True)
-        swap.note_writable_replacement(was_modified=False)
-        swap.note_writable_replacement(was_modified=True)
-        assert swap.stats.potentially_modified == 3
-        assert swap.stats.not_modified == 1

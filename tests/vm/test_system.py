@@ -48,6 +48,33 @@ class TestPageFaults:
         assert page.resident
         assert machine.vm.frame_table.owner(page.frame) == vpn
 
+    def test_fault_maps_clean_and_referenced(self, machine):
+        heap = machine.test_regions["heap"].start
+        machine.run([(READ, heap)])
+        vpn = heap >> machine.page_bits
+        pte = machine.page_table.lookup(vpn)
+        assert pte.valid
+        assert pte.ppn == machine.vm.pages[vpn].frame
+        assert pte.protection is machine.map_protections[True]
+        # Sprite maps zero-fill pages clean so the first write faults;
+        # the faulting access sets the reference bit for free.
+        assert not pte.dirty and not pte.software_dirty
+        assert pte.referenced
+        assert pte.kind is PageKind.ZERO_FILL
+
+    def test_refault_reuses_entry_with_fresh_bits(self, machine):
+        heap = machine.test_regions["heap"].start
+        machine.run([(WRITE, heap)])
+        vpn = heap >> machine.page_bits
+        pte = machine.page_table.lookup(vpn)
+        assert pte.dirty
+        machine.vm.evict(vpn)
+        assert not pte.valid and vpn in machine.page_table
+        machine.run([(READ, heap)])
+        assert machine.page_table.lookup(vpn) is pte
+        assert pte.valid and not pte.dirty
+        assert pte.kind is PageKind.SWAP
+
     def test_second_access_no_new_fault(self, machine):
         heap = machine.test_regions["heap"].start
         machine.run([(READ, heap), (READ, heap + 4)])
