@@ -1,26 +1,21 @@
 """Shared benchmark plumbing.
 
-Each benchmark regenerates one of the paper's tables or figures,
-writes the rendered artefact to ``benchmarks/results/``, asserts the
-reproduction targets for it, and reports its wall time through
-pytest-benchmark (``--benchmark-only`` runs the full set).
+Each benchmark regenerates one of the paper's figures, its smaller
+tables (2.1, 3.1, 3.2, Table 3.4's t_dc sweep), an ablation or an
+extension, writes the rendered artefact to ``benchmarks/results/``,
+asserts its own shape checks (gated by :func:`shape_asserts_enabled`)
+and reports its wall time through pytest-benchmark
+(``--benchmark-only`` runs the full set).
 
-The table benches (3.3, 3.4, 3.5, 4.1) check the shared paper-shape
-targets of :mod:`repro.analysis.targets` -- the same list
-``repro campaign`` renders into ``REPRODUCTION_REPORT.md``.  Each
-target holds from its own ``min_length`` upward and is skipped below
-it: the published-counts Table 3.4 target holds at any length, "FAULT
-at most FLUSH + 0.05" from 1.0, every other target from 0.5.  The
-ablation and extension benches keep their own checks, gated by
-:func:`shape_asserts_enabled`.
+Tables 3.3, 3.4, 3.5 and 4.1 and their paper-shape targets
+(:mod:`repro.analysis.targets`) are written and checked by ``repro
+campaign``, which renders ``REPRODUCTION_REPORT.md``.
 
 Environment knobs:
 
 ``REPRO_BENCH_SCALE``
     Workload length multiplier (default 1.0).  0.1 gives a fast smoke
     pass with weaker statistics.
-``REPRO_BENCH_REPS``
-    Repetitions for the Table 4.1 matrix (default 2; the paper used 5).
 ``REPRO_BENCH_WORKERS``
     Worker processes for the experiment matrices (default 1 = serial;
     results are bit-identical at any value, see docs/parallel.md).
@@ -47,10 +42,6 @@ def bench_scale():
     return float(os.environ.get("REPRO_BENCH_SCALE", "1.0"))
 
 
-def bench_reps():
-    return int(os.environ.get("REPRO_BENCH_REPS", "2"))
-
-
 def bench_workers():
     return int(os.environ.get("REPRO_BENCH_WORKERS", "1"))
 
@@ -65,19 +56,6 @@ def bench_runner():
         workers=bench_workers(),
         cache_dir=os.environ.get("REPRO_BENCH_CACHE"),
     ))
-
-
-def assert_targets(table, rows):
-    """Assert that every shared target on ``table`` holds at
-    :func:`bench_scale` (targets longer than the scale are skipped)."""
-    from repro.analysis.targets import evaluate
-
-    failed = [
-        target.name
-        for target, verdict in evaluate({table: rows}, bench_scale())
-        if verdict is False
-    ]
-    assert not failed, f"Table {table} targets failed: {failed}"
 
 
 def shape_asserts_enabled():

@@ -10,9 +10,9 @@ Reproduces the paper's methodology on shortened workloads:
 3. fit the footnote-3 geometric model to the measured block counts
    and compare its prediction with the measured excess-fault rate.
 
-For the full-length regeneration with paper-vs-measured output, run
-``pytest benchmarks/bench_table_3_3.py benchmarks/bench_table_3_4.py
---benchmark-only``.
+For the full-length regeneration with paper-vs-measured output and
+the shape targets checked, run ``python -m repro campaign`` and read
+its ``REPRODUCTION_REPORT.md``.
 
 Run:
     python examples/dirty_bit_study.py [length_scale]

@@ -36,7 +36,6 @@ from repro.machine import (
     ExperimentRunner,
     MachineConfig,
     RunResult,
-    SmpSystem,
     SpurMachine,
     paper_config,
     scaled_config,
@@ -89,7 +88,6 @@ __all__ = [
     "RunOptions",
     "RunResult",
     "execute_cells",
-    "SmpSystem",
     "SlcWorkload",
     "SpurMachine",
     "TimeParameters",

@@ -47,7 +47,6 @@ from repro.machine import (
     ExperimentRunner,
     MachineConfig,
     RunResult,
-    SmpSystem,
     SpurMachine,
     paper_config,
     scaled_config,
@@ -129,7 +128,6 @@ __all__ = [
     "RunOptions",
     "RunResult",
     "SlcWorkload",
-    "SmpSystem",
     "SpurMachine",
     "SweepDriver",
     "Table",

@@ -14,7 +14,6 @@ from repro.cache.coherence import BerkeleyOwnership, CoherencyState
 from repro.cache.block import CACHE_TAG_LAYOUT, CacheLineView
 from repro.cache.cache import VirtualCache
 from repro.cache.flush import FlushResult, TagCheckedFlush, TaglessFlush
-from repro.cache.bus import SnoopyBus
 
 __all__ = [
     "BerkeleyOwnership",
@@ -22,7 +21,6 @@ __all__ = [
     "CacheLineView",
     "CoherencyState",
     "FlushResult",
-    "SnoopyBus",
     "TagCheckedFlush",
     "TaglessFlush",
     "VirtualCache",

@@ -20,27 +20,16 @@ cache never needs physical tags.
 """
 
 from repro.cache.block import CacheLineView
-from repro.cache.coherence import BerkeleyOwnership, BusOp, CoherencyState
+from repro.cache.coherence import BerkeleyOwnership, CoherencyState
 from repro.cache.columns import ColumnStore
 from repro.common.types import Protection
 from repro.counters.events import Event
 
-# Slots in the chunked hot loop's deferred-bookkeeping tally (an
-# ``array('q')`` indexed by these constants).  ``acquire_ownership_fast``
-# records its private-bus transactions here instead of touching the
-# live books per event; ``SpurMachine._flush_tally`` applies them once
-# per ``run_chunks`` call.  The simulator extends this block with its
-# own event slots, so its numbering starts at ``TALLY_CACHE_SLOTS``.
-TALLY_BUS = 0
-TALLY_CACHE_SLOTS = 1
-
 _UNOWNED = CoherencyState.UNOWNED
 _OWNED_EXCLUSIVE = CoherencyState.OWNED_EXCLUSIVE
 _INVALID = CoherencyState.INVALID
-_BUS_READ = BusOp.READ
-_BUS_READ_OWNED = BusOp.READ_OWNED
-_BUS_WRITE_BACK = BusOp.WRITE_BACK
 _WRITE_BACK = int(Event.WRITE_BACK)
+_BUS_TRANSACTION = int(Event.BUS_TRANSACTION)
 #: Above every block number (addresses are at most 64 bits).
 _NO_BLOCK = 1 << 64
 
@@ -56,18 +45,13 @@ class VirtualCache:
         :class:`repro.common.params.MemoryTiming` used to price block
         transfers.
     name:
-        Identifier used by the bus and in diagnostics.
+        Identifier used in diagnostics.
     """
 
     def __init__(self, geometry, timing, name="cache0"):
         self.geometry = geometry
         self.timing = timing
         self.name = name
-        self.bus = None  # set when attached to a SnoopyBus
-        #: True once another cache shares the bus (maintained by
-        #: SnoopyBus.attach); the hot paths key the live-broadcast /
-        #: deferred-tally split on this instead of re-counting peers.
-        self.has_peers = False
         self.counters = None  # set by the owning SpurMachine
 
         num_lines = geometry.num_lines
@@ -97,11 +81,15 @@ class VirtualCache:
         # — so it is not part of the flat column store.
         self.state = [CoherencyState.INVALID] * num_lines
 
+        # ``bus_transactions`` counts a bare cache's fills and
+        # write-backs; a machine's cache counts them as
+        # ``Event.BUS_TRANSACTION`` instead.
         self.stats = {
             "fills": 0,
             "evictions": 0,
             "write_backs": 0,
             "invalidations": 0,
+            "bus_transactions": 0,
         }
 
     # -- lookup ----------------------------------------------------------
@@ -158,25 +146,24 @@ class VirtualCache:
         page-dirty state copied from the PTE — the copy operation whose
         staleness the whole paper is about.  Berkeley Ownership loads
         a write miss's block owned exclusive and a read miss's
-        unowned.
+        unowned.  The fetch is one bus transaction and a write-back
+        another.
 
         Returns ``(line index, cycles)`` where cycles covers the block
         fetch and any write-back.
         """
         block = vaddr >> self.block_bits
         index = block & self.index_mask
-        bus = self.bus
+        counters = self.counters
         cycles = self.block_transfer_cycles
-        resident = self.line_block[index]
-        if resident >= 0:
+        transactions = 1
+        if self.line_block[index] >= 0:
             if self.block_dirty[index]:
                 cycles += self.block_transfer_cycles
+                transactions = 2
                 self.stats["write_backs"] += 1
-                if self.counters is not None:
-                    self.counters.slots[_WRITE_BACK] += 1
-                if bus is not None:
-                    bus.broadcast(self, _BUS_WRITE_BACK,
-                                  resident << self.block_bits)
+                if counters is not None:
+                    counters.slots[_WRITE_BACK] += 1
             self.stats["evictions"] += 1
 
         self.line_block[index] = block
@@ -186,17 +173,19 @@ class VirtualCache:
         self.filled_by_read[index] = not by_write
         self.holds_pte[index] = holds_pte
         self.state[index] = _OWNED_EXCLUSIVE if by_write else _UNOWNED
-        if bus is not None:
-            bus.broadcast(self, _BUS_READ_OWNED if by_write else _BUS_READ,
-                          vaddr)
         self.stats["fills"] += 1
+        if counters is None:
+            self.stats["bus_transactions"] += transactions
+        else:
+            counters.slots[_BUS_TRANSACTION] += transactions
         return index, cycles
 
     def invalidate(self, index, write_back=True):
         """Invalidate one line.
 
         Returns write-back cycles (0 if the line was clean or
-        ``write_back`` is False, as when a snoop transfers ownership).
+        ``write_back`` is False, as when a dead process's page is
+        dropped).
         """
         if self.line_block[index] < 0:
             return 0
@@ -222,45 +211,17 @@ class VirtualCache:
     # -- write-hit coherency ------------------------------------------------
 
     def acquire_ownership(self, index):
-        """Perform the coherency work for a processor write hit.
+        """Apply Berkeley Ownership's write-hit transition to a line.
 
-        Returns True if a bus transaction was required (write to an
-        unowned or shared-owned block).
-        """
-        next_state, bus_op = BerkeleyOwnership.on_write_hit(
-            self.state[index]
-        )
-        self.state[index] = next_state
-        if bus_op is not None:
-            self._broadcast(bus_op, self.line_address(index))
-            return True
-        return False
-
-    def acquire_ownership_fast(self, index, tally):
-        """Hot-path twin of :meth:`acquire_ownership`.
-
-        Identical state transitions (the two common ones — already
-        exclusive, and the unowned upgrade — are inlined; the rest go
-        through the protocol logic).  The bus transaction is broadcast
-        live whenever a peer cache could snoop it (so peers see it in
-        the order the slow path would produce) and tallied
-        (``TALLY_BUS``) on a private bus.
+        An UNOWNED block becomes OWNED_EXCLUSIVE, which takes one bus
+        transaction; an OWNED_EXCLUSIVE block needs none.  Returns
+        True when the transaction was required: the caller counts it
+        as ``Event.BUS_TRANSACTION``.
         """
         state = self.state[index]
         if state is _OWNED_EXCLUSIVE:
             return False
-        if state is _UNOWNED:
-            self.state[index] = _OWNED_EXCLUSIVE
-            bus_op = BusOp.WRITE_FOR_OWNERSHIP
-        else:
-            next_state, bus_op = BerkeleyOwnership.on_write_hit(state)
-            self.state[index] = next_state
-            if bus_op is None:
-                return False
-        if self.has_peers:
-            self.bus.broadcast(self, bus_op, self.line_address(index))
-        elif self.bus is not None:
-            tally[TALLY_BUS] += 1
+        self.state[index] = BerkeleyOwnership.on_write_hit(state)
         return True
 
     # -- page-granularity helpers ---------------------------------------------
@@ -327,31 +288,6 @@ class VirtualCache:
             for index in self.page_line_range(page_vaddr, page_bytes)
             if first_block <= line_block[index] < last_block
         ]
-
-    # -- bus plumbing -------------------------------------------------------
-
-    def _broadcast(self, bus_op, vaddr):
-        if self.bus is not None:
-            self.bus.broadcast(self, bus_op, vaddr)
-
-    def snoop(self, bus_op, vaddr):
-        """React to another cache's bus transaction.
-
-        Returns ``(supplied data, wrote back)`` for bus accounting.
-        """
-        index = self.probe(vaddr)
-        if index < 0:
-            return False, False
-        next_state, supplies, writes_back = BerkeleyOwnership.on_snoop(
-            self.state[index], bus_op
-        )
-        if next_state is CoherencyState.INVALID:
-            # Ownership (and the dirty data) moves over the bus; no
-            # memory write-back is needed.
-            self.invalidate(index, write_back=False)
-        else:
-            self.state[index] = next_state
-        return supplies, writes_back
 
     def __repr__(self):
         resident = len(self.resident_lines())

@@ -1,21 +1,23 @@
 """The Berkeley Ownership cache-coherency protocol [Katz85].
 
-SPUR's cache controller keeps every block in one of four states:
+SPUR's cache controller keeps every block in one of four states, the
+two-bit CS field of each cache tag (Fig 3.2):
 
 * ``INVALID`` — the frame holds no useful data.
-* ``UNOWNED`` — a clean copy; memory is up to date; other caches may
-  also hold copies.  Reads hit freely; a write must first acquire
-  ownership on the bus.
-* ``OWNED_SHARED`` — this cache owns the (dirty) block but other
-  caches may hold read copies; the owner must supply data on snoops
-  and write the block back on replacement.
+* ``UNOWNED`` — a clean copy; memory is up to date.  Reads hit
+  freely; a write must first acquire ownership on the bus.
+* ``OWNED_SHARED`` — this cache owns the (dirty) block while other
+  caches hold read copies.  Only another board's read can produce it,
+  so it never arises on the uniprocessor the paper measured (the
+  sanitizer checks that it does not).
 * ``OWNED_EXCLUSIVE`` — this cache owns the block and no other copies
   exist; writes hit without bus traffic.
 
-The experiments in the paper ran on a uniprocessor prototype, but the
-protocol is implemented in full (and exercised by the multiprocessor
-tests) because the flush and dirty-bit trade-offs the paper discusses
-are explicitly motivated by multiprocessor cost arguments.
+The simulated machine is that uniprocessor, so the protocol reduces
+to its processor side: a read miss loads its block unowned, a write
+miss loads it owned exclusive (``VirtualCache.fill`` and the
+reference loop's inlined install set those states directly), and a
+write hit acquires ownership (:meth:`BerkeleyOwnership.on_write_hit`).
 """
 
 import enum
@@ -37,74 +39,23 @@ class CoherencyState(enum.IntEnum):
             CoherencyState.OWNED_EXCLUSIVE,
         )
 
-    @property
-    def is_valid(self):
-        return self is not CoherencyState.INVALID
-
-
-class BusOp(enum.Enum):
-    """Bus transactions the protocol generates."""
-
-    READ = "read"                # read miss: fetch a shared copy
-    READ_OWNED = "read-owned"    # write miss: fetch with ownership
-    WRITE_FOR_OWNERSHIP = "for-ownership"  # write hit on UNOWNED
-    WRITE_BACK = "write-back"    # replacement of an owned block
-
 
 class BerkeleyOwnership:
-    """State-transition logic for one cache's view of the protocol.
-
-    The class is pure policy: it computes next states and required bus
-    operations but performs no I/O itself.  :class:`repro.cache.bus.
-    SnoopyBus` applies the snoop half to the other caches.
-    """
-
-    # -- processor-side transitions ------------------------------------
-    #
-    # A read miss loads its block unowned (memory, or the previous
-    # owner, which wrote back, supplies the data) and a write miss
-    # loads it owned exclusive; ``VirtualCache.fill`` and the
-    # reference loop's inlined install set those states directly.
+    """State-transition logic for a processor write hit."""
 
     @staticmethod
     def on_write_hit(state):
-        """(next state, bus op or None) for a processor write hit."""
-        if state is CoherencyState.OWNED_EXCLUSIVE:
-            return CoherencyState.OWNED_EXCLUSIVE, None
-        if state is CoherencyState.OWNED_SHARED:
-            # Must invalidate other copies before writing again.
-            return (
-                CoherencyState.OWNED_EXCLUSIVE,
-                BusOp.WRITE_FOR_OWNERSHIP,
-            )
-        if state is CoherencyState.UNOWNED:
-            return (
-                CoherencyState.OWNED_EXCLUSIVE,
-                BusOp.WRITE_FOR_OWNERSHIP,
-            )
-        raise ValueError(f"write hit on invalid block (state {state})")
+        """The next state for a processor write hit.
 
-    # -- snoop-side transitions ----------------------------------------
-
-    @staticmethod
-    def on_snoop(state, bus_op):
-        """(next state, must supply data, must write back) for a snoop.
-
-        ``must supply data`` models the owner servicing the request
-        instead of memory; ``must write back`` arises when an owner
-        downgrades on a plain read and memory must be made current.
+        An UNOWNED block becomes OWNED_EXCLUSIVE (the caller puts one
+        ownership transaction on the bus); an OWNED_EXCLUSIVE block
+        stays put.
         """
-        if state is CoherencyState.INVALID:
-            return CoherencyState.INVALID, False, False
-        if bus_op is BusOp.READ:
-            if state is CoherencyState.OWNED_EXCLUSIVE:
-                return CoherencyState.OWNED_SHARED, True, False
-            if state is CoherencyState.OWNED_SHARED:
-                return CoherencyState.OWNED_SHARED, True, False
-            return CoherencyState.UNOWNED, False, False
-        if bus_op in (BusOp.READ_OWNED, BusOp.WRITE_FOR_OWNERSHIP):
-            supplies = state.is_owned and bus_op is BusOp.READ_OWNED
-            return CoherencyState.INVALID, supplies, False
-        if bus_op is BusOp.WRITE_BACK:
-            return state, False, False
-        raise ValueError(f"unknown bus operation {bus_op}")
+        if state is CoherencyState.OWNED_EXCLUSIVE:
+            return CoherencyState.OWNED_EXCLUSIVE
+        if state is CoherencyState.UNOWNED:
+            return CoherencyState.OWNED_EXCLUSIVE
+        raise ValueError(
+            f"write hit on a block in state {state!r}, which a "
+            f"uniprocessor cache never holds"
+        )

@@ -48,34 +48,31 @@ class Event(enum.IntEnum):
 
     # -- coherency (Berkeley Ownership) ---------------------------------
     BUS_TRANSACTION = 17
-    SNOOP_HIT = 18
-    INVALIDATION = 19
-    OWNERSHIP_TRANSFER = 20
 
     # -- dirty-bit machinery (Section 3) --------------------------------
-    DIRTY_FAULT = 21            # necessary faults, N_ds
-    ZERO_FILL_DIRTY_FAULT = 22  # the N_zfod subset of DIRTY_FAULT
-    EXCESS_FAULT = 23           # stale-protection faults, N_ef
-    DIRTY_BIT_MISS = 24         # SPUR refreshes, N_dm
-    DIRTY_CHECK = 25            # WRITE-policy PTE checks
-    WRITE_TO_READ_FILLED_BLOCK = 26  # N_w-hit
-    WRITE_MISS_FILL = 27             # N_w-miss
+    DIRTY_FAULT = 18            # necessary faults, N_ds
+    ZERO_FILL_DIRTY_FAULT = 19  # the N_zfod subset of DIRTY_FAULT
+    EXCESS_FAULT = 20           # stale-protection faults, N_ef
+    DIRTY_BIT_MISS = 21         # SPUR refreshes, N_dm
+    DIRTY_CHECK = 22            # WRITE-policy PTE checks
+    WRITE_TO_READ_FILLED_BLOCK = 23  # N_w-hit
+    WRITE_MISS_FILL = 24             # N_w-miss
 
     # -- reference-bit machinery (Section 4) ----------------------------
-    REFERENCE_FAULT = 28
-    REFERENCE_CLEAR = 29
-    DAEMON_PAGE_SCAN = 30
+    REFERENCE_FAULT = 25
+    REFERENCE_CLEAR = 26
+    DAEMON_PAGE_SCAN = 27
 
     # -- virtual memory --------------------------------------------------
-    PAGE_FAULT = 31
-    PAGE_IN = 32
-    PAGE_OUT = 33
-    ZERO_FILL_PAGE = 34
-    PAGE_RECLAIM = 35
+    PAGE_FAULT = 28
+    PAGE_IN = 29
+    PAGE_OUT = 30
+    ZERO_FILL_PAGE = 31
+    PAGE_RECLAIM = 32
     # Segmented-FIFO extension (not on the 1989 chip): soft-evictions
     # to the inactive list and fault-time rescues from it.
-    PAGE_DEACTIVATE = 36
-    PAGE_REACTIVATE = 37
+    PAGE_DEACTIVATE = 33
+    PAGE_REACTIVATE = 34
 
 
 #: The four hardware counter modes.  Mode 0 measures the reference mix
@@ -117,17 +114,14 @@ MODE_SETS = {
     ),
     2: (
         Event.BUS_TRANSACTION,
-        Event.SNOOP_HIT,
-        Event.INVALIDATION,
-        Event.OWNERSHIP_TRANSFER,
         Event.WRITE_BACK,
         Event.BLOCK_FILL,
         Event.FLUSH_OPERATION,
         Event.FLUSH_WRITE_BACK,
         # The segmented-FIFO extension events ride in mode 2's spare
-        # registers: the coherency mode uses only eight of the sixteen
+        # registers: the coherency mode uses only five of the sixteen
         # counters, and the soft-eviction traffic is bus-adjacent (every
-        # deactivation flushes the page from all caches).
+        # deactivation flushes the page from the cache).
         Event.PAGE_DEACTIVATE,
         Event.PAGE_REACTIVATE,
     ),

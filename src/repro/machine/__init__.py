@@ -19,7 +19,6 @@ from repro.machine.config import (
     sun3_like_config,
 )
 from repro.machine.simulator import SpurMachine
-from repro.machine.smp import SmpSystem
 from repro.machine.runner import ExperimentRunner, RunResult
 from repro.machine.inspect import (
     cache_lines,
@@ -32,7 +31,6 @@ __all__ = [
     "ExperimentRunner",
     "MachineConfig",
     "RunResult",
-    "SmpSystem",
     "SpurMachine",
     "TABLE_2_1",
     "cache_lines",

@@ -32,9 +32,8 @@ from repro.common.types import Protection
 from repro.common.units import SPUR_CYCLE_TIME_SECONDS
 from repro.counters.counters import PerformanceCounters
 from repro.counters.events import Event
-from repro.cache.bus import SnoopyBus
-from repro.cache.cache import TALLY_BUS, TALLY_CACHE_SLOTS, VirtualCache
-from repro.cache.coherence import BusOp, CoherencyState
+from repro.cache.cache import VirtualCache
+from repro.cache.coherence import CoherencyState
 from repro.cache.flush import TagCheckedFlush, TaglessFlush
 from repro.machine.cpu import ReferenceMix
 from repro.policies.dirty import make_dirty_policy
@@ -49,37 +48,34 @@ _RW = int(Protection.READ_WRITE)
 _PROT_KERNEL = int(Protection.KERNEL)
 _UNOWNED = CoherencyState.UNOWNED
 _OWNED_EXCLUSIVE = CoherencyState.OWNED_EXCLUSIVE
-_BUS_READ = BusOp.READ
-_BUS_READ_OWNED = BusOp.READ_OWNED
-_BUS_WRITE_BACK = BusOp.WRITE_BACK
-_BUS_FOR_OWNERSHIP = BusOp.WRITE_FOR_OWNERSHIP
+_BUS_TRANSACTION = int(Event.BUS_TRANSACTION)
 _FLUSH_OPERATION = int(Event.FLUSH_OPERATION)
 _FLUSH_WRITE_BACK = int(Event.FLUSH_WRITE_BACK)
 _WRITE_HIT_CLEAN_BLOCK = int(Event.WRITE_HIT_CLEAN_BLOCK)
 _WRITE_TO_READ_FILLED_BLOCK = int(Event.WRITE_TO_READ_FILLED_BLOCK)
 
-# Simulator-side slots in the chunked loop's deferred tally (the cache
-# owns slots [0, TALLY_CACHE_SLOTS); see repro.cache.cache).
-# ``_run_refs`` folds its per-segment counts into these slots and
+# Slots in the chunked loop's deferred tally.  ``_run_refs`` and
+# ``_resolve_write_hit`` fold their counts into these slots and
 # ``_flush_tally`` turns them into counter events and cache stats, one
 # ``increment(event, n)`` per event, which is exact because counter
 # arithmetic is modular addition and nothing samples the counter bank
 # mid-call.  Events that follow from the slots (PTE-cache and
 # second-level hits, second-level lookups) are derived there.
-_T_IFETCH_MISS = TALLY_CACHE_SLOTS
-_T_READ_MISS = TALLY_CACHE_SLOTS + 1
-_T_WRITE_MISS = TALLY_CACHE_SLOTS + 2
-_T_WALKS = TALLY_CACHE_SLOTS + 3          # inline PTE walks
-_T_PTE_MISS = TALLY_CACHE_SLOTS + 4       # ... whose first level missed
-_T_SECOND_MISS = TALLY_CACHE_SLOTS + 5    # ... and second level too
-_T_FILLS = TALLY_CACHE_SLOTS + 6          # data-block fills
-_T_WRITE_FILLS = TALLY_CACHE_SLOTS + 7    # ... by a write miss
-_T_INSTALLS = TALLY_CACHE_SLOTS + 8       # data and PTE block installs
-_T_EVICTIONS = TALLY_CACHE_SLOTS + 9
-_T_WRITE_BACKS = TALLY_CACHE_SLOTS + 10
-_T_WRITE_HIT_CLEAN = TALLY_CACHE_SLOTS + 11
-_T_WRITE_READ_FILLED = TALLY_CACHE_SLOTS + 12
-_TALLY_SLOTS = TALLY_CACHE_SLOTS + 13
+_T_BUS = 0                # fills, write-backs, ownership upgrades
+_T_IFETCH_MISS = 1
+_T_READ_MISS = 2
+_T_WRITE_MISS = 3
+_T_WALKS = 4              # inline PTE walks
+_T_PTE_MISS = 5           # ... whose first level missed
+_T_SECOND_MISS = 6        # ... and second level too
+_T_FILLS = 7              # data-block fills
+_T_WRITE_FILLS = 8        # ... by a write miss
+_T_INSTALLS = 9           # data and PTE block installs
+_T_EVICTIONS = 10
+_T_WRITE_BACKS = 11
+_T_WRITE_HIT_CLEAN = 12
+_T_WRITE_READ_FILLED = 13
+_TALLY_SLOTS = 14
 _TALLY_ZEROS = (0,) * _TALLY_SLOTS
 
 # Offset of a kind's low-order byte in its 8-byte ``array('q')``
@@ -113,13 +109,11 @@ class SpurMachine:
         Optional pre-built counter bank (defaults to the omniscient
         mode; pass a moded bank to reproduce the hardware's
         sixteen-at-a-time limitation).
-    bus:
-        Optional shared :class:`SnoopyBus` for multiprocessor setups;
-        a private bus is created when omitted.
+    name:
+        Identifier for diagnostics (defaults to the config's name).
     """
 
-    def __init__(self, config, space_map, counters=None, bus=None,
-                 name=None, page_table=None, vm=None, swap=None):
+    def __init__(self, config, space_map, counters=None, name=None):
         self.config = config
         self.name = name or config.name
         self.counters = counters or PerformanceCounters()
@@ -132,45 +126,33 @@ class SpurMachine:
             config.cache, config.memory_timing, name=f"{self.name}.cache"
         )
         self.cache.counters = self.counters
-        self.bus = bus or SnoopyBus(name=f"{self.name}.bus",
-                                    counters=self.counters)
-        self.bus.attach(self.cache)
         self.flusher = _make_flusher(
             config.flush_strategy, config.flush_cost_scale
         )
 
-        # Page table, swap, and VM may be shared across processors of
-        # an SmpSystem; a standalone machine builds its own.
-        if page_table is None:
-            layout = PageTableLayout(
-                page_bytes=config.page_bytes,
-                pte_base=config.pte_base,
-                second_level_base=config.second_level_base,
-                user_limit=config.user_limit,
-            )
-            page_table = PageTable(layout)
-        self.page_table = page_table
+        self.page_table = PageTable(PageTableLayout(
+            page_bytes=config.page_bytes,
+            pte_base=config.pte_base,
+            second_level_base=config.second_level_base,
+            user_limit=config.user_limit,
+        ))
         self.translator = InCacheTranslator(
             self.page_table, self.cache, counters=self.counters
         )
 
-        self.swap = swap or SwapDevice(
-            io_cycles=config.fault_timing.page_io
+        self.swap = SwapDevice(io_cycles=config.fault_timing.page_io)
+        self.vm = VirtualMemorySystem(
+            self.page_table,
+            space_map,
+            self.swap,
+            num_frames=config.num_frames,
+            wired_frames=config.wired_frames,
+            low_water=config.low_water,
+            high_water=config.high_water,
+            daemon_kind=config.daemon_kind,
+            inactive_fraction=config.inactive_fraction,
         )
-        if vm is None:
-            vm = VirtualMemorySystem(
-                self.page_table,
-                space_map,
-                self.swap,
-                num_frames=config.num_frames,
-                wired_frames=config.wired_frames,
-                low_water=config.low_water,
-                high_water=config.high_water,
-                daemon_kind=config.daemon_kind,
-                inactive_fraction=config.inactive_fraction,
-            )
-            vm.attach_machine(self)
-        self.vm = vm
+        self.vm.attach_machine(self)
 
         self.dirty_policy = make_dirty_policy(config.dirty_policy)
         self.reference_policy = make_reference_policy(
@@ -186,9 +168,6 @@ class SpurMachine:
         self.cycles = 0
         self.references = 0
         self.reference_mix = ReferenceMix()
-        #: Set by SmpSystem when this processor joins a shared-memory
-        #: system; page flushes then cover every cache in the domain.
-        self.system = None
 
         # Reference-loop prebinds: structural constants of the page
         # table layout and translator timing (both frozen), plus bound
@@ -208,26 +187,15 @@ class SpurMachine:
         self._maintains_bits = self.reference_policy.maintains_bits
         self._dirty_tracks_pte = self.dirty_policy.cached_dirty_tracks_pte
 
-    # -- coherence-domain operations ---------------------------------------
-
-    def caches(self):
-        """All caches page-granularity operations must cover."""
-        if self.system is not None:
-            return self.system.caches()
-        return (self.cache,)
+    # -- page flushes ------------------------------------------------------
 
     def flush_page(self, page_vaddr):
-        """Flush one page from every cache in the coherence domain.
+        """Flush one page from the cache.
 
         This is the primitive behind the FLUSH dirty-bit alternative,
-        the REF policy's flush-on-clear, and page eviction.  On a
-        multiprocessor it must run on *all* caches — the cost the
-        paper cites when arguing the REF policy gets worse with more
-        processors — so a board of an :class:`SmpSystem` hands it to
-        the system.  Returns total cycles.
+        the REF policy's flush-on-clear, and page eviction.  Returns
+        total cycles.
         """
-        if self.system is not None:
-            return self.system.flush_page(page_vaddr)
         flusher = self.flusher
         cache = self.cache
         checked, _, _, write_backs = cache.drop_page(
@@ -355,11 +323,10 @@ class SpurMachine:
         The loop keeps only counts that cannot be derived: misses per
         kind, page faults, first- and second-level PTE misses,
         write-backs and installs into invalid lines.  The block
-        transfers, checks, fills, evictions, private-bus transactions
-        and walk outcomes follow from them once per segment (see
-        :meth:`_flush_tally`), including when a miss raises.  On a
-        shared bus every transaction is still broadcast live, in
-        order.  Returns the segment's cycles beyond the base charge.
+        transfers, checks, fills, evictions, bus transactions and walk
+        outcomes follow from them once per segment (see
+        :meth:`_flush_tally`), including when a miss raises.  Returns
+        the segment's cycles beyond the base charge.
         """
         cache = self.cache
         line_block = cache.line_block
@@ -371,8 +338,6 @@ class SpurMachine:
         state = cache.state
         block_bits = cache.block_bits
         index_mask = cache.index_mask
-        bus = cache.bus
-        live_bus = cache.has_peers
         page_bits = self.page_bits
         pte_base = self._pte_base
         second_base = self._second_level_base
@@ -446,11 +411,6 @@ class SpurMachine:
                             second_misses += 1
                             if block_dirty[sindex]:
                                 write_backs += 1
-                                if live_bus:
-                                    bus.broadcast(
-                                        cache, _BUS_WRITE_BACK,
-                                        line_block[sindex] << block_bits,
-                                    )
                             elif line_block[sindex] < 0:
                                 empties += 1
                             line_block[sindex] = sblock
@@ -460,16 +420,8 @@ class SpurMachine:
                             filled_by_read[sindex] = 1
                             holds_pte[sindex] = 1
                             state[sindex] = _UNOWNED
-                            if live_bus:
-                                bus.broadcast(cache, _BUS_READ,
-                                              second_vaddr)
                         if block_dirty[pindex]:
                             write_backs += 1
-                            if live_bus:
-                                bus.broadcast(
-                                    cache, _BUS_WRITE_BACK,
-                                    line_block[pindex] << block_bits,
-                                )
                         elif line_block[pindex] < 0:
                             empties += 1
                         line_block[pindex] = pblock
@@ -479,8 +431,6 @@ class SpurMachine:
                         filled_by_read[pindex] = 1
                         holds_pte[pindex] = 1
                         state[pindex] = _UNOWNED
-                        if live_bus:
-                            bus.broadcast(cache, _BUS_READ, pte_vaddr)
                 if not pte.referenced and maintains_bits:
                     extra += reference_policy.on_cache_miss(self, pte)
                 if kind == 2:
@@ -503,9 +453,6 @@ class SpurMachine:
                 # exception).
                 if block_dirty[index]:
                     write_backs += 1
-                    if live_bus:
-                        bus.broadcast(cache, _BUS_WRITE_BACK,
-                                      line_block[index] << block_bits)
                 elif line_block[index] < 0:
                     empties += 1
                 line_block[index] = block
@@ -519,14 +466,10 @@ class SpurMachine:
                     block_dirty[index] = 1
                     filled_by_read[index] = 0
                     state[index] = _OWNED_EXCLUSIVE
-                    if live_bus:
-                        bus.broadcast(cache, _BUS_READ_OWNED, vaddr)
                 else:
                     block_dirty[index] = 0
                     filled_by_read[index] = 1
                     state[index] = _UNOWNED
-                    if live_bus:
-                        bus.broadcast(cache, _BUS_READ, vaddr)
         except BaseException:
             # A miss that raised (a protection fault, an unmapped
             # address) installed no data block: its walk and kind
@@ -553,8 +496,7 @@ class SpurMachine:
             installs = fills + pte_misses + second_misses
             tally[_T_INSTALLS] += installs
             tally[_T_EVICTIONS] += installs - empties
-            if bus is not None and not live_bus:
-                tally[TALLY_BUS] += installs + write_backs
+            tally[_T_BUS] += installs + write_backs
         return (
             extra
             + (misses - faults) * self._pte_check_cycles
@@ -578,10 +520,10 @@ class SpurMachine:
         The commit path mirrors the scalar bookkeeping exactly: the
         clean-block and read-filled-block counters are deferred into
         tally slots, the block-dirty bit is set, and the Berkeley
-        write-hit transition is applied (the two common cases inline,
-        the rest through :meth:`~repro.cache.cache.VirtualCache.
-        acquire_ownership_fast`; the settled handler cannot have moved
-        the block, so no re-probe is needed).  The slow path's
+        write-hit transition of :meth:`~repro.cache.cache.VirtualCache.
+        acquire_ownership` is applied inline, its bus transaction
+        tallied (the settled handler cannot have moved the block, so
+        no re-probe is needed).  The slow path's
         region-writable recheck is covered by the predicate's
         contract — settled implies the write cannot protection-fault —
         so only the record-existence peeks remain.  Returns cycles
@@ -599,17 +541,12 @@ class SpurMachine:
                 tally[_T_WRITE_READ_FILLED] += 1
                 cache.filled_by_read[index] = 0
             cache.block_dirty[index] = 1
-        state = cache.state[index]
-        if state is not _OWNED_EXCLUSIVE:
-            if state is _UNOWNED:
-                cache.state[index] = _OWNED_EXCLUSIVE
-                if cache.has_peers:
-                    cache.bus.broadcast(cache, _BUS_FOR_OWNERSHIP,
-                                        cache.line_address(index))
-                elif cache.bus is not None:
-                    tally[TALLY_BUS] += 1
-            else:
-                cache.acquire_ownership_fast(index, tally)
+        # acquire_ownership, inlined: a line the one board hits is
+        # UNOWNED or OWNED_EXCLUSIVE (the sanitizer's
+        # cache.no-shared-owner), and only UNOWNED takes a transaction.
+        if cache.state[index] is _UNOWNED:
+            cache.state[index] = _OWNED_EXCLUSIVE
+            tally[_T_BUS] += 1
         return 0
 
     def _flush_tally(self, tally):
@@ -627,14 +564,12 @@ class SpurMachine:
         stats["evictions"] += tally[_T_EVICTIONS]
         write_backs = tally[_T_WRITE_BACKS]
         stats["write_backs"] += write_backs
-        bus_count = tally[TALLY_BUS]
-        if bus_count:
-            self.cache.bus.transactions += bus_count
         # Zero counts are skipped: an increment by 0 would still make
         # the event appear in the counter snapshot.
         counters = self.counters
-        if bus_count:
-            counters.increment(Event.BUS_TRANSACTION, bus_count)
+        count = tally[_T_BUS]
+        if count:
+            counters.increment(Event.BUS_TRANSACTION, count)
         if write_backs:
             counters.increment(Event.WRITE_BACK, write_backs)
         count = tally[_T_IFETCH_MISS]
@@ -703,7 +638,8 @@ class SpurMachine:
         # in a direct-mapped cache it can only be back in this line.
         if cache.line_block[index] == vaddr >> cache.block_bits:
             cache.block_dirty[index] = True
-            cache.acquire_ownership(index)
+            if cache.acquire_ownership(index):
+                slots[_BUS_TRANSACTION] += 1
         return cycles
 
     # -- results -----------------------------------------------------------

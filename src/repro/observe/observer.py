@@ -1,7 +1,7 @@
 """The run observer: attach, sample on an epoch cadence, detach.
 
-A :class:`RunObserver` watches a live :class:`SpurMachine` (or a whole
-:class:`SmpSystem`) and snapshots the full counter bank every
+A :class:`RunObserver` watches a live :class:`SpurMachine` and
+snapshots the full counter bank every
 ``epoch_refs`` references, producing the per-event time series the
 paper could only approximate by re-running workloads under different
 counter modes.  The design constraints, in order:
@@ -29,11 +29,6 @@ disabled any cadence is exact.
 **Near-zero overhead when disabled.**  Nothing here is imported or
 attached unless observation is requested; the hot loops carry no
 observation branches at all.
-
-On an :class:`SmpSystem` the observer never re-segments: it samples
-after each CPU's execution slice once the system's aggregate reference
-count crosses an epoch boundary, so cadence is quantum-granular there
-(and trivially inert).
 """
 
 import time
@@ -82,36 +77,26 @@ class RunObserver:
         self._target = None
         self._effective = None
         self._wrapped = []
-        self._next_epoch = None
 
     # -- attachment ------------------------------------------------------
 
     def attach(self, obj):
-        """Instrument a machine or SMP system; returns self."""
+        """Instrument a machine; returns self."""
         if self._target is not None:
             raise RuntimeError(
                 "a RunObserver observes exactly one machine; build a "
                 "fresh one per run"
             )
-        if hasattr(obj, "cpus"):          # SmpSystem
-            self._target = obj
-            self._effective = effective_epoch_refs(
-                self.epoch_refs, obj.observation_alignment()
-            )
-            self._next_epoch = self._effective
-            for cpu in obj.cpus:
-                self._wrap_smp_cpu(cpu)
-        elif hasattr(obj, "run_chunks") and hasattr(obj, "cache"):
-            self._target = obj           # SpurMachine
-            self._effective = effective_epoch_refs(
-                self.epoch_refs, obj.observation_alignment()
-            )
-            self._wrap_machine(obj)
-        else:
+        if not (hasattr(obj, "run_chunks") and hasattr(obj, "cache")):
             raise TypeError(
                 f"cannot observe {type(obj).__name__}; expected a "
-                f"SpurMachine or SmpSystem"
+                f"SpurMachine"
             )
+        self._target = obj
+        self._effective = effective_epoch_refs(
+            self.epoch_refs, obj.observation_alignment()
+        )
+        self._wrap_machine(obj)
         self._sample()               # baseline (sample 0)
         return self
 
@@ -155,7 +140,7 @@ class RunObserver:
             self.phase_seconds.get(phase, 0.0) + seconds
         )
 
-    # -- uniprocessor instrumentation ------------------------------------
+    # -- instrumentation -------------------------------------------------
 
     def _wrap_machine(self, machine):
         epoch = self._effective
@@ -215,29 +200,6 @@ class RunObserver:
 
         machine.run_chunks = run_chunks
         self._wrapped.append((machine, "run_chunks", original_chunks))
-
-    # -- SMP instrumentation ---------------------------------------------
-
-    def _wrap_smp_cpu(self, cpu):
-        """Post-slice sampling: never re-segments an SMP stream."""
-        system = self._target
-
-        def after():
-            if system.references >= self._next_epoch:
-                self._sample()
-                while self._next_epoch <= system.references:
-                    self._next_epoch += self._effective
-
-        original_chunks = cpu.run_chunks
-
-        def run_chunks(chunks):
-            """Original CPU chunk slice plus an epoch-boundary check."""
-            count = original_chunks(chunks)
-            after()
-            return count
-
-        cpu.run_chunks = run_chunks
-        self._wrapped.append((cpu, "run_chunks", original_chunks))
 
     def __repr__(self):
         return (

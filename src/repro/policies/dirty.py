@@ -179,10 +179,10 @@ class FlushDirtyPolicy(FaultDirtyPolicy):
         if cache.prot[index] == _RW:
             return 0
         if pte.is_modified():
-            # Should be rare to impossible (the flush removed stale
-            # blocks), but a block filled between fault and flush of
-            # a concurrent processor could land here; treat it as the
-            # FAULT policy would.
+            # Not expected on one board (the dirty fault's flush
+            # removed the page's stale blocks, and later fills copy
+            # the promoted protection); should a stale block survive,
+            # treat it as the FAULT policy would.
             machine.counters.slots[_EXCESS_FAULT] += 1
             cache.prot[index] = _RW
             cache.page_dirty[index] = True

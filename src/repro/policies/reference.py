@@ -79,10 +79,9 @@ class TrueReferencePolicy(MissReferencePolicy):
 
     def clear_reference(self, machine, vpn, pte):
         pte.referenced = False
-        # Flush from every cache in the coherence domain: on a
-        # multiprocessor the page must leave all of them before the
-        # next reference is guaranteed to miss (Section 4.1 cites
-        # exactly this as REF's multiprocessor liability).
+        # Flush the page so its next reference is guaranteed to miss
+        # (Section 4.1 notes a multiprocessor would have to flush
+        # every board's cache).
         return machine.flush_page(vpn * machine.page_bytes)
 
 

@@ -13,8 +13,6 @@ See ``docs/invariants.md`` for the checked catalogue and
 """
 
 from repro.sanitize.checks import (
-    check_block_ownership,
-    check_bus_coherence,
     check_cache_arrays,
     check_column_store,
     check_dirty_policy,
@@ -29,8 +27,6 @@ __all__ = [
     "InvariantViolation",
     "MODES",
     "attach",
-    "check_block_ownership",
-    "check_bus_coherence",
     "check_cache_arrays",
     "check_column_store",
     "check_dirty_policy",

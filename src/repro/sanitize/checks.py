@@ -53,6 +53,10 @@ def check_line(cache, index, ref_index=None):
       (``cache.invalid-quiescent``);
     * a valid line has a non-``INVALID`` coherency state
       (``cache.valid-state``);
+    * no line is ``OWNED_SHARED``: only another board's read can
+      share an owned block, and the machine has one board, so a write
+      hit's ownership transition is UNOWNED to OWNED_EXCLUSIVE or
+      nothing (``cache.no-shared-owner``);
     * a valid line's block maps to this line, ``line_block[i] &
       index_mask == i``, so the reference loop's single-compare hit
       test is the full direct-mapped tag check
@@ -60,7 +64,7 @@ def check_line(cache, index, ref_index=None):
     * the protection slot holds a legal two-bit encoding
       (``cache.protection-encoding``);
     * a block-dirty line is owned — Berkeley Ownership permits dirty
-      data only in the two OWNED states, which is also the "UNOWNED
+      data only in an OWNED state, which is also the "UNOWNED
       implies memory up to date" half of the protocol
       (``cache.dirty-owned``).
     """
@@ -82,6 +86,15 @@ def check_line(cache, index, ref_index=None):
         raise InvariantViolation(
             "cache.valid-state",
             f"valid line {index} has coherency state INVALID",
+            machine=cache.name,
+            ref_index=ref_index,
+            state=_line_state(cache, index),
+        )
+    if state == _OWNED_SHARED:
+        raise InvariantViolation(
+            "cache.no-shared-owner",
+            f"line {index} is OWNED_SHARED, which needs a second "
+            f"cache to hold a copy",
             machine=cache.name,
             ref_index=ref_index,
             state=_line_state(cache, index),
@@ -177,54 +190,6 @@ def check_column_store(cache, ref_index=None):
                 )
 
 
-def check_block_ownership(bus, block_vaddr, ref_index=None):
-    """Validate the global Berkeley Ownership state of one block.
-
-    * ``bus.single-owner`` — at most one cache owns the block;
-    * ``bus.exclusive-sole-copy`` — an OWNED_EXCLUSIVE holder is the
-      only cache with a valid copy.
-    """
-    owners = []
-    holders = []
-    for cache in bus.caches:
-        index = cache.probe(block_vaddr)
-        if index < 0:
-            continue
-        holders.append(cache.name)
-        state = cache.state[index]
-        if state >= _OWNED_SHARED:
-            owners.append((cache.name, CoherencyState(state).name))
-    if len(owners) > 1:
-        raise InvariantViolation(
-            "bus.single-owner",
-            f"block {block_vaddr:#x} has {len(owners)} owners",
-            machine=bus.name,
-            ref_index=ref_index,
-            state={"owners": owners, "holders": holders},
-        )
-    if owners and owners[0][1] == "OWNED_EXCLUSIVE" and len(holders) > 1:
-        raise InvariantViolation(
-            "bus.exclusive-sole-copy",
-            f"block {block_vaddr:#x} is OWNED_EXCLUSIVE in "
-            f"{owners[0][0]} yet other caches hold copies",
-            machine=bus.name,
-            ref_index=ref_index,
-            state={"owners": owners, "holders": holders},
-        )
-
-
-def check_bus_coherence(bus, ref_index=None):
-    """Validate global protocol state for every block on the bus."""
-    blocks = set()
-    for cache in bus.caches:
-        block_bits = cache.block_bits
-        for block in cache.line_block:
-            if block >= 0:
-                blocks.add(block << block_bits)
-    for block_vaddr in blocks:
-        check_block_ownership(bus, block_vaddr, ref_index=ref_index)
-
-
 def check_dirty_policy(machine, ref_index=None):
     """Validate SPUR dirty-bit and protection copies against the PTEs.
 
@@ -248,49 +213,49 @@ def check_dirty_policy(machine, ref_index=None):
     user_limit = page_table.layout.user_limit
     page_bits = machine.page_bits
     tracks_pte = machine.dirty_policy.cached_dirty_tracks_pte
-    for cache in machine.caches():
-        for index in range(cache.num_lines):
-            if cache.line_block[index] < 0 or cache.holds_pte[index]:
-                continue
-            vaddr = cache.line_address(index)
-            if vaddr >= user_limit:
-                continue
-            pte = page_table.lookup(vaddr >> page_bits)
-            if not pte.valid:
-                raise InvariantViolation(
-                    "dirty.resident-mapped",
-                    f"line {index} caches block {vaddr:#x} of an "
-                    f"unmapped page (vpn {vaddr >> page_bits})",
-                    machine=cache.name,
-                    ref_index=ref_index,
-                    state=_line_state(cache, index),
-                )
-            if (
-                tracks_pte
-                and cache.page_dirty[index]
-                and not pte.is_modified()
-            ):
-                raise InvariantViolation(
-                    "dirty.copy-not-cleaner",
-                    f"line {index} claims page {vaddr >> page_bits} "
-                    f"dirty but its PTE says clean",
-                    machine=cache.name,
-                    ref_index=ref_index,
-                    state=dict(_line_state(cache, index),
-                               pte=repr(pte)),
-                )
-            if cache.prot[index] > int(pte.protection):
-                raise InvariantViolation(
-                    "dirty.protection-not-weaker",
-                    f"line {index} caches protection "
-                    f"{cache.prot[index]} above the PTE's "
-                    f"{int(pte.protection)} for page "
-                    f"{vaddr >> page_bits}",
-                    machine=cache.name,
-                    ref_index=ref_index,
-                    state=dict(_line_state(cache, index),
-                               pte=repr(pte)),
-                )
+    cache = machine.cache
+    for index in range(cache.num_lines):
+        if cache.line_block[index] < 0 or cache.holds_pte[index]:
+            continue
+        vaddr = cache.line_address(index)
+        if vaddr >= user_limit:
+            continue
+        pte = page_table.lookup(vaddr >> page_bits)
+        if not pte.valid:
+            raise InvariantViolation(
+                "dirty.resident-mapped",
+                f"line {index} caches block {vaddr:#x} of an "
+                f"unmapped page (vpn {vaddr >> page_bits})",
+                machine=cache.name,
+                ref_index=ref_index,
+                state=_line_state(cache, index),
+            )
+        if (
+            tracks_pte
+            and cache.page_dirty[index]
+            and not pte.is_modified()
+        ):
+            raise InvariantViolation(
+                "dirty.copy-not-cleaner",
+                f"line {index} claims page {vaddr >> page_bits} "
+                f"dirty but its PTE says clean",
+                machine=cache.name,
+                ref_index=ref_index,
+                state=dict(_line_state(cache, index),
+                           pte=repr(pte)),
+            )
+        if cache.prot[index] > int(pte.protection):
+            raise InvariantViolation(
+                "dirty.protection-not-weaker",
+                f"line {index} caches protection "
+                f"{cache.prot[index]} above the PTE's "
+                f"{int(pte.protection)} for page "
+                f"{vaddr >> page_bits}",
+                machine=cache.name,
+                ref_index=ref_index,
+                state=dict(_line_state(cache, index),
+                           pte=repr(pte)),
+            )
 
 
 def check_vm(vm, ref_index=None):

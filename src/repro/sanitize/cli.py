@@ -10,7 +10,7 @@ exits 1.
 
     python -m repro.sanitize                      # slc, full mode
     python -m repro.sanitize --mode sampled --refs 200000
-    python -m repro.sanitize --workload workload1 --cpus 2
+    python -m repro.sanitize --workload workload1 --dirty FLUSH
 """
 
 import argparse
@@ -33,9 +33,6 @@ def build_parser():
                         help="slc | workload1 | dev-<host>")
     parser.add_argument("--refs", type=int, default=100_000,
                         help="references to simulate (default 100k)")
-    parser.add_argument("--cpus", type=int, default=1,
-                        help="processor boards (>1 exercises the "
-                             "multiprocessor ownership checks)")
     parser.add_argument("--memory-ratio", type=int, default=48)
     parser.add_argument("--dirty", default="SPUR")
     parser.add_argument("--ref-policy", default="MISS")
@@ -48,7 +45,6 @@ def run_sanitized(args):
     """Build machine + workload, run sanitized; returns (refs, seconds)."""
     from repro.cli import _workload_by_name
     from repro.machine.config import scaled_config
-    from repro.machine.smp import SmpSystem
     from repro.machine.simulator import SpurMachine
     from repro.workloads.base import take_chunks
 
@@ -64,27 +60,11 @@ def run_sanitized(args):
     )
 
     started = time.perf_counter()
-    if args.cpus > 1:
-        system = SmpSystem(config, instance.space_map,
-                           num_cpus=args.cpus)
-        sanitizer.attach(system)
-        per_cpu = args.refs // args.cpus
-        streams = [
-            take_chunks(
-                workload.instantiate(
-                    config.page_bytes, seed=args.seed + cpu
-                ).access_chunks(),
-                per_cpu,
-            )
-            for cpu in range(args.cpus)
-        ]
-        processed = system.run_interleaved_chunks(streams)
-    else:
-        machine = SpurMachine(config, instance.space_map)
-        sanitizer.attach(machine)
-        processed = machine.run_chunks(
-            take_chunks(instance.access_chunks(), args.refs)
-        )
+    machine = SpurMachine(config, instance.space_map)
+    sanitizer.attach(machine)
+    processed = machine.run_chunks(
+        take_chunks(instance.access_chunks(), args.refs)
+    )
     sanitizer.check_now()
     elapsed = time.perf_counter() - started
     return sanitizer, processed, elapsed

@@ -6,8 +6,7 @@ runs.  Three modes trade coverage for overhead:
 
 ``full``
     Every reference is checked: the cache line each reference touched
-    (and, on a multiprocessor bus, the global ownership of the touched
-    block) is validated per flat chunk, the moment the hot loop
+    is validated per flat chunk, the moment the hot loop
     (:meth:`SpurMachine.run_chunks`) finishes that chunk, so the chunk
     interior stays allocation-free.  A full sweep of every registered
     structure runs at stream end (and every ``sweep_interval``
@@ -22,18 +21,15 @@ runs.  Three modes trade coverage for overhead:
     A full sweep at the end of each ``run_chunks()`` call only.
     Suitable for leaving permanently enabled in tests.
 
-Attachment is per-object: a whole :class:`SpurMachine` or
-:class:`SmpSystem` (instrumenting its reference loop), or a bare
-:class:`VirtualCache`, :class:`SnoopyBus`, or
-:class:`VirtualMemorySystem` for targeted checking via
+Attachment is per-object: a whole :class:`SpurMachine`
+(instrumenting its reference loop), or a bare :class:`VirtualCache`
+or :class:`VirtualMemorySystem` for targeted checking via
 :meth:`Sanitizer.check_now`.  In full mode a bare cache additionally
 gets its ``fill``/``invalidate`` mutators wrapped so each mutation is
 validated as it happens.
 """
 
 from repro.sanitize.checks import (
-    check_block_ownership,
-    check_bus_coherence,
     check_cache_arrays,
     check_dirty_policy,
     check_line,
@@ -64,7 +60,6 @@ class Sanitizer:
         self.mode = mode
         self.sweep_interval = sweep_interval
         self.caches = []
-        self.buses = []
         self.vms = []
         self.machines = []
         self.references_seen = 0
@@ -76,23 +71,12 @@ class Sanitizer:
 
     def attach(self, obj):
         """Register a simulator object; returns self for chaining."""
-        # Duck-typed dispatch so facades (SmpSystem stands in for a
-        # machine) and test doubles attach without inheritance.
-        if hasattr(obj, "cpus"):          # SmpSystem
-            self._add(self.machines, obj)
-            self._add(self.buses, obj.bus)
-            self._add(self.vms, obj.vm)
-            for cpu in obj.cpus:
-                self._wrap_machine(cpu)
-        elif hasattr(obj, "run_chunks") and hasattr(obj, "cache"):
-            # SpurMachine; prefer the SMP facade when it has one so
-            # page-granularity checks cover the whole coherence domain.
-            self._add(self.machines, obj.system or obj)
-            self._add(self.buses, obj.bus)
+        # Duck-typed dispatch so test doubles attach without
+        # inheritance.
+        if hasattr(obj, "run_chunks") and hasattr(obj, "cache"):
+            self._add(self.machines, obj)  # SpurMachine
             self._add(self.vms, obj.vm)
             self._wrap_machine(obj)
-        elif hasattr(obj, "broadcast"):   # SnoopyBus
-            self._add(self.buses, obj)
         elif hasattr(obj, "frame_table"):  # VirtualMemorySystem
             self._add(self.vms, obj)
         elif hasattr(obj, "line_block") and hasattr(obj, "probe"):
@@ -102,7 +86,7 @@ class Sanitizer:
         else:
             raise TypeError(
                 f"cannot attach {type(obj).__name__}; expected a "
-                f"machine, SMP system, cache, bus, or VM system"
+                f"machine, cache, or VM system"
             )
         return self
 
@@ -123,12 +107,8 @@ class Sanitizer:
         seen = []
         for cache in self.caches:
             self._add(seen, cache)
-        for bus in self.buses:
-            for cache in bus.caches:
-                self._add(seen, cache)
         for machine in self.machines:
-            for cache in machine.caches():
-                self._add(seen, cache)
+            self._add(seen, machine.cache)
         return seen
 
     def check_now(self, ref_index=None):
@@ -136,8 +116,6 @@ class Sanitizer:
         self.sweeps += 1
         for cache in self._all_caches():
             check_cache_arrays(cache, ref_index=ref_index)
-        for bus in self.buses:
-            check_bus_coherence(bus, ref_index=ref_index)
         for machine in self.machines:
             check_dirty_policy(machine, ref_index=ref_index)
         for vm in self.vms:
@@ -201,9 +179,6 @@ class Sanitizer:
         state = cache.state
         block_bits = cache.block_bits
         index_mask = cache.index_mask
-        bus = machine.bus
-        multi = len(bus.caches) > 1
-        block_mask = ~((1 << block_bits) - 1)
         sweep_interval = self.sweep_interval
         checked = 0
         try:
@@ -215,11 +190,12 @@ class Sanitizer:
                     index = (vaddr >> block_bits) & index_mask
                     block = line_block[index]
                     if block >= 0:
+                        # OWNED_EXCLUSIVE, or a clean UNOWNED copy.
                         ok = (
-                            state[index] != 0
-                            and block & index_mask == index
-                            and (not block_dirty[index]
-                                 or state[index] >= 2)
+                            block & index_mask == index
+                            and (state[index] == 3
+                                 or state[index] == 1
+                                 and not block_dirty[index])
                             and 0 <= prot[index] <= 3
                         )
                     else:
@@ -235,12 +211,6 @@ class Sanitizer:
                         check_line(
                             cache, index,
                             ref_index=self.references_seen - 1,
-                        )
-                    if multi:
-                        check_block_ownership(
-                            bus, vaddr & block_mask,
-                            ref_index=self.references_seen
-                            + checked - 1,
                         )
                     if sweep_interval and not (
                         (self.references_seen + checked)

@@ -19,7 +19,7 @@ class InvariantViolation(ReproError):
     ----------
     invariant:
         Stable identifier of the violated invariant (for example
-        ``cache.line-block-index`` or ``bus.single-owner``); the catalogue
+        ``cache.line-block-index`` or ``vm.frame-bijection``); the catalogue
         lives in ``docs/invariants.md``.
     message:
         Human-readable description of the specific breach.

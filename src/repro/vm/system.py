@@ -132,7 +132,7 @@ class VirtualMemorySystem:
         self.machine = None  # set by SpurMachine.attach
 
     def attach_machine(self, machine):
-        """Bind the machine (or SMP facade) this VM charges costs to.
+        """Bind the machine this VM charges costs to.
 
         The VM reads its counter bank, timings, ``map_protections``,
         ``zero_fill_cycles`` and ``flush_page``.
@@ -355,12 +355,12 @@ class VirtualMemorySystem:
             if page.frame is not None:
                 # Invalidate the dead page's cache blocks; no
                 # write-back — nobody will ever read this data.
-                for cache in machine.caches():
-                    for index in cache.lines_of_page(
-                        vpn * self.page_bytes, self.page_bytes
-                    ):
-                        cache.invalidate(index, write_back=False)
-                        cycles += line_cycles
+                cache = machine.cache
+                for index in cache.lines_of_page(
+                    vpn * self.page_bytes, self.page_bytes
+                ):
+                    cache.invalidate(index, write_back=False)
+                    cycles += line_cycles
                 self.page_table.entry(vpn).clear()
                 self.frame_table.owners[page.frame] = FREE
                 self.allocator.free_frames.append(page.frame)

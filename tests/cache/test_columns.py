@@ -2,21 +2,20 @@
 
 Covers the storage contract the reference loop depends on: column
 shapes and initial values, the cache's attributes aliasing the store,
-and the fast ownership twin producing the same column state and
-deferred bookkeeping as its legacy counterpart.
+and the bus transactions the cache's own mutators count.
 """
 
-from array import array
-
-from repro.cache.cache import TALLY_BUS, TALLY_CACHE_SLOTS, VirtualCache
+from repro.cache.cache import VirtualCache
+from repro.cache.coherence import CoherencyState
 from repro.cache.columns import (
     FLAG_COLUMNS,
     WORD_COLUMNS,
     ColumnStore,
 )
-from repro.cache.bus import SnoopyBus
 from repro.common.params import CacheGeometry, MemoryTiming
 from repro.common.types import Protection
+from repro.counters.counters import PerformanceCounters
+from repro.counters.events import Event
 
 
 def small_cache(name="c0"):
@@ -67,88 +66,33 @@ class TestColumnStore:
         assert cache.resident_lines() == []
 
 
-class TestFastTwins:
-    """acquire_ownership_fast mirrors acquire_ownership: identical
-    column state, with the private-bus transaction deferred into the
-    tally instead of the live bus count.  (Block installs have no fast
-    twin: the reference loop inlines them and the scalar oracle checks
-    them against ``fill``.)"""
+class TestBusAccounting:
+    """A fill is one bus transaction and its write-back another; a
+    write hit's ownership upgrade is one more, which the caller counts
+    (the machine live or in its tally)."""
 
-    def tally(self):
-        return array("q", [0]) * TALLY_CACHE_SLOTS
+    def drive(self, cache):
+        cache.fill(0x400, Protection.READ_WRITE, False, False)
+        index = cache.probe(0x400)
+        cache.block_dirty[index] = True
+        assert cache.acquire_ownership(index) is True
+        assert cache.acquire_ownership(index) is False
+        assert cache.state[index] is CoherencyState.OWNED_EXCLUSIVE
+        cache.fill(0x820, Protection.READ_WRITE, True, True)
+        # Conflicts with 0x400's dirty line: eviction plus write-back.
+        cache.fill(0x400 + 1024, Protection.KERNEL, True, False, True)
 
-    def columns_state(self, cache):
-        state = {name: list(col) for name, col in cache.columns.columns()}
-        state["state"] = list(cache.state)
-        return state
+    def test_bare_cache_counts_in_stats(self):
+        cache = small_cache()
+        self.drive(cache)
+        assert cache.stats["fills"] == 3
+        assert cache.stats["write_backs"] == 1
+        assert cache.stats["bus_transactions"] == 4
 
-    def drive(self, cache, fast, tally):
-        fills = [
-            (0x400, int(Protection.READ_WRITE), False, False, False),
-            (0x800, int(Protection.READ_WRITE), True, True, False),
-            # Conflicts with 0x400's line after it was dirtied below,
-            # forcing the eviction + write-back path.
-            (0x400 + 1024, int(Protection.KERNEL), True, False, True),
-        ]
-        cycles = 0
-        for step, (vaddr, prot, page_dirty, by_write, holds) in enumerate(
-            fills
-        ):
-            _, fill_cycles = cache.fill(
-                vaddr, Protection(prot), page_dirty=page_dirty,
-                by_write=by_write, holds_pte=holds,
-            )
-            cycles += fill_cycles
-            if step == 0:
-                index = cache.probe(vaddr)
-                cache.block_dirty[index] = True
-                if fast:
-                    cache.acquire_ownership_fast(index, tally)
-                else:
-                    cache.acquire_ownership(index)
-        return cycles
-
-    def test_fast_matches_legacy_columns_and_cycles(self):
-        legacy = small_cache("legacy")
-        SnoopyBus().attach(legacy)
-        fast = small_cache("fast")
-        SnoopyBus().attach(fast)
-        tally = self.tally()
-
-        legacy_cycles = self.drive(legacy, fast=False, tally=tally)
-        fast_cycles = self.drive(fast, fast=True, tally=tally)
-
-        assert fast_cycles == legacy_cycles
-        assert self.columns_state(fast) == self.columns_state(legacy)
-
-    def test_tally_carries_the_deferred_bookkeeping(self):
-        legacy = small_cache("legacy")
-        SnoopyBus().attach(legacy)
-        fast = small_cache("fast")
-        SnoopyBus().attach(fast)
-        tally = self.tally()
-
-        self.drive(legacy, fast=False, tally=tally)
-        self.drive(fast, fast=True, tally=tally)
-
-        assert fast.stats == legacy.stats
-        # The ownership upgrade is the one tallied transaction.
-        assert tally[TALLY_BUS] == 1
-        assert fast.bus.transactions + 1 == legacy.bus.transactions
-
-    def test_fast_ownership_broadcasts_live_with_peers(self):
-        bus = SnoopyBus()
-        a = small_cache("a")
-        b = small_cache("b")
-        bus.attach(a)
-        bus.attach(b)
-        assert a.has_peers and b.has_peers
-        a.fill(0x400, Protection.READ_WRITE, False, False)
-        b.fill(0x400, Protection.READ_WRITE, False, False)
-        tally = self.tally()
-        index = a.probe(0x400)
-        a.acquire_ownership_fast(index, tally)
-        # Live broadcast, not tallied: the peer must have snooped.
-        assert tally[TALLY_BUS] == 0
-        assert bus.transactions == 3  # two fills + the ownership op
-        assert b.probe(0x400) < 0  # invalidated by the snoop
+    def test_counter_bank_counts_the_event(self):
+        cache = small_cache()
+        cache.counters = PerformanceCounters()
+        self.drive(cache)
+        assert cache.counters.read(Event.BUS_TRANSACTION) == 4
+        assert cache.counters.read(Event.WRITE_BACK) == 1
+        assert cache.stats["bus_transactions"] == 0

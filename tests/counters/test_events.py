@@ -55,3 +55,27 @@ def test_translation_mode_covers_walk_events():
 def test_every_event_has_unique_value():
     values = [int(e) for e in Event]
     assert len(values) == len(set(values))
+
+
+def test_numbering_is_dense():
+    # Counter banks size their slot lists with len(Event).
+    assert sorted(int(e) for e in Event) == list(range(len(Event)))
+
+
+def test_every_event_is_counted_in_some_mode():
+    counted = set()
+    for events in MODE_SETS.values():
+        counted.update(events)
+    assert counted == set(Event)
+
+
+def test_coherency_mode_counts_the_bus_traffic():
+    # Mode 2 sees every transaction the one board puts on the bus.
+    needed = {
+        Event.BUS_TRANSACTION,
+        Event.BLOCK_FILL,
+        Event.WRITE_BACK,
+        Event.FLUSH_OPERATION,
+        Event.FLUSH_WRITE_BACK,
+    }
+    assert needed <= set(MODE_SETS[2])

@@ -75,12 +75,12 @@ class TestPlanning:
     def test_runs_needed_greedy_cover(self):
         campaign = make_campaign()
         modes = campaign.runs_needed_for(
-            [Event.DIRTY_FAULT, Event.SNOOP_HIT]
+            [Event.DIRTY_FAULT, Event.BUS_TRANSACTION]
         )
         covered = set()
         for mode in modes:
             covered.update(MODE_SETS[mode])
-        assert {Event.DIRTY_FAULT, Event.SNOOP_HIT} <= covered
+        assert {Event.DIRTY_FAULT, Event.BUS_TRANSACTION} <= covered
         assert len(modes) <= 2
 
     def test_single_mode_suffices_for_mode_subset(self):

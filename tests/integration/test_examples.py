@@ -59,12 +59,6 @@ def test_pageout_study():
     assert "paging I/O" in out
 
 
-def test_multiprocessor_demo():
-    out = run_example("multiprocessor_demo.py")
-    assert "boards" in out
-    assert "flush" in out
-
-
 def test_workload_characterization():
     out = run_example("workload_characterization.py", "40000")
     assert "WORKLOAD1" in out

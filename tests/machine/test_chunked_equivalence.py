@@ -11,7 +11,6 @@ import pytest
 from repro.machine.config import scaled_config
 from repro.machine.runner import ExperimentRunner
 from repro.machine.simulator import SpurMachine
-from repro.machine.smp import SmpSystem
 from repro.workloads.base import IFETCH, READ, WRITE, chunk_accesses
 from repro.workloads.devsystems import (
     DEV_SYSTEM_PROFILES,
@@ -28,11 +27,7 @@ from tests.conftest import (
     simple_space,
     tiny_config,
 )
-from tests.oracle import (
-    scalar_run,
-    scalar_run_chunks,
-    scalar_run_interleaved,
-)
+from tests.oracle import scalar_run, scalar_run_chunks
 
 DIRTY_POLICIES = ("SPUR", "FAULT", "FLUSH", "WRITE")
 REFERENCE_POLICIES = ("MISS", "REF", "NOREF")
@@ -297,49 +292,3 @@ class TestResolverDominatedTraces:
             guard.detach()
         assert machine_state(chunked) == machine_state(legacy)
 
-
-def smp_build():
-    space_map, regions = simple_space()
-    system = SmpSystem(tiny_config(), space_map, num_cpus=2)
-    streams = [
-        mixed_trace(regions, 2100),
-        [(READ, regions["heap"].start + (i * 7 % 64) * 32)
-         for i in range(1500)],
-    ]
-    return system, streams
-
-
-def assert_smp_matches_oracle(run):
-    """``run(system, streams)`` equals the oracle's interleave."""
-    legacy_system, streams = smp_build()
-    total_legacy = scalar_run_interleaved(
-        legacy_system, streams, quantum=512
-    )
-    chunked_system, streams = smp_build()
-    total_chunked = run(chunked_system, streams)
-
-    assert total_chunked == total_legacy
-    assert (chunked_system.cycles, chunked_system.references) == (
-        legacy_system.cycles, legacy_system.references
-    )
-    for legacy_cpu, chunked_cpu in zip(
-        legacy_system.cpus, chunked_system.cpus
-    ):
-        assert machine_state(chunked_cpu) == machine_state(legacy_cpu)
-
-
-class TestSmpInterleaving:
-    def test_chunked_interleave_matches_legacy(self):
-        assert_smp_matches_oracle(
-            lambda system, streams: system.run_interleaved_chunks(
-                [chunk_accesses(iter(stream), 512) for stream in streams],
-                quantum=512,
-            )
-        )
-
-    def test_tuple_adapter_matches_legacy(self):
-        assert_smp_matches_oracle(
-            lambda system, streams: system.run_interleaved(
-                streams, quantum=512
-            )
-        )

@@ -14,7 +14,6 @@ import pytest
 from repro.common.errors import ProtectionFault
 from repro.counters.events import Event
 from repro.machine.simulator import SpurMachine
-from repro.machine.smp import SmpSystem
 from repro.translation.incache import InCacheTranslator
 from repro.workloads.base import IFETCH, READ, WRITE, chunk_accesses
 
@@ -26,16 +25,15 @@ from tests.conftest import (
     tiny_config,
 )
 from tests.machine.test_chunked_equivalence import machine_state
-from tests.oracle import scalar_run, scalar_run_interleaved
+from tests.oracle import scalar_run
 
 MAINTAINING_POLICIES = ("MISS", "REF")
 
 
 def books(machine):
-    """Machine state plus the live cache stats and bus count."""
+    """Machine state plus the live cache stats."""
     state = machine_state(machine)
     state["stats"] = dict(machine.cache.stats)
-    state["bus"] = machine.bus.transactions
     return state
 
 
@@ -94,36 +92,6 @@ class TestDaemonClearedBits:
         assert len(translate_calls["oracle.cache"]) == (
             oracle.counters.read(Event.TRANSLATION)
         )
-
-    def test_smp_ref_flushes_match_tuple_oracle(self):
-        # Two processors on one bus: inline fills broadcast live, and
-        # REF's clear flushes the page from both caches.
-        def build():
-            space_map, regions = simple_space()
-            system = SmpSystem(
-                tiny_config(reference_policy="REF",
-                            daemon_poll_refs=64),
-                space_map, num_cpus=2,
-            )
-            streams = [daemon_trace(regions, 1500),
-                       list(reversed(daemon_trace(regions, 1500)))]
-            return system, streams
-
-        oracle, streams = build()
-        scalar_run_interleaved(oracle, streams, quantum=128)
-        chunked, streams = build()
-        chunked.run_interleaved_chunks(
-            [chunk_accesses(iter(stream), 128) for stream in streams],
-            quantum=128,
-        )
-        for oracle_cpu, chunked_cpu in zip(oracle.cpus, chunked.cpus):
-            assert machine_state(chunked_cpu) == machine_state(
-                oracle_cpu
-            )
-        assert sum(
-            cpu.counters.read(Event.REFERENCE_FAULT)
-            for cpu in chunked.cpus
-        ) > 0
 
 
 def cleared_reference(ref, runner):

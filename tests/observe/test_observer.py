@@ -3,7 +3,6 @@
 import pytest
 
 from repro.machine.simulator import SpurMachine
-from repro.machine.smp import SmpSystem
 from repro.observe.observer import (
     RunObserver,
     effective_epoch_refs,
@@ -148,26 +147,3 @@ class TestSampling:
         refs = [sample.references for sample in observation.samples]
         assert refs == [0, 100, 200]
 
-
-class TestSmpSampling:
-    def test_post_slice_sampling(self):
-        space_map, regions = simple_space()
-        system = SmpSystem(tiny_config(), space_map, num_cpus=2)
-        observer = observe(system, epoch_refs=400, label="smp")
-        streams = [heap_trace(regions, 900), heap_trace(regions, 600)]
-        total = system.run_interleaved(streams, quantum=128)
-        observation = observer.finish()
-
-        assert total == 1500
-        assert observation.references == 1500
-        assert observation.is_monotone()
-        # Quantum-granular: samples land at slice ends after each
-        # epoch boundary, plus baseline and final.
-        assert len(observation.samples) >= 3
-        assert observation.samples[-1].references == system.references
-
-    def test_smp_alignment_is_trivial(self):
-        space_map, _ = simple_space()
-        system = SmpSystem(tiny_config(daemon_poll_refs=64),
-                           space_map, num_cpus=2)
-        assert system.observation_alignment() == 1

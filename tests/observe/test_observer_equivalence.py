@@ -4,8 +4,8 @@ The tentpole contract of the observe layer, asserted across the same
 workload x dirty-policy x reference-policy grid the chunked-equivalence
 suite uses: attaching a RunObserver (which re-segments the reference
 stream at epoch boundaries) must leave every counter, cycle count, and
-VM total of the RunResult exactly as an unobserved run produces them —
-on uniprocessors and SMP systems alike.  Where noted, the unobserved
+VM total of the RunResult exactly as an unobserved run produces
+them.  Where noted, the unobserved
 side is the frozen scalar oracle of ``tests/oracle.py``.
 """
 
@@ -16,20 +16,15 @@ import pytest
 from repro.machine.config import scaled_config
 from repro.machine.runner import ExperimentRunner
 from repro.machine.simulator import SpurMachine
-from repro.machine.smp import SmpSystem
 from repro.options import RunOptions
-from repro.workloads.base import READ
 
-from tests.conftest import simple_space, tiny_config
 from tests.machine.test_chunked_equivalence import (
     DIRTY_POLICIES,
     REFERENCE_POLICIES,
-    machine_state,
     make_workload,
-    mixed_trace,
     recorded_stream,  # noqa: F401  (fixture re-export)
 )
-from tests.oracle import scalar_run_chunks, scalar_run_interleaved
+from tests.oracle import scalar_run_chunks
 
 #: Epoch deliberately *not* a poll multiple: 500 rounds up to 512
 #: against daemon_poll_refs=256, exercising the alignment rule.
@@ -121,41 +116,3 @@ class TestObservedEqualsUnobserved:
             *range(0, 2000, 256), 2000,
         ]
 
-
-class TestSmpObservedEqualsUnobserved:
-    def build(self):
-        space_map, regions = simple_space()
-        system = SmpSystem(tiny_config(daemon_poll_refs=64),
-                           space_map, num_cpus=2)
-        streams = [
-            mixed_trace(regions, 2100),
-            [(READ, regions["heap"].start + (i * 7 % 64) * 32)
-             for i in range(1500)],
-        ]
-        return system, streams
-
-    def test_interleaved_identical(self):
-        from repro.observe.observer import observe
-
-        plain_system, streams = self.build()
-        total_plain = scalar_run_interleaved(plain_system, streams,
-                                             quantum=512)
-
-        observed_system, streams = self.build()
-        observer = observe(observed_system, epoch_refs=1000)
-        total_observed = observed_system.run_interleaved(
-            streams, quantum=512
-        )
-        observation = observer.finish()
-
-        assert total_observed == total_plain
-        assert (observed_system.cycles, observed_system.references) \
-            == (plain_system.cycles, plain_system.references)
-        for plain_cpu, observed_cpu in zip(
-            plain_system.cpus, observed_system.cpus
-        ):
-            assert machine_state(observed_cpu) == machine_state(
-                plain_cpu
-            )
-        assert observation.is_monotone()
-        assert observation.references == 3600

@@ -1,21 +1,18 @@
-"""The frozen scalar oracle: the simulator's original per-tuple loops.
+"""The frozen scalar oracle: the simulator's original per-tuple loop.
 
-:func:`scalar_run` and :func:`scalar_run_interleaved` are the
-reference loops the simulator ran before flat chunks became its only
-stream format.  They take ``(kind, vaddr)`` tuples, resolve every
-miss through :func:`scalar_miss` (the machine's former scalar miss
+:func:`scalar_run` is the reference loop the simulator ran before
+flat chunks became its only stream format.  It takes ``(kind,
+vaddr)`` tuples, resolves every miss through :func:`scalar_miss` (the machine's former scalar miss
 path: the translator's walk, then ``VirtualCache.fill``, all with live
 counters) and every unsettled write hit through
-:meth:`SpurMachine._slow_write_hit`, and keep no deferred books.
+:meth:`SpurMachine._slow_write_hit`, and keeps no deferred books.
 The production engine (``run_chunks`` → ``_run_refs``) must match
-them bit for bit; the equivalence tests and the golden
+it bit for bit; the equivalence tests and the golden
 ``scalar-oracle`` mode check that it does.
 
-Keep these loops frozen: a change here moves the yardstick, not the
+Keep this loop frozen: a change here moves the yardstick, not the
 simulator.
 """
-
-import itertools
 
 from repro.common.errors import ProtectionFault
 from repro.common.types import AccessKind, Protection
@@ -126,34 +123,6 @@ def scalar_run(machine, accesses):
     mix.flush_to_counters(machine.counters)
     machine.reference_mix.add(mix.ifetches, mix.reads, mix.writes)
     return processed
-
-
-def scalar_run_interleaved(system, streams, quantum=4096):
-    """Drive one ``(kind, vaddr)`` stream per CPU of *system*.
-
-    Each round gives every live CPU a ``quantum``-reference slice of
-    its stream through :func:`scalar_run`; a short slice retires the
-    CPU.  Returns total references executed.
-    """
-    if len(streams) != len(system.cpus):
-        raise ValueError(
-            f"need one stream per CPU "
-            f"({len(system.cpus)}), got {len(streams)}"
-        )
-    iterators = [iter(stream) for stream in streams]
-    live = list(range(len(iterators)))
-    total = 0
-    while live:
-        finished = []
-        for cpu_index in live:
-            batch = list(itertools.islice(iterators[cpu_index], quantum))
-            if batch:
-                total += scalar_run(system.cpus[cpu_index], batch)
-            if len(batch) < quantum:
-                finished.append(cpu_index)
-        for cpu_index in finished:
-            live.remove(cpu_index)
-    return total
 
 
 def pairs(chunks):

@@ -7,14 +7,12 @@ code path would, and asserts the matching check raises
 
 import pytest
 
-from repro.cache.bus import SnoopyBus
 from repro.cache.cache import VirtualCache
 from repro.cache.coherence import CoherencyState
 from repro.common.params import CacheGeometry, MemoryTiming
 from repro.common.types import Protection
 from repro.sanitize import (
     InvariantViolation,
-    check_block_ownership,
     check_cache_arrays,
     check_dirty_policy,
     check_line,
@@ -92,6 +90,15 @@ class TestLineChecks:
             "cache.invalid-quiescent", check_line, cache, index
         )
 
+    @pytest.mark.parametrize("dirty", [False, True])
+    def test_shared_owner(self, dirty):
+        cache = small_cache()
+        index = filled_line(cache, by_write=dirty)
+        cache.state[index] = CoherencyState.OWNED_SHARED
+        expect_violation(
+            "cache.no-shared-owner", check_line, cache, index
+        )
+
     def test_dirty_unowned_block(self):
         cache = small_cache()
         index = filled_line(cache)
@@ -157,40 +164,6 @@ class TestColumnStoreAgreement:
         cache.block_dirty[index] = 2
         expect_violation(
             "cache.column-store-agreement", check_cache_arrays, cache
-        )
-
-
-class TestBusChecks:
-    def build(self, num_caches=2):
-        bus = SnoopyBus()
-        caches = [small_cache(f"c{i}") for i in range(num_caches)]
-        for cache in caches:
-            bus.attach(cache)
-        return bus, caches
-
-    def test_coherent_sharing_passes(self):
-        bus, (a, b) = self.build()
-        a.fill(0x400, Protection.READ_WRITE, False, False)
-        b.fill(0x400, Protection.READ_WRITE, False, False)
-        check_block_ownership(bus, 0x400)
-
-    def test_two_owners(self):
-        bus, (a, b) = self.build()
-        ia = filled_line(a)
-        ib = filled_line(b)
-        a.state[ia] = CoherencyState.OWNED_SHARED
-        b.state[ib] = CoherencyState.OWNED_SHARED
-        expect_violation(
-            "bus.single-owner", check_block_ownership, bus, 0x400
-        )
-
-    def test_exclusive_with_other_copies(self):
-        bus, (a, b) = self.build()
-        ia = filled_line(a)
-        filled_line(b)
-        a.state[ia] = CoherencyState.OWNED_EXCLUSIVE
-        expect_violation(
-            "bus.exclusive-sole-copy", check_block_ownership, bus, 0x400
         )
 
 

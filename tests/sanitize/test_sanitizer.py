@@ -2,16 +2,14 @@
 
 import pytest
 
-from repro.cache.bus import SnoopyBus
 from repro.cache.cache import VirtualCache
 from repro.cache.coherence import CoherencyState
 from repro.common.params import CacheGeometry, MemoryTiming
 from repro.common.types import Protection
-from repro.machine.smp import SmpSystem
 from repro.sanitize import InvariantViolation, MODES, Sanitizer, attach
 from repro.workloads.base import READ, WRITE, chunk_accesses
 
-from tests.conftest import make_machine, simple_space, tiny_config
+from tests.conftest import make_machine, simple_space
 
 
 def corrupting_stream(machine, heap, refs_before=2, refs_after=2):
@@ -161,56 +159,21 @@ class TestBareCache:
             sanitizer.check_now()
 
 
-class TestMultiprocessor:
-    def test_clean_interleaved_run(self):
-        space_map, regions = simple_space()
-        system = SmpSystem(tiny_config(), space_map, num_cpus=2)
-        sanitizer = attach(system, mode="full")
-        heap = regions["heap"].start
-        streams = [
-            [(READ, heap + cpu * 512 + i * 4) for i in range(32)]
-            for cpu in range(2)
-        ]
-        system.run_interleaved(streams, quantum=8)
-        sanitizer.check_now()
-        assert sanitizer.sweeps >= 1
+class TestUniprocessorOwnership:
+    """OWNED_SHARED needs a second cache holding a copy; the machine
+    has one, so a write hit's only ownership transition is UNOWNED to
+    OWNED_EXCLUSIVE."""
 
-    def test_double_owner_detected(self):
-        space_map, regions = simple_space()
-        system = SmpSystem(tiny_config(), space_map, num_cpus=2)
-        sanitizer = attach(system, mode="epoch")
-        heap = regions["heap"].start
-        system.run_interleaved([[(READ, heap)], [(READ, heap)]])
-        for cpu in system.cpus:
-            index = cpu.cache.probe(heap)
-            assert index >= 0
-            cpu.cache.state[index] = CoherencyState.OWNED_SHARED
+    @pytest.mark.parametrize("mode", MODES)
+    def test_planted_shared_owner_detected(self, rig, mode):
+        machine, heap = rig
+        attach(machine, mode=mode)
+        machine.run([(READ, heap)])
+        index = machine.cache.probe(heap)
+        machine.cache.state[index] = CoherencyState.OWNED_SHARED
         with pytest.raises(InvariantViolation) as excinfo:
-            sanitizer.check_now()
-        assert excinfo.value.invariant == "bus.single-owner"
-
-
-class TestBusAttachment:
-    def test_bus_sweep(self):
-        bus = SnoopyBus()
-        caches = []
-        for name in ("c0", "c1"):
-            cache = VirtualCache(
-                CacheGeometry(size_bytes=1024, block_bytes=32),
-                MemoryTiming(), name=name,
-            )
-            bus.attach(cache)
-            caches.append(cache)
-        sanitizer = attach(bus, mode="epoch")
-        for cache in caches:
-            cache.fill(0x400, Protection.READ_WRITE, False, False)
-        sanitizer.check_now()
-        for cache in caches:
-            cache.state[cache.probe(0x400)] = (
-                CoherencyState.OWNED_EXCLUSIVE
-            )
-        with pytest.raises(InvariantViolation):
-            sanitizer.check_now()
+            machine.run([(READ, heap)])
+        assert excinfo.value.invariant == "cache.no-shared-owner"
 
 
 class TestFixture:
@@ -227,10 +190,16 @@ class TestCli:
         out = capsys.readouterr().out
         assert "ok:" in out and "no violations" in out
 
-    def test_sampled_smp_run(self, capsys):
+    def test_sampled_mode_run(self, capsys):
         from repro.sanitize.cli import main
-        code = main([
-            "--refs", "1200", "--mode", "sampled", "--cpus", "2",
-        ])
+        code = main(["--refs", "1200", "--mode", "sampled"])
         assert code == 0
         assert "ok:" in capsys.readouterr().out
+
+    def test_cpus_option_is_gone(self, capsys):
+        # The sanitized machine is the one uniprocessor board.
+        from repro.sanitize.cli import main
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--refs", "1200", "--cpus", "2"])
+        assert excinfo.value.code == 2
+        assert "--cpus" in capsys.readouterr().err

@@ -64,7 +64,6 @@ MODULES = (
     "repro.machine.cpu",
     "repro.machine.inspect",
     "repro.machine.simulator",
-    "repro.machine.smp",
     "repro.machine.runner",
     "repro.observe.observer",
     "repro.observe.progress",
