@@ -7,15 +7,12 @@ memory size, making the crossover structure visible: where NOREF's
 penalty collapses, and how MISS tracks REF throughout.
 """
 
-import pytest
-
 from repro.analysis.charts import line_plot
-from repro.counters.events import Event
 from repro.machine.config import scaled_config
+from repro.machine.runner import ExperimentRunner
 from repro.workloads.slc import SlcWorkload
 
 from conftest import (
-    bench_runner,
     bench_scale,
     once,
     shape_asserts_enabled,
@@ -26,7 +23,7 @@ RATIOS = (36, 40, 44, 48, 56, 64, 72)
 
 
 def run_sweep():
-    runner = bench_runner()
+    runner = ExperimentRunner()
     scale = min(bench_scale(), 1.0) * 0.5
     grid = [
         (policy, ratio)

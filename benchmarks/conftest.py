@@ -11,17 +11,11 @@ Tables 3.3, 3.4, 3.5 and 4.1 and their paper-shape targets
 (:mod:`repro.analysis.targets`) are written and checked by ``repro
 campaign``, which renders ``REPRODUCTION_REPORT.md``.
 
-Environment knobs:
+Environment knob:
 
 ``REPRO_BENCH_SCALE``
     Workload length multiplier (default 1.0).  0.1 gives a fast smoke
     pass with weaker statistics.
-``REPRO_BENCH_WORKERS``
-    Worker processes for the experiment matrices (default 1 = serial;
-    results are bit-identical at any value, see docs/parallel.md).
-``REPRO_BENCH_CACHE``
-    Result-cache directory; unset disables caching.  With a warm
-    cache a bench re-run simulates only changed cells.
 """
 
 import os
@@ -40,22 +34,6 @@ if _ROOT not in sys.path:
 
 def bench_scale():
     return float(os.environ.get("REPRO_BENCH_SCALE", "1.0"))
-
-
-def bench_workers():
-    return int(os.environ.get("REPRO_BENCH_WORKERS", "1"))
-
-
-def bench_runner():
-    """An ExperimentRunner honouring ``REPRO_BENCH_WORKERS`` and
-    ``REPRO_BENCH_CACHE``."""
-    from repro.machine.runner import ExperimentRunner
-    from repro.options import RunOptions
-
-    return ExperimentRunner(options=RunOptions(
-        workers=bench_workers(),
-        cache_dir=os.environ.get("REPRO_BENCH_CACHE"),
-    ))
 
 
 def shape_asserts_enabled():

@@ -11,7 +11,7 @@ place and all derived shifts/masks follow.
 from dataclasses import dataclass
 
 from repro.common.errors import ConfigurationError
-from repro.common.units import KB, MB, is_power_of_two, log2_exact
+from repro.common.units import KB, is_power_of_two, log2_exact
 
 #: Word size of the SPUR processor, in bytes.
 WORD_BYTES = 4
@@ -121,26 +121,6 @@ class PageGeometry:
     def offset(self, vaddr):
         """Byte offset of ``vaddr`` within its page."""
         return vaddr & (self.page_bytes - 1)
-
-
-@dataclass(frozen=True)
-class MemoryGeometry:
-    """Physical memory size expressed in page frames."""
-
-    size_bytes: int = 8 * MB
-    page_bytes: int = 4 * KB
-
-    def __post_init__(self):
-        if self.size_bytes < self.page_bytes:
-            raise ConfigurationError("memory smaller than one page")
-        if self.size_bytes % self.page_bytes:
-            raise ConfigurationError(
-                "memory size must be a whole number of pages"
-            )
-
-    @property
-    def num_frames(self):
-        return self.size_bytes // self.page_bytes
 
 
 @dataclass(frozen=True)

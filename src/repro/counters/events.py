@@ -69,10 +69,6 @@ class Event(enum.IntEnum):
     PAGE_OUT = 30
     ZERO_FILL_PAGE = 31
     PAGE_RECLAIM = 32
-    # Segmented-FIFO extension (not on the 1989 chip): soft-evictions
-    # to the inactive list and fault-time rescues from it.
-    PAGE_DEACTIVATE = 33
-    PAGE_REACTIVATE = 34
 
 
 #: The four hardware counter modes.  Mode 0 measures the reference mix
@@ -118,12 +114,6 @@ MODE_SETS = {
         Event.BLOCK_FILL,
         Event.FLUSH_OPERATION,
         Event.FLUSH_WRITE_BACK,
-        # The segmented-FIFO extension events ride in mode 2's spare
-        # registers: the coherency mode uses only five of the sixteen
-        # counters, and the soft-eviction traffic is bus-adjacent (every
-        # deactivation flushes the page from the cache).
-        Event.PAGE_DEACTIVATE,
-        Event.PAGE_REACTIVATE,
     ),
     3: (
         Event.DIRTY_FAULT,

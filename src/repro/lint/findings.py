@@ -119,8 +119,8 @@ class LintConfig:
     #: Method names excluded from the dynamic-dispatch fallback:
     #: generic container/string verbs that would otherwise join every
     #: same-named project method into one candidate pool (a stdlib
-    #: ``.append`` is not ``SegmentedFifoDaemon.note_resident``'s
-    #: problem).  Calls on these names resolve as *unresolved*.
+    #: ``list.append`` is no project method's problem).  Calls on
+    #: these names resolve as *unresolved*.
     dynamic_skip_names: frozenset = frozenset({
         "__init__",
         "add", "append", "appendleft", "cancel", "clear", "close",

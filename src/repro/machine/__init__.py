@@ -20,12 +20,6 @@ from repro.machine.config import (
 )
 from repro.machine.simulator import SpurMachine
 from repro.machine.runner import ExperimentRunner, RunResult
-from repro.machine.inspect import (
-    cache_lines,
-    cache_summary,
-    machine_summary,
-    vm_summary,
-)
 
 __all__ = [
     "ExperimentRunner",
@@ -33,11 +27,7 @@ __all__ = [
     "RunResult",
     "SpurMachine",
     "TABLE_2_1",
-    "cache_lines",
-    "cache_summary",
-    "machine_summary",
     "paper_config",
     "scaled_config",
     "sun3_like_config",
-    "vm_summary",
 ]

@@ -69,13 +69,6 @@ class MachineConfig:
     #: (Sprite's daemon cleared reference bits on a timer, not only
     #: under memory pressure).  Any positive interval; 0 disables.
     daemon_poll_refs: int = 65536
-    #: Page-replacement daemon: "clock" (Sprite's second-chance clock,
-    #: what the paper measured) or "segfifo" (the no-reference-bits
-    #: segmented FIFO extension; pair it with reference_policy NOREF).
-    daemon_kind: str = "clock"
-    #: Inactive-list depth for the segfifo daemon, as a fraction of
-    #: allocatable frames.
-    inactive_fraction: float = 0.25
     #: Page-table region bases in the global virtual space.
     pte_base: int = 0x8000_0000
     second_level_base: int = 0xC000_0000

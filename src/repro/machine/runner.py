@@ -15,7 +15,6 @@ to the serial path, only faster), and skip cells a
 also how a killed campaign resumes.
 """
 
-import hashlib
 import time
 from collections import Counter
 from dataclasses import dataclass, field
@@ -80,35 +79,15 @@ class RunResult:
         return self.events.get(event, 0)
 
 
-def mix_seed(master_seed, rep):
-    """Derive repetition *rep*'s run seed from *master_seed*.
-
-    SHA-256 based so the mapping is stable across platforms and
-    Python versions, and so nearby (master_seed, rep) pairs land far
-    apart in seed space.
-    """
-    digest = hashlib.sha256(
-        f"{master_seed}:{rep}".encode("utf-8")
-    ).digest()
-    return int.from_bytes(digest[:8], "big") % (2 ** 63)
-
-
 class ExperimentRunner:
     """Builds machines and executes workload runs.
 
     Parameters
     ----------
     master_seed:
-        Seeds the execution-order shuffle of :meth:`run_matrix`, and —
-        only with ``mix_master_seed=True`` — the per-run seeds.
-    mix_master_seed:
-        By default (``False``) repetition ``rep`` runs with
-        ``seed=rep`` exactly as the original runner did, keeping every
-        golden result reproducible; two runners with different master
-        seeds therefore produce identical results.  Opt in to mix
-        ``master_seed`` into each per-run seed via :func:`mix_seed`
-        when independent replications of a whole experiment are
-        wanted.
+        Seeds the execution-order shuffle of :meth:`run_matrix` only.
+        Repetition ``rep`` always runs with ``seed=rep``, so two
+        runners with different master seeds produce identical results.
     options:
         A :class:`~repro.options.RunOptions` bundling every execution
         knob (workers, caching, sanitizing, observation); defaults to
@@ -116,19 +95,11 @@ class ExperimentRunner:
         the multi-run entry points consult, exposed as ``cache``.
     """
 
-    def __init__(self, master_seed=1234, mix_master_seed=False,
-                 options=None):
+    def __init__(self, master_seed=1234, options=None):
         options = RunOptions.coerce(options)
         self.options = options
         self.master_seed = master_seed
-        self.mix_master_seed = mix_master_seed
         self.cache = options.build_cache()
-
-    def rep_seed(self, rep):
-        """The run seed used for repetition *rep*."""
-        if self.mix_master_seed:
-            return mix_seed(self.master_seed, rep)
-        return rep
 
     def _call_options(self, options):
         """Resolve per-call options: explicit ones win over the runner's."""
@@ -273,7 +244,7 @@ class ExperimentRunner:
         """
         return self.run_many(
             [
-                (config, workload, self.rep_seed(rep), max_references)
+                (config, workload, rep, max_references)
                 for rep in range(repetitions)
             ],
             options=options,
@@ -318,7 +289,7 @@ class ExperimentRunner:
                    for label, _, _ in points}
         outcomes = self.run_many(
             [
-                (config, workload, self.rep_seed(rep), max_references)
+                (config, workload, rep, max_references)
                 for _, config, workload, rep in cells
             ],
             options=options,

@@ -149,8 +149,6 @@ class SpurMachine:
             wired_frames=config.wired_frames,
             low_water=config.low_water,
             high_water=config.high_water,
-            daemon_kind=config.daemon_kind,
-            inactive_fraction=config.inactive_fraction,
         )
         self.vm.attach_machine(self)
 

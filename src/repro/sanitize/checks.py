@@ -196,8 +196,8 @@ def check_dirty_policy(machine, ref_index=None):
     For every resident data block of an ordinary (non-page-table) page:
 
     * ``dirty.resident-mapped`` — the page is mapped: page flushes
-      are mandatory on eviction and deactivation precisely so a
-      VIVT cache never hits on an unmapped page;
+      are mandatory on eviction precisely so a VIVT cache never hits
+      on an unmapped page;
     * ``dirty.copy-not-cleaner`` — if the cached page-dirty copy is
       set, the PTE records the page as modified.  The converse (clear
       copy, dirty PTE) is the legal staleness the paper's dirty-bit
@@ -269,8 +269,6 @@ def check_vm(vm, ref_index=None):
       allocatable range;
     * ``vm.pte-frame-agreement`` — a valid PTE's physical page number
       is the frame its page record holds;
-    * ``vm.inactive-unmapped`` — a page on the inactive list is
-      unmapped but still holds its frame;
     * ``vm.swap-image`` — a page marked in-swap has a swap image.
     """
     frame_table = vm.frame_table
@@ -302,15 +300,6 @@ def check_vm(vm, ref_index=None):
                     f"page record holds frame {page.frame}",
                     machine=name, ref_index=ref_index,
                     state={"pte": repr(pte)},
-                )
-        if page.inactive:
-            if pte.valid or page.frame is None:
-                raise InvariantViolation(
-                    "vm.inactive-unmapped",
-                    f"inactive page {vpn} must be unmapped yet keep "
-                    f"its frame (valid={pte.valid}, "
-                    f"frame={page.frame})",
-                    machine=name, ref_index=ref_index,
                 )
         if page.in_swap and not vm.swap.has_image(vpn):
             raise InvariantViolation(

@@ -53,7 +53,7 @@ class ClockPageDaemon:
         self._clock.append(vpn)
 
     def note_evicted(self, vpn):
-        """Forget a page evicted outside a daemon run."""
+        """Forget an evicted page; its clock slot goes stale."""
         self._positions.pop(vpn, None)
 
     def run(self):

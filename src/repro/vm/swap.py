@@ -54,13 +54,9 @@ class SwapDevice:
         self.io_cycles = io_cycles
         #: The VM's fault and eviction paths count into these in place.
         self.stats = SwapStats()
-        #: vpns written to swap at least once and not yet dropped.
+        #: vpns written to swap at least once.
         self.images: Set[int] = set()
 
     def has_image(self, vpn):
         """True if ``vpn`` has been written to swap before."""
         return vpn in self.images
-
-    def drop_image(self, vpn):
-        """Forget a page's swap image (process exit)."""
-        self.images.discard(vpn)

@@ -12,7 +12,7 @@ this module policy-neutral — it is the part of "Sprite" the paper did
 from dataclasses import dataclass
 
 from repro.common.errors import ConfigurationError, ProtectionFault
-from repro.common.types import PageKind, Protection
+from repro.common.types import PageKind
 from repro.counters.events import Event
 from repro.vm.allocator import FrameAllocator, OutOfFramesError
 from repro.vm.frames import FREE, FrameTable
@@ -23,8 +23,6 @@ _PAGE_IN = int(Event.PAGE_IN)
 _PAGE_OUT = int(Event.PAGE_OUT)
 _ZERO_FILL_PAGE = int(Event.ZERO_FILL_PAGE)
 _PAGE_RECLAIM = int(Event.PAGE_RECLAIM)
-_PAGE_DEACTIVATE = int(Event.PAGE_DEACTIVATE)
-_PAGE_REACTIVATE = int(Event.PAGE_REACTIVATE)
 _FILE = PageKind.FILE
 _SWAP = PageKind.SWAP
 _ZERO_FILL = PageKind.ZERO_FILL
@@ -34,7 +32,7 @@ class VmPage:
     """Software bookkeeping for one virtual page."""
 
     __slots__ = ("vpn", "region", "writable", "in_swap", "frame",
-                 "page_ins", "inactive")
+                 "page_ins")
 
     def __init__(self, vpn, region):
         self.vpn = vpn
@@ -45,9 +43,6 @@ class VmPage:
         self.in_swap = False
         self.frame = None
         self.page_ins = 0
-        #: On the segmented-FIFO daemon's inactive list: unmapped but
-        #: still holding its frame, rescuable without I/O.
-        self.inactive = False
 
     @property
     def resident(self):
@@ -93,8 +88,6 @@ class VirtualMemorySystem:
         wired_frames=0,
         low_water=None,
         high_water=None,
-        daemon_kind="clock",
-        inactive_fraction=0.25,
     ):
         self.page_table = page_table
         self.space_map = space_map
@@ -110,22 +103,7 @@ class VirtualMemorySystem:
             raise ConfigurationError(
                 "daemon high-water mark leaves no usable memory"
             )
-        if daemon_kind == "clock":
-            self.daemon = ClockPageDaemon(self, low_water, high_water)
-        elif daemon_kind == "segfifo":
-            from repro.vm.segfifo import SegmentedFifoDaemon
-
-            inactive_target = max(
-                2, int(allocatable * inactive_fraction)
-            )
-            self.daemon = SegmentedFifoDaemon(
-                self, low_water, high_water, inactive_target
-            )
-        else:
-            raise ConfigurationError(
-                f"unknown daemon kind {daemon_kind!r}; "
-                f"expected 'clock' or 'segfifo'"
-            )
+        self.daemon = ClockPageDaemon(self, low_water, high_water)
         self.pages = {}
         self.stats = VmStats()
         self.page_bytes = space_map.page_bytes
@@ -175,12 +153,6 @@ class VirtualMemorySystem:
         page = self.pages.get(vpn)
         if page is None:
             page = self.page(vpn)
-        elif page.inactive and self.daemon.try_reactivate(vpn):
-            # Segmented FIFO rescue: the frame still holds the page;
-            # remap it without any I/O (the "soft fault").
-            cycles += self.reactivate(vpn)
-            stats.fault_cycles += cycles
-            return cycles
 
         free_frames = self.allocator.free_frames
         if len(free_frames) < self.daemon.low_water:
@@ -238,10 +210,8 @@ class VirtualMemorySystem:
 
         Flushes the page's blocks out of the cache (dirty cache data
         must reach memory before the frame is written to swap or
-        reused) — unless the page sits on the segmented-FIFO inactive
-        list, which was flushed and unmapped when it was deactivated —
-        writes the page to swap when the dirty state demands it, and
-        releases the frame.
+        reused), writes the page to swap when the dirty state demands
+        it, and releases the frame.
         """
         machine = self.machine
         slots = machine.counters.slots
@@ -249,11 +219,7 @@ class VirtualMemorySystem:
         if page is None or page.frame is None:
             raise ConfigurationError(f"evicting non-resident page {vpn}")
         pte = self.page_table.peek(vpn)
-        if page.inactive:
-            page.inactive = False
-            cycles = 0
-        else:
-            cycles = machine.flush_page(vpn * self.page_bytes)
+        cycles = machine.flush_page(vpn * self.page_bytes)
 
         modified = pte.is_modified()
         swap = self.swap
@@ -285,94 +251,6 @@ class VirtualMemorySystem:
         page.frame = None
         self.daemon.note_evicted(vpn)
         return cycles
-
-    # -- segmented-FIFO operations (soft eviction) ------------------------
-
-    def deactivate(self, vpn):
-        """Soft-evict: unmap the page but keep its frame and contents.
-
-        The page's cache blocks must be flushed — a virtually
-        addressed cache would otherwise keep *hitting* on the unmapped
-        page, bypassing the fault that reactivation relies on (the
-        same VA-cache staleness problem the whole paper is about).
-        The PTE keeps its dirty state for the eventual hard eviction
-        (:meth:`evict`).  Returns cycles.
-        """
-        machine = self.machine
-        pte = self.page_table.entry(vpn)
-        if not pte.valid:
-            raise ConfigurationError(
-                f"deactivating non-resident page {vpn}"
-            )
-        page = self.page(vpn)
-        cycles = machine.flush_page(vpn * self.page_bytes)
-        pte.valid = False
-        page.inactive = True
-        machine.counters.slots[_PAGE_DEACTIVATE] += 1
-        return cycles
-
-    def reactivate(self, vpn):
-        """Rescue an inactive page: remap its still-loaded frame."""
-        machine = self.machine
-        page = self.page(vpn)
-        pte = self.page_table.entry(vpn)
-        page.inactive = False
-        pte.valid = True
-        if pte.is_modified():
-            pte.protection = Protection.READ_WRITE
-        else:
-            pte.protection = machine.map_protections[page.writable]
-        pte.referenced = True
-        machine.counters.slots[_PAGE_REACTIVATE] += 1
-        return machine.fault_timing.page_fault_service
-
-    # -- process teardown ---------------------------------------------------
-
-    def teardown_process(self, pid):
-        """Free everything a dead process owns, Sprite-style.
-
-        Without teardown, a dead process's pages linger until the
-        daemon reclaims them one by one — and its *dirty* pages get
-        pointlessly written to swap on the way out.  Teardown knows
-        the contents are garbage: cache lines are invalidated without
-        write-back, frames are freed without page-outs, and swap
-        images are dropped.
-
-        Returns ``(cycles, pages_freed)``.
-        """
-        machine = self.machine
-        # Per-line invalidation is one flush-loop iteration's worth of
-        # work; use the active flusher's cheapest per-line price.
-        line_cycles = getattr(
-            machine.flusher, "check_cycles",
-            getattr(machine.flusher, "op_cycles", 1),
-        )
-        cycles = 0
-        freed = 0
-        for vpn, page in list(self.pages.items()):
-            if page.region.pid != pid:
-                continue
-            if page.frame is not None:
-                # Invalidate the dead page's cache blocks; no
-                # write-back — nobody will ever read this data.
-                cache = machine.cache
-                for index in cache.lines_of_page(
-                    vpn * self.page_bytes, self.page_bytes
-                ):
-                    cache.invalidate(index, write_back=False)
-                    cycles += line_cycles
-                self.page_table.entry(vpn).clear()
-                self.frame_table.owners[page.frame] = FREE
-                self.allocator.free_frames.append(page.frame)
-                page.frame = None
-                page.inactive = False
-                self.daemon.note_evicted(vpn)
-                freed += 1
-            if page.in_swap:
-                self.swap.drop_image(vpn)
-                page.in_swap = False
-            del self.pages[vpn]
-        return cycles, freed
 
     def resident_pages(self):
         """vpns currently resident (testing and diagnostics)."""

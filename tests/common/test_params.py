@@ -6,11 +6,10 @@ from repro.common.errors import ConfigurationError
 from repro.common.params import (
     CacheGeometry,
     FaultTiming,
-    MemoryGeometry,
     MemoryTiming,
     PageGeometry,
 )
-from repro.common.units import KB, MB
+from repro.common.units import KB
 
 
 class TestCacheGeometry:
@@ -62,19 +61,6 @@ class TestPageGeometry:
     def test_rejects_page_smaller_than_block(self):
         with pytest.raises(ConfigurationError):
             PageGeometry(page_bytes=16, block_bytes=32)
-
-
-class TestMemoryGeometry:
-    def test_frames(self):
-        assert MemoryGeometry(8 * MB, 4 * KB).num_frames == 2048
-
-    def test_rejects_fractional_pages(self):
-        with pytest.raises(ConfigurationError):
-            MemoryGeometry(4 * KB + 1, 4 * KB)
-
-    def test_rejects_memory_below_one_page(self):
-        with pytest.raises(ConfigurationError):
-            MemoryGeometry(2 * KB, 4 * KB)
 
 
 class TestMemoryTiming:

@@ -19,7 +19,7 @@ class TestOmniscientMode:
         assert counters.read(Event.PAGE_IN) == 3
 
     def test_unincremented_reads_zero(self):
-        assert PerformanceCounters().read(Event.PAGE_REACTIVATE) == 0
+        assert PerformanceCounters().read(Event.PAGE_RECLAIM) == 0
 
     def test_reset(self):
         counters = PerformanceCounters()

@@ -91,8 +91,6 @@ class TestPlanning:
         assert modes == (3,)
 
     def test_every_event_is_measurable_in_some_mode(self):
-        # The segfifo extension events ride in mode 2's spare
-        # registers, so the full taxonomy is now mode-covered.
         campaign = make_campaign()
         for event in Event:
             assert campaign.runs_needed_for([event])

@@ -85,7 +85,7 @@ def run_table(table, options=None):
     elif table == "3.5":
         run_table_3_5(length_scale=LENGTH_SCALE, runner=runner, seed=SEED)
     elif table == "4.1":
-        # Repetition 0 runs at seed 0 (ExperimentRunner.rep_seed).
+        # Repetition r runs at seed r, so repetition 0 is seed 0.
         run_table_4_1(length_scale=LENGTH_SCALE, runner=runner,
                       repetitions=1)
     else:
@@ -98,8 +98,8 @@ def run_slow_path(options=None):
 
     WORKLOAD1 at 5 MB (cache ratio 40) under the six dirty-bit
     policies with MISS reference bits, plus SPUR/REF with the tagless
-    flush and SPUR/MISS with the segmented-FIFO daemon: every page
-    fault, eviction, flush and daemon route a policy can take.
+    flush: every page fault, eviction, flush and daemon route a policy
+    can take.
     """
     grid = [
         (f"WORKLOAD1/5MB/{policy}/MISS",
@@ -110,9 +110,6 @@ def run_slow_path(options=None):
     grid.append(("WORKLOAD1/5MB/SPUR/REF/tagless", scaled_config(
         memory_ratio=40, dirty_policy="SPUR", reference_policy="REF",
         flush_strategy="tagless")))
-    grid.append(("WORKLOAD1/5MB/SPUR/MISS/segfifo", scaled_config(
-        memory_ratio=40, dirty_policy="SPUR", reference_policy="MISS",
-        daemon_kind="segfifo")))
     runner = RecordingRunner(options=options)
     runner.run_many(
         [(config, Workload1(length_scale=SLOW_PATH_LENGTH), SEED, None)

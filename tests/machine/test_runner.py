@@ -38,10 +38,8 @@ class TestRun:
             quick_config(), SlcWorkload(length_scale=TINY_SCALE)
         )
         assert result.event(Event.INSTRUCTION_FETCH) > 0
-        # Fills and write-backs are bus transactions; the clock
-        # daemon never deactivates a page (only segfifo does).
+        # Fills and write-backs are bus transactions.
         assert result.event(Event.BUS_TRANSACTION) > 0
-        assert result.event(Event.PAGE_DEACTIVATE) == 0
 
     def test_max_references_caps_the_run(self):
         runner = ExperimentRunner()
@@ -102,7 +100,7 @@ class TestHostSeconds:
 
 class TestMasterSeedMixing:
     def test_master_seed_alone_does_not_change_results(self):
-        """The documented default: golden results stay reproducible."""
+        """The master seed orders cells; it never changes a result."""
         a = ExperimentRunner(master_seed=1).run_repetitions(
             quick_config(), SlcWorkload(length_scale=TINY_SCALE),
             repetitions=2,
@@ -113,31 +111,6 @@ class TestMasterSeedMixing:
         )
         assert a == b
         assert [r.seed for r in a] == [0, 1]
-
-    def test_opt_in_mixing_differentiates_runners(self):
-        a = ExperimentRunner(
-            master_seed=1, mix_master_seed=True
-        ).run_repetitions(
-            quick_config(), SlcWorkload(length_scale=TINY_SCALE),
-            repetitions=2,
-        )
-        b = ExperimentRunner(
-            master_seed=2, mix_master_seed=True
-        ).run_repetitions(
-            quick_config(), SlcWorkload(length_scale=TINY_SCALE),
-            repetitions=2,
-        )
-        assert a != b
-        assert {r.seed for r in a}.isdisjoint(
-            {r.seed for r in b}
-        )
-
-    def test_mixing_is_stable_across_runners(self):
-        """Equal master seeds mix to equal per-run seeds."""
-        from repro.machine.runner import mix_seed
-        assert mix_seed(7, 0) == mix_seed(7, 0)
-        assert mix_seed(7, 0) != mix_seed(7, 1)
-        assert mix_seed(7, 0) != mix_seed(8, 0)
 
 
 class TestMatrix:

@@ -5,6 +5,7 @@ violate the structural invariants: frame-table/page-table agreement,
 bounded residency, dirty accounting, and cache-VM consistency.
 """
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.counters.events import Event
@@ -15,10 +16,11 @@ from tests.conftest import TINY_PAGE, make_machine, simple_space
 HEAP_PAGES = 24
 
 
-def build_machine():
+def build_machine(**overrides):
     space_map, regions = simple_space(heap_pages=HEAP_PAGES)
     machine = make_machine(
-        space_map, memory_bytes=16 * TINY_PAGE, wired_frames=2
+        space_map, memory_bytes=16 * TINY_PAGE, wired_frames=2,
+        **overrides,
     )
     return machine, regions
 
@@ -28,6 +30,17 @@ heap_traffic = st.lists(
         st.sampled_from([READ, WRITE]),
         st.integers(0, HEAP_PAGES * TINY_PAGE - 1),
     ),
+    max_size=300,
+)
+
+#: Long enough that every example overflows the 14 allocatable frames
+#: and the daemon evicts.
+paging_traffic = st.lists(
+    st.tuples(
+        st.sampled_from([READ, WRITE]),
+        st.integers(0, HEAP_PAGES * TINY_PAGE - 1),
+    ),
+    min_size=150,
     max_size=300,
 )
 
@@ -70,6 +83,49 @@ def test_residency_bounded_and_counts_balance(traffic):
     )
     reclaims = counters.read(Event.PAGE_RECLAIM)
     assert creations - reclaims == frame_table.resident_count()
+
+
+@pytest.mark.parametrize("policy", ["MISS", "NOREF"])
+@settings(max_examples=40, deadline=None)
+@given(paging_traffic)
+def test_frames_conserved(policy, traffic):
+    # Every allocatable frame is either held by exactly one page or
+    # on the free list.
+    machine, regions = build_machine(reference_policy=policy)
+    heap = regions["heap"].start
+    machine.run([(kind, heap + offset) for kind, offset in traffic])
+    frame_table = machine.vm.frame_table
+    held = sum(
+        1 for page in machine.vm.pages.values()
+        if page.frame is not None
+    )
+    assert held == frame_table.resident_count()
+    assert held + machine.vm.allocator.free_count == (
+        frame_table.allocatable_frames
+    )
+
+
+@pytest.mark.parametrize("policy", ["MISS", "NOREF"])
+@settings(max_examples=40, deadline=None)
+@given(paging_traffic)
+def test_writes_never_lost_across_eviction(policy, traffic):
+    # A page written during the run is, while resident, marked
+    # modified or already on swap; once evicted, its data is on swap
+    # (zero-fill pages always go out on first replacement).
+    machine, regions = build_machine(reference_policy=policy)
+    heap = regions["heap"].start
+    machine.run([(kind, heap + offset) for kind, offset in traffic])
+    written = {
+        (heap + offset) >> machine.page_bits
+        for kind, offset in traffic if kind == WRITE
+    }
+    for vpn in written:
+        page = machine.vm.pages[vpn]
+        if page.frame is not None:
+            pte = machine.page_table.entry(vpn)
+            assert pte.is_modified() or machine.swap.has_image(vpn)
+        else:
+            assert machine.swap.has_image(vpn)
 
 
 @settings(max_examples=40, deadline=None)

@@ -55,14 +55,12 @@ MODULES = (
     "repro.vm.swap",
     "repro.vm.system",
     "repro.vm.pagedaemon",
-    "repro.vm.segfifo",
     "repro.policies.dirty",
     "repro.policies.reference",
     "repro.policies.costs",
     "repro.policies.model",
     "repro.machine.config",
     "repro.machine.cpu",
-    "repro.machine.inspect",
     "repro.machine.simulator",
     "repro.machine.runner",
     "repro.observe.observer",

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.common.params import FaultTiming
-from repro.vm.swap import SwapDevice, SwapStats
+from repro.vm.swap import SwapStats
 from repro.workloads.base import WRITE
 
 from tests.conftest import make_machine, simple_space
@@ -22,13 +22,6 @@ class TestDevice:
         assert machine.vm.evict(vpn) >= 777
         assert machine.swap.has_image(vpn)
         assert machine.swap.stats.page_outs == 1
-
-    def test_drop_image(self):
-        swap = SwapDevice()
-        swap.images.add(4)
-        swap.drop_image(4)
-        assert not swap.has_image(4)
-        swap.drop_image(4)  # idempotent
 
 
 class TestTable35Accounting:
