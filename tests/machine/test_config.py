@@ -85,6 +85,17 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             MachineConfig(page_bytes=4096, memory_bytes=4096 + 1)
 
+    def test_memory_below_one_page_rejected(self):
+        with pytest.raises(ConfigurationError):
+            MachineConfig(page_bytes=4096, memory_bytes=2048,
+                          wired_frames=0)
+
+    def test_num_frames(self):
+        assert paper_config(memory_mb=8).num_frames == 2048
+        assert MachineConfig(page_bytes=4096,
+                             memory_bytes=3 * 4096,
+                             wired_frames=1).num_frames == 3
+
     def test_all_wired_rejected(self):
         with pytest.raises(ConfigurationError):
             MachineConfig(page_bytes=4096, memory_bytes=2 * 4096,

@@ -83,6 +83,16 @@ class TestRepetitions:
         )
         assert [r.seed for r in results] == [0, 1, 2]
 
+    def test_repetition_r_runs_at_seed_r(self):
+        runner = ExperimentRunner()
+        results = runner.run_repetitions(
+            quick_config(), SlcWorkload(length_scale=TINY_SCALE),
+            repetitions=2,
+        )
+        assert results[1] == runner.run(
+            quick_config(), SlcWorkload(length_scale=TINY_SCALE), seed=1,
+        )
+
 
 class TestHostSeconds:
     def test_excluded_from_equality(self):

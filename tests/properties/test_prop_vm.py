@@ -128,6 +128,47 @@ def test_writes_never_lost_across_eviction(policy, traffic):
             assert machine.swap.has_image(vpn)
 
 
+@pytest.mark.parametrize("policy", ["MISS", "NOREF"])
+@settings(max_examples=40, deadline=None)
+@given(paging_traffic)
+def test_page_states_are_disjoint(policy, traffic):
+    # Every known page is either resident (its own frame, a valid PTE,
+    # a live clock slot) or evicted (no frame, an invalid PTE, off the
+    # clock).
+    machine, regions = build_machine(reference_policy=policy)
+    heap = regions["heap"].start
+    machine.run([(kind, heap + offset) for kind, offset in traffic])
+    on_clock = set(machine.vm.daemon.resident_pages())
+    frames = set()
+    for vpn, page in machine.vm.pages.items():
+        pte = machine.page_table.lookup(vpn)
+        if page.frame is not None:
+            assert pte.valid and pte.ppn == page.frame
+            assert vpn in on_clock
+            assert page.frame not in frames
+            frames.add(page.frame)
+        else:
+            assert not pte.valid
+            assert vpn not in on_clock
+    assert len(frames) == len(on_clock)
+
+
+@pytest.mark.parametrize("policy", ["MISS", "NOREF"])
+@settings(max_examples=40, deadline=None)
+@given(paging_traffic)
+def test_evicted_pages_have_no_cached_blocks(policy, traffic):
+    # Eviction flushed them, and any later access would have faulted
+    # the page back in first.
+    machine, regions = build_machine(reference_policy=policy)
+    heap = regions["heap"].start
+    machine.run([(kind, heap + offset) for kind, offset in traffic])
+    for vpn, page in machine.vm.pages.items():
+        if page.frame is None:
+            assert machine.cache.lines_of_page(
+                vpn << machine.page_bits, machine.page_bytes
+            ) == []
+
+
 @settings(max_examples=40, deadline=None)
 @given(heap_traffic)
 def test_cached_blocks_belong_to_resident_or_flushed_pages(traffic):

@@ -69,3 +69,25 @@ class TestAssignment:
 
     def test_owner_of_free_frame_is_none(self):
         assert FrameTable(8).owner(0) is None
+
+    def test_owner_reports_the_occupant(self):
+        table = FrameTable(8, wired_frames=2)
+        table.owners[3] = 42
+        assert table.owner(3) == 42
+        assert not table.is_free(3)
+
+    def test_resident_count_ignores_wired_frames(self):
+        table = FrameTable(8, wired_frames=2)
+        table.owners[0] = 7      # a wired frame is not resident
+        table.owners[5] = 9
+        assert table.resident_count() == 1
+
+
+class TestAllocator:
+    def test_free_list_holds_only_allocatable_frames(self):
+        from repro.vm.allocator import FrameAllocator
+        allocator = FrameAllocator(FrameTable(8, wired_frames=2))
+        assert sorted(allocator.free_frames) == [2, 3, 4, 5, 6, 7]
+        assert allocator.free_count == 6
+        # LIFO: the lowest allocatable frame is handed out first.
+        assert allocator.free_frames.pop() == 2

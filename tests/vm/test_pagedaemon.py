@@ -143,3 +143,151 @@ class TestWatermarkValidation:
             ClockPageDaemon(None, low_water=5, high_water=2)
         with pytest.raises(ValueError):
             ClockPageDaemon(None, low_water=0, high_water=2)
+
+
+def heap_vpns(machine, region, count):
+    return [
+        (region.start >> machine.page_bits) + i for i in range(count)
+    ]
+
+
+class TestConstruction:
+    def test_vm_builds_a_clock_daemon(self):
+        from repro.vm.pagedaemon import ClockPageDaemon
+        machine, _ = pressured_machine()
+        assert isinstance(machine.vm.daemon, ClockPageDaemon)
+        assert machine.vm.daemon.vm is machine.vm
+
+    def test_default_watermarks(self):
+        # About 3% and 6% of the allocatable frames, at least 2 and 4.
+        machine, _ = pressured_machine()
+        assert machine.vm.frame_table.allocatable_frames == 14
+        assert machine.vm.daemon.low_water == 2
+        assert machine.vm.daemon.high_water == 4
+        space_map, _ = simple_space()
+        large = make_machine(space_map)   # 126 allocatable frames
+        assert large.vm.daemon.low_water == 3
+        assert large.vm.daemon.high_water == 6
+
+    def test_configured_watermarks_reach_the_daemon(self):
+        machine, _ = pressured_machine(low_water=3, high_water=7)
+        assert machine.vm.daemon.low_water == 3
+        assert machine.vm.daemon.high_water == 7
+
+    def test_high_water_leaving_no_memory_rejected(self):
+        from repro.common.errors import ConfigurationError
+        with pytest.raises(ConfigurationError):
+            pressured_machine(low_water=2, high_water=14)
+
+
+class TestClockOrder:
+    def test_noref_clock_is_fifo(self):
+        # With every bit reading clear, the hand reclaims pages in the
+        # order they became resident: what stays is the newest pages.
+        machine, regions = pressured_machine(reference_policy="NOREF")
+        touch(machine, regions["heap"], 30)
+        order = heap_vpns(machine, regions["heap"], 30)
+        resident = machine.vm.daemon.resident_pages()
+        assert resident == order[len(order) - len(resident):]
+        assert machine.counters.read(Event.PAGE_RECLAIM) == (
+            30 - len(resident)
+        )
+
+    def test_first_lap_clears_before_reclaiming(self):
+        # Under MISS every freshly faulted page is referenced, so the
+        # first run clears the 13 resident pages' bits on one lap and
+        # reclaims the oldest three on the next.
+        machine, regions = pressured_machine()
+        touch(machine, regions["heap"], 14)
+        assert machine.vm.daemon.runs == 1
+        assert machine.counters.read(Event.REFERENCE_CLEAR) == 13
+        assert machine.counters.read(Event.PAGE_RECLAIM) == 3
+        vpns = heap_vpns(machine, regions["heap"], 14)
+        assert machine.vm.daemon.resident_pages() == vpns[3:]
+
+    def test_second_chance_at_the_hand(self):
+        # A page re-referenced after its bit was cleared is passed
+        # over once; the unreferenced pages behind it go instead.
+        machine, regions = pressured_machine(low_water=2, high_water=12)
+        heap = regions["heap"]
+        touch(machine, heap, 5)
+        v = heap_vpns(machine, heap, 5)
+        machine.vm.daemon.poll()   # clears all five bits
+        machine.cache.clear()      # so the next read misses (MISS)
+        machine.run([(READ, heap.start)])
+        assert machine.page_table.lookup(v[0]).referenced
+        machine.vm.daemon.run()
+        assert machine.vm.daemon.resident_pages() == [v[0], v[4]]
+
+    def test_run_on_empty_clock_returns_zero(self):
+        machine, _ = pressured_machine()
+        assert machine.vm.daemon.run() == 0
+        assert machine.vm.daemon.runs == 1
+        assert machine.vm.daemon.pages_reclaimed == 0
+
+
+class TestClockBookkeeping:
+    def test_evicted_page_leaves_the_clock(self):
+        machine, regions = pressured_machine()
+        touch(machine, regions["heap"], 3)
+        v = heap_vpns(machine, regions["heap"], 3)
+        machine.vm.evict(v[0])
+        assert machine.vm.daemon.resident_pages() == v[1:]
+
+    def test_refault_rejoins_the_clock_at_the_tail(self):
+        machine, regions = pressured_machine()
+        heap = regions["heap"]
+        touch(machine, heap, 3)
+        v = heap_vpns(machine, heap, 3)
+        machine.vm.evict(v[0])
+        machine.run([(READ, heap.start)])
+        resident = machine.vm.daemon.resident_pages()
+        assert set(resident) == set(v)
+        assert resident[-1] == v[0]
+
+    def test_stale_slots_cost_no_scan(self):
+        # Slots of pages evicted outside the daemon are skipped without
+        # a scan charge; the first live page is the one reclaimed.
+        machine, regions = pressured_machine(
+            reference_policy="NOREF", low_water=2, high_water=12,
+        )
+        touch(machine, regions["heap"], 5)
+        v = heap_vpns(machine, regions["heap"], 5)
+        machine.vm.evict(v[0])
+        machine.vm.evict(v[1])
+        cycles = machine.vm.daemon.run()
+        assert machine.counters.read(Event.DAEMON_PAGE_SCAN) == 1
+        assert machine.vm.daemon.pages_reclaimed == 1
+        assert machine.vm.daemon.resident_pages() == v[3:]
+        assert cycles >= machine.fault_timing.daemon_page_scan
+
+    def test_totals_match_the_event_counters(self):
+        machine, regions = pressured_machine()
+        touch(machine, regions["heap"], 40)
+        touch(machine, regions["heap"], 40, op=WRITE)
+        daemon = machine.vm.daemon
+        assert daemon.pages_examined == machine.counters.read(
+            Event.DAEMON_PAGE_SCAN
+        )
+        assert daemon.pages_reclaimed == machine.counters.read(
+            Event.PAGE_RECLAIM
+        )
+        assert daemon.pages_reclaimed > 0
+
+    def test_second_poll_finds_the_bits_clear(self):
+        machine, regions = pressured_machine()
+        touch(machine, regions["heap"], 5)
+        machine.vm.daemon.poll()
+        assert machine.vm.daemon.poll() == (
+            5 * machine.fault_timing.daemon_page_scan
+        )
+        assert machine.vm.daemon.polls == 2
+        assert machine.counters.read(Event.DAEMON_PAGE_SCAN) == 10
+        assert machine.counters.read(Event.REFERENCE_CLEAR) == 5
+
+    def test_noref_polls_are_not_counted(self):
+        machine, regions = pressured_machine(reference_policy="NOREF")
+        touch(machine, regions["heap"], 5)
+        machine.vm.daemon.poll()
+        assert machine.vm.daemon.polls == 0
+        assert machine.counters.read(Event.DAEMON_PAGE_SCAN) == 0

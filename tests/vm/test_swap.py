@@ -46,3 +46,24 @@ class TestTable35Accounting:
 
     def test_percent_additional_io_no_io(self):
         assert SwapStats().percent_additional_io == 0.0
+
+
+class TestDeviceState:
+    def test_new_device_has_no_images(self):
+        from repro.vm.swap import SwapDevice
+        device = SwapDevice()
+        assert device.images == set()
+        assert not device.has_image(0)
+
+    def test_io_cycles_follow_fault_timing(self):
+        space_map, _ = simple_space()
+        machine = make_machine(
+            space_map, fault_timing=FaultTiming(page_io=777),
+        )
+        assert machine.swap.io_cycles == 777
+
+    def test_stats_start_at_zero(self):
+        stats = SwapStats()
+        assert (stats.page_ins, stats.page_outs, stats.zero_fills) == (
+            0, 0, 0)
+        assert (stats.potentially_modified, stats.not_modified) == (0, 0)

@@ -204,3 +204,135 @@ class TestEviction:
         # OutOfFramesError (the daemon must always reclaim in time).
         for sweep in range(3):
             self.touch_pages(machine, regions["heap"], 32)
+
+
+class TestVmBookkeeping:
+    def test_page_record_created_once(self, machine):
+        heap = machine.test_regions["heap"].start
+        vpn = heap >> machine.page_bits
+        record = machine.vm.page(vpn)
+        assert machine.vm.page(vpn) is record
+        assert record.region is machine.test_regions["heap"]
+        assert not record.resident
+
+    def test_page_record_of_unmapped_address_raises(self, machine):
+        with pytest.raises(ProtectionFault):
+            machine.vm.page(0)
+
+    def test_evicting_an_untouched_page_rejected(self, machine):
+        from repro.common.errors import ConfigurationError
+        heap = machine.test_regions["heap"].start
+        with pytest.raises(ConfigurationError):
+            machine.vm.evict(heap >> machine.page_bits)
+
+    def test_evicting_twice_rejected(self, machine):
+        from repro.common.errors import ConfigurationError
+        heap = machine.test_regions["heap"].start
+        machine.run([(WRITE, heap)])
+        vpn = heap >> machine.page_bits
+        machine.vm.evict(vpn)
+        with pytest.raises(ConfigurationError):
+            machine.vm.evict(vpn)
+
+    def test_page_ins_count_residencies(self, machine):
+        heap = machine.test_regions["heap"].start
+        vpn = heap >> machine.page_bits
+        machine.run([(WRITE, heap)])
+        machine.vm.evict(vpn)
+        machine.run([(READ, heap)])
+        assert machine.vm.pages[vpn].page_ins == 2
+
+    def test_resident_pages_lists_only_resident(self, machine):
+        heap = machine.test_regions["heap"].start
+        machine.run([(READ, heap), (READ, heap + TINY_PAGE)])
+        first = heap >> machine.page_bits
+        machine.vm.evict(first)
+        assert machine.vm.resident_pages() == [first + 1]
+
+    def test_fault_totals_match_the_counters(self):
+        machine, regions = small_memory_machine()
+        machine.run([
+            (WRITE, regions["heap"].start + i * TINY_PAGE)
+            for i in range(30)
+        ])
+        stats = machine.vm.stats
+        assert stats.page_faults == machine.counters.read(
+            Event.PAGE_FAULT
+        )
+        assert stats.page_faults == 30
+        assert 0 < stats.daemon_cycles < stats.fault_cycles
+
+
+class TestFaultCosts:
+    def test_zero_fill_fault_cost(self, machine):
+        vpn = machine.test_regions["heap"].start >> machine.page_bits
+        cycles = machine.vm.handle_page_fault(vpn)
+        assert cycles == (
+            machine.fault_timing.page_fault_service
+            + machine.zero_fill_cycles
+        )
+        assert machine.vm.stats.fault_cycles == cycles
+
+    def test_file_fault_cost(self, machine):
+        vpn = machine.test_regions["file"].start >> machine.page_bits
+        cycles = machine.vm.handle_page_fault(vpn)
+        assert cycles == (
+            machine.fault_timing.page_fault_service
+            + machine.swap.io_cycles
+        )
+
+    def test_fault_cycles_accumulate(self, machine):
+        heap = machine.test_regions["heap"].start >> machine.page_bits
+        file = machine.test_regions["file"].start >> machine.page_bits
+        total = (machine.vm.handle_page_fault(heap)
+                 + machine.vm.handle_page_fault(file))
+        assert machine.vm.stats.fault_cycles == total
+
+    def test_out_of_frames_when_the_daemon_reclaims_nothing(self, machine):
+        from repro.vm.allocator import OutOfFramesError
+        machine.vm.allocator.free_frames.clear()
+        vpn = machine.test_regions["heap"].start >> machine.page_bits
+        with pytest.raises(OutOfFramesError):
+            machine.vm.handle_page_fault(vpn)
+
+    def test_clean_eviction_costs_no_io(self, machine):
+        file = machine.test_regions["file"].start
+        machine.run([(READ, file)])
+        cycles = machine.vm.evict(file >> machine.page_bits)
+        assert cycles < machine.swap.io_cycles
+        assert machine.swap.stats.page_outs == 0
+
+
+class TestSwapRoundTrip:
+    def test_clean_swapped_page_not_rewritten(self, machine):
+        # A zero-fill page goes to swap on its first replacement even
+        # when clean; once it has an image, a clean copy is dropped.
+        heap = machine.test_regions["heap"].start
+        vpn = heap >> machine.page_bits
+        machine.run([(READ, heap)])
+        machine.vm.evict(vpn)
+        assert machine.swap.stats.page_outs == 1
+        machine.run([(READ, heap)])
+        assert machine.page_table.entry(vpn).kind is PageKind.SWAP
+        machine.vm.evict(vpn)
+        assert machine.swap.stats.page_outs == 1
+        assert machine.swap.stats.page_ins == 1
+
+    def test_dirtied_swapped_page_rewritten(self, machine):
+        heap = machine.test_regions["heap"].start
+        vpn = heap >> machine.page_bits
+        machine.run([(READ, heap)])
+        machine.vm.evict(vpn)
+        machine.run([(WRITE, heap)])
+        machine.vm.evict(vpn)
+        assert machine.swap.stats.page_outs == 2
+
+    def test_file_page_refaults_from_the_file(self, machine):
+        file = machine.test_regions["file"].start
+        vpn = file >> machine.page_bits
+        machine.run([(READ, file)])
+        machine.vm.evict(vpn)
+        machine.run([(READ, file)])
+        assert machine.swap.stats.page_ins == 2
+        assert not machine.swap.has_image(vpn)
+        assert machine.page_table.entry(vpn).kind is PageKind.FILE
