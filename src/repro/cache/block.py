@@ -49,8 +49,16 @@ class CacheLineView(NamedTuple):
     page_dirty: bool
     block_dirty: bool
     state: CoherencyState
-    filled_by_read: bool
     holds_pte: bool
+
+    @property
+    def filled_by_read(self):
+        """Whether the block entered on a read and no write has
+        reached it since.  Not a tag bit: a write fill and a clean
+        block's first write hit both set block-dirty, and only an
+        invalidation clears it, so a valid line is read-filled
+        exactly when it is clean."""
+        return self.valid and not self.block_dirty
 
     def pack_tag(self, tag_value):
         """Pack this line's state into the hardware tag word."""

@@ -23,6 +23,7 @@ from repro.cache.block import CacheLineView
 from repro.cache.coherence import BerkeleyOwnership, CoherencyState
 from repro.cache.columns import ColumnStore
 from repro.common.types import Protection
+from repro.counters.counters import PerformanceCounters
 from repro.counters.events import Event
 
 _UNOWNED = CoherencyState.UNOWNED
@@ -46,13 +47,19 @@ class VirtualCache:
         transfers.
     name:
         Identifier used in diagnostics.
+    counters:
+        The :class:`~repro.counters.counters.PerformanceCounters`
+        bank fills and write-backs count into: the owning machine
+        passes its own; a bare cache builds one.
     """
 
-    def __init__(self, geometry, timing, name="cache0"):
+    def __init__(self, geometry, timing, name="cache0", counters=None):
         self.geometry = geometry
         self.timing = timing
         self.name = name
-        self.counters = None  # set by the owning SpurMachine
+        self.counters = (
+            PerformanceCounters() if counters is None else counters
+        )
 
         num_lines = geometry.num_lines
         self.num_lines = num_lines
@@ -74,23 +81,11 @@ class VirtualCache:
         self.prot = self.columns.prot
         self.page_dirty = self.columns.page_dirty
         self.block_dirty = self.columns.block_dirty
-        self.filled_by_read = self.columns.filled_by_read
         self.holds_pte = self.columns.holds_pte
         # Berkeley Ownership state stays a list of enum members —
         # inspection, policies, and tests rely on identity/properties
         # — so it is not part of the flat column store.
         self.state = [CoherencyState.INVALID] * num_lines
-
-        # ``bus_transactions`` counts a bare cache's fills and
-        # write-backs; a machine's cache counts them as
-        # ``Event.BUS_TRANSACTION`` instead.
-        self.stats = {
-            "fills": 0,
-            "evictions": 0,
-            "write_backs": 0,
-            "invalidations": 0,
-            "bus_transactions": 0,
-        }
 
     # -- lookup ----------------------------------------------------------
 
@@ -126,7 +121,6 @@ class VirtualCache:
             page_dirty=self.page_dirty[index],
             block_dirty=self.block_dirty[index],
             state=self.state[index],
-            filled_by_read=self.filled_by_read[index],
             holds_pte=self.holds_pte[index],
         )
 
@@ -147,37 +141,27 @@ class VirtualCache:
         staleness the whole paper is about.  Berkeley Ownership loads
         a write miss's block owned exclusive and a read miss's
         unowned.  The fetch is one bus transaction and a write-back
-        another.
+        another; both count into the cache's counter bank.
 
         Returns ``(line index, cycles)`` where cycles covers the block
         fetch and any write-back.
         """
         block = vaddr >> self.block_bits
         index = block & self.index_mask
-        counters = self.counters
+        slots = self.counters.slots
         cycles = self.block_transfer_cycles
-        transactions = 1
-        if self.line_block[index] >= 0:
-            if self.block_dirty[index]:
-                cycles += self.block_transfer_cycles
-                transactions = 2
-                self.stats["write_backs"] += 1
-                if counters is not None:
-                    counters.slots[_WRITE_BACK] += 1
-            self.stats["evictions"] += 1
+        if self.block_dirty[index]:
+            cycles += self.block_transfer_cycles
+            slots[_WRITE_BACK] += 1
+            slots[_BUS_TRANSACTION] += 1
 
         self.line_block[index] = block
         self.prot[index] = protection
         self.page_dirty[index] = page_dirty
         self.block_dirty[index] = by_write
-        self.filled_by_read[index] = not by_write
         self.holds_pte[index] = holds_pte
         self.state[index] = _OWNED_EXCLUSIVE if by_write else _UNOWNED
-        self.stats["fills"] += 1
-        if counters is None:
-            self.stats["bus_transactions"] += transactions
-        else:
-            counters.slots[_BUS_TRANSACTION] += transactions
+        slots[_BUS_TRANSACTION] += 1
         return index, cycles
 
     def invalidate(self, index, write_back=True):
@@ -192,13 +176,10 @@ class VirtualCache:
         cycles = 0
         if write_back and self.block_dirty[index]:
             cycles += self.block_transfer_cycles
-            self.stats["write_backs"] += 1
-            if self.counters is not None:
-                self.counters.slots[_WRITE_BACK] += 1
+            self.counters.slots[_WRITE_BACK] += 1
         self.line_block[index] = -1
         self.state[index] = _INVALID
         self.block_dirty[index] = False
-        self.stats["invalidations"] += 1
         return cycles
 
     def clear(self):
@@ -275,7 +256,6 @@ class VirtualCache:
                 state[index] = _INVALID
                 block_dirty[index] = 0
                 dropped += 1
-        self.stats["invalidations"] += dropped
         return len(lines), dropped, dropped - own, dirty
 
     def lines_of_page(self, page_vaddr, page_bytes):

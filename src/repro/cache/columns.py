@@ -33,8 +33,18 @@ Two invariants make this safe (checked by
 WORD_COLUMNS = (("line_block", -1),)
 
 #: ``bytearray`` flag columns (initially all zero).
-FLAG_COLUMNS = ("prot", "page_dirty", "block_dirty", "filled_by_read",
-                "holds_pte")
+FLAG_COLUMNS = ("prot", "page_dirty", "block_dirty", "holds_pte")
+
+#: Flag columns that hold only 0/1 (``prot`` is a two-bit encoding).
+BOOL_COLUMNS = ("page_dirty", "block_dirty", "holds_pte")
+
+#: Every per-line tag array a :class:`~repro.cache.cache.VirtualCache`
+#: keeps: the flat columns plus the coherency ``state`` list.  The
+#: sanitizer's checks and the lint's tag-array write rule (R002) both
+#: read this one declaration.
+TAG_ARRAYS = (
+    tuple(name for name, _ in WORD_COLUMNS) + FLAG_COLUMNS + ("state",)
+)
 
 
 class ColumnStore:
@@ -44,12 +54,10 @@ class ColumnStore:
         self.num_lines = num_lines
         # Resident block number per line or -1 when invalid; block
         # numbers are non-negative, so -1 never matches a probe.
-        self.line_block = [-1] * num_lines
-        self.prot = bytearray(num_lines)
-        self.page_dirty = bytearray(num_lines)
-        self.block_dirty = bytearray(num_lines)
-        self.filled_by_read = bytearray(num_lines)
-        self.holds_pte = bytearray(num_lines)
+        for name, initial in WORD_COLUMNS:
+            setattr(self, name, [initial] * num_lines)
+        for name in FLAG_COLUMNS:
+            setattr(self, name, bytearray(num_lines))
 
     def columns(self):
         """``(name, buffer)`` pairs for every flat column."""
@@ -59,4 +67,5 @@ class ColumnStore:
             yield name, getattr(self, name)
 
 
-__all__ = ["ColumnStore", "WORD_COLUMNS", "FLAG_COLUMNS"]
+__all__ = ["ColumnStore", "WORD_COLUMNS", "FLAG_COLUMNS", "BOOL_COLUMNS",
+           "TAG_ARRAYS"]

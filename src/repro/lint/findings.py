@@ -2,6 +2,8 @@
 
 from dataclasses import dataclass, fields
 
+from repro.cache.columns import TAG_ARRAYS
+
 
 @dataclass(frozen=True)
 class Finding:
@@ -57,15 +59,7 @@ class LintConfig:
 
     #: The cache's parallel tag arrays (R002); writes to
     #: ``<obj>.<field>[...]`` outside the sanctioned modules flag.
-    tag_arrays: frozenset = frozenset({
-        "line_block",
-        "prot",
-        "page_dirty",
-        "block_dirty",
-        "state",
-        "filled_by_read",
-        "holds_pte",
-    })
+    tag_arrays: frozenset = frozenset(TAG_ARRAYS)
 
     #: Module basename -> fields it may write (R002).  ``"*"`` means
     #: every field.  cache.py owns the arrays; the machine's reference

@@ -25,7 +25,6 @@ Cycle model (Table 2.1, Section 3.2):
 """
 
 import sys
-from array import array
 
 from repro.common.errors import ProtectionFault
 from repro.common.types import Protection
@@ -35,7 +34,6 @@ from repro.counters.events import Event
 from repro.cache.cache import VirtualCache
 from repro.cache.coherence import CoherencyState
 from repro.cache.flush import TagCheckedFlush, TaglessFlush
-from repro.machine.cpu import ReferenceMix
 from repro.policies.dirty import make_dirty_policy
 from repro.policies.reference import make_reference_policy
 from repro.translation.incache import InCacheTranslator
@@ -48,35 +46,26 @@ _RW = int(Protection.READ_WRITE)
 _PROT_KERNEL = int(Protection.KERNEL)
 _UNOWNED = CoherencyState.UNOWNED
 _OWNED_EXCLUSIVE = CoherencyState.OWNED_EXCLUSIVE
-_BUS_TRANSACTION = int(Event.BUS_TRANSACTION)
+_INSTRUCTION_FETCH = int(Event.INSTRUCTION_FETCH)
+_PROCESSOR_READ = int(Event.PROCESSOR_READ)
+_PROCESSOR_WRITE = int(Event.PROCESSOR_WRITE)
+_IFETCH_MISS = int(Event.IFETCH_MISS)
+_READ_MISS = int(Event.READ_MISS)
+_WRITE_MISS = int(Event.WRITE_MISS)
+_WRITE_HIT_CLEAN_BLOCK = int(Event.WRITE_HIT_CLEAN_BLOCK)
+_WRITE_BACK = int(Event.WRITE_BACK)
+_BLOCK_FILL = int(Event.BLOCK_FILL)
 _FLUSH_OPERATION = int(Event.FLUSH_OPERATION)
 _FLUSH_WRITE_BACK = int(Event.FLUSH_WRITE_BACK)
-_WRITE_HIT_CLEAN_BLOCK = int(Event.WRITE_HIT_CLEAN_BLOCK)
+_TRANSLATION = int(Event.TRANSLATION)
+_PTE_CACHE_HIT = int(Event.PTE_CACHE_HIT)
+_PTE_CACHE_MISS = int(Event.PTE_CACHE_MISS)
+_SECOND_LEVEL_LOOKUP = int(Event.SECOND_LEVEL_LOOKUP)
+_SECOND_LEVEL_CACHE_HIT = int(Event.SECOND_LEVEL_CACHE_HIT)
+_SECOND_LEVEL_MEMORY_ACCESS = int(Event.SECOND_LEVEL_MEMORY_ACCESS)
+_BUS_TRANSACTION = int(Event.BUS_TRANSACTION)
 _WRITE_TO_READ_FILLED_BLOCK = int(Event.WRITE_TO_READ_FILLED_BLOCK)
-
-# Slots in the chunked loop's deferred tally.  ``_run_refs`` and
-# ``_resolve_write_hit`` fold their counts into these slots and
-# ``_flush_tally`` turns them into counter events and cache stats, one
-# ``increment(event, n)`` per event, which is exact because counter
-# arithmetic is modular addition and nothing samples the counter bank
-# mid-call.  Events that follow from the slots (PTE-cache and
-# second-level hits, second-level lookups) are derived there.
-_T_BUS = 0                # fills, write-backs, ownership upgrades
-_T_IFETCH_MISS = 1
-_T_READ_MISS = 2
-_T_WRITE_MISS = 3
-_T_WALKS = 4              # inline PTE walks
-_T_PTE_MISS = 5           # ... whose first level missed
-_T_SECOND_MISS = 6        # ... and second level too
-_T_FILLS = 7              # data-block fills
-_T_WRITE_FILLS = 8        # ... by a write miss
-_T_INSTALLS = 9           # data and PTE block installs
-_T_EVICTIONS = 10
-_T_WRITE_BACKS = 11
-_T_WRITE_HIT_CLEAN = 12
-_T_WRITE_READ_FILLED = 13
-_TALLY_SLOTS = 14
-_TALLY_ZEROS = (0,) * _TALLY_SLOTS
+_WRITE_MISS_FILL = int(Event.WRITE_MISS_FILL)
 
 # Offset of a kind's low-order byte in its 8-byte ``array('q')``
 # element (native byte order).  Kinds are 0, 1 or 2, so counting 0 and
@@ -123,9 +112,9 @@ class SpurMachine:
         self.zero_fill_cycles = config.zero_fill_cycles
 
         self.cache = VirtualCache(
-            config.cache, config.memory_timing, name=f"{self.name}.cache"
+            config.cache, config.memory_timing, name=f"{self.name}.cache",
+            counters=self.counters,
         )
-        self.cache.counters = self.counters
         self.flusher = _make_flusher(
             config.flush_strategy, config.flush_cost_scale
         )
@@ -136,9 +125,7 @@ class SpurMachine:
             second_level_base=config.second_level_base,
             user_limit=config.user_limit,
         ))
-        self.translator = InCacheTranslator(
-            self.page_table, self.cache, counters=self.counters
-        )
+        self.translator = InCacheTranslator(self.page_table, self.cache)
 
         self.swap = SwapDevice(io_cycles=config.fault_timing.page_io)
         self.vm = VirtualMemorySystem(
@@ -165,7 +152,6 @@ class SpurMachine:
 
         self.cycles = 0
         self.references = 0
-        self.reference_mix = ReferenceMix()
 
         # Reference-loop prebinds: structural constants of the page
         # table layout and translator timing (both frozen), plus bound
@@ -222,76 +208,67 @@ class SpurMachine:
         Bit-identical for any chunking of the same references: each
         chunk is cut into poll-free segments (computed arithmetically, so any positive
         ``daemon_poll_refs`` works) and every segment goes through
-        :meth:`_run_refs`.  Kind tallies count one byte per kind
-        (each kind's low-order byte; C speed, no per-element
-        boxing), the per-reference cycle charge is folded into one
-        addition per call, and miss-path bookkeeping is deferred into
-        a per-call tally flushed by :meth:`_flush_tally`.  Returns the
-        number of references processed.
+        :meth:`_run_refs`.  A chunk's kinds are counted from one byte
+        per reference (each kind's low-order byte; C speed, no
+        per-element boxing) and the per-reference cycle charge is
+        folded into one addition per call.  Returns the number of
+        references processed.
         """
         run_refs = self._run_refs
         interval = self.config.daemon_poll_refs
         poll = self.vm.daemon.poll if interval else None
-        tally = array("q", _TALLY_ZEROS)
 
         cycles = 0
         extra = 0
         ifetches = 0
         writes = 0
         processed = 0
-        try:
-            for chunk in chunks:
-                pairs = len(chunk) >> 1
-                if not pairs:
-                    continue
-                kinds = chunk[0::2].tobytes()[_KIND_BYTE::8]
-                ifetches += kinds.count(0)
-                writes += kinds.count(2)
-                start = 0
-                while start < pairs:
-                    if poll is None:
+        for chunk in chunks:
+            pairs = len(chunk) >> 1
+            if not pairs:
+                continue
+            kinds = chunk[0::2].tobytes()[_KIND_BYTE::8]
+            ifetches += kinds.count(0)
+            writes += kinds.count(2)
+            start = 0
+            while start < pairs:
+                if poll is None:
+                    stop = pairs
+                else:
+                    # References left before the next poll boundary:
+                    # the schedule polls before handling every
+                    # ``interval``-th reference of the call, so
+                    # ``processed % interval == interval - 1`` means
+                    # the next reference polls first.
+                    stop = start + interval - 1 - (processed % interval)
+                    if stop > pairs:
                         stop = pairs
-                    else:
-                        # References left before the next poll
-                        # boundary: the schedule polls before
-                        # handling every ``interval``-th reference of
-                        # the call, so ``processed % interval ==
-                        # interval - 1`` means the next reference
-                        # polls first.
-                        stop = start + interval - 1 - (
-                            processed % interval
-                        )
-                        if stop > pairs:
-                            stop = pairs
-                    if stop > start:
-                        extra += run_refs(chunk, start, stop, tally)
-                        processed += stop - start
-                        start = stop
-                    if start < pairs:
-                        # The next reference lands on the poll
-                        # boundary: poll first, then process it as a
-                        # one-reference segment.
-                        cycles += poll()
-                        extra += run_refs(chunk, start, start + 1, tally)
-                        processed += 1
-                        start += 1
-        finally:
-            # Deferred bookkeeping must land even when a slow path
-            # raises (protection faults propagate to the caller with
-            # the same counter state the scalar oracle leaves).
-            self._flush_tally(tally)
+                if stop > start:
+                    extra += run_refs(chunk, start, stop)
+                    processed += stop - start
+                    start = stop
+                if start < pairs:
+                    # The next reference lands on the poll boundary:
+                    # poll first, then process it as a one-reference
+                    # segment.
+                    cycles += poll()
+                    extra += run_refs(chunk, start, start + 1)
+                    processed += 1
+                    start += 1
 
         # Deferred accounting: every reference costs its base cycle
         # (hence ``+ processed``); the reference loop added the rest
         # to ``extra``, polls to ``cycles``.
         self.cycles += cycles + extra + processed
         self.references += processed
-        mix = ReferenceMix(ifetches, processed - ifetches - writes, writes)
-        mix.flush_to_counters(self.counters)
-        self.reference_mix.add(mix.ifetches, mix.reads, mix.writes)
+        # Unconditional: a run counts all three kinds, even at 0.
+        slots = self.counters.slots
+        slots[_INSTRUCTION_FETCH] += ifetches
+        slots[_PROCESSOR_READ] += processed - ifetches - writes
+        slots[_PROCESSOR_WRITE] += writes
         return processed
 
-    def _run_refs(self, chunk, start, end, tally):
+    def _run_refs(self, chunk, start, end):
         """The per-reference engine over the poll-free segment
         ``chunk[start:end)`` (pair indices).
 
@@ -319,19 +296,22 @@ class SpurMachine:
            sanctioned tag-array writer).
 
         The loop keeps only counts that cannot be derived: misses per
-        kind, page faults, first- and second-level PTE misses,
-        write-backs and installs into invalid lines.  The block
-        transfers, checks, fills, evictions, bus transactions and walk
-        outcomes follow from them once per segment (see
-        :meth:`_flush_tally`), including when a miss raises.  Returns
-        the segment's cycles beyond the base charge.
+        kind, page faults, first- and second-level PTE misses and
+        write-backs.  On the way out, including when a miss raises,
+        it adds them and what follows from them to the counter bank:
+        a walk is a miss without a page fault and its PTE-cache hit a
+        walk without a PTE miss, a second-level lookup is a PTE miss
+        and its hit a PTE miss without a second-level miss, and every
+        install and write-back is a bus transaction.  Zero counts are
+        skipped, since an add of 0 would still make the event appear
+        in the counter snapshot.  Returns the segment's cycles beyond
+        the base charge.
         """
         cache = self.cache
         line_block = cache.line_block
         prot = cache.prot
         page_dirty = cache.page_dirty
         block_dirty = cache.block_dirty
-        filled_by_read = cache.filled_by_read
         holds_pte = cache.holds_pte
         state = cache.state
         block_bits = cache.block_bits
@@ -357,7 +337,6 @@ class SpurMachine:
         pte_misses = 0
         second_misses = 0
         write_backs = 0
-        empties = 0
         extra = 0
         unfilled = 0
         unfilled_writes = 0
@@ -375,7 +354,7 @@ class SpurMachine:
                         and prot[index] == _RW
                     ):
                         continue
-                    extra += write_hit(index, vaddr, tally)
+                    extra += write_hit(index, vaddr)
                     continue
 
                 if kind == 2:
@@ -409,24 +388,18 @@ class SpurMachine:
                             second_misses += 1
                             if block_dirty[sindex]:
                                 write_backs += 1
-                            elif line_block[sindex] < 0:
-                                empties += 1
                             line_block[sindex] = sblock
                             prot[sindex] = _PROT_KERNEL
                             page_dirty[sindex] = 1
                             block_dirty[sindex] = 0
-                            filled_by_read[sindex] = 1
                             holds_pte[sindex] = 1
                             state[sindex] = _UNOWNED
                         if block_dirty[pindex]:
                             write_backs += 1
-                        elif line_block[pindex] < 0:
-                            empties += 1
                         line_block[pindex] = pblock
                         prot[pindex] = _PROT_KERNEL
                         page_dirty[pindex] = 1
                         block_dirty[pindex] = 0
-                        filled_by_read[pindex] = 1
                         holds_pte[pindex] = 1
                         state[pindex] = _UNOWNED
                 if not pte.referenced and maintains_bits:
@@ -451,8 +424,6 @@ class SpurMachine:
                 # exception).
                 if block_dirty[index]:
                     write_backs += 1
-                elif line_block[index] < 0:
-                    empties += 1
                 line_block[index] = block
                 prot[index] = pte.protection
                 page_dirty[index] = (
@@ -462,11 +433,9 @@ class SpurMachine:
                 holds_pte[index] = 0
                 if kind == 2:
                     block_dirty[index] = 1
-                    filled_by_read[index] = 0
                     state[index] = _OWNED_EXCLUSIVE
                 else:
                     block_dirty[index] = 0
-                    filled_by_read[index] = 1
                     state[index] = _UNOWNED
         except BaseException:
             # A miss that raised (a protection fault, an unmapped
@@ -481,28 +450,43 @@ class SpurMachine:
             raise
         finally:
             misses = ifetch_misses + read_misses + write_misses
-            tally[_T_IFETCH_MISS] += ifetch_misses
-            tally[_T_READ_MISS] += read_misses
-            tally[_T_WRITE_MISS] += write_misses
-            tally[_T_WALKS] += misses - faults
-            tally[_T_PTE_MISS] += pte_misses
-            tally[_T_SECOND_MISS] += second_misses
-            tally[_T_WRITE_BACKS] += write_backs
+            walks = misses - faults
             fills = misses - unfilled
-            tally[_T_FILLS] += fills
-            tally[_T_WRITE_FILLS] += write_misses - unfilled_writes
             installs = fills + pte_misses + second_misses
-            tally[_T_INSTALLS] += installs
-            tally[_T_EVICTIONS] += installs - empties
-            tally[_T_BUS] += installs + write_backs
+            slots = self.counters.slots
+            if ifetch_misses:
+                slots[_IFETCH_MISS] += ifetch_misses
+            if read_misses:
+                slots[_READ_MISS] += read_misses
+            if write_misses:
+                slots[_WRITE_MISS] += write_misses
+            if walks:
+                slots[_TRANSLATION] += walks
+            if walks > pte_misses:
+                slots[_PTE_CACHE_HIT] += walks - pte_misses
+            if pte_misses:
+                slots[_PTE_CACHE_MISS] += pte_misses
+                slots[_SECOND_LEVEL_LOOKUP] += pte_misses
+            if pte_misses > second_misses:
+                slots[_SECOND_LEVEL_CACHE_HIT] += pte_misses - second_misses
+            if second_misses:
+                slots[_SECOND_LEVEL_MEMORY_ACCESS] += second_misses
+            if fills:
+                slots[_BLOCK_FILL] += fills
+            if write_misses > unfilled_writes:
+                slots[_WRITE_MISS_FILL] += write_misses - unfilled_writes
+            if write_backs:
+                slots[_WRITE_BACK] += write_backs
+            if installs or write_backs:
+                slots[_BUS_TRANSACTION] += installs + write_backs
         return (
             extra
-            + (misses - faults) * self._pte_check_cycles
+            + walks * self._pte_check_cycles
             + pte_misses * self._second_check_cycles
             + (installs + write_backs) * cache.block_transfer_cycles
         )
 
-    def _resolve_write_hit(self, index, vaddr, tally):
+    def _resolve_write_hit(self, index, vaddr):
         """Inline write-hit resolver in front of :meth:`_slow_write_hit`.
 
         Commits only when the hit is provably free of policy work: the
@@ -513,19 +497,18 @@ class SpurMachine:
         write_hit_settled`).  Everything else — protection faults,
         dirty-bit faults, cached-copy refreshes, page flushes —
         delegates to the scalar :meth:`_slow_write_hit` *before* any
-        state or tally is touched.
+        state or counter is touched.
 
-        The commit path mirrors the scalar bookkeeping exactly: the
-        clean-block and read-filled-block counters are deferred into
-        tally slots, the block-dirty bit is set, and the Berkeley
-        write-hit transition of :meth:`~repro.cache.cache.VirtualCache.
-        acquire_ownership` is applied inline, its bus transaction
-        tallied (the settled handler cannot have moved the block, so
-        no re-probe is needed).  The slow path's
-        region-writable recheck is covered by the predicate's
-        contract — settled implies the write cannot protection-fault —
-        so only the record-existence peeks remain.  Returns cycles
-        (always 0: a settled write hit is free).
+        The commit path mirrors the scalar bookkeeping exactly: it
+        counts a clean block's first write, sets the block-dirty bit,
+        and applies the Berkeley write-hit transition of
+        :meth:`~repro.cache.cache.VirtualCache.acquire_ownership`
+        inline, counting its bus transaction (the settled handler
+        cannot have moved the block, so no re-probe is needed).  The
+        slow path's region-writable recheck is covered by the
+        predicate's contract — settled implies the write cannot
+        protection-fault — so only the record-existence peeks remain.
+        Returns cycles (always 0: a settled write hit is free).
         """
         cache = self.cache
         if not self.dirty_policy.write_hit_settled(cache, index):
@@ -533,80 +516,18 @@ class SpurMachine:
         vpn = vaddr >> self.page_bits
         if self._pte_peek(vpn) is None or self._page_peek(vpn) is None:
             return self._slow_write_hit(index, vaddr)
+        slots = self.counters.slots
         if not cache.block_dirty[index]:
-            tally[_T_WRITE_HIT_CLEAN] += 1
-            if cache.filled_by_read[index]:
-                tally[_T_WRITE_READ_FILLED] += 1
-                cache.filled_by_read[index] = 0
+            slots[_WRITE_HIT_CLEAN_BLOCK] += 1
+            slots[_WRITE_TO_READ_FILLED_BLOCK] += 1
             cache.block_dirty[index] = 1
         # acquire_ownership, inlined: a line the one board hits is
         # UNOWNED or OWNED_EXCLUSIVE (the sanitizer's
         # cache.no-shared-owner), and only UNOWNED takes a transaction.
         if cache.state[index] is _UNOWNED:
             cache.state[index] = _OWNED_EXCLUSIVE
-            tally[_T_BUS] += 1
+            slots[_BUS_TRANSACTION] += 1
         return 0
-
-    def _flush_tally(self, tally):
-        """Apply one chunk run's deferred tallies to the live books.
-
-        Exact regardless of where the run stopped: counter increments
-        are modular sums, stats are plain sums, and nothing samples
-        the books mid-call (the observer and sanitizer both cut
-        between calls).  A walk's PTE-cache hit is a walk without a
-        PTE miss, a second-level lookup is a PTE miss, and its hit is
-        a PTE miss without a second-level miss.
-        """
-        stats = self.cache.stats
-        stats["fills"] += tally[_T_INSTALLS]
-        stats["evictions"] += tally[_T_EVICTIONS]
-        write_backs = tally[_T_WRITE_BACKS]
-        stats["write_backs"] += write_backs
-        # Zero counts are skipped: an increment by 0 would still make
-        # the event appear in the counter snapshot.
-        counters = self.counters
-        count = tally[_T_BUS]
-        if count:
-            counters.increment(Event.BUS_TRANSACTION, count)
-        if write_backs:
-            counters.increment(Event.WRITE_BACK, write_backs)
-        count = tally[_T_IFETCH_MISS]
-        if count:
-            counters.increment(Event.IFETCH_MISS, count)
-        count = tally[_T_READ_MISS]
-        if count:
-            counters.increment(Event.READ_MISS, count)
-        count = tally[_T_WRITE_MISS]
-        if count:
-            counters.increment(Event.WRITE_MISS, count)
-        walks = tally[_T_WALKS]
-        pte_misses = tally[_T_PTE_MISS]
-        second_misses = tally[_T_SECOND_MISS]
-        if walks:
-            counters.increment(Event.TRANSLATION, walks)
-        if walks > pte_misses:
-            counters.increment(Event.PTE_CACHE_HIT, walks - pte_misses)
-        if pte_misses:
-            counters.increment(Event.PTE_CACHE_MISS, pte_misses)
-            counters.increment(Event.SECOND_LEVEL_LOOKUP, pte_misses)
-        if pte_misses > second_misses:
-            counters.increment(Event.SECOND_LEVEL_CACHE_HIT,
-                               pte_misses - second_misses)
-        if second_misses:
-            counters.increment(Event.SECOND_LEVEL_MEMORY_ACCESS,
-                               second_misses)
-        count = tally[_T_FILLS]
-        if count:
-            counters.increment(Event.BLOCK_FILL, count)
-        count = tally[_T_WRITE_FILLS]
-        if count:
-            counters.increment(Event.WRITE_MISS_FILL, count)
-        count = tally[_T_WRITE_HIT_CLEAN]
-        if count:
-            counters.increment(Event.WRITE_HIT_CLEAN_BLOCK, count)
-        count = tally[_T_WRITE_READ_FILLED]
-        if count:
-            counters.increment(Event.WRITE_TO_READ_FILLED_BLOCK, count)
 
     # -- slow paths ------------------------------------------------------
 
@@ -621,12 +542,12 @@ class SpurMachine:
 
         slots = self.counters.slots
         if not cache.block_dirty[index]:
+            # First modification of a clean block, which entered on a
+            # read (a valid line is clean exactly when no write has
+            # reached it since its fill): one of the paper's N_w-hit
+            # events, counted per block.
             slots[_WRITE_HIT_CLEAN_BLOCK] += 1
-        if cache.filled_by_read[index] and not cache.block_dirty[index]:
-            # First modification of a block that entered on a read:
-            # one of the paper's N_w-hit events (counted per block).
             slots[_WRITE_TO_READ_FILLED_BLOCK] += 1
-            cache.filled_by_read[index] = False
 
         cycles = self.dirty_policy.handle_write_hit(
             self, index, vaddr, pte, page

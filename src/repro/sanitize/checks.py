@@ -13,32 +13,18 @@ debugging machinery, not an API consumer.
 """
 
 from repro.cache.coherence import CoherencyState
+from repro.cache.columns import BOOL_COLUMNS, TAG_ARRAYS
 from repro.sanitize.violation import InvariantViolation
 
 _INVALID = int(CoherencyState.INVALID)
 _OWNED_SHARED = int(CoherencyState.OWNED_SHARED)
-
-#: Column-store flag columns constrained to boolean 0/1 values.
-_BOOL_COLUMNS = ("page_dirty", "block_dirty", "filled_by_read",
-                 "holds_pte")
-
-#: The parallel per-line tag arrays a :class:`VirtualCache` keeps.
-TAG_ARRAY_FIELDS = (
-    "prot",
-    "page_dirty",
-    "block_dirty",
-    "state",
-    "filled_by_read",
-    "holds_pte",
-    "line_block",
-)
 
 
 def _line_state(cache, index):
     """Raw dump of one line's parallel-array slots (may be corrupt)."""
     return {
         field: getattr(cache, field)[index]
-        for field in TAG_ARRAY_FIELDS
+        for field in TAG_ARRAYS
     }
 
 
@@ -131,12 +117,12 @@ def check_line(cache, index, ref_index=None):
 def check_cache_arrays(cache, ref_index=None):
     """Validate a whole cache: array lengths plus every line.
 
-    Invariant ``cache.array-lengths``: the seven parallel tag arrays all
+    Invariant ``cache.array-lengths``: the six parallel tag arrays all
     have exactly ``num_lines`` entries — the structural precondition of
     the hot loop's unguarded indexing.
     """
     num_lines = cache.num_lines
-    for field in TAG_ARRAY_FIELDS:
+    for field in TAG_ARRAYS:
         length = len(getattr(cache, field))
         if length != num_lines:
             raise InvariantViolation(
@@ -177,7 +163,7 @@ def check_column_store(cache, ref_index=None):
                 machine=cache.name,
                 ref_index=ref_index,
             )
-    for name in _BOOL_COLUMNS:
+    for name in BOOL_COLUMNS:
         column = getattr(columns, name)
         for index, value in enumerate(column):
             if value > 1:
@@ -269,7 +255,10 @@ def check_vm(vm, ref_index=None):
       allocatable range;
     * ``vm.pte-frame-agreement`` — a valid PTE's physical page number
       is the frame its page record holds;
-    * ``vm.swap-image`` — a page marked in-swap has a swap image.
+    * ``vm.swap-image`` — a page marked in-swap has a swap image;
+    * ``vm.clock-resident`` — every page the clock daemon tracks as
+      resident has a valid PTE whose frame it owns, so the daemon's
+      scans read the PTE without a validity guard.
     """
     frame_table = vm.frame_table
     name = "vm"
@@ -322,6 +311,20 @@ def check_vm(vm, ref_index=None):
                 f"frame {frame} records owner {vpn} but that page "
                 f"holds frame "
                 f"{page.frame if page is not None else None!r}",
+                machine=name, ref_index=ref_index,
+            )
+
+    for vpn in vm.daemon._positions:
+        pte = vm.page_table.peek(vpn)
+        if (
+            pte is None
+            or not pte.valid
+            or frame_table.owner(pte.ppn) != vpn
+        ):
+            raise InvariantViolation(
+                "vm.clock-resident",
+                f"the page daemon tracks page {vpn} as resident but "
+                f"its PTE is {pte!r}",
                 machine=name, ref_index=ref_index,
             )
 

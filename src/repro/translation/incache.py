@@ -67,20 +67,17 @@ class TranslationResult(NamedTuple):
 class InCacheTranslator:
     """Walks the two-level page table through the virtual cache."""
 
-    def __init__(self, page_table, cache, timing=None, counters=None):
+    def __init__(self, page_table, cache, timing=None):
         self.page_table = page_table
         self.cache = cache
         self.timing = timing or TranslationTiming()
-        self.counters = counters
-        # Walk constants: the layout and timing are frozen, and a
-        # translator without a bank counts into a private sink.
+        # Walk constants (the layout and timing are frozen); a walk
+        # counts into the cache's counter bank.
         layout = page_table.layout
         self._page_bits = layout.page_bits
         self._pte_base = layout.pte_base
         self._second_base = layout.second_level_base
-        self._slots = (
-            [0] * len(Event) if counters is None else counters.slots
-        )
+        self._slots = cache.counters.slots
 
     def translate(self, vaddr):
         """Translate a (missing) reference's address.

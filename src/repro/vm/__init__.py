@@ -22,7 +22,7 @@ from repro.vm.segments import AddressSpaceMap, ProcessAddressSpace, Region
 from repro.vm.swap import SwapDevice
 from repro.vm.pagedaemon import ClockPageDaemon
 from repro.vm.faults import FaultKind
-from repro.vm.system import VirtualMemorySystem, VmPage, VmStats
+from repro.vm.system import VirtualMemorySystem, VmPage
 
 __all__ = [
     "AddressSpaceMap",
@@ -36,5 +36,4 @@ __all__ = [
     "SwapDevice",
     "VirtualMemorySystem",
     "VmPage",
-    "VmStats",
 ]

@@ -44,8 +44,6 @@ class ClockPageDaemon:
         self._poll_hand = 0
         self.runs = 0
         self.polls = 0
-        self.pages_examined = 0
-        self.pages_reclaimed = 0
 
     def note_resident(self, vpn):
         """Add a newly resident page behind the hand."""
@@ -81,8 +79,6 @@ class ClockPageDaemon:
 
         self.runs += 1
         cycles = 0
-        examined = 0
-        reclaimed = 0
         # Two full laps bound the scan: the first lap may only clear
         # bits, the second then reclaims whatever stayed clear.
         budget = 2 * len(clock) + 1
@@ -100,11 +96,10 @@ class ClockPageDaemon:
             if vpn not in positions:
                 # Stale slot left by an earlier eviction.
                 continue
+            # A tracked page is mapped (the sanitizer's
+            # vm.clock-resident): only evict unmaps, and it forgets
+            # the page in the same step.
             pte = peek(vpn)
-            if pte is None or not pte.valid:
-                del positions[vpn]
-                continue
-            examined += 1
             cycles += scan_cycles
             slots[_DAEMON_PAGE_SCAN] += 1
             if maintains_bits and pte.referenced:
@@ -112,10 +107,7 @@ class ClockPageDaemon:
                 slots[_REFERENCE_CLEAR] += 1
             else:
                 cycles += evict(vpn)  # which forgets the page
-                reclaimed += 1
         self._hand = hand
-        self.pages_examined += examined
-        self.pages_reclaimed += reclaimed
         return cycles
 
     def poll(self):
@@ -148,7 +140,6 @@ class ClockPageDaemon:
         hand = self._poll_hand
 
         cycles = 0
-        examined = 0
         for _ in range(min(len(clock), max(16, len(clock) // 6))):
             if hand >= len(clock):
                 hand = 0
@@ -157,16 +148,12 @@ class ClockPageDaemon:
             if vpn not in positions:
                 continue
             pte = peek(vpn)
-            if pte is None or not pte.valid:
-                continue
-            examined += 1
             cycles += scan_cycles
             slots[_DAEMON_PAGE_SCAN] += 1
             if pte.referenced:
                 cycles += clear_reference(machine, vpn, pte)
                 slots[_REFERENCE_CLEAR] += 1
         self._poll_hand = hand
-        self.pages_examined += examined
         return cycles
 
     def _compact(self):

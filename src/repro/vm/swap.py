@@ -13,33 +13,17 @@ from typing import Set
 
 @dataclass
 class SwapStats:
-    """Cumulative paging-I/O accounting."""
+    """Cumulative paging-I/O accounting.
+
+    Table 3.5's percentages are derived from these counts by
+    :class:`repro.analysis.experiments.Table35Row`.
+    """
 
     page_ins: int = 0            # pages read from file or swap
     page_outs: int = 0           # pages written to swap
     zero_fills: int = 0          # pages created by zeroing (no I/O)
     potentially_modified: int = 0  # writable pages replaced
     not_modified: int = 0        # ... of those, clean at replacement
-
-    @property
-    def percent_not_modified(self):
-        """Column 7 of Table 3.5: clean fraction of writable replacements."""
-        if self.potentially_modified == 0:
-            return 0.0
-        return 100.0 * self.not_modified / self.potentially_modified
-
-    @property
-    def percent_additional_io(self):
-        """Column 8 of Table 3.5.
-
-        Without dirty bits every writable replacement is written out;
-        the additional I/Os are exactly the clean ones, expressed as a
-        percentage of the paging I/O actually performed.
-        """
-        actual_io = self.page_ins + self.page_outs
-        if actual_io == 0:
-            return 0.0
-        return 100.0 * self.not_modified / actual_io
 
 
 class SwapDevice:

@@ -9,8 +9,6 @@ this module policy-neutral — it is the part of "Sprite" the paper did
 *not* vary.
 """
 
-from dataclasses import dataclass
-
 from repro.common.errors import ConfigurationError, ProtectionFault
 from repro.common.types import PageKind
 from repro.counters.events import Event
@@ -47,15 +45,6 @@ class VmPage:
     @property
     def resident(self):
         return self.frame is not None
-
-
-@dataclass
-class VmStats:
-    """VM-level event totals (paging I/O lives in SwapStats)."""
-
-    page_faults: int = 0
-    daemon_cycles: int = 0
-    fault_cycles: int = 0
 
 
 class VirtualMemorySystem:
@@ -105,7 +94,6 @@ class VirtualMemorySystem:
             )
         self.daemon = ClockPageDaemon(self, low_water, high_water)
         self.pages = {}
-        self.stats = VmStats()
         self.page_bytes = space_map.page_bytes
         self.machine = None  # set by SpurMachine.attach
 
@@ -146,8 +134,6 @@ class VirtualMemorySystem:
         machine = self.machine
         slots = machine.counters.slots
         slots[_PAGE_FAULT] += 1
-        stats = self.stats
-        stats.page_faults += 1
         cycles = machine.fault_timing.page_fault_service
 
         page = self.pages.get(vpn)
@@ -156,9 +142,7 @@ class VirtualMemorySystem:
 
         free_frames = self.allocator.free_frames
         if len(free_frames) < self.daemon.low_water:
-            daemon_cycles = self.daemon.run()
-            stats.daemon_cycles += daemon_cycles
-            cycles += daemon_cycles
+            cycles += self.daemon.run()
         if not free_frames:
             raise OutOfFramesError(
                 f"no free frame for page {vpn}; the daemon reclaimed none"
@@ -200,7 +184,6 @@ class VirtualMemorySystem:
         pte.coherent = False
         pte.kind = kind
         self.daemon.note_resident(vpn)
-        stats.fault_cycles += cycles
         return cycles
 
     # -- eviction ---------------------------------------------------------

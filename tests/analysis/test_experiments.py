@@ -3,6 +3,7 @@
 import pytest
 
 from repro.analysis.experiments import (
+    Table35Row,
     build_table_3_4,
     run_table_3_3,
     run_table_3_5,
@@ -69,6 +70,27 @@ class TestTable35Driver:
         assert len(rows) == 1
         assert rows[0].hostname == "mace"
         assert "Table 3.5" in table.render()
+
+
+class TestTable35Accounting:
+    def test_percent_not_modified(self):
+        row = Table35Row("h", 8, 1, page_ins=0, potentially_modified=100,
+                         not_modified=18)
+        assert row.percent_not_modified == pytest.approx(18.0)
+
+    def test_percent_not_modified_empty(self):
+        assert Table35Row("h", 8, 1, 0, 0, 0).percent_not_modified == 0.0
+
+    def test_percent_additional_io_matches_paper_formula(self):
+        # mace row of Table 3.5: 15203 page-ins, 2681 potentially
+        # modified, 488 not modified -> 2193 actual page-outs ->
+        # 488 / (15203 + 2193) = 2.8%.
+        row = Table35Row("mace", 16, 1, page_ins=15203,
+                         potentially_modified=2681, not_modified=488)
+        assert row.percent_additional_io == pytest.approx(2.8, abs=0.05)
+
+    def test_percent_additional_io_no_io(self):
+        assert Table35Row("h", 8, 1, 0, 0, 0).percent_additional_io == 0.0
 
 
 class TestTable41Driver:

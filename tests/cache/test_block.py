@@ -33,7 +33,6 @@ class TestView:
             page_dirty=True,
             block_dirty=False,
             state=CoherencyState.UNOWNED,
-            filled_by_read=True,
             holds_pte=False,
         )
         values.update(overrides)
@@ -49,6 +48,11 @@ class TestView:
         assert fields["B"] == 0
         assert fields["CS"] == int(CoherencyState.UNOWNED)
         assert fields["TAG"] == 0x123
+
+    def test_filled_by_read_is_a_valid_clean_line(self):
+        assert self.make_view().filled_by_read
+        assert not self.make_view(block_dirty=True).filled_by_read
+        assert not self.make_view(valid=False).filled_by_read
 
     def test_view_is_immutable(self):
         view = self.make_view()

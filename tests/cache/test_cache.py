@@ -6,6 +6,7 @@ from repro.cache.cache import VirtualCache
 from repro.cache.coherence import CoherencyState
 from repro.common.params import CacheGeometry, MemoryTiming
 from repro.common.types import Protection
+from repro.counters.events import Event
 
 
 def make_cache(size=1024, block=32):
@@ -67,7 +68,7 @@ class TestProbeAndFill:
             0x45 + 1024, Protection.READ_WRITE, False, False
         )
         assert cycles == 2 * cache.block_transfer_cycles
-        assert cache.stats["write_backs"] == 1
+        assert cache.counters.read(Event.WRITE_BACK) == 1
 
 
 class TestInvalidate:
@@ -94,10 +95,10 @@ class TestInvalidate:
     def test_clear_invalidates_everything_silently(self):
         cache = make_cache()
         cache.fill(0x45, Protection.READ_WRITE, True, True)
-        write_backs = cache.stats["write_backs"]
+        before = cache.counters.snapshot()
         cache.clear()
         assert cache.probe(0x45) == -1
-        assert cache.stats["write_backs"] == write_backs
+        assert cache.counters.snapshot().as_dict() == before.as_dict()
 
 
 class TestOwnership:
@@ -144,10 +145,13 @@ class TestPageHelpers:
         assert len(cache.resident_lines()) == 2
 
 
-class TestStats:
+class TestCounters:
     def test_fill_and_eviction_counts(self):
+        # Each fill is one bus transaction; evicting a clean block
+        # writes nothing back.
         cache = make_cache(size=1024)
         cache.fill(0x45, Protection.READ_WRITE, False, False)
         cache.fill(0x45 + 1024, Protection.READ_WRITE, False, False)
-        assert cache.stats["fills"] == 2
-        assert cache.stats["evictions"] == 1
+        assert cache.probe(0x45) == -1
+        assert cache.counters.read(Event.BUS_TRANSACTION) == 2
+        assert Event.WRITE_BACK not in cache.counters.snapshot()

@@ -8,7 +8,9 @@ and the bus transactions the cache's own mutators count.
 from repro.cache.cache import VirtualCache
 from repro.cache.coherence import CoherencyState
 from repro.cache.columns import (
+    BOOL_COLUMNS,
     FLAG_COLUMNS,
+    TAG_ARRAYS,
     WORD_COLUMNS,
     ColumnStore,
 )
@@ -16,13 +18,16 @@ from repro.common.params import CacheGeometry, MemoryTiming
 from repro.common.types import Protection
 from repro.counters.counters import PerformanceCounters
 from repro.counters.events import Event
+from repro.lint.findings import LintConfig
+from repro.sanitize.checks import _line_state
 
 
-def small_cache(name="c0"):
+def small_cache(name="c0", counters=None):
     return VirtualCache(
         CacheGeometry(size_bytes=1024, block_bytes=32),
         MemoryTiming(),
         name=name,
+        counters=counters,
     )
 
 
@@ -66,10 +71,33 @@ class TestColumnStore:
         assert cache.resident_lines() == []
 
 
+class TestTagArrayDeclaration:
+    """``TAG_ARRAYS`` is the one list of tag arrays: the cache keeps
+    exactly those per-line arrays, the sanitizer dumps and checks
+    them, and the lint guards writes to them (R002)."""
+
+    def test_cache_sanitizer_and_lint_agree(self):
+        cache = small_cache()
+        per_line = {
+            name for name, value in vars(cache).items()
+            if isinstance(value, (list, bytearray))
+            and len(value) == cache.num_lines
+        }
+        assert per_line == set(TAG_ARRAYS)
+        assert set(_line_state(cache, 0)) == set(TAG_ARRAYS)
+        assert LintConfig().tag_arrays == frozenset(TAG_ARRAYS)
+        assert len(set(TAG_ARRAYS)) == len(TAG_ARRAYS)
+
+    def test_bool_columns_are_the_flags_but_protection(self):
+        assert BOOL_COLUMNS == tuple(
+            name for name in FLAG_COLUMNS if name != "prot"
+        )
+
+
 class TestBusAccounting:
     """A fill is one bus transaction and its write-back another; a
-    write hit's ownership upgrade is one more, which the caller counts
-    (the machine live or in its tally)."""
+    write hit's ownership upgrade is one more, which the caller
+    counts."""
 
     def drive(self, cache):
         cache.fill(0x400, Protection.READ_WRITE, False, False)
@@ -82,17 +110,17 @@ class TestBusAccounting:
         # Conflicts with 0x400's dirty line: eviction plus write-back.
         cache.fill(0x400 + 1024, Protection.KERNEL, True, False, True)
 
-    def test_bare_cache_counts_in_stats(self):
+    def test_bare_cache_counts_in_its_own_bank(self):
         cache = small_cache()
         self.drive(cache)
-        assert cache.stats["fills"] == 3
-        assert cache.stats["write_backs"] == 1
-        assert cache.stats["bus_transactions"] == 4
-
-    def test_counter_bank_counts_the_event(self):
-        cache = small_cache()
-        cache.counters = PerformanceCounters()
-        self.drive(cache)
+        # Three fills and one write-back; the upgrade is the caller's.
         assert cache.counters.read(Event.BUS_TRANSACTION) == 4
         assert cache.counters.read(Event.WRITE_BACK) == 1
-        assert cache.stats["bus_transactions"] == 0
+
+    def test_counter_bank_counts_the_event(self):
+        counters = PerformanceCounters()
+        cache = small_cache(counters=counters)
+        assert cache.counters is counters
+        self.drive(cache)
+        assert counters.read(Event.BUS_TRANSACTION) == 4
+        assert counters.read(Event.WRITE_BACK) == 1

@@ -4,8 +4,8 @@ With one board on the bus, Berkeley Ownership puts exactly three kinds
 of transaction there: a block fill (data or PTE block), the write-back
 of the dirty block a fill evicts, and the ownership upgrade of a write
 hit on an UNOWNED block.  ``Event.BUS_TRANSACTION`` must count those
-and nothing else, in the chunk engine's deferred tally as in the
-scalar oracle's live slot adds.
+and nothing else, in the chunk engine's per-segment adds as in the
+scalar oracle's live ones.
 """
 
 import pytest
@@ -39,6 +39,14 @@ def bus(machine):
     return machine.counters.read(Event.BUS_TRANSACTION)
 
 
+def installs(machine):
+    """Blocks the misses brought in: data blocks plus the first- and
+    second-level PTE blocks their walks installed."""
+    read = machine.counters.read
+    return (read(Event.BLOCK_FILL) + read(Event.PTE_CACHE_MISS)
+            + read(Event.SECOND_LEVEL_MEMORY_ACCESS))
+
+
 def heap_machine(**overrides):
     space_map, regions = simple_space()
     return make_machine(space_map, **overrides), regions["heap"].start
@@ -46,10 +54,10 @@ def heap_machine(**overrides):
 
 def delta(machine, accesses):
     """Run *accesses*; return the (bus, fills, write-backs) they add."""
-    before = (bus(machine), machine.cache.stats["fills"],
+    before = (bus(machine), installs(machine),
               machine.counters.read(Event.WRITE_BACK))
     machine.run(accesses)
-    after = (bus(machine), machine.cache.stats["fills"],
+    after = (bus(machine), installs(machine),
              machine.counters.read(Event.WRITE_BACK))
     return tuple(b - a for a, b in zip(before, after))
 
@@ -125,56 +133,68 @@ class TestBusCounterWiring:
 
     def test_bare_cache_and_machine_agree(self):
         # A machine's cache counts its fills' transactions in the
-        # counter bank, never in its own stats.
+        # machine's own counter bank.
         machine, heap = heap_machine()
+        assert machine.cache.counters is machine.counters
         machine.run([(READ, heap + n * TINY_PAGE) for n in range(12)])
-        assert machine.cache.stats["bus_transactions"] == 0
-        assert bus(machine) == (machine.cache.stats["fills"]
-                                + machine.cache.stats["write_backs"])
+        assert installs(machine) > 12
+        assert bus(machine) == (installs(machine)
+                                + machine.counters.read(Event.WRITE_BACK))
 
 
 def counted_run(dirty, ref, oracle):
-    """Run the two-process mix; return the machine and the ownership
-    upgrades ``acquire_ownership`` reported (oracle runs only)."""
+    """Run the two-process mix; return the machine and the
+    ``(fills, upgrades)`` that ``VirtualCache.fill`` made and
+    ``acquire_ownership`` reported (oracle runs only)."""
     instance = TwoProcessMix().instantiate(TINY_PAGE, seed=0)
     machine = SpurMachine(
         tiny_config(dirty_policy=dirty, reference_policy=ref,
                     daemon_poll_refs=500),
         instance.space_map,
     )
-    upgrades = [0]
+    counts = [0, 0]
     if oracle:
+        fill = machine.cache.fill
         acquire = machine.cache.acquire_ownership
+
+        def counting_fill(*args, **kwargs):
+            counts[0] += 1
+            return fill(*args, **kwargs)
 
         def counting_acquire(index):
             upgraded = acquire(index)
-            upgrades[0] += upgraded
+            counts[1] += upgraded
             return upgraded
 
+        machine.cache.fill = counting_fill
         machine.cache.acquire_ownership = counting_acquire
         scalar_run_chunks(machine, instance.access_chunks(4096))
     else:
         machine.run_chunks(instance.access_chunks(4096))
-    return machine, upgrades[0]
+    return machine, tuple(counts)
 
 
 class TestBusIdentity:
     """Transactions = fills + fill write-backs + ownership upgrades,
     under every dirty and reference policy (FLUSH's refill of a
-    flushed write-hit block is a fill, not an upgrade)."""
+    flushed write-hit block is a fill, not an upgrade, and the only
+    fill no miss counts)."""
 
     @pytest.mark.parametrize("dirty,ref", POLICY_PAIRS)
     def test_transactions_are_fills_write_backs_and_upgrades(self, dirty,
                                                              ref):
-        oracle, upgrades = counted_run(dirty, ref, oracle=True)
-        stats = oracle.cache.stats
+        oracle, (fills, upgrades) = counted_run(dirty, ref, oracle=True)
         assert upgrades > 0
         assert bus(oracle) == (
-            stats["fills"] + stats["write_backs"] + upgrades)
+            fills + oracle.counters.read(Event.WRITE_BACK) + upgrades)
+        if dirty == "FLUSH":
+            assert fills > installs(oracle)
+        else:
+            assert fills == installs(oracle)
 
         chunked, _ = counted_run(dirty, ref, oracle=False)
-        assert chunked.cache.stats == stats
-        assert bus(chunked) == bus(oracle)
+        assert (chunked.counters.snapshot().as_dict()
+                == oracle.counters.snapshot().as_dict())
 
 
 class TestLineStatesAfterRun:

@@ -97,7 +97,6 @@ def machine_state(machine):
         "page_dirty": list(cache.page_dirty),
         "block_dirty": list(cache.block_dirty),
         "state": list(cache.state),
-        "filled_by_read": list(cache.filled_by_read),
         "holds_pte": list(cache.holds_pte),
         "swap": (machine.swap.stats.page_ins,
                  machine.swap.stats.page_outs,

@@ -30,13 +30,6 @@ from tests.oracle import scalar_run
 MAINTAINING_POLICIES = ("MISS", "REF")
 
 
-def books(machine):
-    """Machine state plus the live cache stats."""
-    state = machine_state(machine)
-    state["stats"] = dict(machine.cache.stats)
-    return state
-
-
 @pytest.fixture
 def translate_calls(monkeypatch):
     """Addresses passed to ``InCacheTranslator.translate``, per
@@ -81,7 +74,7 @@ class TestDaemonClearedBits:
         )
         chunked.run_chunks(chunk_accesses(iter(trace), 256))
 
-        assert books(chunked) == books(oracle)
+        assert machine_state(chunked) == machine_state(oracle)
         faults = chunked.counters.read(Event.REFERENCE_FAULT)
         assert chunked.counters.read(Event.REFERENCE_CLEAR) > 0
         assert faults > 0
@@ -151,7 +144,7 @@ class TestReferenceFaultMiss:
         run_tuples(oracle, [(kind, vaddr)])
         chunked, _, vaddr = cleared_reference(ref, run_flat)
         run_flat(chunked, [(kind, vaddr)])
-        assert books(chunked) == books(oracle)
+        assert machine_state(chunked) == machine_state(oracle)
         assert chunked.counters.read(Event.REFERENCE_FAULT) == 1
 
 
@@ -189,13 +182,13 @@ class TestProtectionFaultMidChunk:
         with pytest.raises(ProtectionFault):
             chunked.run_chunks(chunk_accesses(iter(faulting), 512))
 
-        assert books(chunked) == books(oracle)
+        assert machine_state(chunked) == machine_state(oracle)
         # The faulting write's page is resident, so its walk ran
         # inline like every miss of the chunk: the translator ran
         # once per page fault and never for the faulting chunk.
         assert len(translate_calls["chunked.cache"]) == warm_calls
         assert warm_calls == chunked.counters.read(Event.PAGE_FAULT)
-        assert chunked.cache.stats["fills"] > 100
+        assert chunked.counters.read(Event.BLOCK_FILL) > 100
 
 
 def pte_install_over_dirty_block(runner, name):
@@ -224,10 +217,10 @@ def pte_install_over_dirty_block(runner, name):
     )
     runner(machine, [(READ, page), (WRITE, dirty)])
     assert cache.probe(dirty) == line and cache.block_dirty[line]
-    write_backs = cache.stats["write_backs"]
+    write_backs = machine.counters.read(Event.WRITE_BACK)
     runner(machine, [(READ, fresh)])
     assert cache.probe(pte_vaddr) == line and cache.holds_pte[line]
-    assert cache.stats["write_backs"] == write_backs + 1
+    assert machine.counters.read(Event.WRITE_BACK) == write_backs + 1
     return machine
 
 
@@ -237,7 +230,7 @@ class TestInlinePteInstall:
     ):
         oracle = pte_install_over_dirty_block(run_tuples, "oracle")
         chunked = pte_install_over_dirty_block(run_flat, "chunked")
-        assert books(chunked) == books(oracle)
+        assert machine_state(chunked) == machine_state(oracle)
         # The translator walked the two page faults only; the fresh
         # read's walk ran inline.
         assert len(translate_calls["oracle.cache"]) == 3

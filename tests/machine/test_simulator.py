@@ -41,11 +41,53 @@ class TestHitsAndMisses:
         code = regions["code"].start
         machine.run([(IFETCH, code)] * 3 + [(READ, heap)] * 2
                     + [(WRITE, heap)])
-        assert machine.reference_mix.ifetches == 3
-        assert machine.reference_mix.reads == 2
-        assert machine.reference_mix.writes == 1
         assert machine.counters.read(Event.INSTRUCTION_FETCH) == 3
+        assert machine.counters.read(Event.PROCESSOR_READ) == 2
         assert machine.counters.read(Event.PROCESSOR_WRITE) == 1
+
+    def test_kind_counts_appear_even_at_zero(self, rig):
+        # A run counts all three kinds, so a kind it never saw still
+        # reads 0 in the snapshot rather than being absent.
+        machine, regions = rig
+        machine.run([(IFETCH, regions["code"].start)] * 2)
+        snapshot = machine.counters.snapshot()
+        assert snapshot[Event.INSTRUCTION_FETCH] == 2
+        assert Event.PROCESSOR_READ in snapshot
+        assert Event.PROCESSOR_WRITE in snapshot
+        assert snapshot[Event.PROCESSOR_WRITE] == 0
+        # Miss-path events are added only when they occurred.
+        assert Event.WRITE_MISS not in snapshot
+        assert Event.WRITE_BACK not in snapshot
+
+    def test_events_appear_only_when_they_occur(self, rig):
+        # Two instruction misses on one code page: the first faults
+        # (the translator walks it, missing both PTE levels), the
+        # second walks inline and hits the PTE block.  No other miss
+        # path event may appear, not even at 0.
+        machine, regions = rig
+        code = regions["code"].start
+        machine.run([(IFETCH, code), (IFETCH, code + 32)])
+        snapshot = machine.counters.snapshot()
+        assert snapshot.as_dict() == {
+            Event.INSTRUCTION_FETCH: 2,
+            Event.PROCESSOR_READ: 0,
+            Event.PROCESSOR_WRITE: 0,
+            Event.IFETCH_MISS: 2,
+            Event.BLOCK_FILL: 2,
+            Event.TRANSLATION: 2,
+            Event.PTE_CACHE_HIT: 1,
+            Event.PTE_CACHE_MISS: 1,
+            Event.SECOND_LEVEL_LOOKUP: 1,
+            Event.SECOND_LEVEL_MEMORY_ACCESS: 1,
+            Event.BUS_TRANSACTION: 4,
+            Event.PAGE_FAULT: 1,
+            Event.PAGE_IN: 1,
+        }
+        # Nor does a run of reads add an instruction-miss event.
+        space_map, regions = simple_space()
+        reads = make_machine(space_map)
+        reads.run([(READ, regions["heap"].start)])
+        assert Event.IFETCH_MISS not in reads.counters.snapshot()
 
     def test_miss_fills_block(self, rig):
         machine, regions = rig

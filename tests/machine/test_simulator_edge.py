@@ -72,8 +72,9 @@ class TestPteDataConflicts:
             trace.append((READ, heap + (i * 23 % 1024) * 4))
             trace.append((WRITE, heap + (i * 41 % 1024) * 4))
         machine.run(trace)
-        mix = machine.reference_mix
-        assert mix.total == len(trace)
+        read = machine.counters.read
+        assert read(Event.INSTRUCTION_FETCH) + read(
+            Event.PROCESSOR_READ) + read(Event.PROCESSOR_WRITE) == len(trace)
         fills = machine.counters.read(Event.BLOCK_FILL)
         assert fills > 0
 
@@ -119,4 +120,4 @@ class TestIfetchFromWritableRegion:
         machine = make_machine(space_map)
         machine.run([(WRITE, regions["heap"].start),
                      (IFETCH, regions["heap"].start)])
-        assert machine.reference_mix.ifetches == 1
+        assert machine.counters.read(Event.INSTRUCTION_FETCH) == 1

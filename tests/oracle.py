@@ -17,7 +17,6 @@ simulator.
 from repro.common.errors import ProtectionFault
 from repro.common.types import AccessKind, Protection
 from repro.counters.events import Event
-from repro.machine.cpu import ReferenceMix
 
 _WRITE = int(AccessKind.WRITE)
 _RW = int(Protection.READ_WRITE)
@@ -115,13 +114,9 @@ def scalar_run(machine, accesses):
 
     machine.cycles += cycles
     machine.references += processed
-    mix = ReferenceMix(
-        ifetches=kind_counts[0],
-        reads=kind_counts[1],
-        writes=kind_counts[2],
-    )
-    mix.flush_to_counters(machine.counters)
-    machine.reference_mix.add(mix.ifetches, mix.reads, mix.writes)
+    machine.counters.increment(Event.INSTRUCTION_FETCH, kind_counts[0])
+    machine.counters.increment(Event.PROCESSOR_READ, kind_counts[1])
+    machine.counters.increment(Event.PROCESSOR_WRITE, kind_counts[2])
     return processed
 
 

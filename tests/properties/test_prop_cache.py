@@ -7,6 +7,7 @@ from repro.cache.coherence import CoherencyState
 from repro.cache.flush import TagCheckedFlush, TaglessFlush
 from repro.common.params import CacheGeometry, MemoryTiming
 from repro.common.types import Protection
+from repro.counters.events import Event
 
 PAGE = 128
 NUM_PAGES = 16
@@ -106,12 +107,30 @@ def test_flush_page_removes_exactly_that_page(ops, page_number):
 
 
 @given(operations)
-def test_stats_counts_are_consistent(ops):
+def test_fill_counts_are_consistent(ops):
     cache = make_cache()
-    apply_ops(cache, ops)
-    resident = len(cache.resident_lines())
-    removed = (
-        cache.stats["evictions"] + cache.stats["invalidations"]
-    )
+    fills = replaced = dirty_replaced = removed = 0
+    for op, vaddr in ops:
+        if op.startswith("fill"):
+            index = cache.line_index(vaddr)
+            fills += 1
+            replaced += cache.line_block[index] >= 0
+            dirty_replaced += cache.block_dirty[index]
+        elif op == "invalidate":
+            removed += cache.probe(vaddr) >= 0
+        else:
+            page = vaddr & ~(PAGE - 1)
+            if op == "flush_checked":
+                removed += len(cache.lines_of_page(page, PAGE))
+            else:  # tagless: every valid line of the page's range
+                removed += sum(
+                    cache.line_block[index] >= 0
+                    for index in cache.page_line_range(page, PAGE)
+                )
+        apply_ops(cache, [(op, vaddr)])
     # Every filled line is either still resident or was removed.
-    assert cache.stats["fills"] - removed == resident
+    assert fills - replaced - removed == len(cache.resident_lines())
+    # A fill is one bus transaction, its dirty victim's write-back
+    # another.
+    assert cache.counters.read(Event.BUS_TRANSACTION) == (
+        fills + dirty_replaced)

@@ -45,8 +45,8 @@ operations = st.lists(
 
 def apply_ops(ops):
     """Drive one bare cache; return it, the upgrades it reported, the
-    write hits that found their block clean and the write-backs its
-    fills' evictions made."""
+    write hits that found their block clean and the dirty blocks its
+    fills evicted."""
     cache = VirtualCache(
         CacheGeometry(size_bytes=1024, block_bytes=32), MemoryTiming()
     )
@@ -54,10 +54,9 @@ def apply_ops(ops):
     for op, block in ops:
         vaddr = block * 32
         if op in ("read", "write"):
-            before = cache.stats["write_backs"]
+            fill_write_backs += cache.block_dirty[cache.line_index(vaddr)]
             by_write = op == "write"
             cache.fill(vaddr, Protection.READ_WRITE, by_write, by_write)
-            fill_write_backs += cache.stats["write_backs"] - before
         elif op == "write_hit":
             index = cache.probe(vaddr)
             if index >= 0:
@@ -115,11 +114,11 @@ def test_owned_exactly_when_dirty(ops):
 @given(operations)
 def test_bus_transactions_balance(ops):
     cache, upgrades, clean_hits, fill_write_backs = apply_ops(ops)
-    stats = cache.stats
-    # A bare cache counts its fills' transactions; the caller counts
-    # the upgrades acquire_ownership reports.
-    assert stats["bus_transactions"] == stats["fills"] + fill_write_backs
-    assert stats["fills"] == sum(op in ("read", "write") for op, _ in ops)
+    # A bare cache counts its fills' transactions in its own bank; the
+    # caller counts the upgrades acquire_ownership reports.
+    fills = sum(op in ("read", "write") for op, _ in ops)
+    assert cache.counters.read(Event.BUS_TRANSACTION) == (
+        fills + fill_write_backs)
     # A clean valid block is UNOWNED, so exactly the write hits that
     # find their block clean upgrade.
     assert upgrades == clean_hits
@@ -142,20 +141,29 @@ def test_machine_runs_keep_the_uniprocessor_states(dirty, ref, stream):
     config = tiny_config(dirty_policy=dirty, reference_policy=ref)
 
     oracle = SpurMachine(config, space_map)
+    fill = oracle.cache.fill
     acquire = oracle.cache.acquire_ownership
+    fills = []
     upgrades = []
+
+    def counting_fill(*args, **kwargs):
+        fills.append(fill(*args, **kwargs))
+        return fills[-1]
 
     def counting_acquire(index):
         upgrades.append(acquire(index))
         return upgrades[-1]
 
+    oracle.cache.fill = counting_fill
     oracle.cache.acquire_ownership = counting_acquire
     scalar_run(oracle, accesses)
+    assert oracle.counters.read(Event.BUS_TRANSACTION) == (
+        len(fills) + oracle.counters.read(Event.WRITE_BACK)
+        + sum(upgrades))
+
     chunked = SpurMachine(config, space_map)
     chunked.run(accesses)
-
+    assert (chunked.counters.snapshot().as_dict()
+            == oracle.counters.snapshot().as_dict())
     for machine in (oracle, chunked):
         assert_line_states(machine.cache)
-        stats = machine.cache.stats
-        assert machine.counters.read(Event.BUS_TRANSACTION) == (
-            stats["fills"] + stats["write_backs"] + sum(upgrades))

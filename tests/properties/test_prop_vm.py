@@ -46,7 +46,7 @@ paging_traffic = st.lists(
 
 
 @settings(max_examples=40, deadline=None)
-@given(heap_traffic)
+@given(paging_traffic)
 def test_frame_and_page_tables_agree(traffic):
     machine, regions = build_machine()
     heap = regions["heap"].start
@@ -66,7 +66,7 @@ def test_frame_and_page_tables_agree(traffic):
 
 
 @settings(max_examples=40, deadline=None)
-@given(heap_traffic)
+@given(paging_traffic)
 def test_residency_bounded_and_counts_balance(traffic):
     machine, regions = build_machine()
     heap = regions["heap"].start
@@ -170,7 +170,7 @@ def test_evicted_pages_have_no_cached_blocks(policy, traffic):
 
 
 @settings(max_examples=40, deadline=None)
-@given(heap_traffic)
+@given(paging_traffic)
 def test_cached_blocks_belong_to_resident_or_flushed_pages(traffic):
     # Any valid heap block in the cache must belong to a currently
     # resident page: eviction always flushes the page's blocks.
@@ -186,11 +186,12 @@ def test_cached_blocks_belong_to_resident_or_flushed_pages(traffic):
 
 
 @settings(max_examples=40, deadline=None)
-@given(heap_traffic)
+@given(paging_traffic)
 def test_dirty_accounting_conservative(traffic):
     # A page counted as a clean writable replacement must never have
     # taken a dirty fault during that residency; globally, dirty
-    # faults bound the number of dirty replacements.
+    # faults bound the number of dirty replacements, and every dirty
+    # replacement was written to swap.
     machine, regions = build_machine()
     heap = regions["heap"].start
     machine.run([(kind, heap + offset) for kind, offset in traffic])
@@ -201,6 +202,7 @@ def test_dirty_accounting_conservative(traffic):
     assert dirty_replacements <= machine.counters.read(
         Event.DIRTY_FAULT
     )
+    assert dirty_replacements <= machine.counters.read(Event.PAGE_OUT)
 
 
 @settings(max_examples=30, deadline=None)

@@ -256,3 +256,17 @@ class TestVmChecks:
         )
         vm.page_table.entry(vpn).ppn = page.frame + 1
         expect_violation("vm.pte-frame-agreement", check_vm, vm)
+
+    def test_clock_tracks_an_unmapped_page(self):
+        # Unmapping a page without evicting it leaves it on the clock.
+        vm = self.touched_vm()
+        vpn = vm.daemon.resident_pages()[0]
+        vm.page_table.entry(vpn).valid = False
+        expect_violation("vm.clock-resident", check_vm, vm)
+
+    def test_clock_tracks_a_page_never_mapped(self):
+        vm = self.touched_vm()
+        vpn = max(vm.pages) + 1
+        assert vm.page_table.peek(vpn) is None
+        vm.daemon.note_resident(vpn)
+        expect_violation("vm.clock-resident", check_vm, vm)

@@ -60,7 +60,6 @@ MODULES = (
     "repro.policies.costs",
     "repro.policies.model",
     "repro.machine.config",
-    "repro.machine.cpu",
     "repro.machine.simulator",
     "repro.machine.runner",
     "repro.observe.observer",

@@ -14,11 +14,12 @@ from repro.translation.pagetable import PageTable, PageTableLayout
 def make_translator():
     layout = PageTableLayout(page_bytes=128)
     table = PageTable(layout)
-    cache = VirtualCache(
-        CacheGeometry(size_bytes=1024, block_bytes=32), MemoryTiming()
-    )
     counters = PerformanceCounters()
-    translator = InCacheTranslator(table, cache, counters=counters)
+    cache = VirtualCache(
+        CacheGeometry(size_bytes=1024, block_bytes=32), MemoryTiming(),
+        counters=counters,
+    )
+    translator = InCacheTranslator(table, cache)
     return translator, table, cache, counters
 
 

@@ -1,6 +1,4 @@
-"""Unit tests for the swap device and Table 3.5 accounting."""
-
-import pytest
+"""Unit tests for the swap device and its paging-I/O counts."""
 
 from repro.common.params import FaultTiming
 from repro.vm.swap import SwapStats
@@ -22,30 +20,6 @@ class TestDevice:
         assert machine.vm.evict(vpn) >= 777
         assert machine.swap.has_image(vpn)
         assert machine.swap.stats.page_outs == 1
-
-
-class TestTable35Accounting:
-    def test_percent_not_modified(self):
-        stats = SwapStats(potentially_modified=100, not_modified=18)
-        assert stats.percent_not_modified == pytest.approx(18.0)
-
-    def test_percent_not_modified_empty(self):
-        assert SwapStats().percent_not_modified == 0.0
-
-    def test_percent_additional_io_matches_paper_formula(self):
-        # mace row of Table 3.5: 15203 page-ins, 2681 potentially
-        # modified, 488 not modified -> 2193 actual page-outs ->
-        # 488 / (15203 + 2193) = 2.8%.
-        stats = SwapStats(
-            page_ins=15203,
-            page_outs=2681 - 488,
-            potentially_modified=2681,
-            not_modified=488,
-        )
-        assert stats.percent_additional_io == pytest.approx(2.8, abs=0.05)
-
-    def test_percent_additional_io_no_io(self):
-        assert SwapStats().percent_additional_io == 0.0
 
 
 class TestDeviceState:
