@@ -252,14 +252,22 @@ def main(argv=None):
                                   or str(ROOT / "BENCH_throughput.json"))
     text = json.dumps(results, indent=2, sort_keys=True)
     print(text)
-    if args.out:
-        pathlib.Path(args.out).write_text(text + "\n")
-        print(f"written to {args.out}", file=sys.stderr)
+    # Check before writing anything, and never write over the
+    # baseline: a run compared with itself always passes.
     status = 0
     if args.check:
         status |= check_regression(
             results, args.check, args.max_regression
         )
+    if args.out and args.check and (
+        pathlib.Path(args.out).resolve()
+        == pathlib.Path(args.check).resolve()
+    ):
+        print(f"not writing over the baseline {args.check}",
+              file=sys.stderr)
+    elif args.out:
+        pathlib.Path(args.out).write_text(text + "\n")
+        print(f"written to {args.out}", file=sys.stderr)
     if args.max_observe_overhead is not None:
         status |= check_observe_overhead(
             results, args.max_observe_overhead

@@ -24,9 +24,7 @@ Cycle model (Table 2.1, Section 3.2):
   FaultTiming`.
 """
 
-import sys
-
-from repro.common.errors import ProtectionFault
+from repro.common.errors import ConfigurationError, ProtectionFault
 from repro.common.types import Protection
 from repro.common.units import SPUR_CYCLE_TIME_SECONDS
 from repro.counters.counters import PerformanceCounters
@@ -40,7 +38,8 @@ from repro.translation.incache import InCacheTranslator
 from repro.translation.pagetable import PTE_BYTES, PageTable, PageTableLayout
 from repro.vm.swap import SwapDevice
 from repro.vm.system import VirtualMemorySystem
-from repro.workloads.base import chunk_accesses
+from repro.workloads.base import (
+    RUN_BLOCK_BYTES, chunk_accesses, chunk_kinds, kinds_refs, split_refs)
 
 _RW = int(Protection.READ_WRITE)
 _PROT_KERNEL = int(Protection.KERNEL)
@@ -66,11 +65,6 @@ _SECOND_LEVEL_MEMORY_ACCESS = int(Event.SECOND_LEVEL_MEMORY_ACCESS)
 _BUS_TRANSACTION = int(Event.BUS_TRANSACTION)
 _WRITE_TO_READ_FILLED_BLOCK = int(Event.WRITE_TO_READ_FILLED_BLOCK)
 _WRITE_MISS_FILL = int(Event.WRITE_MISS_FILL)
-
-# Offset of a kind's low-order byte in its 8-byte ``array('q')``
-# element (native byte order).  Kinds are 0, 1 or 2, so counting 0 and
-# 2 bytes over every eighth byte tallies a chunk at C speed.
-_KIND_BYTE = 0 if sys.byteorder == "little" else 7
 
 
 def _make_flusher(strategy, cost_scale=1):
@@ -170,6 +164,8 @@ class SpurMachine:
         #: never swapped after construction).
         self._maintains_bits = self.reference_policy.maintains_bits
         self._dirty_tracks_pte = self.dirty_policy.cached_dirty_tracks_pte
+        #: Whether a fetch run stays inside one cache block.
+        self._runs_fit = config.cache.block_bytes >= RUN_BLOCK_BYTES
 
     # -- page flushes ------------------------------------------------------
 
@@ -202,59 +198,52 @@ class SpurMachine:
     def run_chunks(self, chunks):
         """Simulate a stream of flat reference chunks.
 
-        ``chunks`` yields ``array('q')`` buffers of interleaved
-        ``kind, vaddr`` pairs (see
-        :meth:`repro.workloads.base.WorkloadInstance.access_chunks`).
-        Bit-identical for any chunking of the same references: each
-        chunk is cut into poll-free segments (computed arithmetically, so any positive
-        ``daemon_poll_refs`` works) and every segment goes through
-        :meth:`_run_refs`.  A chunk's kinds are counted from one byte
-        per reference (each kind's low-order byte; C speed, no
-        per-element boxing) and the per-reference cycle charge is
-        folded into one addition per call.  Returns the number of
-        references processed.
+        ``chunks`` yields ``array('q')`` buffers of ``kind, vaddr``
+        elements (see :mod:`repro.workloads.base`): single references
+        and fetch runs.  Bit-identical for any chunking of the same
+        references: a chunk is cut only where a page-daemon poll falls
+        (computed arithmetically, so any positive ``daemon_poll_refs``
+        works), splitting a run there so the fetch after the poll is
+        checked against the cache, and every piece goes through
+        :meth:`_run_refs`.  A chunk's references and kinds are counted
+        from one byte per element (each kind's low-order byte; C
+        speed, no per-element boxing) and the per-reference cycle
+        charge is folded into one addition per call.  Returns the
+        number of references processed.
         """
         run_refs = self._run_refs
         interval = self.config.daemon_poll_refs
-        poll = self.vm.daemon.poll if interval else None
+        poll = self.vm.daemon.poll
+        # References left before the next poll: the schedule polls
+        # before handling every ``interval``-th reference of the call.
+        due = interval - 1 if interval else float("inf")
 
         cycles = 0
         extra = 0
-        ifetches = 0
+        reads = 0
         writes = 0
         processed = 0
         for chunk in chunks:
-            pairs = len(chunk) >> 1
-            if not pairs:
-                continue
-            kinds = chunk[0::2].tobytes()[_KIND_BYTE::8]
-            ifetches += kinds.count(0)
+            kinds = chunk_kinds(chunk)
+            refs = kinds_refs(kinds)
+            if refs != len(kinds) and not self._runs_fit:
+                raise ConfigurationError(
+                    f"fetch runs span {RUN_BLOCK_BYTES}-byte blocks; "
+                    f"{self.name}'s cache block is smaller"
+                )
+            reads += kinds.count(1)
             writes += kinds.count(2)
-            start = 0
-            while start < pairs:
-                if poll is None:
-                    stop = pairs
-                else:
-                    # References left before the next poll boundary:
-                    # the schedule polls before handling every
-                    # ``interval``-th reference of the call, so
-                    # ``processed % interval == interval - 1`` means
-                    # the next reference polls first.
-                    stop = start + interval - 1 - (processed % interval)
-                    if stop > pairs:
-                        stop = pairs
-                if stop > start:
-                    extra += run_refs(chunk, start, stop)
-                    processed += stop - start
-                    start = stop
-                if start < pairs:
-                    # The next reference lands on the poll boundary:
-                    # poll first, then process it as a one-reference
-                    # segment.
-                    cycles += poll()
-                    extra += run_refs(chunk, start, start + 1)
-                    processed += 1
-                    start += 1
+            processed += refs
+            while refs > due:
+                if due:
+                    head, chunk = split_refs(chunk, due)
+                    extra += run_refs(head)
+                    refs -= due
+                cycles += poll()
+                due = interval
+            if refs:
+                extra += run_refs(chunk)
+                due -= refs
 
         # Deferred accounting: every reference costs its base cycle
         # (hence ``+ processed``); the reference loop added the rest
@@ -263,16 +252,18 @@ class SpurMachine:
         self.references += processed
         # Unconditional: a run counts all three kinds, even at 0.
         slots = self.counters.slots
-        slots[_INSTRUCTION_FETCH] += ifetches
-        slots[_PROCESSOR_READ] += processed - ifetches - writes
+        slots[_INSTRUCTION_FETCH] += processed - reads - writes
+        slots[_PROCESSOR_READ] += reads
         slots[_PROCESSOR_WRITE] += writes
         return processed
 
-    def _run_refs(self, chunk, start, end):
-        """The per-reference engine over the poll-free segment
-        ``chunk[start:end)`` (pair indices).
+    def _run_refs(self, chunk):
+        """The per-reference engine over the poll-free flat *chunk*.
 
-        Hits cost nothing beyond the base cycle.  A write hit whose
+        One element is one reference or a fetch run; every fetch of a
+        run after its first hits the block the first one touched, so
+        an element is looked up once.  Hits cost nothing beyond the
+        base cycle.  A write hit whose
         dirty state is unsettled goes to :meth:`_resolve_write_hit`.
         Every miss runs the cache controller's one miss sequence
         inline, as SPUR's hardware does with the PTE in hand:
@@ -340,7 +331,7 @@ class SpurMachine:
         extra = 0
         unfilled = 0
         unfilled_writes = 0
-        it = iter(chunk[start << 1:end << 1])
+        it = iter(chunk)
         try:
             for kind, vaddr in zip(it, it):
                 block = vaddr >> block_bits
@@ -359,7 +350,7 @@ class SpurMachine:
 
                 if kind == 2:
                     write_misses += 1
-                elif kind:
+                elif kind == 1:
                     read_misses += 1
                 else:
                     ifetch_misses += 1

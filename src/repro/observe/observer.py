@@ -38,6 +38,7 @@ from repro.observe.series import (
     EpochSample,
     RunObservation,
 )
+from repro.workloads.base import count_refs, split_refs
 
 
 def effective_epoch_refs(epoch_refs, alignment):
@@ -167,17 +168,15 @@ class RunObserver:
                 self.charge("generate", perf_counter() - started)
                 if chunk is None:
                     break
-                pairs = len(chunk) >> 1
-                offset = 0
-                while pending_refs + (pairs - offset) >= epoch:
+                refs = count_refs(chunk)
+                while pending_refs + refs >= epoch:
                     take = epoch - pending_refs
-                    if offset == 0 and take == pairs:
+                    if take == refs:
                         pending.append(chunk)
                     else:
-                        pending.append(
-                            chunk[offset * 2:(offset + take) * 2]
-                        )
-                    offset += take
+                        head, chunk = split_refs(chunk, take)
+                        pending.append(head)
+                    refs -= take
                     started = perf_counter()
                     count += original_chunks(pending)
                     self.charge(
@@ -186,11 +185,9 @@ class RunObserver:
                     pending = []
                     pending_refs = 0
                     self._sample()
-                if offset < pairs:
-                    pending.append(
-                        chunk if offset == 0 else chunk[offset * 2:]
-                    )
-                    pending_refs += pairs - offset
+                if refs:
+                    pending.append(chunk)
+                    pending_refs += refs
             if pending:
                 started = perf_counter()
                 count += original_chunks(pending)

@@ -36,6 +36,7 @@ from repro.sanitize.checks import (
     check_vm,
 )
 from repro.sanitize.violation import InvariantViolation
+from repro.workloads.base import KIND_REFS, count_refs
 
 MODES = ("full", "sampled", "epoch")
 
@@ -154,7 +155,7 @@ class Sanitizer:
             yield chunk
             if not chunk:
                 continue
-            self.references_seen += len(chunk) >> 1
+            self.references_seen += count_refs(chunk)
             check_line(
                 cache,
                 (chunk[-1] >> block_bits) & index_mask,
@@ -170,7 +171,10 @@ class Sanitizer:
         immediately after the loop finished the chunk — so the chunk
         interior stays free of per-reference calls.  The final chunk
         is covered because the generator resumes (and checks) before
-        raising ``StopIteration``.
+        raising ``StopIteration``.  Every fetch of a run touches the
+        run's one line, so a run is checked once and counted as all
+        its references; a sweep falls due at each multiple of
+        ``sweep_interval`` references the chunk passes.
         """
         cache = machine.cache
         line_block = cache.line_block
@@ -185,8 +189,8 @@ class Sanitizer:
             for chunk in chunks:
                 yield chunk
                 # The hot loop has fully processed `chunk` by now.
-                for position in range(1, len(chunk), 2):
-                    vaddr = chunk[position]
+                it = iter(chunk)
+                for kind, vaddr in zip(it, it):
                     index = (vaddr >> block_bits) & index_mask
                     block = line_block[index]
                     if block >= 0:
@@ -204,7 +208,8 @@ class Sanitizer:
                             and state[index] == 0
                             and not block_dirty[index]
                         )
-                    checked += 1
+                    refs = KIND_REFS[kind]
+                    checked += refs
                     if not ok:
                         self.references_seen += checked
                         checked = 0
@@ -212,13 +217,13 @@ class Sanitizer:
                             cache, index,
                             ref_index=self.references_seen - 1,
                         )
-                    if sweep_interval and not (
-                        (self.references_seen + checked)
-                        % sweep_interval
-                    ):
-                        self.check_now(
-                            ref_index=self.references_seen + checked
-                        )
+                    if sweep_interval:
+                        seen = self.references_seen + checked
+                        passed = seen - refs
+                        first = passed - passed % sweep_interval
+                        for due in range(first + sweep_interval,
+                                         seen + 1, sweep_interval):
+                            self.check_now(ref_index=due)
         finally:
             self.references_seen += checked
             self.line_checks += checked

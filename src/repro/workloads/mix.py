@@ -6,25 +6,30 @@ process's blocks, which is part of why the MISS approximation tracks
 recency reasonably well).  The scheduler interleaves the per-process
 generators in fixed-size quanta, dropping processes as they exit.
 
-Both compositions emit flat ``array('q')`` chunks: the scheduler
-pulls each process's stream in whole-quantum chunks and re-chunks the
-interleaved sequence.
+Both compositions work on counted segments (see
+:mod:`repro.workloads.base`): the scheduler cuts each process's
+segments into quanta of exact reference counts, and the interleaved
+segments are cut into chunks once, at the top.
 """
 
-from repro.workloads.base import DEFAULT_CHUNK_REFS, chunk_accesses, rechunk
+from repro.workloads.base import (
+    DEFAULT_CHUNK_REFS, chunk_accesses, counted, rechunk, slices)
 
 
-def _chunk_stream(proc, chunk_refs):
-    """A flat-chunk stream for one scheduled process.
+def _segments(proc):
+    """The counted segments of one scheduled process.
 
-    Processes with an ``access_chunks`` method (e.g.
+    Processes with a ``segments`` method (e.g.
     :class:`~repro.workloads.synthetic.PhasedProcess`,
-    :class:`SerialChain`) chunk themselves; bare ``(kind, vaddr)``
-    iterables go through the adapter.
+    :class:`SerialChain`) yield their own; the chunks of ones with
+    only ``access_chunks``, and of bare ``(kind, vaddr)`` iterables
+    (through the adapter), are counted one by one.
     """
+    if hasattr(proc, "segments"):
+        return proc.segments()
     if hasattr(proc, "access_chunks"):
-        return proc.access_chunks(chunk_refs)
-    return chunk_accesses(proc, chunk_refs)
+        return counted(proc.access_chunks(DEFAULT_CHUNK_REFS))
+    return counted(chunk_accesses(proc))
 
 
 def serial(processes):
@@ -43,15 +48,18 @@ class SerialChain:
     def __init__(self, processes):
         self.processes = list(processes)
 
+    def segments(self):
+        """Every job's counted segments, job after job."""
+        for proc in self.processes:
+            yield from _segments(proc)
+
     def access_chunks(self, chunk_refs=DEFAULT_CHUNK_REFS):
         """Yield exact ``chunk_refs``-sized flat chunks across jobs.
 
         Chunks span job boundaries: only the final chunk of the whole
         chain may be short.
         """
-        jobs = (chunk for proc in self.processes
-                for chunk in _chunk_stream(proc, chunk_refs))
-        return rechunk(jobs, chunk_refs)
+        return rechunk(self.segments(), chunk_refs)
 
 
 class RoundRobinScheduler:
@@ -60,7 +68,8 @@ class RoundRobinScheduler:
     Parameters
     ----------
     processes:
-        Iterable of objects with an ``access_chunks()`` method (e.g.,
+        Iterable of objects with a ``segments()`` or
+        ``access_chunks()`` method (e.g.,
         :class:`repro.workloads.synthetic.PhasedProcess`), bare
         ``(kind, vaddr)`` generators, or ``(process, weight)`` pairs
         where ``weight`` scales the process's quantum (a weight-2 process gets twice
@@ -83,30 +92,24 @@ class RoundRobinScheduler:
             self._entries.append((proc, slice_size))
 
     def access_chunks(self, chunk_refs=DEFAULT_CHUNK_REFS):
-        """Yield the interleaved stream as exact flat chunks.
+        """Yield the interleaved stream as exact flat chunks."""
+        return rechunk(self.segments(), chunk_refs)
 
-        Each round pulls one whole ``slice_size`` chunk per live
-        process and re-chunks the concatenation to ``chunk_refs``
-        boundaries.  A short (or missing) per-process chunk marks that
-        process finished.
+    def segments(self):
+        """The interleaved counted segments.
+
+        Each round takes one ``slice_size``-reference quantum from
+        every live process, in order; a process whose stream is
+        exhausted drops out.
         """
-        return rechunk(self._quanta(), chunk_refs)
-
-    def _quanta(self):
         streams = [
-            (_chunk_stream(proc, slice_size), slice_size)
+            slices(_segments(proc), slice_size)
             for proc, slice_size in self._entries
         ]
         while streams:
-            finished = []
-            for entry in streams:
-                stream, slice_size = entry
-                chunk = next(stream, None)
-                if chunk is None:
-                    finished.append(entry)
-                    continue
-                yield chunk
-                if len(chunk) >> 1 < slice_size:
-                    finished.append(entry)
-            for entry in finished:
-                streams.remove(entry)
+            for stream in list(streams):
+                quantum = next(stream, None)
+                if quantum is None:
+                    streams.remove(stream)
+                else:
+                    yield from quantum

@@ -14,10 +14,12 @@ keeps Python-side generation cost far below the simulator's per-
 reference cost.
 
 Internally every burst, allocation touch, and file scan is one flat
-``array('q')`` *segment* of interleaved ``kind, vaddr`` pairs, and
+``array('q')`` *segment* in the element format of
+:mod:`repro.workloads.base`, yielded with its reference count, and
 :meth:`PhasedProcess.access_chunks` re-chunks the segment stream, so
 the reference sequence and the RNG draws are the same for every chunk
-size.
+size.  A burst's instruction fetches are fetch runs: one element per
+code block an operation fetches from.
 
 A stream depends only on the workload recipe, seed and page size,
 never on the machine that consumes it.  Runs of one stream can
@@ -35,12 +37,12 @@ from repro.common.errors import ConfigurationError
 from repro.common.rng import randbelow
 from repro.vm.segments import RegionKind
 from repro.workloads.base import (
-    DEFAULT_CHUNK_REFS, IFETCH, READ, WRITE, rechunk)
+    DEFAULT_CHUNK_REFS, MAX_RUN, READ, RUN_BLOCK_BYTES, WORD_BYTES, WRITE,
+    count_refs, rechunk, run_kind)
 
 #: Cache block size assumed by the generators (fixed across scales).
-BLOCK_BYTES = 32
-WORD_BYTES = 4
-_BLOCK_WORDS = BLOCK_BYTES // WORD_BYTES
+BLOCK_BYTES = RUN_BLOCK_BYTES
+_BLOCK_WORDS = MAX_RUN
 _WORD_BITS = _BLOCK_WORDS.bit_length()
 
 
@@ -161,8 +163,8 @@ class Phase:
 
 
 #: Most bytes of unique segments one :class:`StreamRecording` holds.
-#: A length-1 stream records 5.5 MB (SLC) to 7.3 MB (WORKLOAD1), so
-#: this admits streams up to length ~8; longer ones regenerate rather
+#: A length-1 stream records 3.3 MB (SLC) to 4.4 MB (WORKLOAD1), so
+#: this admits streams up to length ~14; longer ones regenerate rather
 #: than hold hundreds of MB.
 RECORDING_BUDGET_BYTES = 64 << 20
 
@@ -174,7 +176,7 @@ _ACTIVE_RECORDING = ContextVar("active_stream_recording", default=None)
 
 
 class _Tape:
-    """The segments one process yielded, in order."""
+    """The counted segments one process yielded, in order."""
 
     __slots__ = ("recording", "segments", "finished")
 
@@ -186,14 +188,14 @@ class _Tape:
         self.finished = False
 
     def record(self, segments):
-        """Yield *segments*, keeping each one while the recording is
-        within budget."""
+        """Yield counted *segments*, keeping each one while the
+        recording is within budget."""
         keep = self.recording.keep
         keeping = True
-        for segment in segments:
+        for item in segments:
             if keeping:
-                keeping = keep(self, segment)
-            yield segment
+                keeping = keep(self, item)
+            yield item
         self.finished = keeping
 
 
@@ -207,7 +209,9 @@ class StreamRecording:
     :class:`PhasedProcess` built while the recording is active claims
     the tape at its construction index, so process *i* of a later run
     replays what process *i* of the recording run yielded.  A burst
-    yielded several times is stored once, as the same ``array``.
+    yielded several times is stored once, as the same ``array``, and
+    each segment is kept with its reference count, so a replay never
+    recounts.
 
     A run replays only when every tape of the previous recording run
     finished; a run that raised mid-stream left a partial recording,
@@ -274,10 +278,12 @@ class StreamRecording:
         self._tapes.append(tape)
         return tape
 
-    def keep(self, tape, segment):
-        """Append *segment* to *tape*; ``False`` once abandoned."""
+    def keep(self, tape, item):
+        """Append the counted segment *item* to *tape*; ``False`` once
+        abandoned."""
         if self.abandoned:
             return False
+        segment = item[0]
         key = id(segment)
         if key not in self._seen:
             self._seen.add(key)
@@ -286,7 +292,7 @@ class StreamRecording:
                 self.abandoned = True
                 self._drop()
                 return False
-        tape.segments.append(segment)
+        tape.segments.append(item)
         return True
 
 
@@ -310,15 +316,16 @@ class PhasedProcess:
     def access_chunks(self, chunk_refs=DEFAULT_CHUNK_REFS):
         """Yield flat ``array('q')`` chunks of ``chunk_refs`` references.
 
-        Drains :meth:`_segments`; every chunk is exactly
+        Drains :meth:`segments`; every chunk is exactly
         ``chunk_refs`` references except the last.
         """
-        return rechunk(self._segments(), chunk_refs)
+        return rechunk(self.segments(), chunk_refs)
 
     # -- phase machinery ---------------------------------------------------
 
-    def _segments(self):
-        """Yield flat reference segments across all phases in order.
+    def segments(self):
+        """Yield counted segments, ``(array, references)`` pairs,
+        across all phases in order.
 
         Replays this process's tape when the active
         :class:`StreamRecording` holds a finished one, and records
@@ -356,20 +363,23 @@ class PhasedProcess:
 
         while emitted < phase.duration:
             burst = self._make_burst(phase)
-            burst_refs = len(burst) >> 1
+            burst_refs = count_refs(burst)
+            item = (burst, burst_refs)
             low, high = self.burst_repeats
             for _ in range(rng.randint(low, high)):
-                yield burst
+                yield item
                 emitted += burst_refs
                 if emitted >= next_alloc:
                     alloc = self._alloc_page(phase)
-                    yield alloc
-                    emitted += len(alloc) >> 1
+                    alloc_refs = len(alloc) >> 1
+                    yield alloc, alloc_refs
+                    emitted += alloc_refs
                     next_alloc += alloc_every
                 if emitted >= next_scan:
                     scan = self._scan_page()
-                    yield scan
-                    emitted += len(scan) >> 1
+                    scan_refs = len(scan) >> 1
+                    yield scan, scan_refs
+                    emitted += scan_refs
                     next_scan += scan_every
                 if emitted >= phase.duration:
                     break
@@ -404,25 +414,22 @@ class PhasedProcess:
         append = burst.append
 
         # One hot code page per burst, fetched sequentially — a loop:
-        # each op's fetches are a slice of the page's ``IFETCH`` ring.
+        # each op's fetch runs are a slice of the page's ring.
         n = phase.code_hot_pages
         code_page = min(int(n * (random() ** (1.0 + 1.5))), n - 1)
         fetches = phase.ifetch_per_op
         ring = self._code_rings.get((code_page, fetches))
         if ring is None:
-            base = image.code.start + code_page * page_bytes
-            end = page_bytes + fetches * WORD_BYTES
-            ring = self._code_rings[code_page, fetches] = _refs(IFETCH, (
-                base + offset % page_bytes
-                for offset in range(0, end, WORD_BYTES)
-            ))
-        ring_wrap = 2 * (page_bytes // WORD_BYTES)
-        fetch_slots = 2 * fetches
-        at = 2 * _BLOCK_WORDS * randbelow(getrandbits, blocks)
+            ring = self._code_rings[code_page, fetches] = _fetch_ring(
+                image.code.start + code_page * page_bytes, page_bytes,
+                fetches)
+        runs, bounds = ring
+        page_words = page_bytes // WORD_BYTES
+        at = _BLOCK_WORDS * randbelow(getrandbits, blocks)
 
         for _ in range(self.burst_ops):
-            burst += ring[at:at + fetch_slots]
-            at = (at + fetch_slots) % ring_wrap
+            burst += runs[bounds[at]:bounds[at + 1]]
+            at = (at + fetches) % page_words
 
             roll = random()
             if roll < stack_frac:
@@ -507,6 +514,27 @@ class PhasedProcess:
         base = image.file.start + page * image.page_bytes
         end = base + image.blocks_per_page * BLOCK_BYTES
         return _refs(READ, range(base, end, BLOCK_BYTES))
+
+
+def _fetch_ring(base, page_bytes, fetches):
+    """``(runs, bounds)``: for each starting word of the code page at
+    *base*, one operation's fetch runs, back to back in *runs*; the
+    operation starting at word *w* is ``runs[bounds[w]:bounds[w + 1]]``.
+    An operation fetches *fetches* sequential words, wrapping at the
+    page's end, as one run per block it touches."""
+    page_words = page_bytes // WORD_BYTES
+    runs = array("q")
+    bounds = array("q", [0])
+    for first in range(page_words):
+        offset = 0
+        while offset < fetches:
+            word = (first + offset) % page_words
+            n = min(fetches - offset, _BLOCK_WORDS - word % _BLOCK_WORDS)
+            runs.append(run_kind(n))
+            runs.append(base + word * WORD_BYTES)
+            offset += n
+        bounds.append(len(runs))
+    return runs, bounds
 
 
 def _refs(kind, addrs):

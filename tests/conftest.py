@@ -17,6 +17,7 @@ from repro.workloads.base import (
     DEFAULT_CHUNK_REFS, Workload, WorkloadInstance)
 from repro.workloads.mix import RoundRobinScheduler
 from repro.workloads.synthetic import Phase, PhasedProcess, ProcessImage
+from tests.oracle import pairs
 
 #: Geometry constants for the tiny test machine.
 TINY_PAGE = 128
@@ -137,9 +138,7 @@ def record_stream(recording, workload, page_bytes, seed=0, last=False,
     refs = []
     with recording.active(last=last):
         instance = workload.instantiate(page_bytes, seed)
-        for chunk in instance.access_chunks(chunk_refs):
-            it = iter(chunk)
-            refs.extend(zip(it, it))
+        refs.extend(pairs(instance.access_chunks(chunk_refs)))
     return refs
 
 

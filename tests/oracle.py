@@ -121,10 +121,22 @@ def scalar_run(machine, accesses):
 
 
 def pairs(chunks):
-    """Flatten flat ``array('q')`` chunks into ``(kind, vaddr)`` tuples."""
+    """Flatten flat ``array('q')`` chunks into one ``(kind, vaddr)``
+    tuple per reference.
+
+    A kind word ``4 * (n - 1)`` above ``WRITE`` is a fetch run: ``n``
+    instruction fetches of consecutive 4-byte words from ``vaddr``
+    (``repro.workloads.base``), expanded here without that module's
+    help.
+    """
     for chunk in chunks:
         it = iter(chunk)
-        yield from zip(it, it)
+        for kind, vaddr in zip(it, it):
+            if kind > _WRITE:
+                for word in range(kind // 4 + 1):
+                    yield 0, vaddr + 4 * word
+            else:
+                yield kind, vaddr
 
 
 def scalar_run_chunks(machine, chunks):

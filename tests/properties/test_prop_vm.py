@@ -25,14 +25,6 @@ def build_machine(**overrides):
     return machine, regions
 
 
-heap_traffic = st.lists(
-    st.tuples(
-        st.sampled_from([READ, WRITE]),
-        st.integers(0, HEAP_PAGES * TINY_PAGE - 1),
-    ),
-    max_size=300,
-)
-
 #: Long enough that every example overflows the 14 allocatable frames
 #: and the daemon evicts.
 paging_traffic = st.lists(
@@ -206,7 +198,7 @@ def test_dirty_accounting_conservative(traffic):
 
 
 @settings(max_examples=30, deadline=None)
-@given(heap_traffic, st.sampled_from(["MISS", "REF", "NOREF"]))
+@given(paging_traffic, st.sampled_from(["MISS", "REF", "NOREF"]))
 def test_invariants_hold_under_all_reference_policies(traffic,
                                                       policy):
     space_map, regions = simple_space(heap_pages=HEAP_PAGES)
@@ -224,7 +216,7 @@ def test_invariants_hold_under_all_reference_policies(traffic,
 
 @settings(max_examples=30, deadline=None)
 @given(
-    heap_traffic,
+    paging_traffic,
     st.sampled_from(["MIN", "FAULT", "FLUSH", "SPUR", "WRITE"]),
 )
 def test_modified_state_matches_write_history(traffic, policy):

@@ -95,6 +95,21 @@ class TestPerTraceGates:
                     >= gate["min_speedup"])
 
 
+class TestCheckAgainstItsOwnFile:
+    def test_check_never_rewrites_its_baseline(self, tmp_path):
+        # ``hits`` is recorded far above any real speedup and is not
+        # gated, so the fractional fallback must fail the run; a run
+        # that wrote its results first would pass against itself.
+        baseline = write_baseline(tmp_path, {"hits": 1000.0}, gates={})
+        before = pathlib.Path(baseline).read_text()
+        status = bench.main([
+            "--count", "200", "--repeat", "1", "--chunk-refs", "64",
+            "--out", baseline, "--check", baseline,
+        ])
+        assert status == 1
+        assert pathlib.Path(baseline).read_text() == before
+
+
 class TestLoadGates:
     def test_missing_file_yields_defaults(self, tmp_path):
         gates = bench.load_gates(str(tmp_path / "nope.json"))

@@ -18,10 +18,15 @@ from repro.machine.config import scaled_config
 from repro.vm.segments import AddressSpaceMap, ProcessAddressSpace
 from repro.workloads.base import (
     DEFAULT_CHUNK_REFS,
+    IFETCH,
     READ,
     WRITE,
     WorkloadInstance,
     chunk_accesses,
+    count_refs,
+    run_kind,
+    split_refs,
+    take_chunks,
 )
 from repro.workloads.devsystems import (
     DEV_SYSTEM_PROFILES,
@@ -33,27 +38,25 @@ from repro.workloads.synthetic import Phase, PhasedProcess, ProcessImage
 from repro.workloads.workload1 import Workload1
 
 from tests.conftest import TwoProcessMix
+from tests.oracle import pairs
 
 PAGE = 512
 
 
 def flatten(chunks):
-    """The ``(kind, vaddr)`` sequence a chunk stream encodes."""
-    refs = []
-    for chunk in chunks:
-        it = iter(chunk)
-        refs.extend(zip(it, it))
-    return refs
+    """The ``(kind, vaddr)`` sequence a chunk stream encodes, one
+    tuple per reference."""
+    return list(pairs(chunks))
 
 
 def chunk_ref_counts(chunks):
-    return [len(chunk) >> 1 for chunk in chunks]
+    return [count_refs(chunk) for chunk in chunks]
 
 
 def segment_refs(process):
     """A phased process's references straight from its generator
     segments, before any re-chunking."""
-    return flatten(process._segments())
+    return flatten(segment for segment, _ in process.segments())
 
 
 def round_robin_refs(entries):
@@ -134,6 +137,16 @@ class TestWorkloadInstanceProtocol:
         with pytest.raises(RuntimeError):
             instance.accesses()
 
+    def test_accesses_expand_runs_to_word_addresses(self):
+        chunk = array("q", [run_kind(3), 0x1004, READ, 0x2000,
+                            IFETCH, 0x3000, run_kind(8), 0x4000])
+        instance = WorkloadInstance("T", None, lambda _: iter([chunk]), 13)
+        assert list(instance.accesses()) == (
+            [(IFETCH, 0x1004), (IFETCH, 0x1008), (IFETCH, 0x100C),
+             (READ, 0x2000), (IFETCH, 0x3000)]
+            + [(IFETCH, 0x4000 + 4 * word) for word in range(8)]
+        )
+
     def test_native_chunk_factory_preferred(self):
         marker = [array("q", [READ, 0x40])]
         _, instance = self.make_instance(
@@ -174,29 +187,35 @@ class TestNativeChunkStreams:
         )
         assert flatten(chunks) == legacy
 
-    def test_serial_chain_rechunks_across_jobs(self):
-        legacy = (segment_refs(phased_process(seed=1))
-                  + segment_refs(phased_process(seed=2)))
+    # ``None``: one reference past the first job, so the first chunk
+    # ends inside the second job's first fetch run.
+    @pytest.mark.parametrize("chunk_refs", [768, None])
+    def test_serial_chain_rechunks_across_jobs(self, chunk_refs):
+        first_job = segment_refs(phased_process(seed=1))
+        legacy = first_job + segment_refs(phased_process(seed=2))
+        if chunk_refs is None:
+            chunk_refs = len(first_job) + 1
         chain = serial(
             [phased_process(seed=1), phased_process(seed=2)]
         )
-        chunks = list(chain.access_chunks(768))
+        chunks = list(chain.access_chunks(chunk_refs))
         assert flatten(chunks) == legacy
         counts = chunk_ref_counts(chunks)
         # Exact chunking even across the job boundary.
-        assert all(count == 768 for count in counts[:-1])
+        assert all(count == chunk_refs for count in counts[:-1])
 
-    def test_scheduler_chunks_match_accesses(self):
+    @pytest.mark.parametrize("quantum", [640, 5])
+    def test_scheduler_chunks_match_accesses(self, quantum):
         def build():
             return RoundRobinScheduler(
                 [(phased_process(seed=1), 1.0),
                  (phased_process(seed=2), 0.5)],
-                quantum=640,
+                quantum=quantum,
             )
 
         legacy = round_robin_refs([
-            (segment_refs(phased_process(seed=1)), 640),
-            (segment_refs(phased_process(seed=2)), 320),
+            (segment_refs(phased_process(seed=1)), quantum),
+            (segment_refs(phased_process(seed=2)), max(1, quantum // 2)),
         ])
         chunks = list(build().access_chunks(500))
         assert flatten(chunks) == legacy
@@ -250,6 +269,42 @@ class TestNativeChunkStreams:
         assert flatten(chunks) == legacy
 
 
+class TestFetchRuns:
+    """The element format's helpers count and cut runs exactly."""
+
+    CHUNK = array("q", [READ, 0x2000, run_kind(3), 0x1004,
+                        WRITE, 0x2020, run_kind(8), 0x4000])
+
+    def test_counts_every_fetch(self):
+        assert count_refs(self.CHUNK) == 13
+        assert count_refs(array("q")) == 0
+
+    @pytest.mark.parametrize("refs", range(0, 15))
+    def test_split_at_every_offset(self, refs):
+        head, tail = split_refs(self.CHUNK, refs)
+        assert count_refs(head) == min(refs, 13)
+        assert flatten([head]) + flatten([tail]) == flatten([self.CHUNK])
+
+    def test_split_inside_a_run_makes_two_runs(self):
+        head, tail = split_refs(self.CHUNK, 6)
+        assert list(head) == [READ, 0x2000, run_kind(3), 0x1004,
+                              WRITE, 0x2020, IFETCH, 0x4000]
+        assert list(tail) == [run_kind(7), 0x4004]
+
+    def test_take_chunks_cuts_a_run(self):
+        chunks = list(take_chunks(iter([self.CHUNK, self.CHUNK]), 15))
+        assert chunk_ref_counts(chunks) == [13, 2]
+        assert list(chunks[1]) == [READ, 0x2000, IFETCH, 0x1004]
+
+    def test_bursts_fetch_in_runs(self):
+        # Each op fetches three words; a run ends at its block's end.
+        process = phased_process(seed=3)
+        burst = process._make_burst(process.phases[0])
+        kinds = set(burst[0::2])
+        assert {run_kind(2), run_kind(3)} <= kinds
+        assert count_refs(burst) > len(burst) >> 1
+
+
 class TestLengthHint:
     @pytest.mark.parametrize("factory", [
         lambda: Workload1(length_scale=0.01),
@@ -260,7 +315,7 @@ class TestLengthHint:
         instance = factory().instantiate(page_bytes, seed=1)
         hint = instance.length_hint
         actual = sum(
-            len(chunk) >> 1
+            count_refs(chunk)
             for chunk in instance.access_chunks(DEFAULT_CHUNK_REFS)
         )
         assert hint > 0

@@ -3,7 +3,8 @@
 The table goldens pin results; these pin the reference streams
 themselves, so a generator change that alters any reference fails
 here even where no table cell moves.  Each digest is the SHA-256 of
-the stream's flat chunks as little-endian 64-bit words.
+the stream's ``kind, vaddr`` words, one pair per reference (fetch runs
+expanded), as little-endian 64-bit words.
 
 The burst builder draws from ``random.Random`` through
 ``repro.common.rng.randbelow`` and two written-out copies of it; the
@@ -13,8 +14,10 @@ differently fails here instead of silently changing every stream.
 """
 
 import hashlib
+import itertools
 import random
 import sys
+from array import array
 
 import pytest
 
@@ -32,6 +35,7 @@ from repro.workloads.synthetic import (
     PhasedProcess,
 )
 from repro.workloads.workload1 import Workload1
+from tests.oracle import pairs
 from tests.workloads.test_synthetic import make_image
 
 PAGE = 512
@@ -66,11 +70,11 @@ def stream_digest(workload, seed):
     digest = hashlib.sha256()
     refs = 0
     for chunk in workload.instantiate(PAGE, seed=seed).access_chunks():
-        refs += len(chunk) >> 1
+        words = array("q", itertools.chain.from_iterable(pairs([chunk])))
+        refs += len(words) >> 1
         if sys.byteorder != "little":
-            chunk = chunk[:]
-            chunk.byteswap()
-        digest.update(chunk.tobytes())
+            words.byteswap()
+        digest.update(words.tobytes())
     return digest.hexdigest(), refs
 
 

@@ -11,6 +11,7 @@ import pytest
 
 from repro.machine.config import scaled_config
 from repro.machine.runner import ExperimentRunner
+from repro.workloads.base import count_refs
 from repro.workloads.devsystems import (
     DEV_SYSTEM_PROFILES,
     DevSystemWorkload,
@@ -20,6 +21,7 @@ from repro.workloads.synthetic import PhasedProcess, StreamRecording
 from repro.workloads.workload1 import Workload1
 
 from tests.conftest import ReplayedWorkload, TwoProcessMix, record_stream
+from tests.oracle import pairs
 
 PAGE_BYTES = scaled_config(scale=8).page_bytes
 
@@ -67,14 +69,10 @@ def test_replay_is_independent_of_chunk_size(family):
     with recording.active():
         instance = FAMILIES[family]().instantiate(PAGE_BYTES, 3)
         chunks = list(instance.access_chunks(333))
-    sizes = [len(chunk) >> 1 for chunk in chunks]
+    sizes = [count_refs(chunk) for chunk in chunks]
     assert all(size == 333 for size in sizes[:-1])
     assert 0 < sizes[-1] <= 333
-    replayed = []
-    for chunk in chunks:
-        it = iter(chunk)
-        replayed.extend(zip(it, it))
-    assert replayed == recorded
+    assert list(pairs(chunks)) == recorded
 
 
 def test_last_run_replays_then_drops_the_recording(monkeypatch):
